@@ -1,17 +1,21 @@
 """Driver that makes the pulled-back center ideal principal on every
 tracked chart stratum by repeated permissible blowups.
 
-Each round factors the pullback on every live stratum, picks the
-stratum whose residual ideal has the largest order (ties broken by
-family position, then creation order), selects a blowup center inside
-the residual's maximum order locus, and replaces the stratum by the
-finite list of chart strata covering the exceptional fiber.  A step cap
-stands in for a termination proof; hitting it is a reported status.
+The pullback is factored once per stratum, when the stratum is created
+(as a member of the input family or as a blowup child), and the result
+is kept with it.  Strata that are not yet principal wait in a heap
+keyed by the order of their residual ideal (largest first, ties broken
+by family position, then creation order).  Each round pops the top
+stratum, selects a blowup center inside the residual's maximum order
+locus, and replaces the stratum by the finite list of chart strata
+covering the exceptional fiber.  A step cap stands in for a termination
+proof; hitting it is a reported status.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 from .blowup import (
     BlowupCenterChart,
@@ -20,6 +24,7 @@ from .blowup import (
     enumerate_blowup_strata,
 )
 from .chart import CenterDescriptor, ChartForm, column_minima, pullback_center_ideal
+from .errors import InternalCheckError
 from .monomial import (
     MonomialIdeal,
     irreducible_decomposition,
@@ -60,7 +65,7 @@ def nonprincipal_locus(cf: ChartForm, z: CenterDescriptor) -> NonprincipalLocus:
     components.sort()
     for support in components:
         if not 2 <= len(support) <= cf.m:
-            raise AssertionError(
+            raise InternalCheckError(
                 f"component {support} violates the codimension bounds [2, {cf.m}]")
     return NonprincipalLocus(f, n, tuple(components))
 
@@ -149,14 +154,15 @@ class PrincipalizationTrace:
         return any(f.status == EXCEEDED for f in self.final)
 
 
-@dataclass
-class _Live:
+@dataclass(frozen=True)
+class _Stratum:
     stratum_id: str
     chart: ChartForm
     z: CenterDescriptor
     family_pos: int
     created: int
-    path: tuple[str, ...] = field(default_factory=tuple)
+    path: tuple[str, ...]
+    locus: NonprincipalLocus
 
 
 def _choice_tag(choice: BlowupChartChoice) -> str:
@@ -169,49 +175,55 @@ def principalize_chart_family(
         cap: int = 50,
         policy: MaxOrderLexPolicy = POLICIES["max-order-lex"],
 ) -> PrincipalizationTrace:
-    live: list[_Live] = [
-        _Live(sid, cf, z, pos, pos) for pos, (sid, cf, z) in enumerate(strata)]
-    counter = len(live)
+    # Strata still to blow up wait in `heap`; principal strata and strata
+    # at the cap go to `done`.  The cap bounds the length of any single
+    # chain of blowups (the depth of a stratum's history), mirroring the
+    # finite sequence it stands for; strata at the cap stop expanding and
+    # finish with Exceeded status.  A stratum's chart never changes, so
+    # `admit` computes its locus once and every later read uses that.
+    heap: list[tuple[int, int, int, _Stratum]] = []
+    done: list[_Stratum] = []
+
+    def admit(sid, chart, z, family_pos, created, path):
+        locus = nonprincipal_locus(chart, z)
+        s = _Stratum(sid, chart, z, family_pos, created, path, locus)
+        if locus.is_principal or len(path) >= cap:
+            done.append(s)
+        else:
+            heapq.heappush(heap, (-order_at_origin(locus.residual),
+                                  family_pos, created, s))
+
+    for pos, (sid, cf, z) in enumerate(strata):
+        admit(sid, cf, z, pos, pos, ())
+    counter = len(strata)
     steps: list[PrincipalizationStep] = []
 
-    # The cap bounds the length of any single chain of blowups (the depth
-    # of a stratum's history), mirroring the finite sequence it stands for;
-    # strata at the cap stop expanding and finish with Exceeded status.
-    while True:
-        pending = [(s, nonprincipal_locus(s.chart, s.z)) for s in live]
-        working = [(s, np) for s, np in pending
-                   if not np.is_principal and len(s.path) < cap]
-        if not working:
-            break
+    while heap:
         if len(steps) >= 100_000:
             raise RuntimeError("runaway principalization; raise the guard "
                                "only for genuinely larger instances")
-        working.sort(key=lambda pair: (-order_at_origin(pair[1].residual),
-                                       pair[0].family_pos, pair[0].created))
-        target, np = working[0]
-        center = policy.select(target.chart, target.z, np.residual)
-        children = []
+        nonprincipal_count = len(heap)
+        neg_order, _, _, target = heapq.heappop(heap)
+        center = policy.select(target.chart, target.z, target.locus.residual)
+        path = target.path + (target.stratum_id,)
         records = []
-        live.remove(target)
         for choice, result in enumerate_blowup_strata(
                 target.chart, center, symbol_prefix=target.stratum_id):
             child_id = f"{target.stratum_id}.{_choice_tag(choice)}"
-            child = _Live(child_id, result.chart, target.z,
-                          target.family_pos, counter,
-                          target.path + (target.stratum_id,))
+            admit(child_id, result.chart, target.z, target.family_pos,
+                  counter, path)
             counter += 1
-            live.append(child)
-            children.append(child)
             records.append((choice, child_id))
         steps.append(PrincipalizationStep(
             stratum_id=target.stratum_id, center=center,
-            residual_order=order_at_origin(np.residual),
-            nonprincipal_count=len(working),
+            residual_order=-neg_order,
+            nonprincipal_count=nonprincipal_count,
             children=tuple(records)))
 
-    final = []
-    for s in sorted(live, key=lambda s: (s.family_pos, s.created)):
-        status = PRINCIPAL if nonprincipal_locus(s.chart, s.z).is_principal \
-            else EXCEEDED
-        final.append(FinalStratum(s.stratum_id, status, s.chart, s.z, s.path))
-    return PrincipalizationTrace(tuple(steps), tuple(final))
+    done.sort(key=lambda s: (s.family_pos, s.created))
+    final = tuple(
+        FinalStratum(s.stratum_id,
+                     PRINCIPAL if s.locus.is_principal else EXCEEDED,
+                     s.chart, s.z, s.path)
+        for s in done)
+    return PrincipalizationTrace(tuple(steps), final)

@@ -1,8 +1,11 @@
-"""Brute-force oracles for monomial ideal operations.
+"""Brute-force oracles for monomial ideal operations, plus a reference
+principalization driver.
 
-Everything here works by explicit divisibility scans over all monomials
-up to a degree bound, independent of the library's own algebra, so the
-two sides can disagree only when one of them is wrong.
+The monomial oracles work by explicit divisibility scans over all
+monomials up to a degree bound, independent of the library's own
+algebra, so the two sides can disagree only when one of them is wrong.
+The reference driver is the plain rescanning loop the incremental
+driver in `toroidal.principalize` must agree with step for step.
 """
 
 from __future__ import annotations
@@ -11,6 +14,18 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+
+from toroidal.blowup import enumerate_blowup_strata
+from toroidal.monomial import order_at_origin
+from toroidal.principalize import (
+    EXCEEDED,
+    PRINCIPAL,
+    POLICIES,
+    FinalStratum,
+    PrincipalizationStep,
+    PrincipalizationTrace,
+    nonprincipal_locus,
+)
 
 
 @lru_cache(maxsize=None)
@@ -70,3 +85,40 @@ def oracle_order(gens, dim: int, maxdeg: int) -> int:
     if len(degrees) == 0:
         raise ValueError("no member up to the degree bound")
     return int(degrees.min())
+
+
+def rescan_principalize(strata, cap=50, policy=POLICIES["max-order-lex"]):
+    """Reference driver: every round recomputes the locus of every live
+    stratum, sorts the nonprincipal ones below the cap by (-residual
+    order, family position, creation order) and blows up the first."""
+    # live entries: [stratum_id, chart, z, family_pos, created, path]
+    live = [[sid, cf, z, pos, pos, ()] for pos, (sid, cf, z) in enumerate(strata)]
+    counter = len(live)
+    steps = []
+    while True:
+        working = []
+        for s in live:
+            locus = nonprincipal_locus(s[1], s[2])
+            if not locus.is_principal and len(s[5]) < cap:
+                working.append((s, locus))
+        if not working:
+            break
+        working.sort(key=lambda p: (-order_at_origin(p[1].residual), p[0][3], p[0][4]))
+        target, locus = working[0]
+        sid, cf, z, pos, _, path = target
+        center = policy.select(cf, z, locus.residual)
+        live.remove(target)
+        records = []
+        for choice, result in enumerate_blowup_strata(cf, center, symbol_prefix=sid):
+            flags = "".join("z" if b.is_zero else "g" for _, b in choice.betas)
+            child_id = f"{sid}.e{choice.j0}{flags}"
+            live.append([child_id, result.chart, z, pos, counter, path + (sid,)])
+            counter += 1
+            records.append((choice, child_id))
+        steps.append(PrincipalizationStep(sid, center, order_at_origin(locus.residual),
+                                          len(working), tuple(records)))
+    final = []
+    for sid, cf, z, _, _, path in sorted(live, key=lambda s: (s[3], s[4])):
+        status = PRINCIPAL if nonprincipal_locus(cf, z).is_principal else EXCEEDED
+        final.append(FinalStratum(sid, status, cf, z, path))
+    return PrincipalizationTrace(tuple(steps), tuple(final))

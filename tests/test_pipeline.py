@@ -240,8 +240,27 @@ class TestDeterminismAndReplay:
         tampered = copy.deepcopy(trace)
         tampered["steps"][0]["charts"]["A"]["lifts"][0]["chart"]["matrix"] = [[9, 9]]
         atlas2, script2 = parse_document(identity_doc())
-        with pytest.raises(ReplayMismatch):
+        with pytest.raises(ReplayMismatch,
+                           match="^step 0 differs from the recorded trace$"):
             replay(tampered, atlas2, script2)
+
+    def replay_tampered(self, tamper):
+        atlas, script = parse_document(identity_doc())
+        tampered = copy.deepcopy(toroidalize(atlas, script))
+        tamper(tampered)
+        atlas2, script2 = parse_document(identity_doc())
+        return replay(tampered, atlas2, script2)
+
+    def test_replay_names_step_count(self):
+        with pytest.raises(ReplayMismatch, match="^step count differs$"):
+            self.replay_tampered(lambda t: t["steps"].append(t["steps"][0]))
+
+    def test_replay_names_mismatch_outside_steps(self):
+        def tamper(t):
+            t["verdicts"]["commutes"] = not t["verdicts"]["commutes"]
+        with pytest.raises(ReplayMismatch,
+                           match="^trace differs outside the step records$"):
+            self.replay_tampered(tamper)
 
     def test_invalid_atlas_rejected(self):
         doc = identity_doc()

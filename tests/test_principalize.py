@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+from toroidal import principalize
 from toroidal.chart import CenterDescriptor, classify_form
+from toroidal.errors import InternalCheckError
 from toroidal.monomial import minimal_generators
 from toroidal.principalize import (
     EXCEEDED,
@@ -10,6 +14,7 @@ from toroidal.principalize import (
     principalize_chart_family,
 )
 from generators import random_adapted_chart
+from oracles import rescan_principalize
 from test_blowup import adapted
 
 Z22 = CenterDescriptor(2, 2, (0, 1))
@@ -34,6 +39,13 @@ class TestNonprincipalLocus:
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         locus = nonprincipal_locus(cf, Z22)
         assert locus.is_principal and locus.components == ()
+
+    def test_codimension_violation_is_internal_check_error(self, monkeypatch):
+        cf = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
+        monkeypatch.setattr(principalize, "irreducible_decomposition",
+                            lambda ideal: [minimal_generators([(1, 0)], 2)])
+        with pytest.raises(InternalCheckError, match="codimension bounds"):
+            nonprincipal_locus(cf, Z22)
 
     def test_slot_components_have_codim_at_least_two(self):
         cf = adapted([[2, 1], [0, 0]], ell_bar=1, s=1, d=4, m=3)
@@ -113,6 +125,51 @@ class TestDriver:
             trace = principalize_chart_family([("x0", cf, z)], cap=50)
             assert not trace.exceeded, (cf.matrix, z)
             done += 1
+
+
+def random_families(seed, count):
+    """Seeded families of 1-3 adapted strata with ids x0, x1, x2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        family, size = [], rng.randint(1, 3)
+        while len(family) < size:
+            pair = random_adapted_chart(rng, max_n=3, max_m=4, max_d=5)
+            if pair is not None:
+                family.append((f"x{len(family)}", *pair))
+        yield family
+
+
+class TestIncrementalDriver:
+    @pytest.mark.parametrize("cap", [1, 2, 3, 50])
+    def test_matches_rescan_reference(self, cap):
+        exceeded = at_cap = multi = 0
+        for family in random_families(100 + cap, 25):
+            trace = principalize_chart_family(family, cap=cap)
+            ref = rescan_principalize(family, cap=cap)
+            assert trace.steps == ref.steps
+            assert trace.final == ref.final
+            exceeded += trace.exceeded
+            at_cap += any(len(f.parent_path) == cap for f in trace.final)
+            multi += len({s.stratum_id.split(".")[0] for s in trace.steps}) > 1
+        assert multi > 0
+        if cap < 50:
+            assert exceeded > 0 and at_cap > 0
+
+    def test_locus_computed_once_per_stratum(self, monkeypatch):
+        calls = []
+        real = principalize.nonprincipal_locus
+
+        def counting(cf, z):
+            calls.append(z)
+            return real(cf, z)
+
+        monkeypatch.setattr(principalize, "nonprincipal_locus", counting)
+        for cap in (2, 50):
+            for family in random_families(300 + cap, 15):
+                calls.clear()
+                trace = principalize_chart_family(family, cap=cap)
+                created = len(family) + sum(len(s.children) for s in trace.steps)
+                assert len(calls) == created
 
 
 class TestResidualShapes:
