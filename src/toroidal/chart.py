@@ -17,7 +17,7 @@ Variable layout, 0-based and dense:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .monomial import MonomialIdeal, minimal_generators
@@ -114,12 +114,6 @@ class ChartForm:
             return None if t == 0 else self.n + t - 1
         raise ValueError("chart has no slot rows")
 
-    def row_sum(self, i: int) -> int:
-        return sum(self.matrix[i])
-
-    def col_sum(self, j: int, upto: int) -> int:
-        return sum(self.matrix[i][j] for i in range(upto))
-
 
 def structural_problems(cf: ChartForm) -> list[str]:
     p: list[str] = []
@@ -181,30 +175,46 @@ def column_minima(cf: ChartForm) -> tuple[int, ...]:
     return tuple(min(cf.matrix[i][j] for i in rows) for j in range(cf.n))
 
 
+def shape_key(cf: ChartForm, z: CenterDescriptor) -> tuple:
+    """Everything the combinatorial kernels (locus, center selection, lift
+    skeleton) read of a chart and its center: dimensions, tag, exponent
+    matrix and which slot constants vanish, but no unit constant and no
+    beta symbol.  Charts with equal keys get equal kernel results."""
+    return (cf.d, cf.m, cf.n, cf.ell, cf.s, cf.tag, cf.ell_bar, cf.matrix,
+            tuple(None if b is None else b.kind for b in cf.betas), z)
+
+
 def verify_toroidal_form(cf: ChartForm) -> ValidityReport:
     """Shape check for a toroidal chart: nonnegative matrix with
     positive column sums and positive row sums, units on tail variables."""
-    failures: list[tuple[str, str]] = []
     if cf.tag != TOROIDAL:
         return ValidityReport((("tag", f"expected toroidal, found {cf.tag}"),))
-    if cf.ell and cf.n == 0:
+    return ValidityReport(tuple(toroidal_shape_failures(cf.matrix, cf.n, cf.ell)))
+
+
+def toroidal_shape_failures(matrix, n: int, ell: int) -> list[tuple[str, str]]:
+    """The toroidal shape conditions on an exponent matrix alone."""
+    failures = []
+    if ell and n == 0:
         failures.append(("shape", "divisor image needs divisor variables"))
-    for j in range(cf.n):
-        if cf.col_sum(j, cf.ell) <= 0:
-            failures.append(("column", f"column {j} has zero sum"))
-    for i in range(cf.ell):
-        if cf.row_sum(i) <= 0:
-            failures.append(("row", f"row {i} has zero sum"))
-    return ValidityReport(tuple(failures))
+    return failures + _zero_sum_failures(matrix, n, ell)
 
 
 def _positivity_failures(cf: ChartForm, row_range: int) -> list[tuple[str, str]]:
+    return _zero_sum_failures(cf.matrix, cf.n, row_range,
+                              f" over rows [{row_range}]")
+
+
+def _zero_sum_failures(matrix, n: int, rows: int,
+                       over: str = "") -> list[tuple[str, str]]:
+    """Zero column sums over the first `rows` rows, then zero row sums;
+    `over` qualifies the column message."""
     failures = []
-    for j in range(cf.n):
-        if cf.col_sum(j, row_range) <= 0:
-            failures.append(("column", f"column {j} has zero sum over rows [{row_range}]"))
-    for i in range(row_range):
-        if cf.row_sum(i) <= 0:
+    for j in range(n):
+        if sum(matrix[i][j] for i in range(rows)) <= 0:
+            failures.append(("column", f"column {j} has zero sum{over}"))
+    for i in range(rows):
+        if sum(matrix[i]) <= 0:
             failures.append(("row", f"row {i} has zero sum"))
     return failures
 
@@ -230,12 +240,10 @@ def classify_form(cf: ChartForm) -> tuple[str | None, dict[str, list[tuple[str, 
         return SMOOTH, diagnostics
 
     if cf.s == 0:
-        toroidal_view = cf if cf.tag == TOROIDAL else replace(
-            cf, tag=TOROIDAL, ell_bar=0)
-        report = verify_toroidal_form(toroidal_view)
-        if report.ok:
+        failures = toroidal_shape_failures(cf.matrix, cf.n, cf.ell)
+        if not failures:
             return TOROIDAL, diagnostics
-        diagnostics[TOROIDAL] = list(report.failures)
+        diagnostics[TOROIDAL] = failures
 
     if cf.tag != QTF2:
         failures = _positivity_failures(cf, cf.ell) + _qtf_condition_failures(cf)

@@ -45,9 +45,12 @@ def unit_value_to_doc(v: UnitValue):
 def unit_value_from_doc(doc) -> UnitValue:
     if not isinstance(doc, dict) or "coeff" not in doc:
         raise InvalidDocument(f"bad unit value {doc!r}")
-    symbols = tuple((name, fraction_from_doc(e))
-                    for name, e in doc.get("symbols", []))
-    return UnitValue(fraction_from_doc(doc["coeff"]), symbols)
+    # Multiplying symbol by symbol sorts and merges them, so a document
+    # cannot smuggle in a value whose symbols are not canonical.
+    value = UnitValue(fraction_from_doc(doc["coeff"]))
+    for name, e in doc.get("symbols", []):
+        value = value * UnitValue.symbol(name, fraction_from_doc(e))
+    return value
 
 
 def unit_token_to_doc(u: UnitToken):

@@ -5,7 +5,3 @@ class InternalCheckError(RuntimeError):
     """A postcondition the construction guarantees failed: an engine bug,
     not bad input."""
 
-
-class CapExceeded(RuntimeError):
-    """A driver hit its step cap; reported as a status, raised only by
-    callers that cannot carry a status."""

@@ -9,6 +9,15 @@ nonzero constant become fresh translated parameters whose constants are
 exact unit-value ratios.  When the center lies in no divisor component
 through the point, the exceptional direction never joins the divisor
 and is dropped back out of the chart instead.
+
+A lift runs in two passes.  The skeleton (`lift_skeleton`) reads only
+the chart's shape, its `shape_key`: the case, the generator row, which
+center rows are strict, vanished or kept, and the lifted exponent
+matrix, with every check on them.  The constants pass fills in the
+generator constant, the lifted units, the fresh parameters and the
+target values from the chart's unit constants and beta values.  Charts
+of one shape share a skeleton, so a caller lifting many strata can keep
+skeletons in a dict for the length of one chart family.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from .chart import (
     ValidityReport,
     column_minima,
     pullback_center_ideal,
-    verify_toroidal_form,
+    shape_key,
+    toroidal_shape_failures,
 )
 from .errors import InternalCheckError
 from .linalg import rank
@@ -77,6 +87,27 @@ class LiftResult:
         return self.record.target
 
 
+@dataclass(frozen=True)
+class LiftSkeleton:
+    """The part of a lift fixed by the chart's shape.
+
+    `row_sources` names the origin of each lifted row ("gen", "strict"
+    or "kept", with the chart row), in the order of `matrix`; `zero`
+    lists the center rows that collapse onto the generator and become
+    fresh parameters.  `drop_col` is the exceptional column dropped by
+    an outside-divisor lift, None when the exceptional joins the divisor.
+    """
+
+    case: str
+    gen_row: int
+    drop_col: int | None
+    strict: tuple[int, ...]
+    zero: tuple[int, ...]
+    row_sources: tuple[tuple[str, int], ...]
+    matrix: tuple[tuple[int, ...], ...]
+    t_nonzero: int
+
+
 def _require_adapted(cf: ChartForm, z: CenterDescriptor) -> None:
     if cf.tag not in (QTF1, QTF2):
         raise ValueError("lift needs a center-adapted chart")
@@ -102,40 +133,56 @@ def lift_case(cf: ChartForm, z: CenterDescriptor) -> str:
     raise InternalCheckError("principal qtf1 chart matches no lift case")
 
 
-def lift_after_principalization(cf: ChartForm, z: CenterDescriptor) -> LiftResult:
+def lift_after_principalization(cf: ChartForm, z: CenterDescriptor,
+                                skeletons: dict | None = None) -> LiftResult:
+    """Lift one principal stratum.  `skeletons`, when given, maps
+    `shape_key`s to skeletons already built; the caller keeps it for the
+    length of one chart family, and missing skeletons are added to it."""
+    skeletons = {} if skeletons is None else skeletons
+    key = shape_key(cf, z)
+    if key not in skeletons:
+        skeletons[key] = lift_skeleton(cf, z)
+    return _lift_constants(cf, skeletons[key])
+
+
+def lift_skeleton(cf: ChartForm, z: CenterDescriptor) -> LiftSkeleton:
+    """The shape-only part of the lift, checked as it is built."""
     case = lift_case(cf, z)
     if cf.ell_bar == 0:
-        return _lift_outside_divisor(cf, z, case)
-    return _lift_inside_divisor(cf, z, case)
+        skeleton = _skeleton_outside_divisor(cf, case)
+    else:
+        skeleton = _skeleton_inside_divisor(cf, case)
+    n = cf.n if skeleton.drop_col is None else cf.n - 1
+    failures = toroidal_shape_failures(skeleton.matrix, n, len(skeleton.matrix))
+    if failures:
+        raise InternalCheckError(
+            f"lifted chart is not toroidal: {ValidityReport(tuple(failures))}")
+    return skeleton
 
 
-def _lift_inside_divisor(cf: ChartForm, z: CenterDescriptor, case: str) -> LiftResult:
+def _skeleton_inside_divisor(cf: ChartForm, case: str) -> LiftSkeleton:
     """Cases with ell_bar >= 1: the target exceptional joins the divisor."""
     mins = column_minima(cf)
 
     if case == CASE1:
         gen_row = next(i for i in range(cf.ell_bar) if cf.matrix[i] == mins)
-        gen_const = cf.units[gen_row].constant()
     elif case == CASE2:
         t_w = next(t for t in range(cf.s)
                    if cf.betas[t] is not None and not cf.betas[t].is_zero)
         gen_row = cf.ell + t_w
-        gen_const = cf.units[gen_row].constant() * cf.betas[t_w].unit_value()
     elif case == CASE3:
         gen_row = cf.ell
-        gen_const = cf.units[gen_row].constant()
     else:
         raise InternalCheckError(f"unexpected case {case} with ell_bar >= 1")
-    gen_vec = mins
-    if cf.matrix[gen_row] != gen_vec:
+    if cf.matrix[gen_row] != mins:
         raise InternalCheckError("generator row is not the columnwise minimum")
 
     reduced = {i: tuple(x - y for x, y in zip(cf.matrix[i], mins))
                for i in range(cf.ell_bar) if i != gen_row}
     if any(x < 0 for row in reduced.values() for x in row):
         raise InternalCheckError("column minima exceeded a center row")
-    strict = [i for i in sorted(reduced) if any(reduced[i])]
-    zero = [i for i in sorted(reduced) if not any(reduced[i])]
+    strict = tuple(i for i in sorted(reduced) if any(reduced[i]))
+    zero = tuple(i for i in sorted(reduced) if not any(reduced[i]))
 
     if case == CASE1:
         # Vanished-row bound of the divisor-generator construction: at most
@@ -144,63 +191,24 @@ def _lift_inside_divisor(cf: ChartForm, z: CenterDescriptor, case: str) -> LiftR
         if len(zero) > min(cf.ell - r, cf.ell_bar - 1):
             raise InternalCheckError("too many vanished center rows for the rank bound")
 
-    matrix = [gen_vec]
-    units = [UnitToken(gen_const)]
-    row_sources: list[tuple[str, int]] = [("gen", gen_row)]
-    for i in strict:
-        matrix.append(reduced[i])
-        units.append(UnitToken(cf.units[i].constant() * gen_const.inv()))
-        row_sources.append(("strict", i))
-    for i in range(cf.ell_bar, cf.ell):
-        matrix.append(cf.matrix[i])
-        units.append(UnitToken(cf.units[i].constant()))
-        row_sources.append(("kept", i))
+    kept = range(cf.ell_bar, cf.ell)
+    matrix = ((mins,) + tuple(reduced[i] for i in strict)
+              + tuple(cf.matrix[i] for i in kept))
+    row_sources = ((("gen", gen_row),) + tuple(("strict", i) for i in strict)
+                   + tuple(("kept", i) for i in kept))
 
     for j in range(cf.n):
         if not any(row[j] for row in matrix):
             raise InternalCheckError(
                 f"reduced matrix lost column {j}, contradicting column positivity")
-
-    fresh: list[FreshParam] = []
-    values: list[tuple[int, UnitValue | None]] = []
-    for i in strict:
-        values.append((i, None))
-    for i in zero:
-        val = cf.units[i].constant() * gen_const.inv()
-        fresh.append(FreshParam(("row", i), scale=val, shift=val))
-        values.append((i, val))
-    for t in range(cf.s):
-        row = cf.ell + t
-        if row == gen_row:
-            continue
-        scale = cf.units[row].constant() * gen_const.inv()
-        beta = cf.betas[t]
-        shift = None
-        if beta is not None and not beta.is_zero:
-            shift = scale * beta.unit_value()
-        fresh.append(FreshParam(("slot", row), scale=scale, shift=shift))
-        values.append((row, shift))
-
-    ell1 = len(matrix)
-    if ell1 != cf.ell - cf.ell_bar + len(strict) + 1:
+    if len(matrix) != cf.ell - cf.ell_bar + len(strict) + 1:
         raise InternalCheckError("lifted divisor count bookkeeping broke")
-    lifted = ChartForm(
-        d=cf.d, m=cf.m, n=cf.n, ell=ell1, s=0, tag=TOROIDAL,
-        matrix=tuple(matrix), units=tuple(units))
-    report = verify_toroidal_form(lifted)
-    if not report.ok:
-        raise InternalCheckError(f"lifted chart is not toroidal: {report}")
-
-    target = TargetPoint(denominator_row=gen_row, ell1=ell1,
-                         exceptional_in_divisor=True,
-                         values=tuple(sorted(values)))
-    record = LiftRecord(case=case, gen_row=gen_row, drop_col=None,
-                        row_sources=tuple(row_sources), fresh=tuple(fresh),
-                        t_nonzero=1 + len(strict), target=target)
-    return LiftResult(lifted, record)
+    return LiftSkeleton(case=case, gen_row=gen_row, drop_col=None,
+                        strict=strict, zero=zero, row_sources=row_sources,
+                        matrix=matrix, t_nonzero=1 + len(strict))
 
 
-def _lift_outside_divisor(cf: ChartForm, z: CenterDescriptor, case: str) -> LiftResult:
+def _skeleton_outside_divisor(cf: ChartForm, case: str) -> LiftSkeleton:
     """ell_bar == 0: the center lies in no divisor component through the
     point, so neither exceptional joins a divisor; the exceptional chart
     variable is consumed back into an identity parameter."""
@@ -214,42 +222,59 @@ def _lift_outside_divisor(cf: ChartForm, z: CenterDescriptor, case: str) -> Lift
     for i in range(cf.ell):
         if cf.matrix[i][exc_col] != 0:
             raise InternalCheckError("divisor rows meet the exceptional column")
+    return LiftSkeleton(
+        case=case, gen_row=gen_row, drop_col=exc_col, strict=(), zero=(),
+        row_sources=tuple(("kept", i) for i in range(cf.ell)),
+        matrix=tuple(row[:exc_col] for row in cf.matrix[:cf.ell]),
+        t_nonzero=0)
 
-    gen_const = cf.units[gen_row].constant()
-    matrix = tuple(row[:exc_col] for row in cf.matrix[:cf.ell])
-    units = tuple(UnitToken(u.constant()) for u in cf.units[:cf.ell])
-    row_sources = tuple(("kept", i) for i in range(cf.ell))
 
-    fresh = [FreshParam(("slot", gen_row), scale=gen_const, shift=None)]
-    values: list[tuple[int, UnitValue | None]] = []
-    for t in range(1, cf.s):
+def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
+    """Put the chart's constants on a skeleton of its shape."""
+    gen_const = cf.units[sk.gen_row].constant()
+    if sk.case == CASE2:
+        gen_const = gen_const * cf.betas[sk.gen_row - cf.ell].unit_value()
+    gen_inv = gen_const.inv()
+
+    units = []
+    for kind, i in sk.row_sources:
+        if kind == "gen":
+            units.append(UnitToken(gen_const))
+        elif kind == "strict":
+            units.append(UnitToken(cf.units[i].constant() * gen_inv))
+        else:
+            units.append(UnitToken(cf.units[i].constant()))
+
+    fresh: list[FreshParam] = []
+    values: list[tuple[int, UnitValue | None]] = [(i, None) for i in sk.strict]
+    if sk.drop_col is not None:
+        fresh.append(FreshParam(("slot", sk.gen_row), scale=gen_const, shift=None))
+    for i in sk.zero:
+        val = cf.units[i].constant() * gen_inv
+        fresh.append(FreshParam(("row", i), scale=val, shift=val))
+        values.append((i, val))
+    for t, beta in enumerate(cf.betas):
         row = cf.ell + t
-        scale = cf.units[row].constant() * gen_const.inv()
-        beta = cf.betas[t]
+        if row == sk.gen_row:
+            continue
+        scale = cf.units[row].constant() * gen_inv
         shift = None
         if beta is not None and not beta.is_zero:
             shift = scale * beta.unit_value()
         fresh.append(FreshParam(("slot", row), scale=scale, shift=shift))
         values.append((row, shift))
 
+    ell1 = len(sk.matrix)
     lifted = ChartForm(
-        d=cf.d, m=cf.m, n=cf.n - 1, ell=cf.ell, s=0, tag=TOROIDAL,
-        matrix=matrix, units=units)
-    report = verify_toroidal_form(lifted)
-    if not report.ok:
-        raise InternalCheckError(f"lifted chart is not toroidal: {report}")
-
-    target = TargetPoint(denominator_row=gen_row, ell1=cf.ell,
-                         exceptional_in_divisor=False,
+        d=cf.d, m=cf.m, n=cf.n if sk.drop_col is None else cf.n - 1, ell=ell1,
+        s=0, tag=TOROIDAL, matrix=sk.matrix, units=tuple(units))
+    target = TargetPoint(denominator_row=sk.gen_row, ell1=ell1,
+                         exceptional_in_divisor=sk.drop_col is None,
                          values=tuple(sorted(values)))
-    record = LiftRecord(case=case, gen_row=gen_row, drop_col=exc_col,
-                        row_sources=row_sources, fresh=tuple(fresh),
-                        t_nonzero=0, target=target)
+    record = LiftRecord(case=sk.case, gen_row=sk.gen_row, drop_col=sk.drop_col,
+                        row_sources=sk.row_sources, fresh=tuple(fresh),
+                        t_nonzero=sk.t_nonzero, target=target)
     return LiftResult(lifted, record)
-
-
-def _units_equal(a: UnitValue, b: UnitValue) -> bool:
-    return a == b
 
 
 def verify_commutes(cf: ChartForm, z: CenterDescriptor,
@@ -298,7 +323,7 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
             expected = original_const
             if beta is not None and not beta.is_zero:
                 expected = expected * beta.unit_value()
-            if not _units_equal(gen_const, expected):
+            if gen_const != expected:
                 fail("constant", f"generator row {i} constant mismatch")
             continue
 
@@ -308,8 +333,7 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
             recon = tuple(x + y for x, y in zip(gen_vec, pad(lifted.matrix[k])))
             if recon != cf.matrix[i]:
                 fail("exponent", f"strict transform of row {i} does not recompose")
-            if not _units_equal(gen_const * lifted.units[k].constant(),
-                                original_const):
+            if gen_const * lifted.units[k].constant() != original_const:
                 fail("constant", f"strict transform of row {i} constant mismatch")
             if value_of.get(i, None) is not None:
                 fail("target", f"strict row {i} should sit at ratio zero")
@@ -320,7 +344,7 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
             k = lifted_index[("kept", i)]
             if pad(lifted.matrix[k]) != cf.matrix[i]:
                 fail("exponent", f"kept row {i} exponents changed")
-            if not _units_equal(lifted.units[k].constant(), original_const):
+            if lifted.units[k].constant() != original_const:
                 fail("constant", f"kept row {i} constant mismatch")
             continue
 
@@ -330,16 +354,16 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
             if gen_vec != cf.matrix[i]:
                 fail("exponent",
                      f"fresh parameter row {i} does not share the generator exponents")
-            if not _units_equal(gen_const * p.scale, original_const):
+            if gen_const * p.scale != original_const:
                 fail("constant", f"fresh parameter row {i} scale mismatch")
             if beta is not None and not beta.is_zero:
                 expected_shift = p.scale * beta.unit_value()
-                if p.shift is None or not _units_equal(p.shift, expected_shift):
+                if p.shift is None or p.shift != expected_shift:
                     fail("constant", f"fresh parameter row {i} shift mismatch")
             elif p.source[0] == "slot" and p.shift is not None:
                 fail("constant", f"fresh slot row {i} should have zero shift")
             elif p.source[0] == "row" and (
-                    p.shift is None or not _units_equal(p.shift, p.scale)):
+                    p.shift is None or p.shift != p.scale):
                 fail("constant",
                      f"fresh parameter row {i} must shift by its unit ratio")
             if value_of.get(i, "missing") == "missing" and i != rec.gen_row:

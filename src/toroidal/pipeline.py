@@ -396,6 +396,7 @@ def _run_step(atlas: MorphismAtlas, state: YState, step: ScriptStep,
 
         lifts = []
         new_strata = []
+        skeletons: dict = {}
         for final in trace.final:
             root = final.parent_path[0] if final.parent_path else final.stratum_id
             if final.status == EXCEEDED:
@@ -404,7 +405,8 @@ def _run_step(atlas: MorphismAtlas, state: YState, step: ScriptStep,
                     row_labels=labels_of[root],
                     extra_global_labels=extra_of[root]))
                 continue
-            result = lift_after_principalization(final.chart, final.descriptor)
+            result = lift_after_principalization(final.chart, final.descriptor,
+                                                 skeletons)
             report = verify_commutes(final.chart, final.descriptor, result)
             if not report.ok:
                 commutes_ok = False

@@ -1,15 +1,21 @@
 """Driver that makes the pulled-back center ideal principal on every
 tracked chart stratum by repeated permissible blowups.
 
-The pullback is factored once per stratum, when the stratum is created
-(as a member of the input family or as a blowup child), and the result
-is kept with it.  Strata that are not yet principal wait in a heap
-keyed by the order of their residual ideal (largest first, ties broken
-by family position, then creation order).  Each round pops the top
-stratum, selects a blowup center inside the residual's maximum order
-locus, and replaces the stratum by the finite list of chart strata
-covering the exceptional fiber.  A step cap stands in for a termination
-proof; hitting it is a reported status.
+The pullback's locus is found when a stratum is created (as a member
+of the input family or as a blowup child) and kept with it.  Strata
+that are not yet principal wait in a heap keyed by the order of their
+residual ideal (largest first, ties broken by family position, then
+creation order).  Each round pops the top stratum, selects a blowup
+center inside the residual's maximum order locus, and replaces the
+stratum by the finite list of chart strata covering the exceptional
+fiber.  A step cap stands in for a termination proof; hitting it is a
+reported status.
+
+The locus and the selected center read only the chart's shape
+(`shape_key`), never its unit constants or beta symbols, and shapes
+repeat across the strata of one run.  One call of the driver therefore
+computes each of them once per distinct shape and looks it up for the
+other strata of that shape; the memo lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -23,7 +29,13 @@ from .blowup import (
     check_permissible_center,
     enumerate_blowup_strata,
 )
-from .chart import CenterDescriptor, ChartForm, column_minima, pullback_center_ideal
+from .chart import (
+    CenterDescriptor,
+    ChartForm,
+    column_minima,
+    pullback_center_ideal,
+    shape_key,
+)
 from .errors import InternalCheckError
 from .monomial import (
     MonomialIdeal,
@@ -163,6 +175,7 @@ class _Stratum:
     created: int
     path: tuple[str, ...]
     locus: NonprincipalLocus
+    shape: tuple
 
 
 def _choice_tag(choice: BlowupChartChoice) -> str:
@@ -180,13 +193,20 @@ def principalize_chart_family(
     # chain of blowups (the depth of a stratum's history), mirroring the
     # finite sequence it stands for; strata at the cap stop expanding and
     # finish with Exceeded status.  A stratum's chart never changes, so
-    # `admit` computes its locus once and every later read uses that.
+    # `admit` finds its locus once and every later read uses that; the
+    # locus and the center depend on the shape alone, so `loci` and
+    # `centers` hold them per shape key for the length of this call.
     heap: list[tuple[int, int, int, _Stratum]] = []
     done: list[_Stratum] = []
+    loci: dict[tuple, NonprincipalLocus] = {}
+    centers: dict[tuple, BlowupCenterChart] = {}
 
     def admit(sid, chart, z, family_pos, created, path):
-        locus = nonprincipal_locus(chart, z)
-        s = _Stratum(sid, chart, z, family_pos, created, path, locus)
+        shape = shape_key(chart, z)
+        locus = loci.get(shape)
+        if locus is None:
+            locus = loci[shape] = nonprincipal_locus(chart, z)
+        s = _Stratum(sid, chart, z, family_pos, created, path, locus, shape)
         if locus.is_principal or len(path) >= cap:
             done.append(s)
         else:
@@ -204,7 +224,10 @@ def principalize_chart_family(
                                "only for genuinely larger instances")
         nonprincipal_count = len(heap)
         neg_order, _, _, target = heapq.heappop(heap)
-        center = policy.select(target.chart, target.z, target.locus.residual)
+        center = centers.get(target.shape)
+        if center is None:
+            center = centers[target.shape] = policy.select(
+                target.chart, target.z, target.locus.residual)
         path = target.path + (target.stratum_id,)
         records = []
         for choice, result in enumerate_blowup_strata(

@@ -26,7 +26,12 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class UnitValue:
-    """A guaranteed-nonzero constant: coeff * prod(symbol^exponent)."""
+    """A guaranteed-nonzero constant: coeff * prod(symbol^exponent).
+
+    `symbols` is canonical: sorted by name, one entry per name, no zero
+    exponent.  Every operation here keeps it so, and equal values are
+    equal tuples.
+    """
 
     coeff: Fraction = Fraction(1)
     symbols: tuple[tuple[str, Fraction], ...] = ()
@@ -49,6 +54,15 @@ class UnitValue:
         return UnitValue(Fraction(1), ((name, e),))
 
     def __mul__(self, other: "UnitValue") -> "UnitValue":
+        # A side without symbols only scales the other side's coefficient.
+        if not other.symbols:
+            if other.coeff == 1:
+                return self
+            return UnitValue(self.coeff * other.coeff, self.symbols)
+        if not self.symbols:
+            if self.coeff == 1:
+                return other
+            return UnitValue(self.coeff * other.coeff, other.symbols)
         exps: dict[str, Fraction] = dict(self.symbols)
         for name, e in other.symbols:
             exps[name] = exps.get(name, Fraction(0)) + e
@@ -56,6 +70,11 @@ class UnitValue:
         return UnitValue(self.coeff * other.coeff, syms)
 
     def __pow__(self, exp) -> "UnitValue":
+        if isinstance(exp, int) and exp:
+            if exp == 1:
+                return self
+            return UnitValue(self.coeff ** exp,
+                             tuple((n, x * exp) for n, x in self.symbols))
         e = _as_fraction(exp)
         if e == 0:
             return UnitValue()
@@ -76,10 +95,6 @@ class UnitValue:
     @property
     def is_one(self) -> bool:
         return self.coeff == 1 and not self.symbols
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.symbols
 
     def __str__(self):
         parts = [] if self.coeff == 1 and self.symbols else [str(self.coeff)]
@@ -155,7 +170,13 @@ class UnitFactor:
     exp: int
 
     def constant(self) -> UnitValue:
-        return self.shift ** self.exp
+        # Computed on first use and kept in the instance dict, outside the
+        # dataclass fields, so equality, hashing and repr never see it.
+        value = self.__dict__.get("_constant")
+        if value is None:
+            value = self.shift ** self.exp
+            object.__setattr__(self, "_constant", value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -171,9 +192,13 @@ class UnitToken:
     factors: tuple[UnitFactor, ...] = ()
 
     def constant(self) -> UnitValue:
-        value = self.base
-        for f in self.factors:
-            value = value * f.constant()
+        # Kept like UnitFactor.constant.
+        value = self.__dict__.get("_constant")
+        if value is None:
+            value = self.base
+            for f in self.factors:
+                value = value * f.constant()
+            object.__setattr__(self, "_constant", value)
         return value
 
     def times(self, other: "UnitToken") -> "UnitToken":
@@ -192,16 +217,9 @@ class UnitToken:
         return UnitToken(self.base, tuple(
             UnitFactor(mapping.get(f.var, f.var), f.shift, f.exp) for f in self.factors))
 
-    def collapsed(self) -> "UnitToken":
-        """Fold the factors into the base constant (used at lift time)."""
-        return UnitToken(self.constant(), ())
-
     @property
     def is_trivial(self) -> bool:
         return self.base.is_one and not self.factors
-
-    def min_factor_var(self) -> int | None:
-        return min((f.var for f in self.factors), default=None)
 
 
 TRIVIAL_UNIT = UnitToken()

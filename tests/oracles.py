@@ -1,16 +1,20 @@
 """Brute-force oracles for monomial ideal operations, plus a reference
-principalization driver.
+principalization driver and reference unit-value arithmetic.
 
 The monomial oracles work by explicit divisibility scans over all
 monomials up to a degree bound, independent of the library's own
 algebra, so the two sides can disagree only when one of them is wrong.
 The reference driver is the plain rescanning loop the incremental
-driver in `toroidal.principalize` must agree with step for step.
+driver in `toroidal.principalize` must agree with step for step.  The
+reference product and power are the general `UnitValue` operations
+without the fast paths the library takes for symbol-free sides and
+integer exponents.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +30,7 @@ from toroidal.principalize import (
     PrincipalizationTrace,
     nonprincipal_locus,
 )
+from toroidal.units import UnitValue, _as_fraction
 
 
 @lru_cache(maxsize=None)
@@ -122,3 +127,28 @@ def rescan_principalize(strata, cap=50, policy=POLICIES["max-order-lex"]):
         status = PRINCIPAL if nonprincipal_locus(cf, z).is_principal else EXCEEDED
         final.append(FinalStratum(sid, status, cf, z, path))
     return PrincipalizationTrace(tuple(steps), tuple(final))
+
+
+def reference_mul(a: UnitValue, b: UnitValue) -> UnitValue:
+    """UnitValue product by merging the symbol exponents."""
+    exps: dict[str, Fraction] = dict(a.symbols)
+    for name, e in b.symbols:
+        exps[name] = exps.get(name, Fraction(0)) + e
+    syms = tuple(sorted((n, e) for n, e in exps.items() if e != 0))
+    return UnitValue(a.coeff * b.coeff, syms)
+
+
+def reference_pow(a: UnitValue, exp) -> UnitValue:
+    """UnitValue power with the exponent taken as a Fraction."""
+    e = _as_fraction(exp)
+    if e == 0:
+        return UnitValue()
+    syms = tuple((n, x * e) for n, x in a.symbols)
+    if e.denominator == 1:
+        coeff = a.coeff ** e.numerator
+    elif a.coeff == 1:
+        coeff = Fraction(1)
+    else:
+        return UnitValue(Fraction(1), tuple(sorted(
+            syms + ((f"rat:{a.coeff}", e),))))
+    return UnitValue(coeff, syms)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -80,6 +81,27 @@ class TestClassify:
     def test_smooth(self):
         tag, _ = classify_form(smooth_chart(3, 2))
         assert tag == SMOOTH
+
+    def test_unslotted_diagnostics_match_toroidal_view(self):
+        # An s = 0 adapted chart is judged as the toroidal chart with the
+        # same matrix: same failure codes and messages, in the same order.
+        rng = random.Random(331)
+        failing = 0
+        for _ in range(200):
+            ell, n = rng.randint(1, 3), rng.randint(0, 3)
+            matrix = tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                           for _ in range(ell))
+            cf = ChartForm(d=n + 1, m=ell, n=n, ell=ell, s=0, tag=QTF1,
+                           matrix=matrix, units=(TRIVIAL_UNIT,) * ell,
+                           ell_bar=rng.randint(0, ell))
+            view = replace(cf, tag=TOROIDAL, ell_bar=0)
+            tag, diagnostics = classify_form(cf)
+            report = verify_toroidal_form(view)
+            assert (tag == TOROIDAL) == report.ok
+            if not report.ok:
+                assert diagnostics[TOROIDAL] == list(report.failures)
+                failing += 1
+        assert failing > 20
 
 
 class TestDeriveCenterForm:

@@ -1,18 +1,23 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from toroidal import principalize
-from toroidal.chart import CenterDescriptor, classify_form
+from toroidal.chart import CenterDescriptor, ChartForm, classify_form, shape_key
 from toroidal.errors import InternalCheckError
+from toroidal.lift import CASE2, lift_after_principalization, lift_skeleton
 from toroidal.monomial import minimal_generators
 from toroidal.principalize import (
     EXCEEDED,
     PRINCIPAL,
     MaxOrderLexPolicy,
+    NoPermissibleCenter,
     nonprincipal_locus,
     principalize_chart_family,
 )
+from toroidal.units import Stratum, UnitToken, UnitValue
 from generators import random_adapted_chart
 from oracles import rescan_principalize
 from test_blowup import adapted
@@ -155,21 +160,99 @@ class TestIncrementalDriver:
         if cap < 50:
             assert exceeded > 0 and at_cap > 0
 
-    def test_locus_computed_once_per_stratum(self, monkeypatch):
-        calls = []
-        real = principalize.nonprincipal_locus
+    def test_locus_computed_once_per_shape(self, monkeypatch):
+        calls, created = [], []
+        real_locus = principalize.nonprincipal_locus
+        real_enumerate = principalize.enumerate_blowup_strata
 
         def counting(cf, z):
             calls.append(z)
-            return real(cf, z)
+            return real_locus(cf, z)
+
+        def recording(cf, center, symbol_prefix):
+            out = real_enumerate(cf, center, symbol_prefix=symbol_prefix)
+            z = descriptor_of[symbol_prefix.split(".")[0]]
+            created.extend((result.chart, z) for _, result in out)
+            return out
 
         monkeypatch.setattr(principalize, "nonprincipal_locus", counting)
+        monkeypatch.setattr(principalize, "enumerate_blowup_strata", recording)
+        total_calls = total_created = 0
         for cap in (2, 50):
             for family in random_families(300 + cap, 15):
+                descriptor_of = {sid: z for sid, _, z in family}
                 calls.clear()
+                created[:] = [(cf, z) for _, cf, z in family]
                 trace = principalize_chart_family(family, cap=cap)
-                created = len(family) + sum(len(s.children) for s in trace.steps)
-                assert len(calls) == created
+                assert len(created) == len(family) + sum(
+                    len(s.children) for s in trace.steps)
+                assert len(calls) == len({shape_key(cf, z) for cf, z in created})
+                assert len(calls) <= len(created)
+                total_calls += len(calls)
+                total_created += len(created)
+        assert total_calls < total_created
+
+
+def vary_constants(cf: ChartForm, rng) -> ChartForm:
+    """The same chart shape with other unit constants and other generic
+    beta symbols."""
+    units = tuple(UnitToken(UnitValue.of(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                            * UnitValue.symbol(f"u{i}"))
+                  for i in range(cf.rows))
+    betas = tuple(Stratum.generic(f"other.{b.symbol}")
+                  if b is not None and b.kind == "generic" else b
+                  for b in cf.betas)
+    return replace(cf, units=units, betas=betas)
+
+
+class TestShapeKernels:
+    def test_kernels_ignore_constants(self):
+        rng = random.Random(613)
+        seen = {"locus": 0, "center": 0, "no center": 0, "skeleton": 0,
+                CASE2: 0}
+        policy = MaxOrderLexPolicy()
+        for family in random_families(600, 40):
+            trace = principalize_chart_family(family, cap=2)
+            strata = [(cf, z) for _, cf, z in family]
+            strata += [(f.chart, f.descriptor) for f in trace.final]
+            for cf, z in strata:
+                other = vary_constants(cf, rng)
+                assert other != cf and shape_key(other, z) == shape_key(cf, z)
+                locus = nonprincipal_locus(cf, z)
+                assert nonprincipal_locus(other, z) == locus
+                seen["locus"] += 1
+                if locus.is_principal:
+                    skeleton = lift_skeleton(cf, z)
+                    assert lift_skeleton(other, z) == skeleton
+                    seen["skeleton"] += 1
+                    seen[CASE2] += skeleton.case == CASE2
+                    continue
+                try:
+                    center = policy.select(cf, z, locus.residual)
+                except NoPermissibleCenter:
+                    with pytest.raises(NoPermissibleCenter):
+                        policy.select(other, z, locus.residual)
+                    seen["no center"] += 1
+                    continue
+                assert policy.select(other, z, locus.residual) == center
+                seen["center"] += 1
+        assert all(seen[k] for k in ("locus", "center", "skeleton", CASE2)), seen
+
+    def test_memoized_lifts_equal_fresh_lifts(self):
+        lifts = skeletons_built = 0
+        for family in random_families(700, 100):
+            trace = principalize_chart_family(family, cap=50)
+            skeletons: dict = {}
+            for final in trace.final:
+                if final.status != PRINCIPAL:
+                    continue
+                memoized = lift_after_principalization(
+                    final.chart, final.descriptor, skeletons)
+                assert memoized == lift_after_principalization(
+                    final.chart, final.descriptor)
+                lifts += 1
+            skeletons_built += len(skeletons)
+        assert skeletons_built < lifts
 
 
 class TestResidualShapes:

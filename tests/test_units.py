@@ -1,0 +1,71 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from toroidal.documents import unit_value_from_doc, unit_value_to_doc
+from toroidal.units import UnitFactor, UnitToken, UnitValue
+from oracles import reference_mul, reference_pow
+
+NAMES = ("a", "b", "c")
+
+
+def random_value(rng) -> UnitValue:
+    """Coefficient 1 or another nonzero rational, times zero to three
+    symbols with integer or fractional exponents."""
+    if rng.random() < 0.4:
+        coeff = Fraction(1)
+    else:
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+    value = UnitValue(coeff)
+    for name in rng.sample(NAMES, rng.randint(0, 3)):
+        exp = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 2)))
+        value = reference_mul(value, UnitValue.symbol(name, exp))
+    return value
+
+
+def random_exponent(rng):
+    return rng.choice((
+        1, -1, 0, rng.randint(-4, 4), Fraction(1), Fraction(rng.randint(-4, 4)),
+        Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+
+
+class TestFastPaths:
+    def test_mul_and_pow_match_the_reference(self):
+        rng = random.Random(404)
+        kinds = set()
+        for _ in range(2500):
+            a, b = random_value(rng), random_value(rng)
+            assert a * b == reference_mul(a, b), (a, b)
+            e = random_exponent(rng)
+            assert a ** e == reference_pow(a, e), (a, e)
+            kinds.add((bool(a.symbols), bool(b.symbols), a.coeff == 1,
+                       b.coeff == 1, type(e)))
+        # Every combination of symbols, unit coefficient and exponent type.
+        assert len(kinds) == 32
+
+    def test_zero_coefficient_still_rejected(self):
+        with pytest.raises(ValueError):
+            UnitValue(Fraction(0))
+
+
+class TestCachedConstants:
+    def test_cache_is_invisible_to_eq_hash_repr(self):
+        shift = UnitValue.symbol("s") * UnitValue.of(3)
+        fresh = UnitToken(UnitValue.of(2), (UnitFactor(5, shift, -2),))
+        used = UnitToken(UnitValue.of(2), (UnitFactor(5, shift, -2),))
+        first = used.constant()
+        assert used.constant() is first
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert first == UnitValue.of(2) * reference_pow(shift, -2)
+
+
+class TestCanonicalParse:
+    def test_document_symbols_come_out_canonical(self):
+        doc = {"coeff": "2/3", "symbols": [["b", "1"], ["a", "1/2"], ["b", "-1"],
+                                           ["c", "0"], ["a", "1"]]}
+        value = unit_value_from_doc(doc)
+        assert value.symbols == (("a", Fraction(3, 2)),)
+        assert value == UnitValue.of(Fraction(2, 3)) * UnitValue.symbol("a", "3/2")
+        assert unit_value_from_doc(unit_value_to_doc(value)) == value
