@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chart import QTF1, QTF2, TOROIDAL, ChartForm, ValidityReport, classify_form
+from .errors import InternalCheckError
 from .units import Stratum, ZERO_STRATUM
 
 
@@ -46,12 +47,6 @@ class BlowupChartChoice:
 
     j0: int
     betas: tuple[tuple[int, Stratum], ...]
-
-    def beta_of(self, var: int) -> Stratum:
-        for v, b in self.betas:
-            if v == var:
-                return b
-        raise KeyError(var)
 
 
 class BlowupResult(NamedTuple):
@@ -130,7 +125,7 @@ def exceptional_column_data(cf: ChartForm, center: BlowupCenterChart):
 
 
 def _validate_choice(cf: ChartForm, center: BlowupCenterChart,
-                     choice: BlowupChartChoice) -> list[int]:
+                     choice: BlowupChartChoice) -> None:
     coords = center_coordinates(cf, center)
     if choice.j0 not in coords:
         raise ValueError(f"j0 = {choice.j0} is not a center coordinate")
@@ -138,11 +133,11 @@ def _validate_choice(cf: ChartForm, center: BlowupCenterChart,
     given = sorted(v for v, _ in choice.betas)
     if expected != given:
         raise ValueError("strata must cover exactly the center coordinates besides j0")
-    return coords
 
 
-def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
-                     choice: BlowupChartChoice) -> BlowupResult:
+def _check_center(cf: ChartForm, center: BlowupCenterChart) -> None:
+    """What every chart of one blowup relies on: the chart is adapted,
+    lies on the zero stratum of every slot, and the center is valid."""
     if cf.tag != QTF1:
         raise ValueError("blowups apply to center-adapted qtf1 charts")
     if any(b is None or not b.is_zero for b in cf.betas):
@@ -150,98 +145,62 @@ def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
     snc = check_center_snc(cf, center)
     if not snc.ok:
         raise ValueError(f"invalid center: {snc}")
+
+
+def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
+                     choice: BlowupChartChoice) -> BlowupResult:
+    _check_center(cf, center)
     _validate_choice(cf, center, choice)
+    return _blowup_chart(cf, center, choice)
 
-    div = list(center.divisor_indices)
-    if choice.j0 < cf.n:
-        result = _case1(cf, center, choice, div)
+
+def _blowup_chart(cf: ChartForm, center: BlowupCenterChart,
+                  choice: BlowupChartChoice) -> BlowupResult:
+    """Substitute x_i -> x_j0 * x_i' (+ beta_i) for the other center
+    coordinates i.  Generic betas absorb their variable into the units;
+    the exceptional column leads the divisor block for a divisor j0
+    (qtf1) and closes it for a slot j0, whose row then leads the slot
+    rows (qtf2).  New variables: divisor, other slots, the old variables
+    from n + s on, absorbed."""
+    j0 = choice.j0
+    div = center.divisor_indices
+    betas = dict(choice.betas)
+    zero = [j for j in div if j != j0 and betas[j].is_zero]
+    generic = [j for j in div if j != j0 and not betas[j].is_zero]
+    noncenter = [j for j in range(cf.n) if j not in div]
+    other_slots = [v for v in range(cf.n, cf.n + cf.s) if v != j0]
+    if j0 < cf.n:
+        tag, new_div, slot_rows = QTF1, [j0] + zero + noncenter, other_slots
     else:
-        result = _case2(cf, center, choice, div)
-
-    tag, diag = classify_form(result.chart)
-    expected = QTF2 if choice.j0 >= cf.n else QTF1
-    if tag not in (expected, TOROIDAL):
-        raise AssertionError(f"transformed chart failed {expected} invariants: {diag}")
-    return result
-
-
-def _split_by_stratum(choice: BlowupChartChoice, div: list[int], j0: int):
-    j1 = [j for j in div if j != j0 and choice.beta_of(j).is_zero]
-    j2 = [j for j in div if j != j0 and not choice.beta_of(j).is_zero]
-    return j1, j2
-
-
-def _assemble(cf, new_divisor_old_vars, kept_slot_old_vars, absorbed_old_vars):
-    """Dense new variable order: divisor, slots, identity, old tail, absorbed."""
-    identity_old = [cf.n + cf.num_slots + r for r in range(cf.identity_rows)]
-    tail_old = [v for v in range(cf.active_vars, cf.d)]
-    order = (list(new_divisor_old_vars) + list(kept_slot_old_vars)
-             + identity_old + tail_old + list(absorbed_old_vars))
+        tag, new_div, slot_rows = QTF2, zero + noncenter + [j0], [j0] + other_slots
+    order = new_div + other_slots + list(range(cf.n + cf.s, cf.d)) + generic
     var_map = [0] * cf.d
     for new, old in enumerate(order):
         var_map[old] = new
-    return tuple(var_map)
+    remap = dict(enumerate(var_map))
+    shifts = [(j, var_map[j], betas[j].unit_value()) for j in generic]
 
-
-def _case1(cf: ChartForm, center: BlowupCenterChart,
-           choice: BlowupChartChoice, div: list[int]) -> BlowupResult:
-    j0 = choice.j0
-    j1, j2 = _split_by_stratum(choice, div, j0)
-    noncenter = [j for j in range(cf.n) if j not in set(div)]
-    new_div = [j0] + j1 + noncenter
-    kept_slots = [cf.n + t for t in range(cf.s)]
-    var_map = _assemble(cf, new_div, kept_slots, j2)
-
-    matrix = []
-    for i in range(cf.rows):
-        exc = sum(cf.matrix[i][j] for j in div) + (1 if i >= cf.ell else 0)
-        matrix.append(tuple([exc] + [cf.matrix[i][j] for j in new_div[1:]]))
-
-    units = []
-    for i, unit in enumerate(cf.units):
-        u = unit.remap_vars({old: var_map[old] for old in range(cf.d)})
-        for j in j2:
-            u = u.with_factor(var_map[j], choice.beta_of(j).unit_value(),
-                              cf.matrix[i][j])
-        units.append(u)
-
-    betas = tuple(choice.beta_of(cf.n + t) for t in range(cf.s))
-    chart = ChartForm(
-        d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF1,
-        matrix=tuple(matrix), units=tuple(units), betas=betas,
-        ell_bar=cf.ell_bar)
-    return BlowupResult(chart, var_map, tuple(range(cf.rows)))
-
-
-def _case2(cf: ChartForm, center: BlowupCenterChart,
-           choice: BlowupChartChoice, div: list[int]) -> BlowupResult:
-    t0 = choice.j0 - cf.n
-    j1, j2 = _split_by_stratum(choice, div, choice.j0)
-    noncenter = [j for j in range(cf.n) if j not in set(div)]
-    new_div = j1 + noncenter + [choice.j0]
-    kept_slots = [cf.n + t for t in range(cf.s) if t != t0]
-    var_map = _assemble(cf, new_div, kept_slots, j2)
-
-    row_order = (list(range(cf.ell)) + [cf.ell + t0]
-                 + [cf.ell + t for t in range(cf.s) if t != t0])
+    row_order = list(range(cf.ell)) + [cf.ell + v - cf.n for v in slot_rows]
     matrix = []
     units = []
-    for new_i, i in enumerate(row_order):
-        exc = sum(cf.matrix[i][j] for j in div) + (1 if i >= cf.ell else 0)
-        matrix.append(tuple([cf.matrix[i][j] for j in new_div[:-1]] + [exc]))
-        u = cf.units[i].remap_vars({old: var_map[old] for old in range(cf.d)})
-        for j in j2:
-            u = u.with_factor(var_map[j], choice.beta_of(j).unit_value(),
-                              cf.matrix[i][j])
+    for i in row_order:
+        row = cf.matrix[i]
+        exc = sum(row[j] for j in div) + (1 if i >= cf.ell else 0)
+        matrix.append(tuple(exc if j == j0 else row[j] for j in new_div))
+        u = cf.units[i].remap_vars(remap)
+        for j, var, shift in shifts:
+            u = u.with_factor(var, shift, row[j])
         units.append(u)
 
-    betas = (None,) + tuple(choice.beta_of(cf.n + t)
-                            for t in range(cf.s) if t != t0)
     chart = ChartForm(
-        d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF2,
-        matrix=tuple(matrix), units=tuple(units), betas=betas,
+        d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=tag,
+        matrix=tuple(matrix), units=tuple(units),
+        betas=tuple(None if v == j0 else betas[v] for v in slot_rows),
         ell_bar=cf.ell_bar)
-    return BlowupResult(chart, var_map, tuple(row_order))
+    found, diag = classify_form(chart)
+    if found not in (tag, TOROIDAL):
+        raise InternalCheckError(f"transformed chart failed {tag} invariants: {diag}")
+    return BlowupResult(chart, tuple(var_map), tuple(row_order))
 
 
 def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart,
@@ -249,6 +208,7 @@ def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart,
     """All (choice, transform) pairs covering the exceptional fiber:
     every exceptional coordinate j0, every zero/generic split of the
     remaining center coordinates, in a fixed canonical order."""
+    _check_center(cf, center)
     coords = center_coordinates(cf, center)
     out = []
     for j0 in coords:
@@ -259,5 +219,5 @@ def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart,
                  else ZERO_STRATUM)
                 for v, generic in zip(others, pattern))
             choice = BlowupChartChoice(j0=j0, betas=betas)
-            out.append((choice, blowup_transform(cf, center, choice)))
+            out.append((choice, _blowup_chart(cf, center, choice)))
     return out

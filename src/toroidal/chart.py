@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import InternalCheckError
 from .monomial import MonomialIdeal, minimal_generators
 from .units import TRIVIAL_UNIT, ZERO_STRATUM, Stratum, UnitToken
 
@@ -295,7 +296,7 @@ def derive_center_form(cf: ChartForm, z: CenterDescriptor) -> AdaptedForm:
         ell_bar=z.ell_bar)
     tag, diag = classify_form(chart)
     if tag not in (QTF1, TOROIDAL):
-        raise AssertionError(f"adapted chart failed classification: {diag}")
+        raise InternalCheckError(f"adapted chart failed classification: {diag}")
     return AdaptedForm(chart, order)
 
 
@@ -343,7 +344,7 @@ def extend_to_global_form(cf: ChartForm, ell_global: int) -> ChartForm:
         matrix=matrix + block, units=cf.units + (TRIVIAL_UNIT,) * g)
     report = verify_toroidal_form(out)
     if not report.ok:
-        raise AssertionError(f"extension broke toroidal shape: {report}")
+        raise InternalCheckError(f"extension broke toroidal shape: {report}")
     return out
 
 

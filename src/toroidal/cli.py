@@ -20,6 +20,7 @@ from .documents import (
     choice_from_doc,
     descriptor_from_doc,
     fraction_to_doc,
+    principalization_to_doc,
     unit_value_to_doc,
 )
 from .monomial import (
@@ -175,8 +176,7 @@ def cmd_principalize(args) -> int:
     if policy is None:
         raise InvalidDocument(f"unknown policy {args.policy!r}")
     trace = principalize_chart_family(family, cap=args.cap, policy=policy)
-    from .pipeline import _principalization_doc
-    _emit(_principalization_doc(trace), args.out)
+    _emit(principalization_to_doc(trace), args.out)
     return CAP if trace.exceeded else PASS
 
 
@@ -249,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", default="max-order-lex",
                         help="center selection policy")
     parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random-test harness only; unused by the engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-atlas", help="validate an atlas+script document")

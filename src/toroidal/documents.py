@@ -13,6 +13,7 @@ from fractions import Fraction
 from .blowup import BlowupCenterChart, BlowupChartChoice
 from .chart import CenterDescriptor, ChartForm
 from .lift import LiftRecord, TargetPoint
+from .principalize import PrincipalizationTrace
 from .units import Stratum, UnitFactor, UnitToken, UnitValue
 
 
@@ -194,4 +195,23 @@ def lift_record_to_doc(rec: LiftRecord):
         } for p in rec.fresh],
         "t_nonzero": rec.t_nonzero,
         "target": target_to_doc(rec.target),
+    }
+
+
+def principalization_to_doc(trace: PrincipalizationTrace) -> dict:
+    return {
+        "steps": [{
+            "stratum": s.stratum_id,
+            "center": center_to_doc(s.center),
+            "residual_order": s.residual_order,
+            "nonprincipal_count": s.nonprincipal_count,
+            "children": [{"choice": choice_to_doc(choice), "id": cid}
+                         for choice, cid in s.children],
+        } for s in trace.steps],
+        "final": [{
+            "id": f.stratum_id,
+            "status": f.status,
+            "descriptor": descriptor_to_doc(f.descriptor),
+            "chart": chart_to_doc(f.chart),
+        } for f in trace.final],
     }

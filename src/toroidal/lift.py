@@ -82,10 +82,6 @@ class LiftResult:
     lifted: ChartForm
     record: LiftRecord
 
-    @property
-    def target(self) -> TargetPoint:
-        return self.record.target
-
 
 @dataclass(frozen=True)
 class LiftSkeleton:

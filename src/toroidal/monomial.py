@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import InternalCheckError
+
 Exponent = tuple[int, ...]
 
 
@@ -114,7 +116,7 @@ def principal_part_factorization(ideal: MonomialIdeal) -> tuple[Exponent, Monomi
     f = gcd_generators(ideal)
     n = colon_by_monomial(ideal, f)
     if multiply_by_monomial(n, f).gens != ideal.gens:
-        raise AssertionError("principal part factorization failed to reconstruct")
+        raise InternalCheckError("principal part factorization failed to reconstruct")
     return f, n
 
 
@@ -180,7 +182,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[MonomialIdeal, ...]
     for comp in unique[1:]:
         check = intersect(check, comp)
     if check.gens != ideal.gens:
-        raise AssertionError("irreducible decomposition does not intersect to the input")
+        raise InternalCheckError("irreducible decomposition does not intersect to the input")
     return tuple(unique)
 
 

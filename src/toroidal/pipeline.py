@@ -28,22 +28,16 @@ from .chart import (
 from .documents import (
     InvalidDocument,
     canonical_dumps,
-    center_to_doc,
     chart_from_doc,
     chart_to_doc,
-    choice_to_doc,
     descriptor_to_doc,
     lift_record_to_doc,
+    principalization_to_doc,
 )
 from .errors import InternalCheckError
 from .lift import lift_after_principalization, verify_commutes
 from .linalg import rank
-from .principalize import (
-    EXCEEDED,
-    POLICIES,
-    PrincipalizationTrace,
-    principalize_chart_family,
-)
+from .principalize import EXCEEDED, POLICIES, principalize_chart_family
 
 ATLAS_SCHEMA = "toroidal-atlas/1"
 TRACE_SCHEMA = "toroidal-trace/1"
@@ -213,17 +207,10 @@ def check_atlas(atlas: MorphismAtlas) -> ValidityReport:
 # Target-side script verification
 
 
-@dataclass
-class YState:
-    labels: dict[str, LabelInfo]
-    chart_ids: tuple[str, ...]
-
-    def copy(self) -> "YState":
-        return YState(dict(self.labels), self.chart_ids)
-
-
-def apply_script_step(state: YState, step: ScriptStep):
-    """Check one step against the divisor rules and update the registry.
+def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
+                      step: ScriptStep):
+    """Check one step against the divisor rules and register its
+    exceptional label in `labels`.
 
     Returns (failures, exceptional label name or None).
     """
@@ -232,7 +219,7 @@ def apply_script_step(state: YState, step: ScriptStep):
         failures.append(("views", f"step {step.step_id}: no chart sees the center"))
         return failures, None
     for chart_id, _ in step.views:
-        if chart_id not in state.chart_ids:
+        if chart_id not in chart_ids:
             failures.append(("views",
                              f"step {step.step_id}: unknown chart {chart_id!r}"))
 
@@ -245,7 +232,7 @@ def apply_script_step(state: YState, step: ScriptStep):
         failures.append(("codim", f"step {step.step_id}: centers need codimension >= 2"))
 
     for label, kind in step.incidence:
-        if label not in state.labels:
+        if label not in labels:
             failures.append(("labels", f"step {step.step_id}: unknown label {label!r}"))
         elif kind == "meets":
             failures.append(("dichotomy",
@@ -257,7 +244,7 @@ def apply_script_step(state: YState, step: ScriptStep):
     contained_any = set()
     for chart_id, view in step.views:
         for label in view.contained:
-            info = state.labels.get(label)
+            info = labels.get(label)
             if info is None:
                 failures.append(("labels",
                                  f"step {step.step_id}: unknown label {label!r}"))
@@ -268,45 +255,54 @@ def apply_script_step(state: YState, step: ScriptStep):
                                  f"step {step.step_id}: chart {chart_id} contains "
                                  f"{label!r} but incidence is not 'in'"))
     for label, kind in step.incidence:
-        if kind != "in" or label not in state.labels:
+        if kind != "in" or label not in labels:
             continue
-        info = state.labels[label]
+        info = labels[label]
         for chart_id, view in step.views:
             if chart_id in info.charts and label not in view.contained:
                 failures.append(("consistency",
                                  f"step {step.step_id}: chart {chart_id} sees "
                                  f"{label!r} but omits it from the center view"))
 
-    under = any(state.labels[label].under_e0 for label in contained_any
-                if label in state.labels)
+    under = any(labels[label].under_e0 for label in contained_any
+                if label in labels)
     exc_name = f"exc.{step.step_id}"
-    if exc_name in state.labels:
+    if exc_name in labels:
         failures.append(("labels", f"duplicate exceptional label {exc_name!r}"))
         return failures, None
 
     viewing = tuple(chart_id for chart_id, _ in step.views)
     e_charts = tuple(
         chart_id for chart_id, view in step.views
-        if any(label in state.labels
-               and chart_id in state.labels[label].e_charts
+        if any(label in labels
+               and chart_id in labels[label].e_charts
                for label in view.contained))
     if e_charts and not under:
         failures.append(("transform",
                          f"step {step.step_id}: new divisor component lies outside "
                          "the total transform of the initial union divisor"))
-    state.labels[exc_name] = LabelInfo(
+    labels[exc_name] = LabelInfo(
         name=exc_name, charts=viewing, e_charts=e_charts, under_e0=under)
     return failures, exc_name
 
 
+def _apply_script(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
+                  script: ResolutionScript):
+    """Apply every step to `labels`; returns the report and each step's
+    exceptional label."""
+    failures = []
+    exc_labels = []
+    for step in script.steps:
+        step_failures, exc_label = apply_script_step(labels, chart_ids, step)
+        failures.extend(step_failures)
+        exc_labels.append(exc_label)
+    return ValidityReport(tuple(failures)), exc_labels
+
+
 def verify_resolution_script(atlas: MorphismAtlas,
                              script: ResolutionScript) -> ValidityReport:
-    state = YState(dict(atlas.labels), tuple(atlas.chart_order))
-    failures = []
-    for step in script.steps:
-        step_failures, _ = apply_script_step(state, step)
-        failures.extend(step_failures)
-    return ValidityReport(tuple(failures))
+    report, _ = _apply_script(dict(atlas.labels), tuple(atlas.chart_order), script)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +346,8 @@ class StepOutcome:
     commutes: bool
 
 
-def _run_step(atlas: MorphismAtlas, state: YState, step: ScriptStep,
+def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
               cap: int, policy) -> StepOutcome:
-    failures, exc_label = apply_script_step(state, step)
-    if failures:
-        raise ToroidalizeError(f"script step rejected: {failures}")
-
     step_doc = {"id": step.step_id, "exceptional_label": exc_label, "charts": {}}
     exceeded = False
     commutes_ok = True
@@ -429,7 +421,7 @@ def _run_step(atlas: MorphismAtlas, state: YState, step: ScriptStep,
         atlas.strata[chart_id] = untouched + new_strata
         step_doc["charts"][chart_id] = {
             "adapted": adapted_docs,
-            "principalization": _principalization_doc(trace),
+            "principalization": principalization_to_doc(trace),
             "lifts": lifts,
         }
     return StepOutcome(step_doc, exceeded, commutes_ok)
@@ -448,25 +440,6 @@ def _lifted_labels(result, old_labels: tuple[str, ...],
     if len(labels) != result.lifted.ell:
         raise InternalCheckError("label bookkeeping disagrees with the lifted chart")
     return tuple(labels)
-
-
-def _principalization_doc(trace: PrincipalizationTrace) -> dict:
-    return {
-        "steps": [{
-            "stratum": s.stratum_id,
-            "center": center_to_doc(s.center),
-            "residual_order": s.residual_order,
-            "nonprincipal_count": s.nonprincipal_count,
-            "children": [{"choice": choice_to_doc(choice), "id": cid}
-                         for choice, cid in s.children],
-        } for s in trace.steps],
-        "final": [{
-            "id": f.stratum_id,
-            "status": f.status,
-            "descriptor": descriptor_to_doc(f.descriptor),
-            "chart": chart_to_doc(f.chart),
-        } for f in trace.final],
-    }
 
 
 def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:
@@ -488,7 +461,7 @@ def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:
         if report.ok and ell_global > k:
             try:
                 report = verify_toroidal_form(extend_to_global_form(cf, ell_global))
-            except (ValueError, AssertionError) as exc:
+            except ValueError as exc:
                 failures.append(("extend", f"{where}: {exc}"))
                 continue
         for code, msg in report.failures:
@@ -527,21 +500,20 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
     atlas_report = check_atlas(atlas)
     if not atlas_report.ok:
         raise ToroidalizeError(f"invalid atlas: {atlas_report}")
-    script_report = verify_resolution_script(atlas, script)
-    if not script_report.ok:
-        raise ToroidalizeError(f"resolution script rejected: {script_report}")
-
     working = MorphismAtlas(
         d=atlas.d, m=atlas.m, chart_order=list(atlas.chart_order),
         strata={cid: list(ss) for cid, ss in atlas.strata.items()},
         labels=dict(atlas.labels))
-    state = YState(working.labels, tuple(working.chart_order))
+    script_report, exc_labels = _apply_script(
+        working.labels, tuple(working.chart_order), script)
+    if not script_report.ok:
+        raise ToroidalizeError(f"resolution script rejected: {script_report}")
 
     steps = []
     exceeded = False
     commutes = True
-    for step in script.steps:
-        outcome = _run_step(working, state, step, cap, policy)
+    for step, exc_label in zip(script.steps, exc_labels):
+        outcome = _run_step(working, step, exc_label, cap, policy)
         steps.append(outcome.doc)
         exceeded = exceeded or outcome.exceeded
         commutes = commutes and outcome.commutes

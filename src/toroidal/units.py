@@ -201,13 +201,6 @@ class UnitToken:
             object.__setattr__(self, "_constant", value)
         return value
 
-    def times(self, other: "UnitToken") -> "UnitToken":
-        return UnitToken(self.base * other.base, self.factors + other.factors)
-
-    def over(self, other: "UnitToken") -> "UnitToken":
-        inverted = tuple(UnitFactor(f.var, f.shift, -f.exp) for f in other.factors)
-        return UnitToken(self.base * other.base.inv(), self.factors + inverted)
-
     def with_factor(self, var: int, shift: UnitValue, exp: int) -> "UnitToken":
         if exp == 0:
             return self

@@ -8,7 +8,9 @@ The reference driver is the plain rescanning loop the incremental
 driver in `toroidal.principalize` must agree with step for step.  The
 reference product and power are the general `UnitValue` operations
 without the fast paths the library takes for symbol-free sides and
-integer exponents.
+integer exponents.  The reference blowup transform builds divisor-j0
+(qtf1) and slot-j0 (qtf2) charts in two separate functions; the single
+chart builder in `toroidal.blowup` must agree with both.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from toroidal.blowup import enumerate_blowup_strata
+from toroidal.blowup import BlowupResult, enumerate_blowup_strata
+from toroidal.chart import QTF1, QTF2, ChartForm
 from toroidal.monomial import order_at_origin
 from toroidal.principalize import (
     EXCEEDED,
@@ -152,3 +155,88 @@ def reference_pow(a: UnitValue, exp) -> UnitValue:
         return UnitValue(Fraction(1), tuple(sorted(
             syms + ((f"rat:{a.coeff}", e),))))
     return UnitValue(coeff, syms)
+
+
+def reference_blowup_transform(cf, center, choice) -> BlowupResult:
+    """Chart of the blowup of `center` picked by `choice`, built by one of
+    two twin functions, one per kind of j0; the inputs are not checked."""
+    div = list(center.divisor_indices)
+    if choice.j0 < cf.n:
+        return _ref_case1(cf, choice, div)
+    return _ref_case2(cf, choice, div)
+
+
+def _ref_split_by_stratum(choice, div, j0):
+    betas = dict(choice.betas)
+    j1 = [j for j in div if j != j0 and betas[j].is_zero]
+    j2 = [j for j in div if j != j0 and not betas[j].is_zero]
+    return j1, j2
+
+
+def _ref_assemble(cf, new_divisor_old_vars, kept_slot_old_vars, absorbed_old_vars):
+    """Dense new variable order: divisor, slots, identity, old tail, absorbed."""
+    identity_old = [cf.n + cf.num_slots + r for r in range(cf.identity_rows)]
+    tail_old = [v for v in range(cf.active_vars, cf.d)]
+    order = (list(new_divisor_old_vars) + list(kept_slot_old_vars)
+             + identity_old + tail_old + list(absorbed_old_vars))
+    var_map = [0] * cf.d
+    for new, old in enumerate(order):
+        var_map[old] = new
+    return tuple(var_map)
+
+
+def _ref_case1(cf, choice, div):
+    betas = dict(choice.betas)
+    j0 = choice.j0
+    j1, j2 = _ref_split_by_stratum(choice, div, j0)
+    noncenter = [j for j in range(cf.n) if j not in set(div)]
+    new_div = [j0] + j1 + noncenter
+    kept_slots = [cf.n + t for t in range(cf.s)]
+    var_map = _ref_assemble(cf, new_div, kept_slots, j2)
+
+    matrix = []
+    for i in range(cf.rows):
+        exc = sum(cf.matrix[i][j] for j in div) + (1 if i >= cf.ell else 0)
+        matrix.append(tuple([exc] + [cf.matrix[i][j] for j in new_div[1:]]))
+
+    units = []
+    for i, unit in enumerate(cf.units):
+        u = unit.remap_vars({old: var_map[old] for old in range(cf.d)})
+        for j in j2:
+            u = u.with_factor(var_map[j], betas[j].unit_value(), cf.matrix[i][j])
+        units.append(u)
+
+    chart = ChartForm(
+        d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF1,
+        matrix=tuple(matrix), units=tuple(units),
+        betas=tuple(betas[cf.n + t] for t in range(cf.s)), ell_bar=cf.ell_bar)
+    return BlowupResult(chart, var_map, tuple(range(cf.rows)))
+
+
+def _ref_case2(cf, choice, div):
+    betas = dict(choice.betas)
+    t0 = choice.j0 - cf.n
+    j1, j2 = _ref_split_by_stratum(choice, div, choice.j0)
+    noncenter = [j for j in range(cf.n) if j not in set(div)]
+    new_div = j1 + noncenter + [choice.j0]
+    kept_slots = [cf.n + t for t in range(cf.s) if t != t0]
+    var_map = _ref_assemble(cf, new_div, kept_slots, j2)
+
+    row_order = (list(range(cf.ell)) + [cf.ell + t0]
+                 + [cf.ell + t for t in range(cf.s) if t != t0])
+    matrix = []
+    units = []
+    for i in row_order:
+        exc = sum(cf.matrix[i][j] for j in div) + (1 if i >= cf.ell else 0)
+        matrix.append(tuple([cf.matrix[i][j] for j in new_div[:-1]] + [exc]))
+        u = cf.units[i].remap_vars({old: var_map[old] for old in range(cf.d)})
+        for j in j2:
+            u = u.with_factor(var_map[j], betas[j].unit_value(), cf.matrix[i][j])
+        units.append(u)
+
+    chart = ChartForm(
+        d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF2,
+        matrix=tuple(matrix), units=tuple(units),
+        betas=(None,) + tuple(betas[cf.n + t] for t in range(cf.s) if t != t0),
+        ell_bar=cf.ell_bar)
+    return BlowupResult(chart, var_map, tuple(row_order))

@@ -9,7 +9,7 @@ import time
 from collections import Counter
 
 from toroidal.chart import classify_form, column_minima, verify_toroidal_form
-from toroidal.documents import canonical_dumps
+from toroidal.documents import canonical_dumps, principalization_to_doc
 from toroidal.lift import lift_after_principalization, verify_commutes
 from toroidal.linalg import rank
 from toroidal.monomial import (
@@ -228,7 +228,6 @@ def test_end_to_end_identity_example():
 def test_determinism_and_replay():
     """Byte-identical traces across runs; replay reproduces them; seeded
     random principalization runs serialize identically."""
-    from toroidal.pipeline import _principalization_doc
 
     for doc_fn in (identity_doc, two_chart_doc):
         atlas1, script1 = parse_document(doc_fn())
@@ -250,7 +249,7 @@ def test_determinism_and_replay():
                 continue
             cf, z = pair
             trace = principalize_chart_family([(f"r{k}", cf, z)], cap=50)
-            docs.append(_principalization_doc(trace))
+            docs.append(principalization_to_doc(trace))
         return canonical_dumps(docs)
 
     assert run_batch() == run_batch()

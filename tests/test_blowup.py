@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toroidal import blowup
 from toroidal.blowup import (
     BlowupCenterChart,
     BlowupChartChoice,
@@ -22,7 +23,8 @@ from toroidal.chart import (
     smooth_chart,
 )
 from toroidal.units import Stratum, TRIVIAL_UNIT, ZERO_STRATUM
-from generators import blowup_triples
+from generators import blowup_triples, permissible_center_for, random_adapted_chart
+from oracles import reference_blowup_transform
 
 
 def adapted(matrix, ell_bar, s, m=None, d=None, betas=None):
@@ -149,3 +151,72 @@ class TestInvariants:
             slot_value, row_sums = exceptional_column_data(cf, center)
             for value in row_sums:
                 assert slot_value <= value, (cf.matrix, center)
+
+
+class TestChartBuilder:
+    """The one chart builder against the twin-function reference."""
+
+    @staticmethod
+    def assert_matches_reference(cf, center, prefix):
+        out = enumerate_blowup_strata(cf, center, symbol_prefix=prefix)
+        for choice, result in out:
+            ref = reference_blowup_transform(cf, center, choice)
+            assert result.chart == ref.chart, (cf, center, choice)
+            assert result.var_map == ref.var_map
+            assert result.row_order == ref.row_order
+        return out
+
+    def test_matches_reference_on_seeded_charts(self):
+        rng = random.Random(4711)
+        seen = {"qtf1": 0, "qtf2": 0, "factors_added": 0, "factors_remapped": 0}
+        charts = 0
+        while charts < 150:
+            pair = random_adapted_chart(rng)
+            if pair is None:
+                continue
+            cf, z = pair
+            center = permissible_center_for(cf, z)
+            if center is None:
+                continue
+            charts += 1
+            for choice, result in self.assert_matches_reference(cf, center, f"c{charts}"):
+                child = result.chart
+                seen[child.tag] += 1
+                if any(v < cf.n and not b.is_zero for v, b in choice.betas):
+                    assert (sum(len(u.factors) for u in child.units)
+                            > sum(len(u.factors) for u in cf.units))
+                    seen["factors_added"] += 1
+                if child.tag != QTF1 or not all(b.is_zero for b in child.betas):
+                    continue
+                # A zero-beta child is blown up again: the factors its
+                # units already carry must follow the new variable order.
+                inner = permissible_center_for(child, z)
+                if inner is None:
+                    continue
+                for _, grandchild in self.assert_matches_reference(
+                        child, inner, f"c{charts}.{choice.j0}"):
+                    if any(grandchild.var_map[f.var] != f.var
+                           for u in child.units for f in u.factors):
+                        seen["factors_remapped"] += 1
+        assert all(seen.values()), seen
+
+    def test_center_checked_once_per_blowup(self, monkeypatch):
+        calls = []
+        original = blowup.check_center_snc
+
+        def counting(cf, center):
+            calls.append(center)
+            return original(cf, center)
+
+        monkeypatch.setattr(blowup, "check_center_snc", counting)
+        cf = adapted([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ell_bar=3, s=0)
+        out = enumerate_blowup_strata(cf, BlowupCenterChart((0, 1, 2), 0))
+        assert len(out) == 12 and len(calls) == 1
+        blowup_transform(cf, BlowupCenterChart((0, 1, 2), 0), out[0][0])
+        assert len(calls) == 2
+
+    def test_transform_still_validates_choice(self):
+        with pytest.raises(ValueError, match="not a center coordinate"):
+            blowup_transform(IDENTITY, FULL_CENTER, choice_for(5, zero_vars=(1,)))
+        with pytest.raises(ValueError, match="cover exactly"):
+            blowup_transform(IDENTITY, FULL_CENTER, choice_for(0))
