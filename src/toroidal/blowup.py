@@ -15,7 +15,15 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chart import QTF1, QTF2, TOROIDAL, ChartForm, ValidityReport, classify_form
+from .chart import (
+    QTF1,
+    QTF2,
+    TOROIDAL,
+    ChartForm,
+    ValidityReport,
+    classify_form,
+    column_minima,
+)
 from .errors import InternalCheckError
 from .units import Stratum, ZERO_STRATUM
 
@@ -66,10 +74,8 @@ def check_center_snc(cf: ChartForm, center: BlowupCenterChart) -> ValidityReport
     for j in center.divisor_indices:
         if not 0 <= j < cf.n:
             failures.append(("range", f"divisor index {j} outside [0,{cf.n})"))
-    if center.slot_count not in (0, cf.s):
-        failures.append(("slots", f"center must use all {cf.s} slots or none"))
-    if cf.s > 0 and center.slot_count != cf.s:
-        failures.append(("slots", "adapted charts blow up centers through every slot"))
+    if center.slot_count != cf.s:
+        failures.append(("slots", f"center must use all {cf.s} slots"))
     if center.codim < 2:
         failures.append(("codim", "blowup centers have codimension >= 2"))
     return ValidityReport(tuple(failures))
@@ -90,14 +96,16 @@ def _center_matrix(cf: ChartForm, center: BlowupCenterChart):
 
 
 def check_permissible_center(cf: ChartForm, center: BlowupCenterChart):
-    """Subtract column minima from the center matrix; the center is
+    """Check the center, then run the permissibility matrix test on it.
+    Returns (ok, witness) with the offending row or column."""
+    _check_center(cf, center)
+    return matrix_permissibility(cf, center)
+
+
+def matrix_permissibility(cf: ChartForm, center: BlowupCenterChart):
+    """Subtract column minima from the center matrix; a valid center is
     permissible when no row and no column of the result vanishes.
     Returns (ok, witness) with the offending row or column."""
-    if cf.tag != QTF1:
-        raise ValueError("permissibility is checked on adapted qtf1 charts")
-    snc = check_center_snc(cf, center)
-    if not snc.ok:
-        raise ValueError(f"invalid center: {snc}")
     w = _center_matrix(cf, center)
     if not w:
         return False, ("row", "center has no defining rows on this chart")
@@ -117,9 +125,8 @@ def exceptional_column_data(cf: ChartForm, center: BlowupCenterChart):
     """Exceptional exponents a case-1 blowup will produce: the common slot
     value 1 + sum of column minima, and the sums over rows of [ell_bar]."""
     div = center.divisor_indices
-    rows = list(range(cf.ell_bar)) + [cf.ell + t for t in range(cf.s)]
-    mins = [min(cf.matrix[i][j] for i in rows) for j in div] if rows else []
-    slot_value = 1 + sum(mins)
+    mins = column_minima(cf)
+    slot_value = 1 + sum(mins[j] for j in div)
     row_sums = [sum(cf.matrix[i][j] for j in div) for i in range(cf.ell_bar)]
     return slot_value, row_sums
 
@@ -136,8 +143,9 @@ def _validate_choice(cf: ChartForm, center: BlowupCenterChart,
 
 
 def _check_center(cf: ChartForm, center: BlowupCenterChart) -> None:
-    """What every chart of one blowup relies on: the chart is adapted,
-    lies on the zero stratum of every slot, and the center is valid."""
+    """The one check of a center, run once per blowup or permissibility
+    query: the chart is adapted, lies on the zero stratum of every slot,
+    and the center is valid."""
     if cf.tag != QTF1:
         raise ValueError("blowups apply to center-adapted qtf1 charts")
     if any(b is None or not b.is_zero for b in cf.betas):

@@ -42,7 +42,7 @@ from .pipeline import (
     toroidalize,
     verify_resolution_script,
 )
-from .principalize import POLICIES, principalize_chart_family
+from .principalize import principalize_chart_family
 from .toric import (
     LocalModelDims,
     ToricMorphismData,
@@ -172,17 +172,14 @@ def cmd_principalize(args) -> int:
                        descriptor_from_doc(entry["descriptor"])))
     if not family:
         raise InvalidDocument("no strata given")
-    policy = POLICIES.get(args.policy)
-    if policy is None:
-        raise InvalidDocument(f"unknown policy {args.policy!r}")
-    trace = principalize_chart_family(family, cap=args.cap, policy=policy)
+    trace = principalize_chart_family(family, cap=args.cap)
     _emit(principalization_to_doc(trace), args.out)
     return CAP if trace.exceeded else PASS
 
 
 def cmd_toroidalize(args) -> int:
     atlas, script = parse_document(_read_json(args.file))
-    trace = toroidalize(atlas, script, cap=args.cap, policy_name=args.policy)
+    trace = toroidalize(atlas, script, cap=args.cap)
     _emit(trace, args.out)
     verdicts = trace["verdicts"]
     if verdicts["cap_exceeded"]:
@@ -246,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "toroidal morphisms given in chart form.")
     parser.add_argument("--cap", type=int, default=50,
                         help="blowup step cap per principalization run")
-    parser.add_argument("--policy", default="max-order-lex",
-                        help="center selection policy")
     parser.add_argument("--out", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -126,7 +126,7 @@ def chart_from_doc(doc) -> ChartForm:
             ell=int(doc["ell"]), s=int(doc.get("s", 0)),
             tag=doc.get("tag", "toroidal"), matrix=matrix, units=units,
             betas=betas, ell_bar=int(doc.get("ell_bar", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidDocument(f"bad chart document: {exc}") from exc
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chart import (
-    QTF1,
     QTF2,
     TOROIDAL,
     CenterDescriptor,
@@ -104,28 +103,31 @@ class LiftSkeleton:
     t_nonzero: int
 
 
-def _require_adapted(cf: ChartForm, z: CenterDescriptor) -> None:
-    if cf.tag not in (QTF1, QTF2):
-        raise ValueError("lift needs a center-adapted chart")
-    if cf.ell_bar != z.ell_bar or cf.s != z.extra_slots:
-        raise ValueError("chart is not adapted to this descriptor")
-
-
 def lift_case(cf: ChartForm, z: CenterDescriptor) -> str:
     """Which branch of the lift applies; requires a principal pullback."""
-    _require_adapted(cf, z)
+    return _case_and_generator(cf, z)[0]
+
+
+def _case_and_generator(cf: ChartForm, z: CenterDescriptor) -> tuple[str, int]:
+    """The lift's branch and the chart row generating the principal
+    pullback: the first slot row (smooth, case 3), the first slot row with
+    a nonzero constant (case 2) or the first center row at the column
+    minima (case 1).  `pullback_center_ideal` checks that the chart is
+    adapted."""
     ideal = pullback_center_ideal(cf, z)
     if len(ideal.gens) != 1:
         raise ValueError("pullback of the center is not principal")
     if cf.ell == 0:
-        return SMOOTH_CASE
+        return SMOOTH_CASE, cf.ell
     if cf.tag == QTF2:
-        return CASE3
-    if any(b is not None and not b.is_zero for b in cf.betas):
-        return CASE2
+        return CASE3, cf.ell
+    for t, beta in enumerate(cf.betas):
+        if not beta.is_zero:
+            return CASE2, cf.ell + t
     mins = column_minima(cf)
-    if any(cf.matrix[i] == mins for i in range(cf.ell_bar)):
-        return CASE1
+    for i in range(cf.ell_bar):
+        if cf.matrix[i] == mins:
+            return CASE1, i
     raise InternalCheckError("principal qtf1 chart matches no lift case")
 
 
@@ -143,11 +145,11 @@ def lift_after_principalization(cf: ChartForm, z: CenterDescriptor,
 
 def lift_skeleton(cf: ChartForm, z: CenterDescriptor) -> LiftSkeleton:
     """The shape-only part of the lift, checked as it is built."""
-    case = lift_case(cf, z)
+    case, gen_row = _case_and_generator(cf, z)
     if cf.ell_bar == 0:
-        skeleton = _skeleton_outside_divisor(cf, case)
+        skeleton = _skeleton_outside_divisor(cf, case, gen_row)
     else:
-        skeleton = _skeleton_inside_divisor(cf, case)
+        skeleton = _skeleton_inside_divisor(cf, case, gen_row)
     n = cf.n if skeleton.drop_col is None else cf.n - 1
     failures = toroidal_shape_failures(skeleton.matrix, n, len(skeleton.matrix))
     if failures:
@@ -156,20 +158,10 @@ def lift_skeleton(cf: ChartForm, z: CenterDescriptor) -> LiftSkeleton:
     return skeleton
 
 
-def _skeleton_inside_divisor(cf: ChartForm, case: str) -> LiftSkeleton:
+def _skeleton_inside_divisor(cf: ChartForm, case: str,
+                             gen_row: int) -> LiftSkeleton:
     """Cases with ell_bar >= 1: the target exceptional joins the divisor."""
     mins = column_minima(cf)
-
-    if case == CASE1:
-        gen_row = next(i for i in range(cf.ell_bar) if cf.matrix[i] == mins)
-    elif case == CASE2:
-        t_w = next(t for t in range(cf.s)
-                   if cf.betas[t] is not None and not cf.betas[t].is_zero)
-        gen_row = cf.ell + t_w
-    elif case == CASE3:
-        gen_row = cf.ell
-    else:
-        raise InternalCheckError(f"unexpected case {case} with ell_bar >= 1")
     if cf.matrix[gen_row] != mins:
         raise InternalCheckError("generator row is not the columnwise minimum")
 
@@ -192,11 +184,6 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str) -> LiftSkeleton:
               + tuple(cf.matrix[i] for i in kept))
     row_sources = ((("gen", gen_row),) + tuple(("strict", i) for i in strict)
                    + tuple(("kept", i) for i in kept))
-
-    for j in range(cf.n):
-        if not any(row[j] for row in matrix):
-            raise InternalCheckError(
-                f"reduced matrix lost column {j}, contradicting column positivity")
     if len(matrix) != cf.ell - cf.ell_bar + len(strict) + 1:
         raise InternalCheckError("lifted divisor count bookkeeping broke")
     return LiftSkeleton(case=case, gen_row=gen_row, drop_col=None,
@@ -204,13 +191,13 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str) -> LiftSkeleton:
                         matrix=matrix, t_nonzero=1 + len(strict))
 
 
-def _skeleton_outside_divisor(cf: ChartForm, case: str) -> LiftSkeleton:
+def _skeleton_outside_divisor(cf: ChartForm, case: str,
+                              gen_row: int) -> LiftSkeleton:
     """ell_bar == 0: the center lies in no divisor component through the
     point, so neither exceptional joins a divisor; the exceptional chart
     variable is consumed back into an identity parameter."""
     if cf.tag != QTF2:
         raise ValueError("an ell_bar = 0 stratum lifts only from the qtf2 shape")
-    gen_row = cf.ell
     exc_col = cf.n - 1
     expected = tuple(1 if j == exc_col else 0 for j in range(cf.n))
     if cf.matrix[gen_row] != expected:

@@ -37,7 +37,7 @@ from .documents import (
 from .errors import InternalCheckError
 from .lift import lift_after_principalization, verify_commutes
 from .linalg import rank
-from .principalize import EXCEEDED, POLICIES, principalize_chart_family
+from .principalize import EXCEEDED, POLICY, principalize_chart_family
 
 ATLAS_SCHEMA = "toroidal-atlas/1"
 TRACE_SCHEMA = "toroidal-trace/1"
@@ -106,60 +106,104 @@ class ResolutionScript:
 # Parsing and validation
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidDocument(f"{where} must be an object")
+    return value
+
+
+def _name(doc: dict, key: str, where: str) -> str:
+    value = doc.get(key)
+    if not isinstance(value, str) or not value:
+        raise InvalidDocument(f"{where}: field {key!r} must be a nonempty string")
+    return value
+
+
+def _field(doc: dict, key: str, kind, where: str, default):
+    """doc[key], or `default` when it is absent; a list or an object."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise InvalidDocument(f"{where}: field {key!r} must be {noun}")
+    return value
+
+
+def _strings(doc: dict, key: str, where: str, default=()) -> tuple[str, ...]:
+    value = _field(doc, key, (list, tuple), where, default)
+    if not all(isinstance(x, str) for x in value):
+        raise InvalidDocument(f"{where}: field {key!r} must list strings")
+    return tuple(value)
+
+
+def _integer(doc: dict, key: str, where: str, default=None) -> int:
+    try:
+        return int(doc[key] if default is None else doc.get(key, default))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidDocument(f"{where}: field {key!r} must be an integer") from exc
+
+
 def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
+    """Read an atlas document; a missing or mistyped field raises
+    `InvalidDocument` naming the field and where it sits."""
     if not isinstance(doc, dict) or doc.get("schema") != ATLAS_SCHEMA:
         raise InvalidDocument(f"expected schema {ATLAS_SCHEMA!r}")
-    dims = doc.get("dims", {})
-    try:
-        d, m = int(dims["d"]), int(dims["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument("dims must give integer d and m") from exc
+    dims = _field(doc, "dims", dict, "document", {})
+    d, m = _integer(dims, "d", "dims"), _integer(dims, "m", "dims")
 
     labels: dict[str, LabelInfo] = {}
-    for entry in doc.get("labels", []):
-        name = entry.get("name")
-        if not name or name in labels:
-            raise InvalidDocument(f"bad or duplicate label {name!r}")
-        charts = tuple(entry.get("charts", []))
-        e_charts = tuple(entry.get("e_charts", charts))
-        labels[name] = LabelInfo(name=name, charts=charts, e_charts=e_charts,
-                                 under_e0=bool(entry.get("under_e0", True)))
+    for entry in _field(doc, "labels", list, "document", []):
+        entry = _object(entry, "each 'labels' entry")
+        name = _name(entry, "name", "label entry")
+        if name in labels:
+            raise InvalidDocument(f"duplicate label {name!r}")
+        where = f"label {name}"
+        charts = _strings(entry, "charts", where)
+        under_e0 = entry.get("under_e0", True)
+        if not isinstance(under_e0, bool):
+            raise InvalidDocument(f"{where}: field 'under_e0' must be true or false")
+        labels[name] = LabelInfo(name=name, charts=charts,
+                                 e_charts=_strings(entry, "e_charts", where, charts),
+                                 under_e0=under_e0)
 
     chart_order: list[str] = []
     strata: dict[str, list[TrackedStratum]] = {}
-    for chart_entry in doc.get("charts", []):
-        chart_id = chart_entry.get("id")
-        if not chart_id or chart_id in strata:
-            raise InvalidDocument(f"bad or duplicate chart id {chart_id!r}")
+    for chart_entry in _field(doc, "charts", list, "document", []):
+        chart_id = _name(_object(chart_entry, "each 'charts' entry"), "id", "chart entry")
+        if chart_id in strata:
+            raise InvalidDocument(f"duplicate chart id {chart_id!r}")
         chart_order.append(chart_id)
         strata[chart_id] = []
-        for stratum_doc in chart_entry.get("strata", []):
-            sid = stratum_doc.get("id")
-            if not sid:
-                raise InvalidDocument(f"stratum in chart {chart_id} missing id")
+        for stratum_doc in _field(chart_entry, "strata", list, f"chart {chart_id}", []):
+            stratum_doc = _object(stratum_doc, f"chart {chart_id}: each 'strata' entry")
+            sid = _name(stratum_doc, "id", f"stratum in chart {chart_id}")
             if any(s.stratum_id == f"{chart_id}/{sid}" for s in strata[chart_id]):
                 raise InvalidDocument(f"duplicate stratum id {sid!r} in {chart_id}")
-            chart = chart_from_doc(stratum_doc.get("chart", {}))
-            row_labels = tuple(stratum_doc.get("row_labels", []))
+            where = f"stratum {chart_id}/{sid}"
+            extra = _integer(stratum_doc, "extra_global_labels", where, default=0)
+            if extra < 0:
+                raise InvalidDocument(
+                    f"{where}: field 'extra_global_labels' must be >= 0")
             strata[chart_id].append(TrackedStratum(
                 stratum_id=f"{chart_id}/{sid}",
-                chart=chart,
-                row_labels=row_labels,
-                extra_global_labels=int(stratum_doc.get("extra_global_labels", 0))))
+                chart=chart_from_doc(_field(stratum_doc, "chart", dict, where, {})),
+                row_labels=_strings(stratum_doc, "row_labels", where),
+                extra_global_labels=extra))
 
     steps = []
-    for step_doc in doc.get("script", []):
-        step_id = step_doc.get("id")
-        if not step_id:
-            raise InvalidDocument("script step missing id")
+    for step_doc in _field(doc, "script", list, "document", []):
+        step_id = _name(_object(step_doc, "each 'script' entry"), "id", "script step")
+        where = f"step {step_id}"
         views = []
-        for chart_id, view_doc in sorted(step_doc.get("views", {}).items()):
+        for chart_id, view_doc in sorted(
+                _field(step_doc, "views", dict, where, {}).items()):
+            view_where = f"{where} view {chart_id}"
+            view_doc = _object(view_doc, f"{where}: each 'views' entry")
             views.append((chart_id, CenterView(
-                c=int(view_doc["c"]),
-                contained=tuple(view_doc.get("contained", [])),
+                c=_integer(view_doc, "c", view_where),
+                contained=_strings(view_doc, "contained", view_where),
                 strata=None if view_doc.get("strata") is None
-                else tuple(view_doc["strata"]))))
-        incidence = tuple(sorted(step_doc.get("incidence", {}).items()))
+                else _strings(view_doc, "strata", view_where))))
+        incidence = tuple(sorted(_field(step_doc, "incidence", dict, where, {}).items()))
         steps.append(ScriptStep(step_id=step_id, views=tuple(views),
                                 incidence=incidence))
     return (MorphismAtlas(d=d, m=m, chart_order=chart_order, strata=strata,
@@ -318,6 +362,11 @@ def _strata_above(chart_strata: list[TrackedStratum], view: CenterView,
     contained = set(view.contained)
     explicit = None if view.strata is None else {
         sid if "/" in sid else f"{chart_id}/{sid}" for sid in view.strata}
+    if explicit is not None:
+        unknown = sorted(explicit - {s.stratum_id for s in chart_strata})
+        if unknown:
+            raise ToroidalizeError(
+                f"view of chart {chart_id}: field 'strata' names no stratum {unknown}")
     above = []
     for stratum in chart_strata:
         if explicit is not None:
@@ -347,7 +396,7 @@ class StepOutcome:
 
 
 def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
-              cap: int, policy) -> StepOutcome:
+              cap: int) -> StepOutcome:
     step_doc = {"id": step.step_id, "exceptional_label": exc_label, "charts": {}}
     exceeded = False
     commutes_ok = True
@@ -382,7 +431,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
                 "row_order": list(row_order),
             })
 
-        trace = principalize_chart_family(family, cap=cap, policy=policy)
+        trace = principalize_chart_family(family, cap=cap)
         if trace.exceeded:
             exceeded = True
 
@@ -492,11 +541,8 @@ def atlas_to_doc(atlas: MorphismAtlas) -> dict:
 
 
 def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
-                cap: int = 50, policy_name: str = "max-order-lex") -> dict:
+                cap: int = 50) -> dict:
     """Run the full pipeline and return the trace document."""
-    if policy_name not in POLICIES:
-        raise ToroidalizeError(f"unknown policy {policy_name!r}")
-    policy = POLICIES[policy_name]
     atlas_report = check_atlas(atlas)
     if not atlas_report.ok:
         raise ToroidalizeError(f"invalid atlas: {atlas_report}")
@@ -513,7 +559,7 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
     exceeded = False
     commutes = True
     for step, exc_label in zip(script.steps, exc_labels):
-        outcome = _run_step(working, step, exc_label, cap, policy)
+        outcome = _run_step(working, step, exc_label, cap)
         steps.append(outcome.doc)
         exceeded = exceeded or outcome.exceeded
         commutes = commutes and outcome.commutes
@@ -538,7 +584,7 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
         "schema": TRACE_SCHEMA,
         "engine": __version__,
         "cap": cap,
-        "policy": policy_name,
+        "policy": POLICY.name,
         "steps": steps,
         "final_atlas": atlas_to_doc(working),
         "verdicts": verdicts,
@@ -551,15 +597,15 @@ class ReplayMismatch(ValueError):
 
 def replay(trace_doc: dict, atlas: MorphismAtlas,
            script: ResolutionScript) -> dict:
-    """Re-execute deterministically and compare against the given trace."""
+    """Re-execute deterministically and compare against the given trace;
+    a trace recorded under another center policy is a mismatch."""
     if not isinstance(trace_doc, dict) or trace_doc.get("schema") != TRACE_SCHEMA:
         raise InvalidDocument(f"expected schema {TRACE_SCHEMA!r}")
     if trace_doc.get("engine") != __version__:
         raise ReplayMismatch(
             f"trace produced by engine {trace_doc.get('engine')!r}, "
             f"this is {__version__}")
-    fresh = toroidalize(atlas, script, cap=int(trace_doc.get("cap", 50)),
-                        policy_name=trace_doc.get("policy", "max-order-lex"))
+    fresh = toroidalize(atlas, script, cap=int(trace_doc.get("cap", 50)))
     if canonical_dumps(trace_doc) == canonical_dumps(fresh):
         return fresh
     # Only a mismatch pays for locating the first differing step.

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from .blowup import (
     BlowupCenterChart,
     BlowupChartChoice,
-    check_permissible_center,
+    center_coordinates,
     enumerate_blowup_strata,
+    matrix_permissibility,
 )
 from .chart import (
     CenterDescriptor,
@@ -89,7 +90,7 @@ class NoPermissibleCenter(ValueError):
 
 @dataclass(frozen=True)
 class MaxOrderLexPolicy:
-    """Default center selection among the maximum-order components.
+    """The center selection among the maximum-order components.
 
     Ties between components are broken by the order of the reduced
     divisor block along the candidate (deepest first), then by size,
@@ -117,25 +118,23 @@ class MaxOrderLexPolicy:
 
     def select(self, cf: ChartForm, z: CenterDescriptor,
                residual: MonomialIdeal) -> BlowupCenterChart:
+        """The first candidate through every slot that passes the matrix
+        test.  It is a valid center by construction (a single coordinate
+        has order 0 on the gcd-free residual), so only the blowup checks it."""
         rejected = []
         for subset in self.candidates(cf, residual):
-            divisor = tuple(j for j in subset if j < cf.n)
-            slots = [j for j in subset if j >= cf.n]
-            if slots != [cf.n + t for t in range(cf.s)]:
+            center = BlowupCenterChart(tuple(j for j in subset if j < cf.n), cf.s)
+            if list(subset) != center_coordinates(cf, center):
                 rejected.append((subset, "component misses a slot variable"))
                 continue
-            center = BlowupCenterChart(divisor, cf.s)
-            if center.codim < 2:
-                rejected.append((subset, "codimension below 2"))
-                continue
-            ok, witness = check_permissible_center(cf, center)
+            ok, witness = matrix_permissibility(cf, center)
             if ok:
                 return center
             rejected.append((subset, f"not permissible: {witness}"))
         raise NoPermissibleCenter(f"no permissible candidate; tried {rejected}")
 
 
-POLICIES = {"max-order-lex": MaxOrderLexPolicy()}
+POLICY = MaxOrderLexPolicy()
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,6 @@ def _choice_tag(choice: BlowupChartChoice) -> str:
 def principalize_chart_family(
         strata: list[tuple[str, ChartForm, CenterDescriptor]],
         cap: int = 50,
-        policy: MaxOrderLexPolicy = POLICIES["max-order-lex"],
 ) -> PrincipalizationTrace:
     # Strata still to blow up wait in `heap`; principal strata and strata
     # at the cap go to `done`.  The cap bounds the length of any single
@@ -226,7 +224,7 @@ def principalize_chart_family(
         neg_order, _, _, target = heapq.heappop(heap)
         center = centers.get(target.shape)
         if center is None:
-            center = centers[target.shape] = policy.select(
+            center = centers[target.shape] = POLICY.select(
                 target.chart, target.z, target.locus.residual)
         path = target.path + (target.stratum_id,)
         records = []

@@ -10,7 +10,9 @@ reference product and power are the general `UnitValue` operations
 without the fast paths the library takes for symbol-free sides and
 integer exponents.  The reference blowup transform builds divisor-j0
 (qtf1) and slot-j0 (qtf2) charts in two separate functions; the single
-chart builder in `toroidal.blowup` must agree with both.
+chart builder in `toroidal.blowup` must agree with both.  The reference
+lift case derives the case and then, separately, its generator row; the
+single helper in `toroidal.lift` must agree with it.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from functools import lru_cache
 import numpy as np
 
 from toroidal.blowup import BlowupResult, enumerate_blowup_strata
-from toroidal.chart import QTF1, QTF2, ChartForm
+from toroidal.chart import QTF1, QTF2, ChartForm, column_minima, pullback_center_ideal
+from toroidal.errors import InternalCheckError
+from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE
 from toroidal.monomial import order_at_origin
 from toroidal.principalize import (
     EXCEEDED,
     PRINCIPAL,
-    POLICIES,
     FinalStratum,
+    MaxOrderLexPolicy,
     PrincipalizationStep,
     PrincipalizationTrace,
     nonprincipal_locus,
@@ -95,7 +99,7 @@ def oracle_order(gens, dim: int, maxdeg: int) -> int:
     return int(degrees.min())
 
 
-def rescan_principalize(strata, cap=50, policy=POLICIES["max-order-lex"]):
+def rescan_principalize(strata, cap=50):
     """Reference driver: every round recomputes the locus of every live
     stratum, sorts the nonprincipal ones below the cap by (-residual
     order, family position, creation order) and blows up the first."""
@@ -114,7 +118,7 @@ def rescan_principalize(strata, cap=50, policy=POLICIES["max-order-lex"]):
         working.sort(key=lambda p: (-order_at_origin(p[1].residual), p[0][3], p[0][4]))
         target, locus = working[0]
         sid, cf, z, pos, _, path = target
-        center = policy.select(cf, z, locus.residual)
+        center = MaxOrderLexPolicy().select(cf, z, locus.residual)
         live.remove(target)
         records = []
         for choice, result in enumerate_blowup_strata(cf, center, symbol_prefix=sid):
@@ -240,3 +244,33 @@ def _ref_case2(cf, choice, div):
         betas=(None,) + tuple(betas[cf.n + t] for t in range(cf.s) if t != t0),
         ell_bar=cf.ell_bar)
     return BlowupResult(chart, var_map, tuple(row_order))
+
+
+def reference_lift_case(cf, z):
+    """(case, generator row) of the lift of a principal stratum: the case
+    from the chart's adaptedness, tag, betas and column minima, then the
+    generator row derived again from the case."""
+    if cf.tag not in (QTF1, QTF2):
+        raise ValueError("lift needs a center-adapted chart")
+    if cf.ell_bar != z.ell_bar or cf.s != z.extra_slots:
+        raise ValueError("chart is not adapted to this descriptor")
+    if len(pullback_center_ideal(cf, z).gens) != 1:
+        raise ValueError("pullback of the center is not principal")
+    mins = column_minima(cf)
+    if cf.ell == 0:
+        case = SMOOTH_CASE
+    elif cf.tag == QTF2:
+        case = CASE3
+    elif any(b is not None and not b.is_zero for b in cf.betas):
+        case = CASE2
+    elif any(cf.matrix[i] == mins for i in range(cf.ell_bar)):
+        case = CASE1
+    else:
+        raise InternalCheckError("principal qtf1 chart matches no lift case")
+    if cf.ell_bar == 0 or case == CASE3:
+        return case, cf.ell
+    if case == CASE1:
+        return case, next(i for i in range(cf.ell_bar) if cf.matrix[i] == mins)
+    t_w = next(t for t in range(cf.s)
+               if cf.betas[t] is not None and not cf.betas[t].is_zero)
+    return case, cf.ell + t_w

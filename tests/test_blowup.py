@@ -72,6 +72,19 @@ class TestPermissibleCenter:
         assert not check_center_snc(IDENTITY, BlowupCenterChart((0, 5), 0)).ok
         assert check_center_snc(IDENTITY, FULL_CENTER).ok
 
+    def test_snc_slot_rule_reported_once(self):
+        cf = adapted([[2], [0]], ell_bar=1, s=1)
+        for slots in (0, 2):
+            report = check_center_snc(cf, BlowupCenterChart((0,), slots))
+            assert [code for code, _ in report.failures if code == "slots"] == ["slots"]
+
+    def test_permissibility_query_checks_the_center(self):
+        cf = adapted([[2], [0]], ell_bar=1, s=1, betas=(Stratum.generic("g"),))
+        with pytest.raises(ValueError, match="zero-strata"):
+            check_permissible_center(cf, BlowupCenterChart((0,), 1))
+        with pytest.raises(ValueError, match="invalid center"):
+            check_permissible_center(IDENTITY, BlowupCenterChart((0,), 0))
+
 
 class TestBlowupTransform:
     def test_identity_zero_stratum(self):

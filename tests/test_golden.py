@@ -1,0 +1,76 @@
+"""Golden traces: sha256 digests of canonical output pinned in the test.
+
+A refactor that must keep traces byte-identical is checked here: the
+digests were recorded from the engine and any change to the bytes a
+trace serializes to fails the matching test.  A deliberate change to
+the output (a new `TRACE_SCHEMA` or engine version) re-records them.
+"""
+
+import hashlib
+
+import pytest
+
+import test_acceptance
+import test_pipeline
+from toroidal.documents import (
+    canonical_dumps,
+    chart_to_doc,
+    lift_record_to_doc,
+    principalization_to_doc,
+)
+from toroidal.lift import lift_after_principalization
+from toroidal.pipeline import parse_document, toroidalize
+from toroidal.principalize import EXCEEDED, principalize_chart_family
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _low_cap_doc():
+    doc = test_pipeline.identity_doc()
+    doc["charts"][0]["strata"][0]["chart"]["matrix"] = [[2, 1], [1, 3]]
+    doc["charts"][0]["strata"][0]["chart"]["d"] = 3
+    doc["dims"]["d"] = 3
+    return doc
+
+
+PIPELINE_GOLDEN = {
+    "identity": (test_pipeline.identity_doc, 50,
+                 "8f4ca0b93d427a7a9de1c8ab4e437d8416f14a9d1a175c5b4da3e31a313f600b"),
+    "two_chart": (test_pipeline.two_chart_doc, 50,
+                  "cb0972c605122e3ee474cbeba40724f11c109fde6914906e84ff1e7746cfb258"),
+    "multi_step": (lambda: test_pipeline.TestMultiStepScript().doc(), 50,
+                   "e692762ff54fd35c3c03dcc2c0cbe87f8d16807150329f738d3fe618e13eb057"),
+    "low_cap": (_low_cap_doc, 1,
+                "5e56b9b90d15c42cc3e9d3183a41ee989397f11426fe87f094e9e035fcc5fb8c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
+def test_pipeline_fixture_trace_digest(name):
+    doc_fn, cap, digest = PIPELINE_GOLDEN[name]
+    atlas, script = parse_document(doc_fn())
+    assert _sha(canonical_dumps(toroidalize(atlas, script, cap=cap))) == digest
+
+
+TERMINATION_CORPUS_DIGEST = (
+    "8d0f986fb9483211412b1bdb28098725ab4d9c331ee8151654d516ff2d51dce0")
+
+
+def test_termination_corpus_digest():
+    """Principalization steps, finals and every lift of the 200-instance
+    acceptance termination corpus (seed 60606), one canonical line each."""
+    lines = []
+    for k, (cf, z) in enumerate(test_acceptance._termination_corpus()):
+        trace = principalize_chart_family([(f"s{k}", cf, z)], cap=50)
+        lifts = []
+        for final in trace.final:
+            if final.status == EXCEEDED:
+                continue
+            result = lift_after_principalization(final.chart, final.descriptor)
+            lifts.append({"record": lift_record_to_doc(result.record),
+                          "chart": chart_to_doc(result.lifted)})
+        lines.append(canonical_dumps(
+            {"principalization": principalization_to_doc(trace), "lifts": lifts}))
+    assert _sha("\n".join(lines)) == TERMINATION_CORPUS_DIGEST

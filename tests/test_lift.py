@@ -8,6 +8,7 @@ from toroidal.blowup import BlowupCenterChart, blowup_transform
 from toroidal.chart import (
     QTF1,
     QTF2,
+    TOROIDAL,
     CenterDescriptor,
     ChartForm,
     derive_center_form,
@@ -58,6 +59,13 @@ class TestLiftCase:
         cf = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
         with pytest.raises(ValueError):
             lift_case(cf, Z22)
+
+    def test_adaptedness_checked_by_the_pullback(self):
+        cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
+        with pytest.raises(ValueError, match="^pullback needs a center-adapted chart$"):
+            lift_case(replace(cf, tag=TOROIDAL, ell_bar=0), Z22)
+        with pytest.raises(ValueError, match="^chart is not adapted to this descriptor$"):
+            lift_case(cf, CenterDescriptor(1, 2, (0,)))
 
 
 class TestCase1:

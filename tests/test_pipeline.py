@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from toroidal.cli import main
 from toroidal.documents import canonical_dumps
 from toroidal.pipeline import (
     ReplayMismatch,
@@ -262,6 +263,22 @@ class TestDeterminismAndReplay:
                            match="^trace differs outside the step records$"):
             self.replay_tampered(tamper)
 
+    def test_replay_rejects_other_policy(self, tmp_path, capsys):
+        def tamper(t):
+            t["policy"] = "lex-only"
+        with pytest.raises(ReplayMismatch,
+                           match="^trace differs outside the step records$"):
+            self.replay_tampered(tamper)
+        atlas, script = parse_document(identity_doc())
+        trace = toroidalize(atlas, script)
+        assert trace["policy"] == "max-order-lex"
+        tamper(trace)
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(identity_doc()))
+        trace_path.write_text(json.dumps(trace))
+        assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 1
+        assert "replay mismatch" in capsys.readouterr().err
+
     def test_invalid_atlas_rejected(self):
         doc = identity_doc()
         doc["charts"][0]["strata"][0]["chart"]["matrix"] = [[1, 0], [2, 0]]
@@ -444,3 +461,43 @@ class TestMultiStepScript:
         doc["charts"][0]["strata"].append(dict(doc["charts"][0]["strata"][0]))
         with pytest.raises(Exception):
             parse_document(doc)
+
+
+def _view(doc):
+    return doc["script"][0]["views"]["A"]
+
+
+def _stratum(doc):
+    return doc["charts"][0]["strata"][0]
+
+
+# name -> (field the error must name, mutation of identity_doc()).
+BOUNDARY_MUTATIONS = {
+    "view without c": ("'c'", lambda doc: _view(doc).pop("c")),
+    "chart not an object": ("'chart'", lambda doc: _stratum(doc).update(chart=5)),
+    "labels not a list": ("'labels'", lambda doc: doc.update(labels=3)),
+    "script entry a string": ("'script'", lambda doc: doc.update(script=["z1"])),
+    "incidence a list": ("'incidence'",
+                         lambda doc: doc["script"][0].update(incidence=[["L1", "in"]])),
+    "row_labels not a list": ("'row_labels'",
+                              lambda doc: _stratum(doc).update(row_labels=7)),
+    "negative extra labels": ("'extra_global_labels'",
+                              lambda doc: _stratum(doc).update(extra_global_labels=-1)),
+    "view names unknown stratum": ("'strata'",
+                                   lambda doc: _view(doc).update(strata=["p9"])),
+    "under_e0 a string": ("'under_e0'",
+                          lambda doc: doc["labels"][0].update(under_e0="no")),
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_MUTATIONS))
+    def test_main_exits_invalid_naming_the_field(self, name, tmp_path, capsys):
+        field, mutate = BOUNDARY_MUTATIONS[name]
+        doc = identity_doc()
+        mutate(doc)
+        path = tmp_path / "atlas.json"
+        path.write_text(json.dumps(doc))
+        assert main(["toroidalize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err

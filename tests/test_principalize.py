@@ -1,13 +1,21 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from toroidal import principalize
+from toroidal import blowup, lift, principalize
 from toroidal.chart import CenterDescriptor, ChartForm, classify_form, shape_key
 from toroidal.errors import InternalCheckError
-from toroidal.lift import CASE2, lift_after_principalization, lift_skeleton
+from toroidal.lift import (
+    CASE1,
+    CASE2,
+    CASE3,
+    lift_after_principalization,
+    lift_case,
+    lift_skeleton,
+)
 from toroidal.monomial import minimal_generators
 from toroidal.principalize import (
     EXCEEDED,
@@ -19,7 +27,7 @@ from toroidal.principalize import (
 )
 from toroidal.units import Stratum, UnitToken, UnitValue
 from generators import random_adapted_chart
-from oracles import rescan_principalize
+from oracles import reference_lift_case, rescan_principalize
 from test_blowup import adapted
 
 Z22 = CenterDescriptor(2, 2, (0, 1))
@@ -253,6 +261,83 @@ class TestShapeKernels:
                 lifts += 1
             skeletons_built += len(skeletons)
         assert skeletons_built < lifts
+
+
+def principal_finals(seed, count):
+    for family in random_families(seed, count):
+        trace = principalize_chart_family(family, cap=50)
+        yield trace, [f for f in trace.final if f.status == PRINCIPAL]
+
+
+class TestSingleSites:
+    """Each chart-level decision is made by one function, once."""
+
+    def test_center_checked_once_per_blowup_never_in_select(self, monkeypatch):
+        checks, snc, selecting = [], [], []
+
+        def counting(record, real):
+            def wrapper(cf, center):
+                record.append(bool(selecting))
+                return real(cf, center)
+            return wrapper
+
+        real_select = MaxOrderLexPolicy.select
+
+        def select(policy, cf, z, residual):
+            selecting.append(True)
+            try:
+                return real_select(policy, cf, z, residual)
+            finally:
+                selecting.pop()
+
+        monkeypatch.setattr(blowup, "_check_center",
+                            counting(checks, blowup._check_center))
+        monkeypatch.setattr(blowup, "check_center_snc",
+                            counting(snc, blowup.check_center_snc))
+        monkeypatch.setattr(MaxOrderLexPolicy, "select", select)
+        blowups = 0
+        for family in random_families(800, 40):
+            checks.clear()
+            snc.clear()
+            trace = principalize_chart_family(family, cap=50)
+            assert len(checks) == len(snc) == len(trace.steps)
+            assert not any(checks) and not any(snc)
+            blowups += len(trace.steps)
+        assert blowups > 0
+
+    def test_pullback_once_per_skeleton(self, monkeypatch):
+        pullbacks, skeletons = [], []
+        real_pullback, real_skeleton = lift.pullback_center_ideal, lift.lift_skeleton
+
+        def pullback(cf, z):
+            pullbacks.append(z)
+            return real_pullback(cf, z)
+
+        def skeleton(cf, z):
+            skeletons.append(z)
+            return real_skeleton(cf, z)
+
+        monkeypatch.setattr(lift, "pullback_center_ideal", pullback)
+        monkeypatch.setattr(lift, "lift_skeleton", skeleton)
+        for _, finals in principal_finals(810, 40):
+            memo: dict = {}
+            for final in finals:
+                lift_after_principalization(final.chart, final.descriptor, memo)
+        assert len(pullbacks) == len(skeletons) > 0
+
+    def test_case_and_generator_match_reference(self):
+        seen = Counter()
+        for _, finals in principal_finals(820, 100):
+            for final in finals:
+                cf, z = final.chart, final.descriptor
+                case, gen_row = reference_lift_case(cf, z)
+                skeleton = lift_skeleton(cf, z)
+                assert lift_case(cf, z) == skeleton.case == case
+                assert skeleton.gen_row == gen_row
+                seen[case, cf.ell_bar == 0] += 1
+        # Every branch of both skeleton builders occurs.
+        assert {(CASE1, False), (CASE2, False), (CASE3, False),
+                (CASE3, True)} <= set(seen), seen
 
 
 class TestResidualShapes:
