@@ -1,6 +1,11 @@
 """Command line interface.
 
-Exit codes: 0 pass, 1 verdict failure, 2 invalid input, 3 cap exceeded.
+Exit codes: 0 pass, 1 verdict failure, 2 invalid input, 3 cap exceeded,
+4 regime limit (valid input the engine does not handle: no permissible
+center, the transversal search bound or the runaway guard), 5 internal
+check failure (an engine bug).  Errors print one `error:` line.  The
+`ideal` op `max-order-components` has no support limit, only the
+transversal search bound.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .blowup import blowup_transform, check_permissible_center
+from .blowup import blowup_transform, matrix_permissibility
 from .chart import verify_toroidal_form
 from .documents import (
     InvalidDocument,
@@ -23,6 +28,7 @@ from .documents import (
     principalization_to_doc,
     unit_value_to_doc,
 )
+from .errors import InternalCheckError, RegimeLimit
 from .monomial import (
     colon_by_monomial,
     gcd_generators,
@@ -50,7 +56,7 @@ from .toric import (
     validate_toric_morphism,
 )
 
-PASS, FAIL, INVALID, CAP = 0, 1, 2, 3
+PASS, FAIL, INVALID, CAP, REGIME, INTERNAL = 0, 1, 2, 3, 4, 5
 
 
 def _read_json(path: str):
@@ -152,8 +158,8 @@ def cmd_blowup(args) -> int:
     chart = chart_from_doc(doc.get("chart", {}))
     center = center_from_doc(doc.get("center", {}))
     choice = choice_from_doc(doc.get("choice", {}))
-    ok, witness = check_permissible_center(chart, center)
     result = blowup_transform(chart, center, choice)
+    ok, witness = matrix_permissibility(chart, center)
     _emit({
         "permissible": ok,
         "witness": witness,
@@ -286,9 +292,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidDocument, ToroidalizeError, ValueError) as exc:
+    except (InvalidDocument, ToroidalizeError, ValueError,
+            InternalCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return INVALID
+        if isinstance(exc, RegimeLimit):
+            return REGIME
+        return INTERNAL if isinstance(exc, InternalCheckError) else INVALID
 
 
 if __name__ == "__main__":

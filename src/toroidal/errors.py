@@ -5,3 +5,7 @@ class InternalCheckError(RuntimeError):
     """A postcondition the construction guarantees failed: an engine bug,
     not bad input."""
 
+
+class RegimeLimit(ValueError):
+    """Valid input outside the regime the engine handles: a search or step
+    bound was reached, or no permissible center exists."""

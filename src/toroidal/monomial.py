@@ -8,12 +8,12 @@ arithmetic on tuples, so values are hashable and order-independent.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, RegimeLimit
 
 Exponent = tuple[int, ...]
+TRANSVERSAL_SEARCH_BOUND = 2 ** 10  # visited sets; any support of <= 10 variables fits
 
 
 def _check_exponent(e: Exponent, dim: int) -> None:
@@ -210,28 +210,32 @@ def order_along(ideal: MonomialIdeal, subset: tuple[int, ...]) -> int:
     return min(sum(g[j] for j in subset) for g in ideal.gens)
 
 
-def max_order_components(ideal: MonomialIdeal, cap: int = 10) -> tuple[tuple[int, ...], ...]:
-    """Coordinate subsets along which I has maximal order.
+def minimal_transversals(gens, k: int) -> tuple[tuple[int, ...], ...]:
+    """The inclusion-minimal sets S with sum_{j in S} g_j >= k for every
+    generator g, sorted.  Depth-first from the empty set, S grows by each
+    support variable of the first generator it misses; past
+    `TRANSVERSAL_SEARCH_BOUND` distinct visited sets it raises `RegimeLimit`."""
+    found, visited, stack = [], set(), [frozenset()]
+    while stack:
+        s = stack.pop()
+        if s in visited or any(t <= s for t in found):
+            continue
+        visited.add(s)
+        if len(visited) > TRANSVERSAL_SEARCH_BOUND:
+            raise RegimeLimit(f"transversal search visited over "
+                              f"{TRANSVERSAL_SEARCH_BOUND} coordinate sets")
+        missed = next((g for g in gens if sum(g[j] for j in s) < k), None)
+        if missed is None:
+            found.append(s)
+        else:
+            stack.extend(s | {j} for j, x in enumerate(missed) if x and j not in s)
+    return tuple(sorted(tuple(sorted(s)) for s in found
+                        if not any(t < s for t in found)))
 
-    Scans all subsets of the union of generator supports (variables
-    outside every support never help), keeps the subsets maximizing
-    ord_S, and prunes to the inclusion-minimal ones.
-    """
+
+def max_order_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """Coordinate subsets along which I has maximal order: ord_S(I) grows
+    with S, so they are the minimal S reaching the order at the origin."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("maximum order locus needs a nonzero proper ideal")
-    support = sorted({j for g in ideal.gens for j, x in enumerate(g) if x})
-    if len(support) > cap:
-        raise ValueError(f"support of size {len(support)} exceeds the scan cap {cap}")
-    best = 0
-    maximizers: list[tuple[int, ...]] = []
-    for size in range(1, len(support) + 1):
-        for subset in itertools.combinations(support, size):
-            val = order_along(ideal, subset)
-            if val > best:
-                best = val
-                maximizers = [subset]
-            elif val == best and val > 0:
-                maximizers.append(subset)
-    minimal = [s for s in maximizers
-               if not any(set(t) < set(s) for t in maximizers)]
-    return tuple(sorted(minimal))
+    return minimal_transversals(ideal.gens, order_at_origin(ideal))

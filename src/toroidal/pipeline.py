@@ -252,9 +252,10 @@ def check_atlas(atlas: MorphismAtlas) -> ValidityReport:
 
 
 def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
-                      step: ScriptStep):
-    """Check one step against the divisor rules and register its
-    exceptional label in `labels`.
+                      m: int, step: ScriptStep):
+    """Check one step against the divisor rules and the codimension range
+    [2, m] of a target center, and register its exceptional label in
+    `labels`.
 
     Returns (failures, exceptional label name or None).
     """
@@ -271,9 +272,9 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
     if len(codims) > 1:
         failures.append(("consistency",
                          f"step {step.step_id}: chart views disagree on codimension"))
-    c = min(codims)
-    if c < 2:
-        failures.append(("codim", f"step {step.step_id}: centers need codimension >= 2"))
+    if min(codims) < 2 or max(codims) > m:
+        failures.append(("codim", f"step {step.step_id}: field 'c' must lie in "
+                                  f"[2, {m}], the codimension range of a center"))
 
     for label, kind in step.incidence:
         if label not in labels:
@@ -331,13 +332,13 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
 
 
 def _apply_script(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
-                  script: ResolutionScript):
+                  m: int, script: ResolutionScript):
     """Apply every step to `labels`; returns the report and each step's
     exceptional label."""
     failures = []
     exc_labels = []
     for step in script.steps:
-        step_failures, exc_label = apply_script_step(labels, chart_ids, step)
+        step_failures, exc_label = apply_script_step(labels, chart_ids, m, step)
         failures.extend(step_failures)
         exc_labels.append(exc_label)
     return ValidityReport(tuple(failures)), exc_labels
@@ -345,7 +346,8 @@ def _apply_script(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
 
 def verify_resolution_script(atlas: MorphismAtlas,
                              script: ResolutionScript) -> ValidityReport:
-    report, _ = _apply_script(dict(atlas.labels), tuple(atlas.chart_order), script)
+    report, _ = _apply_script(dict(atlas.labels), tuple(atlas.chart_order),
+                              atlas.m, script)
     return report
 
 
@@ -551,7 +553,7 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
         strata={cid: list(ss) for cid, ss in atlas.strata.items()},
         labels=dict(atlas.labels))
     script_report, exc_labels = _apply_script(
-        working.labels, tuple(working.chart_order), script)
+        working.labels, tuple(working.chart_order), working.m, script)
     if not script_report.ok:
         raise ToroidalizeError(f"resolution script rejected: {script_report}")
 

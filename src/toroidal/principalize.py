@@ -37,18 +37,20 @@ from .chart import (
     pullback_center_ideal,
     shape_key,
 )
-from .errors import InternalCheckError
+from .errors import InternalCheckError, RegimeLimit
 from .monomial import (
     MonomialIdeal,
-    irreducible_decomposition,
     max_order_components,
+    minimal_transversals,
     order_at_origin,
     principal_part_factorization,
-    radical,
 )
 
 PRINCIPAL = "principal"
 EXCEEDED = "exceeded"
+
+# Blowup rounds one driver call may run before it gives up as a runaway.
+RUNAWAY_GUARD = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,26 +66,21 @@ class NonprincipalLocus:
 
 def nonprincipal_locus(cf: ChartForm, z: CenterDescriptor) -> NonprincipalLocus:
     """Factor the pullback I = x^F * N; the residual N cuts the locus where
-    the pullback is not principal, and its radical's irreducible components
-    name the candidate centers (each of codimension 2..m)."""
+    the pullback is not principal, and its components, the minimal vertex
+    covers of N's supports, name the candidate centers (codimension 2..m)."""
     ideal = pullback_center_ideal(cf, z)
     f, n = principal_part_factorization(ideal)
     if n.is_unit:
         return NonprincipalLocus(f, n, ())
-    components = []
-    for comp in irreducible_decomposition(radical(n)):
-        support = tuple(sorted(next(j for j, x in enumerate(g) if x)
-                               for g in comp.gens))
-        components.append(support)
-    components.sort()
+    components = minimal_transversals(n.gens, 1)
     for support in components:
         if not 2 <= len(support) <= cf.m:
             raise InternalCheckError(
                 f"component {support} violates the codimension bounds [2, {cf.m}]")
-    return NonprincipalLocus(f, n, tuple(components))
+    return NonprincipalLocus(f, n, components)
 
 
-class NoPermissibleCenter(ValueError):
+class NoPermissibleCenter(RegimeLimit):
     """No maximum-order component passes the permissibility test; the
     input is outside the guaranteed regime."""
 
@@ -217,9 +214,9 @@ def principalize_chart_family(
     steps: list[PrincipalizationStep] = []
 
     while heap:
-        if len(steps) >= 100_000:
-            raise RuntimeError("runaway principalization; raise the guard "
-                               "only for genuinely larger instances")
+        if len(steps) >= RUNAWAY_GUARD:
+            raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
+                              "blowup rounds without finishing")
         nonprincipal_count = len(heap)
         neg_order, _, _, target = heapq.heappop(heap)
         center = centers.get(target.shape)

@@ -12,7 +12,11 @@ integer exponents.  The reference blowup transform builds divisor-j0
 (qtf1) and slot-j0 (qtf2) charts in two separate functions; the single
 chart builder in `toroidal.blowup` must agree with both.  The reference
 lift case derives the case and then, separately, its generator row; the
-single helper in `toroidal.lift` must agree with it.
+single helper in `toroidal.lift` must agree with it.  The reference
+maximum-order locus scans every subset of the generator support, and the
+reference locus components come from the irreducible decomposition of
+the radical; the one transversal search in `toroidal.monomial` must
+agree with both.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from toroidal.blowup import BlowupResult, enumerate_blowup_strata
 from toroidal.chart import QTF1, QTF2, ChartForm, column_minima, pullback_center_ideal
 from toroidal.errors import InternalCheckError
 from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE
-from toroidal.monomial import order_at_origin
+from toroidal.monomial import irreducible_decomposition, order_at_origin, radical
 from toroidal.principalize import (
     EXCEEDED,
     PRINCIPAL,
@@ -97,6 +101,29 @@ def oracle_order(gens, dim: int, maxdeg: int) -> int:
     if len(degrees) == 0:
         raise ValueError("no member up to the degree bound")
     return int(degrees.min())
+
+
+def reference_max_order_components(ideal) -> tuple[tuple[int, ...], ...]:
+    """Scan every subset S of the generator support, keep those of largest
+    order min_g sum_{j in S} g_j, and prune to the inclusion-minimal ones."""
+    support = sorted({j for g in ideal.gens for j, x in enumerate(g) if x})
+    best, maximizers = 0, []
+    for size in range(1, len(support) + 1):
+        for subset in itertools.combinations(support, size):
+            val = min(sum(g[j] for j in subset) for g in ideal.gens)
+            if val > best:
+                best, maximizers = val, [subset]
+            elif val == best and val > 0:
+                maximizers.append(subset)
+    return tuple(sorted(s for s in maximizers
+                        if not any(set(t) < set(s) for t in maximizers)))
+
+
+def reference_radical_components(ideal) -> tuple[tuple[int, ...], ...]:
+    """The variable sets of the irreducible components of the radical."""
+    return tuple(sorted(
+        tuple(sorted(next(j for j, x in enumerate(g) if x) for g in comp.gens))
+        for comp in irreducible_decomposition(radical(ideal))))
 
 
 def rescan_principalize(strata, cap=50):

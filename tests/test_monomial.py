@@ -10,11 +10,13 @@ from toroidal.monomial import (
     irreducible_decomposition,
     max_order_components,
     minimal_generators,
+    minimal_transversals,
     multiply_by_monomial,
     order_at_origin,
     principal_part_factorization,
     radical,
 )
+from toroidal.errors import RegimeLimit
 from oracles import (
     membership_mask,
     monomials_up_to,
@@ -22,6 +24,8 @@ from oracles import (
     oracle_is_gcd,
     oracle_order,
     oracle_radical_mask,
+    reference_max_order_components,
+    reference_radical_components,
 )
 
 
@@ -224,7 +228,35 @@ class TestMaxOrderComponents:
         i = ideal((2, 0, 0), (0, 2, 0), (0, 0, 2))
         assert max_order_components(i) == ((0, 1, 2),)
 
-    def test_cap(self):
-        gens = [tuple(1 if j == k else 0 for j in range(12)) for k in range(12)]
-        with pytest.raises(ValueError):
-            max_order_components(minimal_generators(gens, 12), cap=10)
+    def test_no_support_cap(self):
+        # <x1...x6, y1...y6, z1...z6, w1...w6>: 24 support variables, one
+        # maximum-order component; its 6^4 minimal vertex covers exceed the
+        # search bound.
+        gens = [tuple(1 if 6 * b <= j < 6 * b + 6 else 0 for j in range(24))
+                for b in range(4)]
+        i = minimal_generators(gens, 24)
+        assert max_order_components(i) == (tuple(range(24)),)
+        with pytest.raises(RegimeLimit):
+            minimal_transversals(i.gens, 1)
+
+
+class TestMinimalTransversals:
+    def test_nonminimal_find_is_pruned(self):
+        # The search reaches {0, 1} before {0}.
+        assert minimal_transversals([(1, 1, 0), (1, 0, 1)], 1) == ((0,), (1, 2))
+
+    def test_unreachable_order_has_none(self):
+        assert minimal_transversals([(1, 1), (2, 0)], 3) == ()
+
+    def test_max_order_against_scan(self):
+        rng = random.Random(6006)
+        for _ in range(3000):
+            i = random_ideal(rng, rng.randint(1, 8), max_exp=rng.randint(1, 4))
+            assert max_order_components(i) == reference_max_order_components(i)
+
+    def test_vertex_covers_against_radical_decomposition(self):
+        # d <= 6: at d <= 8 the reference decomposition alone takes ~20 s.
+        rng = random.Random(6007)
+        for _ in range(3000):
+            i = random_ideal(rng, rng.randint(1, 6), max_exp=rng.randint(1, 4))
+            assert minimal_transversals(i.gens, 1) == reference_radical_components(i)

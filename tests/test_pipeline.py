@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from toroidal import blowup, principalize
 from toroidal.cli import main
 from toroidal.documents import canonical_dumps
 from toroidal.pipeline import (
@@ -487,6 +488,7 @@ BOUNDARY_MUTATIONS = {
                                    lambda doc: _view(doc).update(strata=["p9"])),
     "under_e0 a string": ("'under_e0'",
                           lambda doc: doc["labels"][0].update(under_e0="no")),
+    "c above m": ("'c'", lambda doc: _view(doc).update(c=9)),
 }
 
 
@@ -501,3 +503,71 @@ class TestInputBoundary:
         assert main(["toroidalize", str(path)]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+
+# The two-blowup family of `TestCliMore.test_principalize_subcommand`.
+TWO_BLOWUP_FAMILY = {"strata": [{
+    "id": "x0",
+    "chart": {"d": 3, "m": 2, "n": 2, "ell": 2, "s": 0, "tag": "qtf1",
+              "matrix": [[2, 1], [1, 3]], "ell_bar": 2},
+    "descriptor": {"ell_bar": 2, "c": 2, "divisor_rows": [0, 1]},
+}]}
+
+
+class TestExitStatuses:
+    """Valid input outside the engine's regime exits 4, an engine
+    postcondition failure exits 5; each prints one error line."""
+
+    def run_main(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        status = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return status, err
+
+    def test_check_atlas_reports_c_above_m(self, tmp_path, capsys):
+        doc = identity_doc()
+        _view(doc)["c"] = 9
+        status, _ = self.run_main(tmp_path, capsys, "check-atlas", doc)
+        assert status == 1
+        atlas, script = parse_document(doc)
+        report = verify_resolution_script(atlas, script)
+        assert [code for code, _ in report.failures] == ["codim"]
+        assert "step z1" in report.failures[0][1]
+
+    def test_no_permissible_center(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(principalize, "matrix_permissibility",
+                            lambda cf, center: (False, ("row", 0)))
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
+        assert status == 4
+        assert err.startswith("error: no permissible candidate")
+
+    def test_runaway_guard(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(principalize, "RUNAWAY_GUARD", 1)
+        status, err = self.run_main(tmp_path, capsys, "principalize",
+                                    TWO_BLOWUP_FAMILY)
+        assert status == 4
+        assert err.startswith("error: runaway principalization")
+
+    def test_internal_check_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(principalize, "minimal_transversals",
+                            lambda gens, k: ((0,),))
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
+        assert status == 5
+        assert err.startswith("error: component (0,) violates")
+
+    def test_blowup_checks_its_center_once(self, tmp_path, capsys, monkeypatch):
+        checks = []
+        real = blowup._check_center
+        monkeypatch.setattr(blowup, "_check_center",
+                            lambda cf, center: checks.append(1) or real(cf, center))
+        doc = {
+            "chart": {"d": 2, "m": 2, "n": 2, "ell": 2, "s": 0, "tag": "qtf1",
+                      "matrix": [[1, 0], [0, 1]], "ell_bar": 2},
+            "center": {"divisor_indices": [0, 1], "slot_count": 0},
+            "choice": {"j0": 0, "betas": [[1, {"kind": "zero"}]]},
+        }
+        status, _ = self.run_main(tmp_path, capsys, "blowup", doc)
+        assert status == 0
+        assert len(checks) == 1

@@ -55,8 +55,8 @@ class TestNonprincipalLocus:
 
     def test_codimension_violation_is_internal_check_error(self, monkeypatch):
         cf = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
-        monkeypatch.setattr(principalize, "irreducible_decomposition",
-                            lambda ideal: [minimal_generators([(1, 0)], 2)])
+        monkeypatch.setattr(principalize, "minimal_transversals",
+                            lambda gens, k: ((0,),))
         with pytest.raises(InternalCheckError, match="codimension bounds"):
             nonprincipal_locus(cf, Z22)
 
