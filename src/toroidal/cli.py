@@ -26,6 +26,12 @@ from .documents import (
     descriptor_from_doc,
     fraction_to_doc,
     principalization_to_doc,
+    read_field,
+    read_integer,
+    read_integers,
+    read_matrix,
+    read_name,
+    read_object,
     unit_value_to_doc,
 )
 from .errors import InternalCheckError, RegimeLimit
@@ -41,7 +47,7 @@ from .monomial import (
 )
 from .pipeline import (
     ReplayMismatch,
-    ToroidalizeError,
+    TRACE_SCHEMA,
     check_atlas,
     parse_document,
     replay,
@@ -70,7 +76,8 @@ def _read_json(path: str):
 
 
 def _emit(doc, out: str | None):
-    text = canonical_dumps(doc)
+    """Write a document as canonical JSON, or a text as it is."""
+    text = doc if isinstance(doc, str) else canonical_dumps(doc)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")
@@ -93,17 +100,17 @@ def cmd_check_atlas(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    doc = _read_json(args.file)
-    op = doc.get("op")
-    gens = [tuple(int(x) for x in g) for g in doc.get("generators", [])]
-    dim = doc.get("dim")
-    ideal = minimal_generators(gens, dim)
+    where = "ideal document"
+    doc = read_object(_read_json(args.file), where)
+    op = read_name(doc, "op", where)
+    dim = read_integer(doc, "dim", where) if "dim" in doc else None
+    ideal = minimal_generators(read_matrix(doc, "generators", where), dim)
     if op == "minimal":
         out = {"generators": [list(g) for g in ideal.gens]}
     elif op == "gcd":
         out = {"gcd": list(gcd_generators(ideal))}
     elif op == "colon":
-        result = colon_by_monomial(ideal, tuple(int(x) for x in doc["arg"]))
+        result = colon_by_monomial(ideal, read_integers(doc, "arg", where, None))
         out = {"generators": [list(g) for g in result.gens]}
     elif op == "factor":
         f, n = principal_part_factorization(ideal)
@@ -118,20 +125,20 @@ def cmd_ideal(args) -> int:
     elif op == "max-order-components":
         out = {"components": [list(s) for s in max_order_components(ideal)]}
     else:
-        raise InvalidDocument(f"unknown ideal op {op!r}")
+        raise InvalidDocument(f"{where}: unknown op {op!r}")
     _emit(out, args.out)
     return PASS
 
 
 def cmd_normalize_toric(args) -> int:
-    doc = _read_json(args.file)
-    try:
-        data = ToricMorphismData(
-            source=LocalModelDims(*[int(x) for x in doc["source"]]),
-            target=LocalModelDims(*[int(x) for x in doc["target"]]),
-            matrix=tuple(tuple(int(x) for x in row) for row in doc["matrix"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"bad toric document: {exc}") from exc
+    where = "toric document"
+    doc = read_object(_read_json(args.file), where)
+    source, target = (read_integers(doc, key, where, None) for key in ("source", "target"))
+    if len(source) != 2 or len(target) != 2:
+        raise InvalidDocument(
+            f"{where}: fields 'source' and 'target' must list two integers")
+    data = ToricMorphismData(LocalModelDims(*source), LocalModelDims(*target),
+                             read_matrix(doc, "matrix", where, None))
     report = validate_toric_morphism(data)
     if not report.ok:
         _emit({"valid": False, "failures": [list(f) for f in report.failures]},
@@ -154,10 +161,11 @@ def cmd_normalize_toric(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    doc = _read_json(args.file)
-    chart = chart_from_doc(doc.get("chart", {}))
-    center = center_from_doc(doc.get("center", {}))
-    choice = choice_from_doc(doc.get("choice", {}))
+    where = "blowup document"
+    doc = read_object(_read_json(args.file), where)
+    chart = chart_from_doc(read_field(doc, "chart", dict, where, {}), "chart")
+    center = center_from_doc(read_field(doc, "center", dict, where, {}), "center")
+    choice = choice_from_doc(read_field(doc, "choice", dict, where, {}), "choice")
     result = blowup_transform(chart, center, choice)
     ok, witness = matrix_permissibility(chart, center)
     _emit({
@@ -171,11 +179,15 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_principalize(args) -> int:
-    doc = _read_json(args.file)
+    doc = read_object(_read_json(args.file), "principalize document")
     family = []
-    for entry in doc.get("strata", []):
-        family.append((entry["id"], chart_from_doc(entry["chart"]),
-                       descriptor_from_doc(entry["descriptor"])))
+    for entry in read_field(doc, "strata", list, "principalize document", []):
+        sid = read_name(read_object(entry, "each 'strata' entry"), "id", "strata entry")
+        where = f"stratum {sid}"
+        chart_doc = read_field(entry, "chart", dict, where, None)
+        z_doc = read_field(entry, "descriptor", dict, where, None)
+        family.append((sid, chart_from_doc(chart_doc, f"{where} chart"),
+                       descriptor_from_doc(z_doc, f"{where} descriptor")))
     if not family:
         raise InvalidDocument("no strata given")
     trace = principalize_chart_family(family, cap=args.cap)
@@ -207,38 +219,48 @@ def cmd_verify_trace(args) -> int:
 
 def cmd_report(args) -> int:
     trace = _read_json(args.trace)
-    verdicts = trace.get("verdicts", {})
+    if not isinstance(trace, dict) or trace.get("schema") != TRACE_SCHEMA:
+        raise InvalidDocument(f"expected schema {TRACE_SCHEMA!r}")
+    verdicts = read_field(trace, "verdicts", dict, "trace", {})
+    steps = read_field(trace, "steps", list, "trace", [])
     lines = [
         f"engine {trace.get('engine')}  policy {trace.get('policy')}  "
         f"cap {trace.get('cap')}",
-        f"target-side steps: {len(trace.get('steps', []))}",
+        f"target-side steps: {len(steps)}",
     ]
-    for step in trace.get("steps", []):
-        lines.append(f"  step {step['id']}  exceptional {step['exceptional_label']}")
-        for chart_id, chart_doc in sorted(step.get("charts", {}).items()):
-            blowups = len(chart_doc.get("principalization", {}).get("steps", []))
-            lifts = chart_doc.get("lifts", [])
+    for step in steps:
+        step_id = read_name(read_object(step, "each 'steps' entry"), "id", "trace step")
+        lines.append(f"  step {step_id}  exceptional {step.get('exceptional_label')}")
+        for chart_id, chart_doc in sorted(
+                read_field(step, "charts", dict, f"step {step_id}", {}).items()):
+            where = f"step {step_id} chart {chart_id}"
+            chart_doc = read_object(chart_doc, where)
+            principalization = read_field(chart_doc, "principalization", dict, where, {})
+            blowups = read_field(principalization, "steps", list,
+                                 f"{where} principalization", [])
+            adapted = read_field(chart_doc, "adapted", list, where, [])
+            lifts = read_field(chart_doc, "lifts", list, where, [])
             lines.append(
-                f"    chart {chart_id}: {len(chart_doc.get('adapted', []))} strata "
-                f"adapted, {blowups} blowups, {len(lifts)} lifts")
+                f"    chart {chart_id}: {len(adapted)} strata "
+                f"adapted, {len(blowups)} blowups, {len(lifts)} lifts")
             for lift in lifts:
-                rec = lift["record"]
+                lift = read_object(lift, f"{where}: each 'lifts' entry")
+                rec = read_field(lift, "record", dict, f"{where} lift", None)
+                target = read_field(rec, "target", dict, f"{where} lift record", None)
                 lines.append(
-                    f"      {lift['stratum']} -> {lift['lifted_id']} "
-                    f"[{rec['case']}] ell1={rec['target']['ell1']} "
-                    f"commutes={lift['commutes']}")
-    final = trace.get("final_atlas", {})
-    count = sum(len(c.get("strata", [])) for c in final.get("charts", []))
+                    f"      {lift.get('stratum')} -> {lift.get('lifted_id')} "
+                    f"[{rec.get('case')}] ell1={target.get('ell1')} "
+                    f"commutes={lift.get('commutes')}")
+    final = read_field(trace, "final_atlas", dict, "trace", {})
+    count = sum(
+        len(read_field(read_object(c, "each 'final_atlas' chart"), "strata", list,
+                       "final_atlas chart", []))
+        for c in read_field(final, "charts", list, "final_atlas", []))
     lines.append(f"final strata: {count}")
     for key in ("resolution_script", "all_strata_toroidal", "global_toroidal",
                 "commutes", "cap_exceeded", "pass"):
         lines.append(f"{key}: {verdicts.get(key)}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _emit("\n".join(lines), args.out)
     return PASS if verdicts.get("pass") else FAIL
 
 
@@ -292,8 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidDocument, ToroidalizeError, ValueError,
-            InternalCheckError) as exc:
+    except (ValueError, InternalCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, RegimeLimit):
             return REGIME

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .blowup import BlowupCenterChart, BlowupChartChoice
-from .chart import CenterDescriptor, ChartForm
+from .chart import TOROIDAL, CenterDescriptor, ChartForm
 from .lift import LiftRecord, TargetPoint
 from .principalize import PrincipalizationTrace
 from .units import Stratum, UnitFactor, UnitToken, UnitValue
@@ -19,6 +19,73 @@ from .units import Stratum, UnitFactor, UnitToken, UnitValue
 
 class InvalidDocument(ValueError):
     pass
+
+
+# Field readers: the one way an input document is read.  `where` names the
+# document or entry being read, so every error names the bad field.
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def read_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidDocument(f"{where} must be an object")
+    return value
+
+
+def read_name(doc: dict, key: str, where: str) -> str:
+    value = doc.get(key)
+    if not isinstance(value, str) or not value:
+        raise InvalidDocument(f"{where}: field {key!r} must be a nonempty string")
+    return value
+
+
+def read_field(doc: dict, key: str, kind, where: str, default):
+    """doc[key], or `default` when it is absent; a list or an object."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise InvalidDocument(f"{where}: field {key!r} must be {noun}")
+    return value
+
+
+def read_integer(doc: dict, key: str, where: str, default=None) -> int:
+    """A JSON integer, never a bool, a float or a numeric string."""
+    value = doc.get(key, default)
+    if not _is_integer(value):
+        raise InvalidDocument(f"{where}: field {key!r} must be an integer")
+    return value
+
+
+def read_strings(doc: dict, key: str, where: str, default=()) -> tuple[str, ...]:
+    value = read_field(doc, key, (list, tuple), where, default)
+    if not all(isinstance(x, str) for x in value):
+        raise InvalidDocument(f"{where}: field {key!r} must list strings")
+    return tuple(value)
+
+
+def read_integers(doc: dict, key: str, where: str, default=()) -> tuple[int, ...]:
+    value = read_field(doc, key, (list, tuple), where, default)
+    if not all(map(_is_integer, value)):
+        raise InvalidDocument(f"{where}: field {key!r} must list integers")
+    return tuple(value)
+
+
+def read_matrix(doc: dict, key: str, where: str, default=()) -> tuple[tuple[int, ...], ...]:
+    value = read_field(doc, key, (list, tuple), where, default)
+    if not all(isinstance(row, list) and all(map(_is_integer, row)) for row in value):
+        raise InvalidDocument(f"{where}: field {key!r} must list lists of integers")
+    return tuple(map(tuple, value))
+
+
+def _pairs(doc: dict, key: str, where: str, first, noun: str) -> list:
+    """doc[key] as a list of two-entry lists whose first entry passes `first`."""
+    value = read_field(doc, key, list, where, [])
+    if not all(isinstance(p, list) and len(p) == 2 and first(p[0]) for p in value):
+        raise InvalidDocument(f"{where}: field {key!r} must list {noun} pairs")
+    return value
 
 
 def canonical_dumps(doc) -> str:
@@ -29,11 +96,14 @@ def fraction_to_doc(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def fraction_from_doc(s) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InvalidDocument(f"bad rational {s!r}") from exc
+def fraction_from_doc(s, where: str) -> Fraction:
+    """An integer or a "num/den" string, exactly."""
+    if _is_integer(s) or isinstance(s, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidDocument(f"{where} must be a rational, found {s!r}")
 
 
 def unit_value_to_doc(v: UnitValue):
@@ -43,14 +113,15 @@ def unit_value_to_doc(v: UnitValue):
     return doc
 
 
-def unit_value_from_doc(doc) -> UnitValue:
-    if not isinstance(doc, dict) or "coeff" not in doc:
-        raise InvalidDocument(f"bad unit value {doc!r}")
+def unit_value_from_doc(doc, where: str) -> UnitValue:
+    doc = read_object(doc, where)
     # Multiplying symbol by symbol sorts and merges them, so a document
     # cannot smuggle in a value whose symbols are not canonical.
-    value = UnitValue(fraction_from_doc(doc["coeff"]))
-    for name, e in doc.get("symbols", []):
-        value = value * UnitValue.symbol(name, fraction_from_doc(e))
+    value = UnitValue(fraction_from_doc(doc.get("coeff"), f"{where}: field 'coeff'"))
+    for name, e in _pairs(doc, "symbols", where, lambda x: isinstance(x, str),
+                          "[name, exponent]"):
+        value = value * UnitValue.symbol(
+            name, fraction_from_doc(e, f"{where}: exponent of symbol {name!r}"))
     return value
 
 
@@ -65,14 +136,22 @@ def unit_token_to_doc(u: UnitToken):
     return doc
 
 
-def unit_token_from_doc(doc) -> UnitToken:
+def unit_token_from_doc(doc, where: str) -> UnitToken:
     if doc is None:
         return UnitToken()
-    base = unit_value_from_doc(doc["base"]) if "base" in doc else UnitValue()
-    factors = tuple(
-        UnitFactor(int(f["var"]), unit_value_from_doc(f["shift"]), int(f["exp"]))
-        for f in doc.get("factors", []))
-    return UnitToken(base, factors)
+    doc = read_object(doc, where)
+    base = UnitValue()
+    if "base" in doc:
+        base = unit_value_from_doc(doc["base"], f"{where} base")
+    factors = []
+    for i, f in enumerate(read_field(doc, "factors", list, where, [])):
+        f_where = f"{where} factor {i}"
+        f = read_object(f, f_where)
+        factors.append(UnitFactor(
+            read_integer(f, "var", f_where),
+            unit_value_from_doc(f.get("shift"), f"{f_where} shift"),
+            read_integer(f, "exp", f_where)))
+    return UnitToken(base, tuple(factors))
 
 
 def stratum_to_doc(s: Stratum | None):
@@ -85,17 +164,18 @@ def stratum_to_doc(s: Stratum | None):
     return {"kind": "value", "value": fraction_to_doc(s.value)}
 
 
-def stratum_from_doc(doc) -> Stratum | None:
+def stratum_from_doc(doc, where: str) -> Stratum | None:
     if doc is None:
         return None
-    kind = doc.get("kind")
+    kind = read_object(doc, where).get("kind")
     if kind == "zero":
         return Stratum.zero()
     if kind == "generic":
-        return Stratum.generic(doc["symbol"])
+        return Stratum.generic(read_name(doc, "symbol", where))
     if kind == "value":
-        return Stratum.of_value(fraction_from_doc(doc["value"]))
-    raise InvalidDocument(f"bad stratum {doc!r}")
+        return Stratum.of_value(fraction_from_doc(doc.get("value"),
+                                                  f"{where}: field 'value'"))
+    raise InvalidDocument(f"{where}: field 'kind' must be 'zero', 'generic' or 'value'")
 
 
 def chart_to_doc(cf: ChartForm):
@@ -112,35 +192,30 @@ def chart_to_doc(cf: ChartForm):
     return doc
 
 
-def chart_from_doc(doc) -> ChartForm:
-    try:
-        matrix = tuple(tuple(int(x) for x in row) for row in doc.get("matrix", []))
-        units_doc = doc.get("units")
-        if units_doc is None:
-            units = (UnitToken(),) * len(matrix)
-        else:
-            units = tuple(unit_token_from_doc(u) for u in units_doc)
-        betas = tuple(stratum_from_doc(b) for b in doc.get("betas", []))
-        return ChartForm(
-            d=int(doc["d"]), m=int(doc["m"]), n=int(doc["n"]),
-            ell=int(doc["ell"]), s=int(doc.get("s", 0)),
-            tag=doc.get("tag", "toroidal"), matrix=matrix, units=units,
-            betas=betas, ell_bar=int(doc.get("ell_bar", 0)))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"bad chart document: {exc}") from exc
+def chart_from_doc(doc: dict, where: str) -> ChartForm:
+    matrix = read_matrix(doc, "matrix", where)
+    units_doc = read_field(doc, "units", list, where, [None] * len(matrix))
+    return ChartForm(
+        d=read_integer(doc, "d", where), m=read_integer(doc, "m", where),
+        n=read_integer(doc, "n", where), ell=read_integer(doc, "ell", where),
+        s=read_integer(doc, "s", where, default=0),
+        tag=read_name(doc, "tag", where) if "tag" in doc else TOROIDAL,
+        matrix=matrix,
+        units=tuple(unit_token_from_doc(u, f"{where} unit {i}")
+                    for i, u in enumerate(units_doc)),
+        betas=tuple(stratum_from_doc(b, f"{where} beta {i}")
+                    for i, b in enumerate(read_field(doc, "betas", list, where, []))),
+        ell_bar=read_integer(doc, "ell_bar", where, default=0))
 
 
 def descriptor_to_doc(z: CenterDescriptor):
     return {"ell_bar": z.ell_bar, "c": z.c, "divisor_rows": list(z.divisor_rows)}
 
 
-def descriptor_from_doc(doc) -> CenterDescriptor:
-    try:
-        return CenterDescriptor(
-            ell_bar=int(doc["ell_bar"]), c=int(doc["c"]),
-            divisor_rows=tuple(int(i) for i in doc.get("divisor_rows", [])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"bad descriptor document: {exc}") from exc
+def descriptor_from_doc(doc: dict, where: str) -> CenterDescriptor:
+    return CenterDescriptor(
+        ell_bar=read_integer(doc, "ell_bar", where), c=read_integer(doc, "c", where),
+        divisor_rows=read_integers(doc, "divisor_rows", where))
 
 
 def center_to_doc(center: BlowupCenterChart):
@@ -148,13 +223,10 @@ def center_to_doc(center: BlowupCenterChart):
             "slot_count": center.slot_count}
 
 
-def center_from_doc(doc) -> BlowupCenterChart:
-    try:
-        return BlowupCenterChart(
-            tuple(int(j) for j in doc.get("divisor_indices", [])),
-            int(doc.get("slot_count", 0)))
-    except (TypeError, ValueError) as exc:
-        raise InvalidDocument(f"bad center document: {exc}") from exc
+def center_from_doc(doc: dict, where: str) -> BlowupCenterChart:
+    return BlowupCenterChart(
+        read_integers(doc, "divisor_indices", where),
+        read_integer(doc, "slot_count", where, default=0))
 
 
 def choice_to_doc(choice: BlowupChartChoice):
@@ -162,14 +234,12 @@ def choice_to_doc(choice: BlowupChartChoice):
             "betas": [[v, stratum_to_doc(b)] for v, b in choice.betas]}
 
 
-def choice_from_doc(doc) -> BlowupChartChoice:
-    try:
-        return BlowupChartChoice(
-            j0=int(doc["j0"]),
-            betas=tuple((int(v), stratum_from_doc(b))
-                        for v, b in doc.get("betas", [])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"bad chart choice document: {exc}") from exc
+def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
+    return BlowupChartChoice(
+        j0=read_integer(doc, "j0", where),
+        betas=tuple((v, stratum_from_doc(b, f"{where} beta {v}"))
+                    for v, b in _pairs(doc, "betas", where, _is_integer,
+                                       "[variable, stratum]")))
 
 
 def target_to_doc(t: TargetPoint):

@@ -158,25 +158,12 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[MonomialIdeal, ...]
         stack.append(minimal_generators(list(current.gens) + [pure], current.ambient_dim))
         stack.append(minimal_generators(list(current.gens) + [rest], current.ambient_dim))
 
-    # Dedupe, then drop components containing the intersection of the others.
-    unique: list[MonomialIdeal] = []
-    for comp in sorted(components, key=lambda c: c.gens):
-        if comp not in unique:
-            unique.append(comp)
-    changed = True
-    while changed:
-        changed = False
-        for k, comp in enumerate(unique):
-            others = unique[:k] + unique[k + 1:]
-            if not others:
-                continue
-            inter = others[0]
-            for o in others[1:]:
-                inter = intersect(inter, o)
-            if all(contains_monomial(comp, g) for g in inter.gens):
-                unique.pop(k)
-                changed = True
-                break
+    # Dedupe, then drop every component that contains another one.  For an
+    # irreducible P, an intersection of the B_i lies in P only if some B_i
+    # does, so this pairwise test leaves exactly the irredundant components.
+    unique = sorted(set(components), key=lambda c: c.gens)
+    unique = [p for p in unique if not any(
+        b != p and all(contains_monomial(p, g) for g in b.gens) for b in unique)]
 
     check = unique[0]
     for comp in unique[1:]:

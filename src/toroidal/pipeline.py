@@ -33,6 +33,11 @@ from .documents import (
     descriptor_to_doc,
     lift_record_to_doc,
     principalization_to_doc,
+    read_field,
+    read_integer,
+    read_name,
+    read_object,
+    read_strings,
 )
 from .errors import InternalCheckError
 from .lift import lift_after_principalization, verify_commutes
@@ -106,104 +111,72 @@ class ResolutionScript:
 # Parsing and validation
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise InvalidDocument(f"{where} must be an object")
-    return value
-
-
-def _name(doc: dict, key: str, where: str) -> str:
-    value = doc.get(key)
-    if not isinstance(value, str) or not value:
-        raise InvalidDocument(f"{where}: field {key!r} must be a nonempty string")
-    return value
-
-
-def _field(doc: dict, key: str, kind, where: str, default):
-    """doc[key], or `default` when it is absent; a list or an object."""
-    value = doc.get(key, default)
-    if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a list"
-        raise InvalidDocument(f"{where}: field {key!r} must be {noun}")
-    return value
-
-
-def _strings(doc: dict, key: str, where: str, default=()) -> tuple[str, ...]:
-    value = _field(doc, key, (list, tuple), where, default)
-    if not all(isinstance(x, str) for x in value):
-        raise InvalidDocument(f"{where}: field {key!r} must list strings")
-    return tuple(value)
-
-
-def _integer(doc: dict, key: str, where: str, default=None) -> int:
-    try:
-        return int(doc[key] if default is None else doc.get(key, default))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDocument(f"{where}: field {key!r} must be an integer") from exc
-
-
 def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
     """Read an atlas document; a missing or mistyped field raises
     `InvalidDocument` naming the field and where it sits."""
     if not isinstance(doc, dict) or doc.get("schema") != ATLAS_SCHEMA:
         raise InvalidDocument(f"expected schema {ATLAS_SCHEMA!r}")
-    dims = _field(doc, "dims", dict, "document", {})
-    d, m = _integer(dims, "d", "dims"), _integer(dims, "m", "dims")
+    dims = read_field(doc, "dims", dict, "document", {})
+    d, m = read_integer(dims, "d", "dims"), read_integer(dims, "m", "dims")
 
     labels: dict[str, LabelInfo] = {}
-    for entry in _field(doc, "labels", list, "document", []):
-        entry = _object(entry, "each 'labels' entry")
-        name = _name(entry, "name", "label entry")
+    for entry in read_field(doc, "labels", list, "document", []):
+        entry = read_object(entry, "each 'labels' entry")
+        name = read_name(entry, "name", "label entry")
         if name in labels:
             raise InvalidDocument(f"duplicate label {name!r}")
         where = f"label {name}"
-        charts = _strings(entry, "charts", where)
+        charts = read_strings(entry, "charts", where)
         under_e0 = entry.get("under_e0", True)
         if not isinstance(under_e0, bool):
             raise InvalidDocument(f"{where}: field 'under_e0' must be true or false")
         labels[name] = LabelInfo(name=name, charts=charts,
-                                 e_charts=_strings(entry, "e_charts", where, charts),
+                                 e_charts=read_strings(entry, "e_charts", where, charts),
                                  under_e0=under_e0)
 
     chart_order: list[str] = []
     strata: dict[str, list[TrackedStratum]] = {}
-    for chart_entry in _field(doc, "charts", list, "document", []):
-        chart_id = _name(_object(chart_entry, "each 'charts' entry"), "id", "chart entry")
+    for chart_entry in read_field(doc, "charts", list, "document", []):
+        chart_entry = read_object(chart_entry, "each 'charts' entry")
+        chart_id = read_name(chart_entry, "id", "chart entry")
         if chart_id in strata:
             raise InvalidDocument(f"duplicate chart id {chart_id!r}")
         chart_order.append(chart_id)
         strata[chart_id] = []
-        for stratum_doc in _field(chart_entry, "strata", list, f"chart {chart_id}", []):
-            stratum_doc = _object(stratum_doc, f"chart {chart_id}: each 'strata' entry")
-            sid = _name(stratum_doc, "id", f"stratum in chart {chart_id}")
+        for stratum_doc in read_field(chart_entry, "strata", list, f"chart {chart_id}", []):
+            stratum_doc = read_object(stratum_doc, f"chart {chart_id}: each 'strata' entry")
+            sid = read_name(stratum_doc, "id", f"stratum in chart {chart_id}")
             if any(s.stratum_id == f"{chart_id}/{sid}" for s in strata[chart_id]):
                 raise InvalidDocument(f"duplicate stratum id {sid!r} in {chart_id}")
             where = f"stratum {chart_id}/{sid}"
-            extra = _integer(stratum_doc, "extra_global_labels", where, default=0)
+            extra = read_integer(stratum_doc, "extra_global_labels", where, default=0)
             if extra < 0:
                 raise InvalidDocument(
                     f"{where}: field 'extra_global_labels' must be >= 0")
             strata[chart_id].append(TrackedStratum(
                 stratum_id=f"{chart_id}/{sid}",
-                chart=chart_from_doc(_field(stratum_doc, "chart", dict, where, {})),
-                row_labels=_strings(stratum_doc, "row_labels", where),
+                chart=chart_from_doc(read_field(stratum_doc, "chart", dict, where, {}),
+                                     f"{where} chart"),
+                row_labels=read_strings(stratum_doc, "row_labels", where),
                 extra_global_labels=extra))
 
     steps = []
-    for step_doc in _field(doc, "script", list, "document", []):
-        step_id = _name(_object(step_doc, "each 'script' entry"), "id", "script step")
+    for step_doc in read_field(doc, "script", list, "document", []):
+        step_doc = read_object(step_doc, "each 'script' entry")
+        step_id = read_name(step_doc, "id", "script step")
         where = f"step {step_id}"
         views = []
         for chart_id, view_doc in sorted(
-                _field(step_doc, "views", dict, where, {}).items()):
+                read_field(step_doc, "views", dict, where, {}).items()):
             view_where = f"{where} view {chart_id}"
-            view_doc = _object(view_doc, f"{where}: each 'views' entry")
+            view_doc = read_object(view_doc, f"{where}: each 'views' entry")
             views.append((chart_id, CenterView(
-                c=_integer(view_doc, "c", view_where),
-                contained=_strings(view_doc, "contained", view_where),
+                c=read_integer(view_doc, "c", view_where),
+                contained=read_strings(view_doc, "contained", view_where),
                 strata=None if view_doc.get("strata") is None
-                else _strings(view_doc, "strata", view_where))))
-        incidence = tuple(sorted(_field(step_doc, "incidence", dict, where, {}).items()))
+                else read_strings(view_doc, "strata", view_where))))
+        incidence = tuple(sorted(
+            read_field(step_doc, "incidence", dict, where, {}).items()))
         steps.append(ScriptStep(step_id=step_id, views=tuple(views),
                                 incidence=incidence))
     return (MorphismAtlas(d=d, m=m, chart_order=chart_order, strata=strata,
@@ -418,7 +391,6 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
         adapted_docs = []
         labels_of: dict[str, tuple[str, ...]] = {}
         extra_of: dict[str, int] = {}
-        descriptors: dict[str, CenterDescriptor] = {}
         for stratum in above:
             z = _descriptor_for(stratum, view)
             adapted, row_order = derive_center_form(stratum.chart, z)
@@ -426,7 +398,6 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
             family.append((stratum.stratum_id, adapted, z))
             labels_of[stratum.stratum_id] = permuted_labels
             extra_of[stratum.stratum_id] = stratum.extra_global_labels
-            descriptors[stratum.stratum_id] = z
             adapted_docs.append({
                 "stratum": stratum.stratum_id,
                 "descriptor": descriptor_to_doc(z),
@@ -607,7 +578,8 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
         raise ReplayMismatch(
             f"trace produced by engine {trace_doc.get('engine')!r}, "
             f"this is {__version__}")
-    fresh = toroidalize(atlas, script, cap=int(trace_doc.get("cap", 50)))
+    cap = read_integer(trace_doc, "cap", "trace", default=50)
+    fresh = toroidalize(atlas, script, cap=cap)
     if canonical_dumps(trace_doc) == canonical_dumps(fresh):
         return fresh
     # Only a mismatch pays for locating the first differing step.

@@ -16,7 +16,9 @@ single helper in `toroidal.lift` must agree with it.  The reference
 maximum-order locus scans every subset of the generator support, and the
 reference locus components come from the irreducible decomposition of
 the radical; the one transversal search in `toroidal.monomial` must
-agree with both.
+agree with both.  The reference irreducible decomposition drops a
+redundant component by intersecting all the others; the library's
+pairwise containment test must leave the same components.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ from toroidal.blowup import BlowupResult, enumerate_blowup_strata
 from toroidal.chart import QTF1, QTF2, ChartForm, column_minima, pullback_center_ideal
 from toroidal.errors import InternalCheckError
 from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE
-from toroidal.monomial import irreducible_decomposition, order_at_origin, radical
+from toroidal.monomial import (
+    _is_pure_power,
+    contains_monomial,
+    intersect,
+    irreducible_decomposition,
+    minimal_generators,
+    order_at_origin,
+    radical,
+)
 from toroidal.principalize import (
     EXCEEDED,
     PRINCIPAL,
@@ -117,6 +127,43 @@ def reference_max_order_components(ideal) -> tuple[tuple[int, ...], ...]:
                 maximizers.append(subset)
     return tuple(sorted(s for s in maximizers
                         if not any(set(t) < set(s) for t in maximizers)))
+
+
+def reference_irreducible_decomposition(ideal) -> tuple:
+    """Split on non-pure-power generators, then repeatedly drop the first
+    component that contains the intersection of all the others."""
+    components = []
+    stack = [ideal]
+    while stack:
+        current = stack.pop()
+        split_gen = next((g for g in current.gens if not _is_pure_power(g)), None)
+        if split_gen is None:
+            components.append(current)
+            continue
+        j = next(i for i, x in enumerate(split_gen) if x)
+        pure = tuple(split_gen[j] if i == j else 0 for i in range(len(split_gen)))
+        rest = tuple(0 if i == j else x for i, x in enumerate(split_gen))
+        stack.append(minimal_generators(list(current.gens) + [pure], current.ambient_dim))
+        stack.append(minimal_generators(list(current.gens) + [rest], current.ambient_dim))
+    unique = []
+    for comp in sorted(components, key=lambda c: c.gens):
+        if comp not in unique:
+            unique.append(comp)
+    changed = True
+    while changed:
+        changed = False
+        for k, comp in enumerate(unique):
+            others = unique[:k] + unique[k + 1:]
+            if not others:
+                continue
+            inter = others[0]
+            for o in others[1:]:
+                inter = intersect(inter, o)
+            if all(contains_monomial(comp, g) for g in inter.gens):
+                unique.pop(k)
+                changed = True
+                break
+    return tuple(unique)
 
 
 def reference_radical_components(ideal) -> tuple[tuple[int, ...], ...]:

@@ -1,0 +1,230 @@
+"""Seeded mutation fuzzer for the command line input boundary.
+
+Every document a subcommand reads (atlas, `ideal`, `principalize`,
+`blowup`, `normalize-toric` and trace documents) is mutated by dropping
+a field, changing a value's JSON type, turning an object into a list or
+inserting a float, and run through `main()`.  The run must end in a known
+exit status with at most one `error:` line and never a traceback.  The
+mutations change types and structure, not magnitudes, so every document
+the engine accepts finishes quickly under `--cap 3`.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import random
+import traceback
+from dataclasses import replace
+
+import pytest
+
+from toroidal.blowup import BlowupCenterChart, enumerate_blowup_strata
+from toroidal.chart import CenterDescriptor, ChartForm, derive_center_form
+from toroidal.cli import main
+from toroidal.documents import (
+    canonical_dumps,
+    center_to_doc,
+    chart_to_doc,
+    choice_to_doc,
+    descriptor_to_doc,
+)
+from toroidal.pipeline import parse_document, toroidalize
+from toroidal.units import UnitToken, UnitValue
+
+from test_pipeline import TWO_BLOWUP_FAMILY, identity_doc, two_chart_doc
+
+KNOWN_EXITS = {0, 1, 2, 3, 4}
+SEED = 20240611
+CASES_PER_DOCUMENT = 40
+
+
+def _unit_atlas():
+    """`two_chart_doc` with a base constant and a shift factor on chart A."""
+    doc = two_chart_doc()
+    doc["charts"][0]["strata"][0]["chart"]["units"] = [
+        {"base": {"coeff": "3/2", "symbols": [["g", "1/2"]]},
+         "factors": [{"var": 2, "shift": {"coeff": "-1"}, "exp": 2}]},
+        {}]
+    return doc
+
+
+def _slot_chart():
+    """A smooth 3 -> 2 chart adapted to a codimension-2 center: a qtf1
+    chart with two zero slot rows."""
+    smooth = ChartForm(d=3, m=2, n=0, ell=0, s=0, tag="smooth")
+    z = CenterDescriptor(ell_bar=0, c=2)
+    return derive_center_form(smooth, z)[0], z
+
+
+def _blowup_doc():
+    chart, _ = _slot_chart()
+    center = BlowupCenterChart((), 2)
+    choice, _ = enumerate_blowup_strata(chart, center, "t")[0]
+    return {"chart": chart_to_doc(chart), "center": center_to_doc(center),
+            "choice": choice_to_doc(choice)}
+
+
+def _principalize_doc():
+    chart, z = _slot_chart()
+    chart = replace(chart, units=(UnitToken(UnitValue.symbol("u", 2)),) * chart.rows)
+    doc = copy.deepcopy(TWO_BLOWUP_FAMILY)
+    doc["strata"].append({"id": "y0", "chart": chart_to_doc(chart),
+                          "descriptor": descriptor_to_doc(z)})
+    return doc
+
+
+def _trace_doc(atlas_doc):
+    atlas, script = parse_document(atlas_doc)
+    return json.loads(canonical_dumps(toroidalize(atlas, script, cap=3)))
+
+
+# command -> base documents; a trace document is fuzzed under both
+# `report` and `verify-trace` against the atlas it came from.
+BASES = {
+    "toroidalize": [identity_doc(), two_chart_doc(), _unit_atlas()],
+    "check-atlas": [two_chart_doc()],
+    "ideal": [
+        {"op": "factor", "generators": [[2, 1], [1, 3]]},
+        {"op": "colon", "generators": [[2, 1], [0, 3]], "arg": [1, 1]},
+        {"op": "decompose", "generators": [[2, 0], [1, 1]], "dim": 2},
+        {"op": "max-order-components", "generators": [[2, 1, 0], [0, 1, 3]]},
+    ],
+    "normalize-toric": [{"source": [3, 2], "target": [2, 2],
+                         "matrix": [[1, 1, 1], [2, 2, 1]]}],
+    "blowup": [_blowup_doc()],
+    "principalize": [_principalize_doc()],
+    "report": [_trace_doc(identity_doc()), _trace_doc(_unit_atlas())],
+}
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in the document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _other_type(value, rng):
+    pool = [None, True, 1, 1.5, "x", [], {}, [1], {"x": 1}]
+    return rng.choice([v for v in pool if type(v) is not type(value)])
+
+
+def mutate(doc, rng):
+    """One random mutation of a deep copy; returns (description, document)."""
+    doc = copy.deepcopy(doc)
+    nodes = list(_nodes(doc))
+    kind = rng.choice(["drop", "retype", "listify", "float"])
+    if kind == "drop":
+        owners = [(p, v) for p, v in nodes if isinstance(v, dict) and v]
+        path, owner = rng.choice(owners)
+        key = rng.choice(sorted(owner))
+        del owner[key]
+        return f"drop {path + (key,)}", doc
+    if kind == "listify":
+        path, value = rng.choice([(p, v) for p, v in nodes if isinstance(v, dict)])
+        return f"listify {path}", _replace(doc, path, list(value.values()))
+    if kind == "float":
+        ints = [(p, v) for p, v in nodes if type(v) is int] or nodes
+        path, value = rng.choice(ints)
+        new = value + 0.5 if type(value) is int else 0.5
+        return f"float {path}", _replace(doc, path, new)
+    path, value = rng.choice(nodes)
+    return f"retype {path}", _replace(doc, path, _other_type(value, rng))
+
+
+def run_main(argv):
+    """(exit status, stderr); an escaped exception becomes a failure
+    message carrying its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except Exception:
+            pytest.fail(f"{argv}: traceback\n{traceback.format_exc()}")
+    return status, err.getvalue()
+
+
+def check_run(argv, label):
+    status, err = run_main(argv)
+    assert status in KNOWN_EXITS, f"{label}: exit {status}: {err}"
+    assert "Traceback" not in err, f"{label}: {err}"
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) <= 1, f"{label}: {err}"
+    return status, err
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_mutated_documents_exit_cleanly(command, tmp_path):
+    rng = random.Random(f"{SEED}:{command}")
+    for b, base in enumerate(BASES[command]):
+        for _ in range(CASES_PER_DOCUMENT):
+            what, doc = mutate(base, rng)
+            label = f"{command} base {b}: {what}"
+            path = _write(tmp_path, "doc.json", doc)
+            if command == "report":
+                check_run(["report", path], label)
+                atlas = _write(tmp_path, "atlas.json",
+                               identity_doc() if b == 0 else _unit_atlas())
+                check_run(["--cap", "3", "verify-trace", atlas, path], label)
+            else:
+                check_run(["--cap", "3", command, path], label)
+
+
+def _without(doc, *path):
+    doc = copy.deepcopy(doc)
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    return doc
+
+
+def _step_without_id():
+    trace = _trace_doc(identity_doc())
+    del trace["steps"][0]["id"]
+    return trace
+
+
+# Documents that used to end in a traceback: (command, document, text the
+# error line must contain).
+PINNED = {
+    "ideal list document": ("ideal", [], "must be an object"),
+    "ideal colon without arg": (
+        "ideal", {"op": "colon", "generators": [[1, 1]]}, "'arg'"),
+    "ideal generators a number": (
+        "ideal", {"op": "minimal", "generators": 5}, "'generators'"),
+    "principalize entry without id": (
+        "principalize", _without(TWO_BLOWUP_FAMILY, "strata", 0, "id"), "'id'"),
+    "principalize list document": ("principalize", [], "must be an object"),
+    "blowup list document": ("blowup", [], "must be an object"),
+    "blowup center a number": (
+        "blowup", {**_blowup_doc(), "center": 5}, "'center'"),
+    "report list document": ("report", [], "expected schema"),
+    "report step without id": ("report", _step_without_id(), "'id'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_documents_exit_invalid(name, tmp_path):
+    command, doc, text = PINNED[name]
+    status, err = check_run([command, _write(tmp_path, "doc.json", doc)], name)
+    assert status == 2 and err.startswith("error:") and text in err, err

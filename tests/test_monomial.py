@@ -24,6 +24,7 @@ from oracles import (
     oracle_is_gcd,
     oracle_order,
     oracle_radical_mask,
+    reference_irreducible_decomposition,
     reference_max_order_components,
     reference_radical_components,
 )
@@ -172,6 +173,16 @@ class TestDecomposition:
                 for c in others[1:]:
                     rest = intersect(rest, c)
                 assert rest != i
+
+    def test_matches_reference_decomposition(self):
+        # Radicals up to d = 8; general ideals stay at d <= 4, where the
+        # reference's intersections of all other components stay cheap.
+        rng = random.Random(7007)
+        for _ in range(300):
+            i = radical(random_ideal(rng, rng.randint(1, 8), max_exp=rng.randint(1, 4)))
+            assert irreducible_decomposition(i) == reference_irreducible_decomposition(i)
+            i = random_ideal(rng, rng.randint(1, 4), max_exp=3, max_gens=4)
+            assert irreducible_decomposition(i) == reference_irreducible_decomposition(i)
 
 
 class TestRadical:

@@ -403,7 +403,7 @@ class TestDocumentRoundtrip:
             units=(unit, UnitToken()),
             betas=(Stratum.of_value(Fraction(-7, 3)),),
             ell_bar=1)
-        assert chart_from_doc(chart_to_doc(cf)) == cf
+        assert chart_from_doc(chart_to_doc(cf), "chart") == cf
 
     def test_generic_stratum_roundtrip(self):
         from toroidal.documents import stratum_from_doc, stratum_to_doc
@@ -411,7 +411,7 @@ class TestDocumentRoundtrip:
 
         for s in (Stratum.zero(), Stratum.generic("q.1.2"),
                   Stratum.of_value(5), None):
-            assert stratum_from_doc(stratum_to_doc(s)) == s
+            assert stratum_from_doc(stratum_to_doc(s), "stratum") == s
 
 
 class TestMultiStepScript:
@@ -472,6 +472,10 @@ def _stratum(doc):
     return doc["charts"][0]["strata"][0]
 
 
+def _row(doc):
+    return _stratum(doc)["chart"]["matrix"][0]
+
+
 # name -> (field the error must name, mutation of identity_doc()).
 BOUNDARY_MUTATIONS = {
     "view without c": ("'c'", lambda doc: _view(doc).pop("c")),
@@ -489,6 +493,13 @@ BOUNDARY_MUTATIONS = {
     "under_e0 a string": ("'under_e0'",
                           lambda doc: doc["labels"][0].update(under_e0="no")),
     "c above m": ("'c'", lambda doc: _view(doc).update(c=9)),
+    # An integer field takes a JSON integer only, never a truncated float,
+    # a bool or a numeric string.
+    "matrix entry a float": ("'matrix'", lambda doc: _row(doc).__setitem__(0, 1.7)),
+    "matrix entry a bool": ("'matrix'", lambda doc: _row(doc).__setitem__(0, True)),
+    "c a float": ("'c'", lambda doc: _view(doc).update(c=2.9)),
+    "c a string": ("'c'", lambda doc: _view(doc).update(c="2")),
+    "d a float": ("'d'", lambda doc: doc["dims"].update(d=2.5)),
 }
 
 

@@ -65,7 +65,7 @@ class TestCanonicalParse:
     def test_document_symbols_come_out_canonical(self):
         doc = {"coeff": "2/3", "symbols": [["b", "1"], ["a", "1/2"], ["b", "-1"],
                                            ["c", "0"], ["a", "1"]]}
-        value = unit_value_from_doc(doc)
+        value = unit_value_from_doc(doc, "unit value")
         assert value.symbols == (("a", Fraction(3, 2)),)
         assert value == UnitValue.of(Fraction(2, 3)) * UnitValue.symbol("a", "3/2")
-        assert unit_value_from_doc(unit_value_to_doc(value)) == value
+        assert unit_value_from_doc(unit_value_to_doc(value), "unit value") == value
