@@ -31,5 +31,5 @@ for final in trace.final:
     record = result.record
     commuted = verify_commutes(final.chart, final.descriptor, result).ok
     print(f"  {final.stratum_id:<16} {record.case}: "
-          f"ell1 = {record.target.ell1}, lifted matrix {result.lifted.matrix}, "
+          f"ell1 = {result.lifted.ell}, lifted matrix {result.lifted.matrix}, "
           f"commutes = {commuted}")

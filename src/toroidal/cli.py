@@ -26,12 +26,14 @@ from .documents import (
     descriptor_from_doc,
     fraction_to_doc,
     principalization_to_doc,
+    read_bool,
     read_field,
     read_integer,
     read_integers,
     read_matrix,
     read_name,
     read_object,
+    read_schema,
     unit_value_to_doc,
 )
 from .errors import InternalCheckError, RegimeLimit
@@ -103,8 +105,10 @@ def cmd_ideal(args) -> int:
     where = "ideal document"
     doc = read_object(_read_json(args.file), where)
     op = read_name(doc, "op", where)
-    dim = read_integer(doc, "dim", where) if "dim" in doc else None
-    ideal = minimal_generators(read_matrix(doc, "generators", where), dim)
+    generators = read_matrix(doc, "generators", where)
+    # An empty generator set has no exponent length to take the dimension from.
+    dim = read_integer(doc, "dim", where) if "dim" in doc or not generators else None
+    ideal = minimal_generators(generators, dim)
     if op == "minimal":
         out = {"generators": [list(g) for g in ideal.gens]}
     elif op == "gcd":
@@ -218,19 +222,19 @@ def cmd_verify_trace(args) -> int:
 
 
 def cmd_report(args) -> int:
-    trace = _read_json(args.trace)
-    if not isinstance(trace, dict) or trace.get("schema") != TRACE_SCHEMA:
-        raise InvalidDocument(f"expected schema {TRACE_SCHEMA!r}")
-    verdicts = read_field(trace, "verdicts", dict, "trace", {})
+    trace = read_schema(_read_json(args.trace), TRACE_SCHEMA)
+    verdicts = read_field(trace, "verdicts", dict, "trace", None)
     steps = read_field(trace, "steps", list, "trace", [])
     lines = [
-        f"engine {trace.get('engine')}  policy {trace.get('policy')}  "
-        f"cap {trace.get('cap')}",
+        f"engine {read_name(trace, 'engine', 'trace')}  "
+        f"policy {read_name(trace, 'policy', 'trace')}  "
+        f"cap {read_integer(trace, 'cap', 'trace', default=50)}",
         f"target-side steps: {len(steps)}",
     ]
     for step in steps:
         step_id = read_name(read_object(step, "each 'steps' entry"), "id", "trace step")
-        lines.append(f"  step {step_id}  exceptional {step.get('exceptional_label')}")
+        lines.append(f"  step {step_id}  exceptional "
+                     f"{read_name(step, 'exceptional_label', f'step {step_id}')}")
         for chart_id, chart_doc in sorted(
                 read_field(step, "charts", dict, f"step {step_id}", {}).items()):
             where = f"step {step_id} chart {chart_id}"
@@ -245,12 +249,15 @@ def cmd_report(args) -> int:
                 f"adapted, {len(blowups)} blowups, {len(lifts)} lifts")
             for lift in lifts:
                 lift = read_object(lift, f"{where}: each 'lifts' entry")
-                rec = read_field(lift, "record", dict, f"{where} lift", None)
-                target = read_field(rec, "target", dict, f"{where} lift record", None)
+                lift_where = f"{where} lift"
+                rec = read_field(lift, "record", dict, lift_where, None)
+                target = read_field(rec, "target", dict, f"{lift_where} record", None)
                 lines.append(
-                    f"      {lift.get('stratum')} -> {lift.get('lifted_id')} "
-                    f"[{rec.get('case')}] ell1={target.get('ell1')} "
-                    f"commutes={lift.get('commutes')}")
+                    f"      {read_name(lift, 'stratum', lift_where)} -> "
+                    f"{read_name(lift, 'lifted_id', lift_where)} "
+                    f"[{read_name(rec, 'case', f'{lift_where} record')}] "
+                    f"ell1={read_integer(target, 'ell1', f'{lift_where} record target')} "
+                    f"commutes={read_bool(lift, 'commutes', lift_where)}")
     final = read_field(trace, "final_atlas", dict, "trace", {})
     count = sum(
         len(read_field(read_object(c, "each 'final_atlas' chart"), "strata", list,
@@ -259,9 +266,9 @@ def cmd_report(args) -> int:
     lines.append(f"final strata: {count}")
     for key in ("resolution_script", "all_strata_toroidal", "global_toroidal",
                 "commutes", "cap_exceeded", "pass"):
-        lines.append(f"{key}: {verdicts.get(key)}")
+        lines.append(f"{key}: {read_bool(verdicts, key, 'trace verdicts')}")
     _emit("\n".join(lines), args.out)
-    return PASS if verdicts.get("pass") else FAIL
+    return PASS if verdicts["pass"] else FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

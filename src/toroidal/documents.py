@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .blowup import BlowupCenterChart, BlowupChartChoice
 from .chart import TOROIDAL, CenterDescriptor, ChartForm
-from .lift import LiftRecord, TargetPoint
+from .lift import LiftRecord
 from .principalize import PrincipalizationTrace
 from .units import Stratum, UnitFactor, UnitToken, UnitValue
 
@@ -33,6 +33,13 @@ def read_object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise InvalidDocument(f"{where} must be an object")
     return value
+
+
+def read_schema(doc, schema: str) -> dict:
+    """A document object whose `schema` field is `schema`."""
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        raise InvalidDocument(f"expected schema {schema!r}")
+    return doc
 
 
 def read_name(doc: dict, key: str, where: str) -> str:
@@ -56,6 +63,13 @@ def read_integer(doc: dict, key: str, where: str, default=None) -> int:
     value = doc.get(key, default)
     if not _is_integer(value):
         raise InvalidDocument(f"{where}: field {key!r} must be an integer")
+    return value
+
+
+def read_bool(doc: dict, key: str, where: str, default=None) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise InvalidDocument(f"{where}: field {key!r} must be true or false")
     return value
 
 
@@ -88,6 +102,16 @@ def _pairs(doc: dict, key: str, where: str, first, noun: str) -> list:
     return value
 
 
+def _construct(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs) with a constructor's `ValueError` naming
+    `where`; the arguments are read before the call, so a reader's error
+    is not prefixed twice."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise InvalidDocument(f"{where}: {exc}") from exc
+
+
 def canonical_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -117,7 +141,8 @@ def unit_value_from_doc(doc, where: str) -> UnitValue:
     doc = read_object(doc, where)
     # Multiplying symbol by symbol sorts and merges them, so a document
     # cannot smuggle in a value whose symbols are not canonical.
-    value = UnitValue(fraction_from_doc(doc.get("coeff"), f"{where}: field 'coeff'"))
+    value = _construct(where, UnitValue,
+                       fraction_from_doc(doc.get("coeff"), f"{where}: field 'coeff'"))
     for name, e in _pairs(doc, "symbols", where, lambda x: isinstance(x, str),
                           "[name, exponent]"):
         value = value * UnitValue.symbol(
@@ -173,8 +198,8 @@ def stratum_from_doc(doc, where: str) -> Stratum | None:
     if kind == "generic":
         return Stratum.generic(read_name(doc, "symbol", where))
     if kind == "value":
-        return Stratum.of_value(fraction_from_doc(doc.get("value"),
-                                                  f"{where}: field 'value'"))
+        return _construct(where, Stratum.of_value,
+                          fraction_from_doc(doc.get("value"), f"{where}: field 'value'"))
     raise InvalidDocument(f"{where}: field 'kind' must be 'zero', 'generic' or 'value'")
 
 
@@ -195,7 +220,8 @@ def chart_to_doc(cf: ChartForm):
 def chart_from_doc(doc: dict, where: str) -> ChartForm:
     matrix = read_matrix(doc, "matrix", where)
     units_doc = read_field(doc, "units", list, where, [None] * len(matrix))
-    return ChartForm(
+    return _construct(
+        where, ChartForm,
         d=read_integer(doc, "d", where), m=read_integer(doc, "m", where),
         n=read_integer(doc, "n", where), ell=read_integer(doc, "ell", where),
         s=read_integer(doc, "s", where, default=0),
@@ -213,7 +239,8 @@ def descriptor_to_doc(z: CenterDescriptor):
 
 
 def descriptor_from_doc(doc: dict, where: str) -> CenterDescriptor:
-    return CenterDescriptor(
+    return _construct(
+        where, CenterDescriptor,
         ell_bar=read_integer(doc, "ell_bar", where), c=read_integer(doc, "c", where),
         divisor_rows=read_integers(doc, "divisor_rows", where))
 
@@ -224,8 +251,8 @@ def center_to_doc(center: BlowupCenterChart):
 
 
 def center_from_doc(doc: dict, where: str) -> BlowupCenterChart:
-    return BlowupCenterChart(
-        read_integers(doc, "divisor_indices", where),
+    return _construct(
+        where, BlowupCenterChart, read_integers(doc, "divisor_indices", where),
         read_integer(doc, "slot_count", where, default=0))
 
 
@@ -242,13 +269,18 @@ def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
                                        "[variable, stratum]")))
 
 
-def target_to_doc(t: TargetPoint):
+def target_to_doc(rec: LiftRecord):
+    """The point of the target blowup chart the lift lands on: ratio zero
+    on each strict row, each fresh parameter's shift on its row."""
+    values = [(i, None) for kind, i in rec.row_sources if kind == "strict"]
+    values += [(p.source[1], p.shift) for p in rec.fresh
+               if p.source[1] != rec.gen_row]
     return {
-        "denominator_row": t.denominator_row,
-        "ell1": t.ell1,
-        "exceptional_in_divisor": t.exceptional_in_divisor,
+        "denominator_row": rec.gen_row,
+        "ell1": len(rec.row_sources),
+        "exceptional_in_divisor": rec.drop_col is None,
         "values": [[row, None if v is None else unit_value_to_doc(v)]
-                   for row, v in t.values],
+                   for row, v in sorted(values, key=lambda rv: rv[0])],
     }
 
 
@@ -264,7 +296,7 @@ def lift_record_to_doc(rec: LiftRecord):
             "shift": None if p.shift is None else unit_value_to_doc(p.shift),
         } for p in rec.fresh],
         "t_nonzero": rec.t_nonzero,
-        "target": target_to_doc(rec.target),
+        "target": target_to_doc(rec),
     }
 
 

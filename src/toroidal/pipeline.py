@@ -33,10 +33,12 @@ from .documents import (
     descriptor_to_doc,
     lift_record_to_doc,
     principalization_to_doc,
+    read_bool,
     read_field,
     read_integer,
     read_name,
     read_object,
+    read_schema,
     read_strings,
 )
 from .errors import InternalCheckError
@@ -72,13 +74,12 @@ class LabelInfo:
 class MorphismAtlas:
     d: int
     m: int
-    chart_order: list[str]
-    strata: dict[str, list[TrackedStratum]]
+    strata: dict[str, list[TrackedStratum]]  # by chart id, in document order
     labels: dict[str, LabelInfo]
 
     def all_strata(self):
-        for chart_id in self.chart_order:
-            for stratum in self.strata[chart_id]:
+        for chart_id, chart_strata in self.strata.items():
+            for stratum in chart_strata:
                 yield chart_id, stratum
 
 
@@ -114,8 +115,7 @@ class ResolutionScript:
 def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
     """Read an atlas document; a missing or mistyped field raises
     `InvalidDocument` naming the field and where it sits."""
-    if not isinstance(doc, dict) or doc.get("schema") != ATLAS_SCHEMA:
-        raise InvalidDocument(f"expected schema {ATLAS_SCHEMA!r}")
+    read_schema(doc, ATLAS_SCHEMA)
     dims = read_field(doc, "dims", dict, "document", {})
     d, m = read_integer(dims, "d", "dims"), read_integer(dims, "m", "dims")
 
@@ -127,21 +127,16 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
             raise InvalidDocument(f"duplicate label {name!r}")
         where = f"label {name}"
         charts = read_strings(entry, "charts", where)
-        under_e0 = entry.get("under_e0", True)
-        if not isinstance(under_e0, bool):
-            raise InvalidDocument(f"{where}: field 'under_e0' must be true or false")
         labels[name] = LabelInfo(name=name, charts=charts,
                                  e_charts=read_strings(entry, "e_charts", where, charts),
-                                 under_e0=under_e0)
+                                 under_e0=read_bool(entry, "under_e0", where, True))
 
-    chart_order: list[str] = []
     strata: dict[str, list[TrackedStratum]] = {}
     for chart_entry in read_field(doc, "charts", list, "document", []):
         chart_entry = read_object(chart_entry, "each 'charts' entry")
         chart_id = read_name(chart_entry, "id", "chart entry")
         if chart_id in strata:
             raise InvalidDocument(f"duplicate chart id {chart_id!r}")
-        chart_order.append(chart_id)
         strata[chart_id] = []
         for stratum_doc in read_field(chart_entry, "strata", list, f"chart {chart_id}", []):
             stratum_doc = read_object(stratum_doc, f"chart {chart_id}: each 'strata' entry")
@@ -179,8 +174,7 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
             read_field(step_doc, "incidence", dict, where, {}).items()))
         steps.append(ScriptStep(step_id=step_id, views=tuple(views),
                                 incidence=incidence))
-    return (MorphismAtlas(d=d, m=m, chart_order=chart_order, strata=strata,
-                          labels=labels),
+    return (MorphismAtlas(d=d, m=m, strata=strata, labels=labels),
             ResolutionScript(tuple(steps)))
 
 
@@ -319,8 +313,7 @@ def _apply_script(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
 
 def verify_resolution_script(atlas: MorphismAtlas,
                              script: ResolutionScript) -> ValidityReport:
-    report, _ = _apply_script(dict(atlas.labels), tuple(atlas.chart_order),
-                              atlas.m, script)
+    report, _ = _apply_script(dict(atlas.labels), tuple(atlas.strata), atlas.m, script)
     return report
 
 
@@ -363,25 +356,18 @@ def _descriptor_for(stratum: TrackedStratum, view: CenterView) -> CenterDescript
     return CenterDescriptor(ell_bar=len(rows), c=view.c, divisor_rows=rows)
 
 
-@dataclass
-class StepOutcome:
-    doc: dict
-    exceeded: bool
-    commutes: bool
-
-
 def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
-              cap: int) -> StepOutcome:
+              cap: int) -> tuple[dict, bool]:
+    """Run one script step on `atlas`; returns the step's trace record and
+    whether every lift commutes."""
     step_doc = {"id": step.step_id, "exceptional_label": exc_label, "charts": {}}
-    exceeded = False
     commutes_ok = True
     views = dict(step.views)
 
-    for chart_id in atlas.chart_order:
+    for chart_id, chart_strata in atlas.strata.items():
         view = views.get(chart_id)
         if view is None:
             continue
-        chart_strata = atlas.strata[chart_id]
         above = _strata_above(chart_strata, view, chart_id)
         if not above:
             step_doc["charts"][chart_id] = {"adapted": [], "lifts": []}
@@ -389,15 +375,13 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
 
         family = []
         adapted_docs = []
-        labels_of: dict[str, tuple[str, ...]] = {}
-        extra_of: dict[str, int] = {}
+        roots: dict[str, TrackedStratum] = {}  # labels in adapted row order
         for stratum in above:
             z = _descriptor_for(stratum, view)
             adapted, row_order = derive_center_form(stratum.chart, z)
-            permuted_labels = tuple(stratum.row_labels[i] for i in row_order)
             family.append((stratum.stratum_id, adapted, z))
-            labels_of[stratum.stratum_id] = permuted_labels
-            extra_of[stratum.stratum_id] = stratum.extra_global_labels
+            roots[stratum.stratum_id] = replace(
+                stratum, row_labels=tuple(stratum.row_labels[i] for i in row_order))
             adapted_docs.append({
                 "stratum": stratum.stratum_id,
                 "descriptor": descriptor_to_doc(z),
@@ -405,30 +389,24 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
             })
 
         trace = principalize_chart_family(family, cap=cap)
-        if trace.exceeded:
-            exceeded = True
-
         lifts = []
         new_strata = []
         skeletons: dict = {}
         for final in trace.final:
-            root = final.parent_path[0] if final.parent_path else final.stratum_id
+            root = roots[final.parent_path[0] if final.parent_path else final.stratum_id]
             if final.status == EXCEEDED:
-                new_strata.append(TrackedStratum(
-                    stratum_id=final.stratum_id, chart=final.chart,
-                    row_labels=labels_of[root],
-                    extra_global_labels=extra_of[root]))
+                new_strata.append(replace(root, stratum_id=final.stratum_id,
+                                          chart=final.chart))
                 continue
             result = lift_after_principalization(final.chart, final.descriptor,
                                                  skeletons)
             report = verify_commutes(final.chart, final.descriptor, result)
             if not report.ok:
                 commutes_ok = False
-            new_labels = _lifted_labels(result, labels_of[root], exc_label)
+            new_labels = _lifted_labels(result, root.row_labels, exc_label)
             lifted_id = f"{final.stratum_id}^"
-            new_strata.append(TrackedStratum(
-                stratum_id=lifted_id, chart=result.lifted,
-                row_labels=new_labels, extra_global_labels=extra_of[root]))
+            new_strata.append(replace(root, stratum_id=lifted_id, chart=result.lifted,
+                                      row_labels=new_labels))
             lifts.append({
                 "stratum": final.stratum_id,
                 "lifted_id": lifted_id,
@@ -438,15 +416,15 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
                 "commutes": report.ok,
             })
 
-        untouched = [s for s in chart_strata
-                     if s.stratum_id not in {a.stratum_id for a in above}]
-        atlas.strata[chart_id] = untouched + new_strata
+        # Reassigning an existing key keeps its place in the chart order.
+        atlas.strata[chart_id] = [
+            s for s in chart_strata if s.stratum_id not in roots] + new_strata
         step_doc["charts"][chart_id] = {
             "adapted": adapted_docs,
             "principalization": principalization_to_doc(trace),
             "lifts": lifts,
         }
-    return StepOutcome(step_doc, exceeded, commutes_ok)
+    return step_doc, commutes_ok
 
 
 def _lifted_labels(result, old_labels: tuple[str, ...],
@@ -508,8 +486,8 @@ def atlas_to_doc(atlas: MorphismAtlas) -> dict:
                 "chart": chart_to_doc(s.chart),
                 "row_labels": list(s.row_labels),
                 "extra_global_labels": s.extra_global_labels,
-            } for s in atlas.strata[chart_id]],
-        } for chart_id in atlas.chart_order],
+            } for s in chart_strata],
+        } for chart_id, chart_strata in atlas.strata.items()],
     }
 
 
@@ -520,39 +498,36 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
     if not atlas_report.ok:
         raise ToroidalizeError(f"invalid atlas: {atlas_report}")
     working = MorphismAtlas(
-        d=atlas.d, m=atlas.m, chart_order=list(atlas.chart_order),
+        d=atlas.d, m=atlas.m,
         strata={cid: list(ss) for cid, ss in atlas.strata.items()},
         labels=dict(atlas.labels))
     script_report, exc_labels = _apply_script(
-        working.labels, tuple(working.chart_order), working.m, script)
+        working.labels, tuple(working.strata), working.m, script)
     if not script_report.ok:
         raise ToroidalizeError(f"resolution script rejected: {script_report}")
 
     steps = []
-    exceeded = False
     commutes = True
     for step, exc_label in zip(script.steps, exc_labels):
-        outcome = _run_step(working, step, exc_label, cap)
-        steps.append(outcome.doc)
-        exceeded = exceeded or outcome.exceeded
-        commutes = commutes and outcome.commutes
+        step_doc, step_commutes = _run_step(working, step, exc_label, cap)
+        steps.append(step_doc)
+        commutes = commutes and step_commutes
 
-    global_report = verify_global_toroidal(working)
-    all_toroidal = all(
+    # Input strata are toroidal or smooth and lifts are toroidal, so a qtf
+    # chart left in the atlas is exactly a stratum the cap stopped (no later
+    # step can adapt it).  The global check fails on any such tag.
+    exceeded = not all(
         s.chart.tag in (TOROIDAL, SMOOTH) for _, s in working.all_strata())
+    global_report = verify_global_toroidal(working)
     verdicts = {
-        "resolution_script": script_report.ok,
-        "all_strata_toroidal": all_toroidal and not exceeded,
+        "resolution_script": True,  # a rejected script raised above
+        "all_strata_toroidal": not exceeded,
         "global_toroidal": global_report.ok,
         "global_failures": [list(f) for f in global_report.failures],
         "commutes": commutes,
         "cap_exceeded": exceeded,
+        "pass": global_report.ok and commutes,
     }
-    verdicts["pass"] = (verdicts["resolution_script"]
-                        and verdicts["all_strata_toroidal"]
-                        and verdicts["global_toroidal"]
-                        and verdicts["commutes"]
-                        and not exceeded)
     return {
         "schema": TRACE_SCHEMA,
         "engine": __version__,
@@ -572,8 +547,7 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
            script: ResolutionScript) -> dict:
     """Re-execute deterministically and compare against the given trace;
     a trace recorded under another center policy is a mismatch."""
-    if not isinstance(trace_doc, dict) or trace_doc.get("schema") != TRACE_SCHEMA:
-        raise InvalidDocument(f"expected schema {TRACE_SCHEMA!r}")
+    read_schema(trace_doc, TRACE_SCHEMA)
     if trace_doc.get("engine") != __version__:
         raise ReplayMismatch(
             f"trace produced by engine {trace_doc.get('engine')!r}, "

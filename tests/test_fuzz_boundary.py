@@ -198,14 +198,18 @@ def _without(doc, *path):
     return doc
 
 
-def _step_without_id():
-    trace = _trace_doc(identity_doc())
-    del trace["steps"][0]["id"]
-    return trace
+def _with(doc, path, value):
+    return _replace(copy.deepcopy(doc), path, value)
 
 
-# Documents that used to end in a traceback: (command, document, text the
-# error line must contain).
+IDENTITY_TRACE = _trace_doc(identity_doc())
+FIRST_LIFT = ("steps", 0, "charts", "A", "lifts", 0)
+FIRST_CHART = ("charts", 0, "strata", 0, "chart")
+
+
+# Documents that used to end in a traceback, or in an error line that did
+# not name the field, or that `report` printed without reading:
+# (command, document, text the error line must contain).
 PINNED = {
     "ideal list document": ("ideal", [], "must be an object"),
     "ideal colon without arg": (
@@ -219,7 +223,21 @@ PINNED = {
     "blowup center a number": (
         "blowup", {**_blowup_doc(), "center": 5}, "'center'"),
     "report list document": ("report", [], "expected schema"),
-    "report step without id": ("report", _step_without_id(), "'id'"),
+    "report step without id": ("report", _without(IDENTITY_TRACE, "steps", 0, "id"), "'id'"),
+    "report lift without stratum": (
+        "report", _without(IDENTITY_TRACE, *FIRST_LIFT, "stratum"), "'stratum'"),
+    "report commutes a string": (
+        "report", _with(IDENTITY_TRACE, FIRST_LIFT + ("commutes",), "yes"), "'commutes'"),
+    "report engine a number": ("report", {**IDENTITY_TRACE, "engine": 5}, "'engine'"),
+    "zero unit constant": (
+        "toroidalize",
+        _with(identity_doc(), FIRST_CHART + ("units",), [{"base": {"coeff": "0"}}, {}]),
+        "stratum A/p0 chart unit 0"),
+    "negative exponent": (
+        "toroidalize", _with(identity_doc(), FIRST_CHART + ("matrix",), [[1, -1], [0, 1]]),
+        "stratum A/p0 chart"),
+    "ideal without generators or dim": (
+        "ideal", {"op": "minimal", "generators": []}, "'dim'"),
 }
 
 

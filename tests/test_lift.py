@@ -139,7 +139,7 @@ class TestOutsideDivisor:
                                  choice_for(cf.slot_var(0), zero_vars=(1,)))
         result = lift_after_principalization(blown.chart, z)
         assert result.lifted.ell == 0 and result.lifted.n == 0
-        assert not result.record.target.exceptional_in_divisor
+        assert result.record.drop_col is not None
         assert verify_commutes(blown.chart, z, result).ok
 
     def test_divisor_chart_outside_center(self):
