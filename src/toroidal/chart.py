@@ -136,7 +136,7 @@ def structural_problems(cf: ChartForm) -> list[str]:
     for i, row in enumerate(cf.matrix):
         if len(row) != cf.n:
             p.append(f"row {i} has length {len(row)} != n = {cf.n}")
-        elif any(x < 0 for x in row):
+        elif row and min(row) < 0:
             p.append(f"row {i} has a negative exponent")
     if len(cf.units) != cf.rows:
         p.append("one unit token per matrix row required")
@@ -151,13 +151,14 @@ def structural_problems(cf: ChartForm) -> list[str]:
         p.append("ell_bar out of range")
     if cf.tag in (TOROIDAL, SMOOTH) and cf.ell_bar:
         p.append("ell_bar only applies to center-adapted charts")
+    active = cf.active_vars
     if cf.identity_rows < 0:
         p.append("more slot rows than spare target coordinates")
-    elif cf.active_vars > cf.d:
-        p.append(f"active variables {cf.active_vars} exceed d = {cf.d}")
+    elif active > cf.d:
+        p.append(f"active variables {active} exceed d = {cf.d}")
     else:
         for i, u in enumerate(cf.units):
-            bad = [f.var for f in u.factors if f.var < cf.active_vars]
+            bad = [f.var for f in u.factors if f.var < active]
             if bad:
                 p.append(f"unit of row {i} touches active variable {bad[0]}")
     return p

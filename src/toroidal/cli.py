@@ -23,6 +23,7 @@ from .documents import (
     chart_from_doc,
     chart_to_doc,
     choice_from_doc,
+    construct,
     descriptor_from_doc,
     fraction_to_doc,
     principalization_to_doc,
@@ -108,13 +109,16 @@ def cmd_ideal(args) -> int:
     generators = read_matrix(doc, "generators", where)
     # An empty generator set has no exponent length to take the dimension from.
     dim = read_integer(doc, "dim", where) if "dim" in doc or not generators else None
-    ideal = minimal_generators(generators, dim)
+    ideal = construct(f"{where}: field 'generators'" if dim is None
+                      else f"{where}: fields 'generators' and 'dim'",
+                      minimal_generators, generators, dim)
     if op == "minimal":
         out = {"generators": [list(g) for g in ideal.gens]}
     elif op == "gcd":
         out = {"gcd": list(gcd_generators(ideal))}
     elif op == "colon":
-        result = colon_by_monomial(ideal, read_integers(doc, "arg", where, None))
+        result = construct(f"{where}: field 'arg'", colon_by_monomial, ideal,
+                           read_integers(doc, "arg", where, None))
         out = {"generators": [list(g) for g in result.gens]}
     elif op == "factor":
         f, n = principal_part_factorization(ideal)

@@ -102,7 +102,7 @@ def _pairs(doc: dict, key: str, where: str, first, noun: str) -> list:
     return value
 
 
-def _construct(where: str, make, *args, **kwargs):
+def construct(where: str, make, *args, **kwargs):
     """make(*args, **kwargs) with a constructor's `ValueError` naming
     `where`; the arguments are read before the call, so a reader's error
     is not prefixed twice."""
@@ -141,8 +141,8 @@ def unit_value_from_doc(doc, where: str) -> UnitValue:
     doc = read_object(doc, where)
     # Multiplying symbol by symbol sorts and merges them, so a document
     # cannot smuggle in a value whose symbols are not canonical.
-    value = _construct(where, UnitValue,
-                       fraction_from_doc(doc.get("coeff"), f"{where}: field 'coeff'"))
+    value = construct(where, UnitValue,
+                      fraction_from_doc(doc.get("coeff"), f"{where}: field 'coeff'"))
     for name, e in _pairs(doc, "symbols", where, lambda x: isinstance(x, str),
                           "[name, exponent]"):
         value = value * UnitValue.symbol(
@@ -198,8 +198,8 @@ def stratum_from_doc(doc, where: str) -> Stratum | None:
     if kind == "generic":
         return Stratum.generic(read_name(doc, "symbol", where))
     if kind == "value":
-        return _construct(where, Stratum.of_value,
-                          fraction_from_doc(doc.get("value"), f"{where}: field 'value'"))
+        return construct(where, Stratum.of_value,
+                         fraction_from_doc(doc.get("value"), f"{where}: field 'value'"))
     raise InvalidDocument(f"{where}: field 'kind' must be 'zero', 'generic' or 'value'")
 
 
@@ -220,7 +220,7 @@ def chart_to_doc(cf: ChartForm):
 def chart_from_doc(doc: dict, where: str) -> ChartForm:
     matrix = read_matrix(doc, "matrix", where)
     units_doc = read_field(doc, "units", list, where, [None] * len(matrix))
-    return _construct(
+    return construct(
         where, ChartForm,
         d=read_integer(doc, "d", where), m=read_integer(doc, "m", where),
         n=read_integer(doc, "n", where), ell=read_integer(doc, "ell", where),
@@ -239,7 +239,7 @@ def descriptor_to_doc(z: CenterDescriptor):
 
 
 def descriptor_from_doc(doc: dict, where: str) -> CenterDescriptor:
-    return _construct(
+    return construct(
         where, CenterDescriptor,
         ell_bar=read_integer(doc, "ell_bar", where), c=read_integer(doc, "c", where),
         divisor_rows=read_integers(doc, "divisor_rows", where))
@@ -251,7 +251,7 @@ def center_to_doc(center: BlowupCenterChart):
 
 
 def center_from_doc(doc: dict, where: str) -> BlowupCenterChart:
-    return _construct(
+    return construct(
         where, BlowupCenterChart, read_integers(doc, "divisor_indices", where),
         read_integer(doc, "slot_count", where, default=0))
 

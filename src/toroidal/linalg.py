@@ -1,8 +1,9 @@
-"""Small exact linear algebra over the rationals (fraction-free enough).
+"""Small exact linear algebra over the rationals.
 
 Only what the engine needs: rank, greedy pivot selection in scan order,
-and solving A X = B for an invertible square A.  Everything works on
-lists of Fractions and never touches floating point.
+and solving A X = B for an invertible square A.  `rank` eliminates
+fraction-free on the entries as given (`int` or `Fraction`); solving and
+multiplying work over `Fraction`s.  Nothing touches floating point.
 """
 
 from __future__ import annotations
@@ -10,27 +11,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _to_fractions(matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
 def rank(matrix) -> int:
-    m = _to_fractions(matrix)
+    """Rank by fraction-free elimination, row_i <- p*row_i - f*row_r: `int`
+    entries stay `int`, and `Fraction` entries work the same way."""
+    m = [list(row) for row in matrix]
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
+        top = m[r]
+        p = top[c]
         for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                for j in range(c, cols):
-                    m[i][j] -= f * m[r][j]
+            f = m[i][c]
+            if f:
+                m[i] = [p * x - f * y for x, y in zip(m[i], top)]
         r += 1
         if r == rows:
             break

@@ -4,8 +4,15 @@ Unit series are never materialized; the engine carries only what later
 constructions consume: the nonzero constant value of each unit at the
 chart point, plus a list of symbolic shift factors (x_j + alpha)^e for
 display and reindexing.  Constants are products of a nonzero rational
-and named generic nonzero symbols with exact fractional exponents, so
-ratios and fractional powers stay closed and comparable.
+and named generic nonzero symbols with exact exponents, so ratios and
+fractional powers stay closed and comparable.  An integral exponent is
+held as an `int` and only a fractional one as a `Fraction`, so the
+exponent merges the engine makes are integer additions.
+
+A unit token carries its constant from parent to child: renaming its
+variables keeps the constant, and appending a factor multiplies it by
+that factor's constant once, so a chart built by a chain of blowups
+never walks its full factor list again.
 """
 
 from __future__ import annotations
@@ -24,20 +31,28 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _exponent(x) -> int | Fraction:
+    """An exact exponent: an `int` when integral, else a `Fraction`."""
+    if type(x) is int:
+        return x
+    e = _as_fraction(x)
+    return e.numerator if e.denominator == 1 else e
+
+
 @dataclass(frozen=True)
 class UnitValue:
     """A guaranteed-nonzero constant: coeff * prod(symbol^exponent).
 
     `symbols` is canonical: sorted by name, one entry per name, no zero
-    exponent.  Every operation here keeps it so, and equal values are
-    equal tuples.
+    exponent, and an exponent is an `int` unless it is fractional.  Every
+    operation here keeps it so, and equal values are equal tuples.
     """
 
     coeff: Fraction = Fraction(1)
-    symbols: tuple[tuple[str, Fraction], ...] = ()
+    symbols: tuple[tuple[str, int | Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.coeff == 0:
+        if not self.coeff:
             raise ValueError("unit values are nonzero")
 
     @staticmethod
@@ -48,7 +63,7 @@ class UnitValue:
 
     @staticmethod
     def symbol(name: str, exp=1) -> "UnitValue":
-        e = _as_fraction(exp)
+        e = _exponent(exp)
         if e == 0:
             return UnitValue()
         return UnitValue(Fraction(1), ((name, e),))
@@ -63,26 +78,26 @@ class UnitValue:
             if self.coeff == 1:
                 return other
             return UnitValue(self.coeff * other.coeff, other.symbols)
-        exps: dict[str, Fraction] = dict(self.symbols)
+        exps: dict[str, int | Fraction] = dict(self.symbols)
         for name, e in other.symbols:
-            exps[name] = exps.get(name, Fraction(0)) + e
-        syms = tuple(sorted((n, e) for n, e in exps.items() if e != 0))
-        return UnitValue(self.coeff * other.coeff, syms)
+            e += exps.get(name, 0)
+            exps[name] = e.numerator if type(e) is Fraction and e.denominator == 1 else e
+        syms = tuple(sorted((n, e) for n, e in exps.items() if e))
+        # A generic symbol's power, the common factor, has coefficient 1.
+        coeff = self.coeff if other.coeff == 1 else self.coeff * other.coeff
+        return UnitValue(coeff, syms)
 
     def __pow__(self, exp) -> "UnitValue":
-        if isinstance(exp, int) and exp:
-            if exp == 1:
-                return self
-            return UnitValue(self.coeff ** exp,
-                             tuple((n, x * exp) for n, x in self.symbols))
-        e = _as_fraction(exp)
+        e = _exponent(exp)
+        if e == 1:
+            return self
         if e == 0:
             return UnitValue()
-        syms = tuple((n, x * e) for n, x in self.symbols)
-        if e.denominator == 1:
-            coeff = self.coeff ** e.numerator
-        elif self.coeff == 1:
-            coeff = Fraction(1)
+        syms = tuple((n, _exponent(x * e)) for n, x in self.symbols)
+        if self.coeff == 1:
+            coeff = self.coeff
+        elif type(e) is int:
+            coeff = self.coeff ** e
         else:
             # A fractional power of a non-unit rational: keep it symbolic.
             return UnitValue(Fraction(1), tuple(sorted(
@@ -94,7 +109,7 @@ class UnitValue:
 
     @property
     def is_one(self) -> bool:
-        return self.coeff == 1 and not self.symbols
+        return not self.symbols and self.coeff == 1
 
     def __str__(self):
         parts = [] if self.coeff == 1 and self.symbols else [str(self.coeff)]
@@ -192,7 +207,8 @@ class UnitToken:
     factors: tuple[UnitFactor, ...] = ()
 
     def constant(self) -> UnitValue:
-        # Kept like UnitFactor.constant.
+        # Kept like UnitFactor.constant; tokens made by with_factor and
+        # remap_vars receive theirs from the token they came from.
         value = self.__dict__.get("_constant")
         if value is None:
             value = self.base
@@ -201,14 +217,22 @@ class UnitToken:
             object.__setattr__(self, "_constant", value)
         return value
 
+    def _carrying(self, factors: tuple[UnitFactor, ...], value: UnitValue) -> "UnitToken":
+        token = UnitToken(self.base, factors)
+        object.__setattr__(token, "_constant", value)
+        return token
+
     def with_factor(self, var: int, shift: UnitValue, exp: int) -> "UnitToken":
         if exp == 0:
             return self
-        return UnitToken(self.base, self.factors + (UnitFactor(var, shift, exp),))
+        factor = UnitFactor(var, shift, exp)
+        return self._carrying(self.factors + (factor,), self.constant() * factor.constant())
 
     def remap_vars(self, mapping: dict[int, int]) -> "UnitToken":
-        return UnitToken(self.base, tuple(
-            UnitFactor(mapping.get(f.var, f.var), f.shift, f.exp) for f in self.factors))
+        # Renaming variables does not change the value at the chart point.
+        return self._carrying(tuple(
+            UnitFactor(mapping.get(f.var, f.var), f.shift, f.exp) for f in self.factors),
+            self.constant())
 
     @property
     def is_trivial(self) -> bool:

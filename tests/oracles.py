@@ -18,7 +18,9 @@ reference locus components come from the irreducible decomposition of
 the radical; the one transversal search in `toroidal.monomial` must
 agree with both.  The reference irreducible decomposition drops a
 redundant component by intersecting all the others; the library's
-pairwise containment test must leave the same components.
+pairwise containment test must leave the same components.  The
+reference rank eliminates over `Fraction`s with division; the library's
+fraction-free elimination must find the same rank.
 """
 
 from __future__ import annotations
@@ -233,6 +235,30 @@ def reference_pow(a: UnitValue, exp) -> UnitValue:
         return UnitValue(Fraction(1), tuple(sorted(
             syms + ((f"rat:{a.coeff}", e),))))
     return UnitValue(coeff, syms)
+
+
+def reference_rank(matrix) -> int:
+    """Rank by Gaussian elimination over `Fraction`s, dividing by the pivot."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    if not m or not m[0]:
+        return 0
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        for i in range(r + 1, rows):
+            if m[i][c] != 0:
+                f = m[i][c] / inv
+                for j in range(c, cols):
+                    m[i][j] -= f * m[r][j]
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def reference_blowup_transform(cf, center, choice) -> BlowupResult:

@@ -238,6 +238,14 @@ PINNED = {
         "stratum A/p0 chart"),
     "ideal without generators or dim": (
         "ideal", {"op": "minimal", "generators": []}, "'dim'"),
+    "ideal generators of two lengths": (
+        "ideal", {"op": "minimal", "generators": [[1, 2], [1]]}, "'generators'"),
+    "ideal negative generator entry": (
+        "ideal", {"op": "minimal", "generators": [[1, -2]]}, "'generators'"),
+    "ideal dim against generator length": (
+        "ideal", {"op": "minimal", "generators": [[1, 2]], "dim": 3}, "'dim'"),
+    "ideal colon arg length": (
+        "ideal", {"op": "colon", "generators": [[1, 1]], "arg": [1]}, "'arg'"),
 }
 
 

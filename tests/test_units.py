@@ -61,11 +61,83 @@ class TestCachedConstants:
         assert first == UnitValue.of(2) * reference_pow(shift, -2)
 
 
+def reference_constant(token: UnitToken) -> UnitValue:
+    """base * prod(shift^exp), every power and product taken by the reference."""
+    value = token.base
+    for f in token.factors:
+        value = reference_mul(value, reference_pow(f.shift, f.exp))
+    return value
+
+
+class TestCarriedConstants:
+    def test_chains_carry_the_constant_of_their_factors(self):
+        rng = random.Random(515)
+        for _ in range(200):
+            token = UnitToken(random_value(rng))
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.3:
+                    mapping = {v: rng.randint(0, 9) for v in range(10)}
+                    token = token.remap_vars(mapping)
+                else:
+                    token = token.with_factor(rng.randint(0, 9), random_value(rng),
+                                              rng.randint(-3, 3))
+                carried = token.constant()
+                assert carried == UnitToken(token.base, token.factors).constant()
+                assert carried == reference_constant(token), token
+
+    def test_remap_keeps_the_value_and_renames_the_factors(self):
+        token = UnitToken(UnitValue.of(5)).with_factor(3, UnitValue.symbol("s"), 2)
+        moved = token.remap_vars({3: 7})
+        assert [f.var for f in moved.factors] == [7]
+        assert moved.constant() is token.constant()
+
+
+def _exponent_types(value: UnitValue):
+    return {type(e) for _, e in value.symbols}
+
+
+def rebuilt(value: UnitValue) -> UnitValue:
+    """`value` made by the library's own symbol and product."""
+    out = UnitValue(value.coeff)
+    for name, e in value.symbols:
+        out = out * UnitValue.symbol(name, e)
+    return out
+
+
+class TestExponentTypes:
+    def test_integral_exponents_are_int_and_fractional_ones_fraction(self):
+        rng = random.Random(616)
+        seen = set()
+        for _ in range(2000):
+            a, b = rebuilt(random_value(rng)), rebuilt(random_value(rng))
+            for value in (a, b, a * b, a ** random_exponent(rng)):
+                for _, e in value.symbols:
+                    assert type(e) is (int if e.denominator == 1 else Fraction), value
+                    seen.add(type(e))
+        assert seen == {int, Fraction}
+
+    def test_halves_that_add_up_become_int(self):
+        half = UnitValue.symbol("a", Fraction(1, 2))
+        assert _exponent_types(half) == {Fraction}
+        assert (half * half).symbols == (("a", 1),)
+        assert _exponent_types(half * half) == {int}
+        assert _exponent_types(half ** 4) == {int}
+        assert _exponent_types(UnitValue.symbol("a", "6/3")) == {int}
+        assert _exponent_types(UnitValue.symbol("a", 2) ** Fraction(1, 4)) == {Fraction}
+
+    def test_document_encoding_is_unchanged(self):
+        value = UnitValue.symbol("a", Fraction(4, 2)) * UnitValue.symbol("b", "-1/2")
+        assert unit_value_to_doc(value) == {"coeff": "1", "symbols": [["a", "2"],
+                                                                     ["b", "-1/2"]]}
+
+
 class TestCanonicalParse:
     def test_document_symbols_come_out_canonical(self):
         doc = {"coeff": "2/3", "symbols": [["b", "1"], ["a", "1/2"], ["b", "-1"],
                                            ["c", "0"], ["a", "1"]]}
         value = unit_value_from_doc(doc, "unit value")
         assert value.symbols == (("a", Fraction(3, 2)),)
+        assert unit_value_from_doc({"coeff": "1", "symbols": [["a", "4/2"]]},
+                                   "unit value").symbols == (("a", 2),)
         assert value == UnitValue.of(Fraction(2, 3)) * UnitValue.symbol("a", "3/2")
         assert unit_value_from_doc(unit_value_to_doc(value), "unit value") == value
