@@ -48,9 +48,8 @@ print("verdicts:", json.dumps(trace["verdicts"], indent=2, sort_keys=True))
 for chart_id, chart_doc in sorted(trace["steps"][0]["charts"].items()):
     print(f"chart {chart_id}:")
     for lift in chart_doc["lifts"]:
-        target = lift["record"]["target"]
         print(f"  {lift['stratum']:<24} {lift['record']['case']:<6}"
-              f" ell1 = {target['ell1']}"
+              f" ell1 = {lift['chart']['ell']}"
               f" labels = {lift['row_labels']}")
 
 # Determinism: replaying from the same document reproduces the trace.

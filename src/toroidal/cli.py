@@ -255,12 +255,12 @@ def cmd_report(args) -> int:
                 lift = read_object(lift, f"{where}: each 'lifts' entry")
                 lift_where = f"{where} lift"
                 rec = read_field(lift, "record", dict, lift_where, None)
-                target = read_field(rec, "target", dict, f"{lift_where} record", None)
+                lifted = read_field(lift, "chart", dict, lift_where, None)
                 lines.append(
                     f"      {read_name(lift, 'stratum', lift_where)} -> "
                     f"{read_name(lift, 'lifted_id', lift_where)} "
                     f"[{read_name(rec, 'case', f'{lift_where} record')}] "
-                    f"ell1={read_integer(target, 'ell1', f'{lift_where} record target')} "
+                    f"ell1={read_integer(lifted, 'ell', f'{lift_where} chart')} "
                     f"commutes={read_bool(lift, 'commutes', lift_where)}")
     final = read_field(trace, "final_atlas", dict, "trace", {})
     count = sum(
@@ -268,8 +268,9 @@ def cmd_report(args) -> int:
                        "final_atlas chart", []))
         for c in read_field(final, "charts", list, "final_atlas", []))
     lines.append(f"final strata: {count}")
-    for key in ("resolution_script", "all_strata_toroidal", "global_toroidal",
-                "commutes", "cap_exceeded", "pass"):
+    failures = read_field(verdicts, "global_failures", list, "trace verdicts", None)
+    lines.append(f"global_failures: {len(failures)}")
+    for key in ("commutes", "cap_exceeded", "pass"):
         lines.append(f"{key}: {read_bool(verdicts, key, 'trace verdicts')}")
     _emit("\n".join(lines), args.out)
     return PASS if verdicts["pass"] else FAIL
@@ -324,6 +325,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap < 0:
+            raise InvalidDocument("option --cap must be >= 0")
         return args.func(args)
     except (ValueError, InternalCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)

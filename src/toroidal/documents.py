@@ -269,22 +269,11 @@ def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
                                        "[variable, stratum]")))
 
 
-def target_to_doc(rec: LiftRecord):
-    """The point of the target blowup chart the lift lands on: ratio zero
-    on each strict row, each fresh parameter's shift on its row."""
-    values = [(i, None) for kind, i in rec.row_sources if kind == "strict"]
-    values += [(p.source[1], p.shift) for p in rec.fresh
-               if p.source[1] != rec.gen_row]
-    return {
-        "denominator_row": rec.gen_row,
-        "ell1": len(rec.row_sources),
-        "exceptional_in_divisor": rec.drop_col is None,
-        "values": [[row, None if v is None else unit_value_to_doc(v)]
-                   for row, v in sorted(values, key=lambda rv: rv[0])],
-    }
-
-
 def lift_record_to_doc(rec: LiftRecord):
+    """The lift's case and its row bookkeeping.  The point of the target
+    blowup chart it lands on is named by `gen_row`, the `strict` row
+    sources (ratio zero) and the fresh parameters' shifts; the new
+    divisor count is the lifted chart's `ell`."""
     return {
         "case": rec.case,
         "gen_row": rec.gen_row,
@@ -295,8 +284,6 @@ def lift_record_to_doc(rec: LiftRecord):
             "scale": unit_value_to_doc(p.scale),
             "shift": None if p.shift is None else unit_value_to_doc(p.shift),
         } for p in rec.fresh],
-        "t_nonzero": rec.t_nonzero,
-        "target": target_to_doc(rec),
     }
 
 

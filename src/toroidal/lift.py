@@ -19,8 +19,8 @@ chart's unit constants and beta values.  Charts of one shape share a
 skeleton, so a caller lifting many strata can keep skeletons in a dict
 for the length of one chart family.  The point of the target blowup
 chart the lift lands on is not stored apart: the generator row, the row
-sources and the fresh parameters' shifts name it, and the trace encoder
-reads it off the record.
+sources and the fresh parameters' shifts name it, in the engine and in
+the trace alike.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class LiftRecord:
     drop_col: int | None
     row_sources: tuple[tuple[str, int], ...]
     fresh: tuple[FreshParam, ...]
-    t_nonzero: int
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class LiftSkeleton:
     zero: tuple[int, ...]
     row_sources: tuple[tuple[str, int], ...]
     matrix: tuple[tuple[int, ...], ...]
-    t_nonzero: int
 
 
 def lift_case(cf: ChartForm, z: CenterDescriptor) -> str:
@@ -180,7 +178,7 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str,
         raise InternalCheckError("lifted divisor count bookkeeping broke")
     return LiftSkeleton(case=case, gen_row=gen_row, drop_col=None,
                         strict=strict, zero=zero, row_sources=row_sources,
-                        matrix=matrix, t_nonzero=1 + len(strict))
+                        matrix=matrix)
 
 
 def _skeleton_outside_divisor(cf: ChartForm, case: str,
@@ -200,8 +198,7 @@ def _skeleton_outside_divisor(cf: ChartForm, case: str,
     return LiftSkeleton(
         case=case, gen_row=gen_row, drop_col=exc_col, strict=(), zero=(),
         row_sources=tuple(("kept", i) for i in range(cf.ell)),
-        matrix=tuple(row[:exc_col] for row in cf.matrix[:cf.ell]),
-        t_nonzero=0)
+        matrix=tuple(row[:exc_col] for row in cf.matrix[:cf.ell]))
 
 
 def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
@@ -240,8 +237,7 @@ def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
         d=cf.d, m=cf.m, n=cf.n if sk.drop_col is None else cf.n - 1,
         ell=len(sk.matrix), s=0, tag=TOROIDAL, matrix=sk.matrix, units=tuple(units))
     record = LiftRecord(case=sk.case, gen_row=sk.gen_row, drop_col=sk.drop_col,
-                        row_sources=sk.row_sources, fresh=tuple(fresh),
-                        t_nonzero=sk.t_nonzero)
+                        row_sources=sk.row_sources, fresh=tuple(fresh))
     return LiftResult(lifted, record)
 
 

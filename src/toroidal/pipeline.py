@@ -47,7 +47,7 @@ from .linalg import rank
 from .principalize import EXCEEDED, POLICY, principalize_chart_family
 
 ATLAS_SCHEMA = "toroidal-atlas/1"
-TRACE_SCHEMA = "toroidal-trace/1"
+TRACE_SCHEMA = "toroidal-trace/2"
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +444,8 @@ def _lifted_labels(result, old_labels: tuple[str, ...],
 
 def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:
     """Per stratum: smooth strata must be 0-points; strata whose point
-    meets extra global components must extend by an identity block and
-    still satisfy the toroidal shape."""
+    meets extra global components must extend by an identity block, whose
+    toroidal shape `extend_to_global_form` checks."""
     failures = []
     for chart_id, stratum in atlas.all_strata():
         cf = stratum.chart
@@ -460,7 +460,7 @@ def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:
         report = verify_toroidal_form(cf)
         if report.ok and ell_global > k:
             try:
-                report = verify_toroidal_form(extend_to_global_form(cf, ell_global))
+                extend_to_global_form(cf, ell_global)
             except ValueError as exc:
                 failures.append(("extend", f"{where}: {exc}"))
                 continue
@@ -520,9 +520,6 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
         s.chart.tag in (TOROIDAL, SMOOTH) for _, s in working.all_strata())
     global_report = verify_global_toroidal(working)
     verdicts = {
-        "resolution_script": True,  # a rejected script raised above
-        "all_strata_toroidal": not exceeded,
-        "global_toroidal": global_report.ok,
         "global_failures": [list(f) for f in global_report.failures],
         "commutes": commutes,
         "cap_exceeded": exceeded,
@@ -553,6 +550,8 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
             f"trace produced by engine {trace_doc.get('engine')!r}, "
             f"this is {__version__}")
     cap = read_integer(trace_doc, "cap", "trace", default=50)
+    if cap < 0:
+        raise InvalidDocument("trace: field 'cap' must be >= 0")
     fresh = toroidalize(atlas, script, cap=cap)
     if canonical_dumps(trace_doc) == canonical_dumps(fresh):
         return fresh

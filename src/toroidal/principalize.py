@@ -209,7 +209,12 @@ def principalize_chart_family(
                                   family_pos, created, s))
 
     for pos, (sid, cf, z) in enumerate(strata):
-        admit(sid, cf, z, pos, pos, ())
+        try:
+            admit(sid, cf, z, pos, pos, ())
+        except ValueError as exc:
+            # An input chart not adapted to its descriptor fails here; the
+            # class is kept, so a regime limit stays one.
+            raise type(exc)(f"stratum {sid}: {exc}") from exc
     counter = len(strata)
     steps: list[PrincipalizationStep] = []
 

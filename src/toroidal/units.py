@@ -185,13 +185,7 @@ class UnitFactor:
     exp: int
 
     def constant(self) -> UnitValue:
-        # Computed on first use and kept in the instance dict, outside the
-        # dataclass fields, so equality, hashing and repr never see it.
-        value = self.__dict__.get("_constant")
-        if value is None:
-            value = self.shift ** self.exp
-            object.__setattr__(self, "_constant", value)
-        return value
+        return self.shift ** self.exp
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,10 @@ class UnitToken:
     factors: tuple[UnitFactor, ...] = ()
 
     def constant(self) -> UnitValue:
-        # Kept like UnitFactor.constant; tokens made by with_factor and
-        # remap_vars receive theirs from the token they came from.
+        # Computed on first use and kept in the instance dict, outside the
+        # dataclass fields, so equality, hashing and repr never see it;
+        # tokens made by with_factor and remap_vars receive theirs from the
+        # token they came from.
         value = self.__dict__.get("_constant")
         if value is None:
             value = self.base

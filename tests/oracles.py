@@ -20,7 +20,10 @@ agree with both.  The reference irreducible decomposition drops a
 redundant component by intersecting all the others; the library's
 pairwise containment test must leave the same components.  The
 reference rank eliminates over `Fraction`s with division; the library's
-fraction-free elimination must find the same rank.
+fraction-free elimination must find the same rank.  `trace1_of` turns a
+toroidal-trace/2 document back into the toroidal-trace/1 bytes by
+rebuilding the fields trace/2 leaves out, so digests recorded under
+trace/1 still pin the engine's output.
 """
 
 from __future__ import annotations
@@ -374,3 +377,40 @@ def reference_lift_case(cf, z):
     t_w = next(t for t in range(cf.s)
                if cf.betas[t] is not None and not cf.betas[t].is_zero)
     return case, cf.ell + t_w
+
+
+def target1_of(rec: dict) -> dict:
+    """The `target` block a toroidal-trace/1 lift record carried, rebuilt
+    from the record document: ratio zero on each strict row, each fresh
+    parameter's shift on its row."""
+    values = [(i, None) for kind, i in rec["row_sources"] if kind == "strict"]
+    values += [(p["source"][1], p["shift"]) for p in rec["fresh"]
+               if p["source"][1] != rec["gen_row"]]
+    return {
+        "denominator_row": rec["gen_row"],
+        "ell1": len(rec["row_sources"]),
+        "exceptional_in_divisor": rec["drop_col"] is None,
+        "values": [[row, v] for row, v in sorted(values, key=lambda rv: rv[0])],
+    }
+
+
+def record1_of(rec: dict) -> dict:
+    """A toroidal-trace/2 lift record with the fields trace/1 also wrote."""
+    return {**rec, "target": target1_of(rec),
+            "t_nonzero": sum(kind in ("gen", "strict") for kind, _ in rec["row_sources"])}
+
+
+def trace1_of(doc: dict) -> dict:
+    """The toroidal-trace/1 document (engine 0.1.0) for a toroidal-trace/2
+    one: every lift record and the verdicts get back the fields trace/2
+    derives instead of writing."""
+    steps = [{**step, "charts": {
+        chart_id: {**chart_doc, "lifts": [{**lift, "record": record1_of(lift["record"])}
+                                         for lift in chart_doc["lifts"]]}
+        for chart_id, chart_doc in step["charts"].items()}} for step in doc["steps"]]
+    verdicts = doc["verdicts"]
+    return {**doc, "schema": "toroidal-trace/1", "engine": "0.1.0", "steps": steps,
+            "verdicts": {**verdicts,
+                         "resolution_script": True,
+                         "all_strata_toroidal": not verdicts["cap_exceeded"],
+                         "global_toroidal": verdicts["global_failures"] == []}}

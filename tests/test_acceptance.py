@@ -216,12 +216,12 @@ def test_end_to_end_identity_example():
     lifts = {l["stratum"]: l for l in chart_doc["lifts"]}
     zero = lifts["A/p0.e0z"]
     assert zero["chart"]["matrix"] == [[1, 0], [0, 1]]
-    assert zero["record"]["t_nonzero"] == 2
-    assert zero["record"]["target"]["ell1"] == 2
+    assert zero["record"]["row_sources"] == [["gen", 0], ["strict", 1]]
+    assert zero["chart"]["ell"] == 2
     generic = lifts["A/p0.e0g"]
-    assert generic["record"]["target"]["ell1"] == 1
+    assert generic["chart"]["ell"] == 1
     assert all(l["commutes"] for l in lifts.values())
-    assert trace["verdicts"]["global_toroidal"]
+    assert trace["verdicts"]["global_failures"] == []
     print("\nACCEPTANCE end-to-end-2x2: PASS")
 
 

@@ -26,7 +26,7 @@ DEMO_DIGESTS = {
     "04_principalization_and_lift.py":
         "d428c2fa7beb77a763fb81d2efc533171dfe2bc42c48ba4e7fbdd9f27c9f5398",
     "05_full_toroidalization.py":
-        "9e20757c6c6ea914023a41245e2c82363604f7da4842b9de857b5976adbf831c",
+        "f51795b880711ce3fed4ce9d74bff39af416d865e996c6425aaabe55bc8888bd",
 }
 
 

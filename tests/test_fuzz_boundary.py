@@ -207,9 +207,22 @@ FIRST_LIFT = ("steps", 0, "charts", "A", "lifts", 0)
 FIRST_CHART = ("charts", 0, "strata", 0, "chart")
 
 
+def _unadapted_doc(chart, descriptor):
+    """A `principalize` document whose one stratum's chart is not adapted
+    to its descriptor."""
+    return {"strata": [{"id": "s0", "chart": chart_to_doc(chart),
+                        "descriptor": descriptor_to_doc(descriptor)}]}
+
+
+IDENTITY_CHART = ChartForm(d=2, m=2, n=2, ell=2, s=0, tag="toroidal",
+                           matrix=((1, 0), (0, 1)), units=(UnitToken(),) * 2)
+Z2 = CenterDescriptor(ell_bar=2, c=2, divisor_rows=(0, 1))
+
+
 # Documents that used to end in a traceback, or in an error line that did
-# not name the field, or that `report` printed without reading:
-# (command, document, text the error line must contain).
+# not name the field or the stratum, or that `report` printed without
+# reading: (arguments before the document paths, the document or a tuple
+# of documents, text the error line must contain).
 PINNED = {
     "ideal list document": ("ideal", [], "must be an object"),
     "ideal colon without arg": (
@@ -246,11 +259,25 @@ PINNED = {
         "ideal", {"op": "minimal", "generators": [[1, 2]], "dim": 3}, "'dim'"),
     "ideal colon arg length": (
         "ideal", {"op": "colon", "generators": [[1, 1]], "arg": [1]}, "'arg'"),
+    "principalize toroidal chart": (
+        "principalize", _unadapted_doc(IDENTITY_CHART, Z2),
+        "stratum s0: pullback needs a center-adapted chart"),
+    "principalize chart adapted to another descriptor": (
+        "principalize",
+        _unadapted_doc(derive_center_form(IDENTITY_CHART, Z2)[0],
+                       CenterDescriptor(ell_bar=1, c=2, divisor_rows=(0,))),
+        "stratum s0: chart is not adapted to this descriptor"),
+    "negative cap option": ("--cap -3 toroidalize", identity_doc(), "--cap"),
+    "trace with a negative cap": (
+        "verify-trace", (identity_doc(), {**IDENTITY_TRACE, "cap": -3}),
+        "trace: field 'cap'"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_documents_exit_invalid(name, tmp_path):
-    command, doc, text = PINNED[name]
-    status, err = check_run([command, _write(tmp_path, "doc.json", doc)], name)
+    args, docs, text = PINNED[name]
+    docs = docs if isinstance(docs, tuple) else (docs,)
+    paths = [_write(tmp_path, f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    status, err = check_run(args.split() + paths, name)
     assert status == 2 and err.startswith("error:") and text in err, err

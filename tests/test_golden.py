@@ -3,7 +3,11 @@
 A refactor that must keep traces byte-identical is checked here: the
 digests were recorded from the engine and any change to the bytes a
 trace serializes to fails the matching test.  A deliberate change to
-the output (a new `TRACE_SCHEMA` or engine version) re-records them.
+the output (a new `TRACE_SCHEMA` or engine version) records new ones.
+
+The digests recorded under toroidal-trace/1 are kept: `oracles.trace1_of`
+rebuilds the fields trace/2 leaves out, and the result must still hash
+to them.  The trace/2 digests are pinned next to them.
 """
 
 import hashlib
@@ -12,6 +16,7 @@ import pytest
 
 import test_acceptance
 import test_pipeline
+from oracles import record1_of, trace1_of
 from toroidal.documents import (
     canonical_dumps,
     chart_to_doc,
@@ -47,21 +52,35 @@ PIPELINE_GOLDEN = {
 }
 
 
+PIPELINE_GOLDEN_TRACE2 = {
+    "identity": "2f6e0d78aa6469f44b6116a8cb7f0bdecb83c6203dbce71d7c975e09002e5af2",
+    "two_chart": "e025a5c662f6dc0b9ca24f316ab6d17a42ca9c1c74bef188fe29e28449fd5914",
+    "multi_step": "2eeb1c20eead3fe4253067d4a1bb4cd8850e91c2246f2c0e5aa93f900a5d43d0",
+    "low_cap": "3405a93031eb788c93e1bcbebb404016a61e9323bcdc6beb7b6c66746c06c2d5",
+}
+
+
 @pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
 def test_pipeline_fixture_trace_digest(name):
     doc_fn, cap, digest = PIPELINE_GOLDEN[name]
     atlas, script = parse_document(doc_fn())
-    assert _sha(canonical_dumps(toroidalize(atlas, script, cap=cap))) == digest
+    trace = toroidalize(atlas, script, cap=cap)
+    assert _sha(canonical_dumps(trace)) == PIPELINE_GOLDEN_TRACE2[name]
+    assert _sha(canonical_dumps(trace1_of(trace))) == digest
 
 
 TERMINATION_CORPUS_DIGEST = (
     "8d0f986fb9483211412b1bdb28098725ab4d9c331ee8151654d516ff2d51dce0")
+TERMINATION_CORPUS_DIGEST_TRACE2 = (
+    "06cbc51548c97d9415a81c6ce7b02d33371bff4e69187808aa75ad555b6d4026")
 
 
 def test_termination_corpus_digest():
     """Principalization steps, finals and every lift of the 200-instance
-    acceptance termination corpus (seed 60606), one canonical line each."""
-    lines = []
+    acceptance termination corpus (seed 60606), one canonical line each;
+    the trace/1 digest holds with each lift record given back its trace/1
+    fields."""
+    lines, lines1 = [], []
     for k, (cf, z) in enumerate(test_acceptance._termination_corpus()):
         trace = principalize_chart_family([(f"s{k}", cf, z)], cap=50)
         lifts = []
@@ -71,6 +90,11 @@ def test_termination_corpus_digest():
             result = lift_after_principalization(final.chart, final.descriptor)
             lifts.append({"record": lift_record_to_doc(result.record),
                           "chart": chart_to_doc(result.lifted)})
+        principalization = principalization_to_doc(trace)
         lines.append(canonical_dumps(
-            {"principalization": principalization_to_doc(trace), "lifts": lifts}))
-    assert _sha("\n".join(lines)) == TERMINATION_CORPUS_DIGEST
+            {"principalization": principalization, "lifts": lifts}))
+        lines1.append(canonical_dumps(
+            {"principalization": principalization,
+             "lifts": [{**lift, "record": record1_of(lift["record"])} for lift in lifts]}))
+    assert _sha("\n".join(lines)) == TERMINATION_CORPUS_DIGEST_TRACE2
+    assert _sha("\n".join(lines1)) == TERMINATION_CORPUS_DIGEST

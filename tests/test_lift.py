@@ -74,7 +74,7 @@ class TestCase1:
         result = lift_after_principalization(cf, Z22)
         assert result.record.case == CASE1
         assert result.lifted.matrix == ((1, 0), (0, 1))
-        assert result.record.t_nonzero == 2
+        assert result.record.row_sources == (("gen", 0), ("strict", 1))
         assert result.lifted.ell == 2
         assert verify_commutes(cf, Z22, result).ok
 
@@ -85,7 +85,7 @@ class TestCase1:
         result = lift_after_principalization(cf, Z22)
         assert result.lifted.matrix == ((1, 2),)
         assert result.lifted.ell == 1
-        assert result.record.t_nonzero == 1
+        assert result.record.row_sources == (("gen", 0),)
         param = result.record.fresh[0]
         assert param.source == ("row", 1)
         assert param.shift == UnitValue.of(3)

@@ -19,6 +19,8 @@ from toroidal.pipeline import (
     verify_resolution_script,
 )
 
+from oracles import trace1_of
+
 
 def identity_doc():
     """One 2 -> 2 chart, identity matrix, blow up the two-component origin."""
@@ -136,21 +138,21 @@ class TestEndToEnd:
         zero = lifts["A/p0.e0z"]
         assert zero["record"]["case"] == "case1"
         assert zero["chart"]["matrix"] == [[1, 0], [0, 1]]
-        assert zero["record"]["t_nonzero"] == 2
-        assert zero["record"]["target"]["ell1"] == 2
+        assert zero["record"]["row_sources"] == [["gen", 0], ["strict", 1]]
+        assert zero["chart"]["ell"] == 2
         assert zero["row_labels"] == ["exc.z1", "L2"]
         assert zero["commutes"]
 
         # generic stratum lifts through the one-point branch.
         generic = lifts["A/p0.e0g"]
         assert generic["chart"]["matrix"] == [[1]]
-        assert generic["record"]["target"]["ell1"] == 1
+        assert generic["chart"]["ell"] == 1
         assert generic["row_labels"] == ["exc.z1"]
         assert generic["commutes"]
 
         final = trace["final_atlas"]["charts"][0]["strata"]
         assert len(final) == 4
-        assert trace["verdicts"]["global_toroidal"]
+        assert trace["verdicts"]["global_failures"] == []
 
     def test_empty_script(self):
         doc = identity_doc()
@@ -171,9 +173,9 @@ class TestEndToEnd:
         assert len(a_lifts) == 4 and all(l["commutes"] for l in a_lifts)
         assert len(b_lifts) == 4 and all(l["commutes"] for l in b_lifts)
         for lift in b_lifts:
-            assert lift["record"]["target"]["exceptional_in_divisor"] is False
+            assert lift["record"]["drop_col"] is not None
             assert lift["chart"]["ell"] == 0
-        assert trace["verdicts"]["global_toroidal"]
+        assert trace["verdicts"]["global_failures"] == []
 
     def test_low_cap_reports_exceeded(self):
         doc = identity_doc()
@@ -280,6 +282,15 @@ class TestDeterminismAndReplay:
         assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 1
         assert "replay mismatch" in capsys.readouterr().err
 
+    def test_replay_rejects_trace1(self, tmp_path, capsys):
+        atlas, script = parse_document(identity_doc())
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(identity_doc()))
+        trace_path.write_text(json.dumps(trace1_of(toroidalize(atlas, script))))
+        assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: expected schema 'toroidal-trace/2'\n")
+
     def test_invalid_atlas_rejected(self):
         doc = identity_doc()
         doc["charts"][0]["strata"][0]["chart"]["matrix"] = [[1, 0], [2, 0]]
@@ -305,7 +316,9 @@ class TestCli:
         assert run.returncode == 0, run.stderr
         run = self.run_cli("report", str(trace_path))
         assert run.returncode == 0
-        assert "pass: True" in run.stdout
+        assert "A/p0.e0z -> A/p0.e0z^ [case1] ell1=2 commutes=True" in run.stdout
+        assert run.stdout.endswith(
+            "global_failures: 0\ncommutes: True\ncap_exceeded: False\npass: True\n")
 
     def test_check_atlas(self, tmp_path):
         atlas_path = tmp_path / "atlas.json"
