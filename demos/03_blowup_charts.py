@@ -14,6 +14,7 @@ from toroidal.blowup import (
     exceptional_column_data,
 )
 from toroidal.chart import CenterDescriptor, ChartForm, derive_center_form
+from toroidal.monomial import max_order_components
 from toroidal.principalize import nonprincipal_locus
 from toroidal.units import TRIVIAL_UNIT
 
@@ -28,11 +29,11 @@ adapted, order = derive_center_form(chart, z)
 print("adapted tag:", adapted.tag, " row order:", order)
 
 # Its pullback factors into a principal part and a residual whose
-# components name the candidate blowup centers.
+# maximum-order components are the candidate blowup centers.
 locus = nonprincipal_locus(adapted, z)
 print("pullback principal part:", locus.monomial_part)
 print("residual:", locus.residual.gens)
-print("components:", locus.components)
+print("components:", max_order_components(locus.residual))
 
 # The permissibility test: subtract column minima from the center
 # matrix; no row and no column may vanish.

@@ -28,8 +28,7 @@ print("final strata:", len(trace.final))
 
 for final in trace.final:
     result = lift_after_principalization(final.chart, final.descriptor)
-    record = result.record
     commuted = verify_commutes(final.chart, final.descriptor, result).ok
-    print(f"  {final.stratum_id:<16} {record.case}: "
+    print(f"  {final.stratum_id:<16} {result.skeleton.case}: "
           f"ell1 = {result.lifted.ell}, lifted matrix {result.lifted.matrix}, "
           f"commutes = {commuted}")

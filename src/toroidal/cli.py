@@ -57,7 +57,7 @@ from .pipeline import (
     toroidalize,
     verify_resolution_script,
 )
-from .principalize import principalize_chart_family
+from .principalize import DEFAULT_CAP, check_cap, principalize_chart_family
 from .toric import (
     LocalModelDims,
     ToricMorphismData,
@@ -232,7 +232,7 @@ def cmd_report(args) -> int:
     lines = [
         f"engine {read_name(trace, 'engine', 'trace')}  "
         f"policy {read_name(trace, 'policy', 'trace')}  "
-        f"cap {read_integer(trace, 'cap', 'trace', default=50)}",
+        f"cap {read_integer(trace, 'cap', 'trace', default=DEFAULT_CAP)}",
         f"target-side steps: {len(steps)}",
     ]
     for step in steps:
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toroidal",
         description="Construct and certify toroidalizations of locally "
                     "toroidal morphisms given in chart form.")
-    parser.add_argument("--cap", type=int, default=50,
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="blowup step cap per principalization run")
     parser.add_argument("--out", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -325,8 +325,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cap < 0:
-            raise InvalidDocument("option --cap must be >= 0")
+        check_cap(args.cap, "option --cap")
         return args.func(args)
     except (ValueError, InternalCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)

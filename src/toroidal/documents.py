@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .blowup import BlowupCenterChart, BlowupChartChoice
 from .chart import TOROIDAL, CenterDescriptor, ChartForm
-from .lift import LiftRecord
+from .lift import LiftResult
 from .principalize import PrincipalizationTrace
 from .units import Stratum, UnitFactor, UnitToken, UnitValue
 
@@ -269,21 +269,22 @@ def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
                                        "[variable, stratum]")))
 
 
-def lift_record_to_doc(rec: LiftRecord):
-    """The lift's case and its row bookkeeping.  The point of the target
-    blowup chart it lands on is named by `gen_row`, the `strict` row
-    sources (ratio zero) and the fresh parameters' shifts; the new
-    divisor count is the lifted chart's `ell`."""
+def lift_record_to_doc(result: LiftResult):
+    """The lift's case and row bookkeeping from its skeleton, and its fresh
+    parameters.  The point of the target blowup chart it lands on is named
+    by `gen_row`, the `strict` row sources (ratio zero) and the fresh
+    parameters' shifts; the new divisor count is the lifted chart's `ell`."""
+    sk = result.skeleton
     return {
-        "case": rec.case,
-        "gen_row": rec.gen_row,
-        "drop_col": rec.drop_col,
-        "row_sources": [list(src) for src in rec.row_sources],
+        "case": sk.case,
+        "gen_row": sk.gen_row,
+        "drop_col": sk.drop_col,
+        "row_sources": [list(src) for src in sk.row_sources],
         "fresh": [{
             "source": list(p.source),
             "scale": unit_value_to_doc(p.scale),
             "shift": None if p.shift is None else unit_value_to_doc(p.shift),
-        } for p in rec.fresh],
+        } for p in result.fresh],
     }
 
 

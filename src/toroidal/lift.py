@@ -59,21 +59,6 @@ class FreshParam:
 
 
 @dataclass(frozen=True)
-class LiftRecord:
-    case: str
-    gen_row: int
-    drop_col: int | None
-    row_sources: tuple[tuple[str, int], ...]
-    fresh: tuple[FreshParam, ...]
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    lifted: ChartForm
-    record: LiftRecord
-
-
-@dataclass(frozen=True)
 class LiftSkeleton:
     """The part of a lift fixed by the chart's shape.
 
@@ -87,10 +72,19 @@ class LiftSkeleton:
     case: str
     gen_row: int
     drop_col: int | None
-    strict: tuple[int, ...]
     zero: tuple[int, ...]
     row_sources: tuple[tuple[str, int], ...]
     matrix: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class LiftResult:
+    """The lifted chart, its shape's skeleton (one object for every chart
+    of that shape lifted through one skeleton dict) and its fresh parameters."""
+
+    lifted: ChartForm
+    skeleton: LiftSkeleton
+    fresh: tuple[FreshParam, ...]
 
 
 def lift_case(cf: ChartForm, z: CenterDescriptor) -> str:
@@ -177,8 +171,7 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str,
     if len(matrix) != cf.ell - cf.ell_bar + len(strict) + 1:
         raise InternalCheckError("lifted divisor count bookkeeping broke")
     return LiftSkeleton(case=case, gen_row=gen_row, drop_col=None,
-                        strict=strict, zero=zero, row_sources=row_sources,
-                        matrix=matrix)
+                        zero=zero, row_sources=row_sources, matrix=matrix)
 
 
 def _skeleton_outside_divisor(cf: ChartForm, case: str,
@@ -196,7 +189,7 @@ def _skeleton_outside_divisor(cf: ChartForm, case: str,
         if cf.matrix[i][exc_col] != 0:
             raise InternalCheckError("divisor rows meet the exceptional column")
     return LiftSkeleton(
-        case=case, gen_row=gen_row, drop_col=exc_col, strict=(), zero=(),
+        case=case, gen_row=gen_row, drop_col=exc_col, zero=(),
         row_sources=tuple(("kept", i) for i in range(cf.ell)),
         matrix=tuple(row[:exc_col] for row in cf.matrix[:cf.ell]))
 
@@ -236,16 +229,14 @@ def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
     lifted = ChartForm(
         d=cf.d, m=cf.m, n=cf.n if sk.drop_col is None else cf.n - 1,
         ell=len(sk.matrix), s=0, tag=TOROIDAL, matrix=sk.matrix, units=tuple(units))
-    record = LiftRecord(case=sk.case, gen_row=sk.gen_row, drop_col=sk.drop_col,
-                        row_sources=sk.row_sources, fresh=tuple(fresh))
-    return LiftResult(lifted, record)
+    return LiftResult(lifted, sk, tuple(fresh))
 
 
 def verify_commutes(cf: ChartForm, z: CenterDescriptor,
                     result: LiftResult) -> ValidityReport:
     """Substitute the target blowup equations into the lifted form and
     compare, row by row and constant by constant, with the original chart."""
-    rec = result.record
+    sk = result.skeleton
     lifted = result.lifted
     failures: list[tuple[str, str]] = []
 
@@ -253,22 +244,22 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
         failures.append((code, msg))
 
     def pad(row: tuple[int, ...]) -> tuple[int, ...]:
-        if rec.drop_col is None:
+        if sk.drop_col is None:
             return row
-        return row[:rec.drop_col] + (0,) + row[rec.drop_col:]
+        return row[:sk.drop_col] + (0,) + row[sk.drop_col:]
 
-    lifted_index = {src: k for k, src in enumerate(rec.row_sources)}
-    fresh_index = {p.source[1]: p for p in rec.fresh}
+    lifted_index = {src: k for k, src in enumerate(sk.row_sources)}
+    fresh_index = {p.source[1]: p for p in result.fresh}
 
-    if ("gen", rec.gen_row) in lifted_index:
-        k = lifted_index[("gen", rec.gen_row)]
+    if ("gen", sk.gen_row) in lifted_index:
+        k = lifted_index[("gen", sk.gen_row)]
         gen_vec = pad(lifted.matrix[k])
         gen_const = lifted.units[k].constant()
     else:
-        p = fresh_index.get(rec.gen_row)
+        p = fresh_index.get(sk.gen_row)
         if p is None:
             return ValidityReport((("gen", "generator row is unaccounted for"),))
-        gen_vec = tuple(1 if j == rec.drop_col else 0 for j in range(cf.n))
+        gen_vec = tuple(1 if j == sk.drop_col else 0 for j in range(cf.n))
         gen_const = p.scale
 
     for i in range(cf.rows):
@@ -276,7 +267,7 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
         slot_t = i - cf.ell if i >= cf.ell else None
         beta = cf.betas[slot_t] if slot_t is not None else None
 
-        if i == rec.gen_row:
+        if i == sk.gen_row:
             if gen_vec != cf.matrix[i]:
                 fail("exponent", f"generator row {i} exponents changed")
             expected = original_const

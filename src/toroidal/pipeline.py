@@ -44,7 +44,13 @@ from .documents import (
 from .errors import InternalCheckError
 from .lift import lift_after_principalization, verify_commutes
 from .linalg import rank
-from .principalize import EXCEEDED, POLICY, principalize_chart_family
+from .principalize import (
+    DEFAULT_CAP,
+    EXCEEDED,
+    POLICY,
+    check_cap,
+    principalize_chart_family,
+)
 
 ATLAS_SCHEMA = "toroidal-atlas/1"
 TRACE_SCHEMA = "toroidal-trace/2"
@@ -410,7 +416,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
             lifts.append({
                 "stratum": final.stratum_id,
                 "lifted_id": lifted_id,
-                "record": lift_record_to_doc(result.record),
+                "record": lift_record_to_doc(result),
                 "chart": chart_to_doc(result.lifted),
                 "row_labels": list(new_labels),
                 "commutes": report.ok,
@@ -430,7 +436,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
 def _lifted_labels(result, old_labels: tuple[str, ...],
                    exc_label: str | None) -> tuple[str, ...]:
     labels = []
-    for kind, src in result.record.row_sources:
+    for kind, src in result.skeleton.row_sources:
         if kind == "gen":
             if exc_label is None:
                 raise InternalCheckError("generator row needs an exceptional label")
@@ -492,8 +498,9 @@ def atlas_to_doc(atlas: MorphismAtlas) -> dict:
 
 
 def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
-                cap: int = 50) -> dict:
+                cap: int = DEFAULT_CAP) -> dict:
     """Run the full pipeline and return the trace document."""
+    check_cap(cap)
     atlas_report = check_atlas(atlas)
     if not atlas_report.ok:
         raise ToroidalizeError(f"invalid atlas: {atlas_report}")
@@ -549,9 +556,8 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
         raise ReplayMismatch(
             f"trace produced by engine {trace_doc.get('engine')!r}, "
             f"this is {__version__}")
-    cap = read_integer(trace_doc, "cap", "trace", default=50)
-    if cap < 0:
-        raise InvalidDocument("trace: field 'cap' must be >= 0")
+    cap = read_integer(trace_doc, "cap", "trace", default=DEFAULT_CAP)
+    check_cap(cap, "trace: field 'cap'")
     fresh = toroidalize(atlas, script, cap=cap)
     if canonical_dumps(trace_doc) == canonical_dumps(fresh):
         return fresh

@@ -11,16 +11,17 @@ stratum by the finite list of chart strata covering the exceptional
 fiber.  A step cap stands in for a termination proof; hitting it is a
 reported status.
 
-The locus and the selected center read only the chart's shape
-(`shape_key`), never its unit constants or beta symbols, and shapes
-repeat across the strata of one run.  One call of the driver therefore
-computes each of them once per distinct shape and looks it up for the
-other strata of that shape; the memo lives only as long as the call.
+The locus is the factorization x^F * N of the pullback and nothing more:
+the policy draws the candidate centers from `max_order_components(N)`,
+and the blowup checks the chosen one.  The locus reads only the chart's
+shape (`shape_key`), so one driver call factors each distinct shape
+once.  A failure on a stratum names it and its parent path.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .blowup import (
@@ -37,11 +38,10 @@ from .chart import (
     pullback_center_ideal,
     shape_key,
 )
-from .errors import InternalCheckError, RegimeLimit
+from .errors import RegimeLimit
 from .monomial import (
     MonomialIdeal,
     max_order_components,
-    minimal_transversals,
     order_at_origin,
     principal_part_factorization,
 )
@@ -52,12 +52,20 @@ EXCEEDED = "exceeded"
 # Blowup rounds one driver call may run before it gives up as a runaway.
 RUNAWAY_GUARD = 100_000
 
+# Length of the longest chain of blowups above an input stratum.
+DEFAULT_CAP = 50
+
+
+def check_cap(cap: int, name: str = "cap") -> None:
+    """The one check on a step cap; `name` names it in the error."""
+    if cap < 0:
+        raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass(frozen=True)
 class NonprincipalLocus:
     monomial_part: tuple[int, ...]
     residual: MonomialIdeal
-    components: tuple[tuple[int, ...], ...]
 
     @property
     def is_principal(self) -> bool:
@@ -66,18 +74,10 @@ class NonprincipalLocus:
 
 def nonprincipal_locus(cf: ChartForm, z: CenterDescriptor) -> NonprincipalLocus:
     """Factor the pullback I = x^F * N; the residual N cuts the locus where
-    the pullback is not principal, and its components, the minimal vertex
-    covers of N's supports, name the candidate centers (codimension 2..m)."""
-    ideal = pullback_center_ideal(cf, z)
-    f, n = principal_part_factorization(ideal)
-    if n.is_unit:
-        return NonprincipalLocus(f, n, ())
-    components = minimal_transversals(n.gens, 1)
-    for support in components:
-        if not 2 <= len(support) <= cf.m:
-            raise InternalCheckError(
-                f"component {support} violates the codimension bounds [2, {cf.m}]")
-    return NonprincipalLocus(f, n, components)
+    the pullback is not principal.  The candidate centers are the
+    maximum-order components of N (`MaxOrderLexPolicy.candidates`)."""
+    f, n = principal_part_factorization(pullback_center_ideal(cf, z))
+    return NonprincipalLocus(f, n)
 
 
 class NoPermissibleCenter(RegimeLimit):
@@ -168,10 +168,8 @@ class _Stratum:
     chart: ChartForm
     z: CenterDescriptor
     family_pos: int
-    created: int
     path: tuple[str, ...]
     locus: NonprincipalLocus
-    shape: tuple
 
 
 def _choice_tag(choice: BlowupChartChoice) -> str:
@@ -179,63 +177,67 @@ def _choice_tag(choice: BlowupChartChoice) -> str:
     return f"e{choice.j0}{flags}"
 
 
+@contextmanager
+def _naming(sid: str, path: tuple[str, ...]):
+    """Re-raise a ValueError as its own class with the stratum in front."""
+    try:
+        yield
+    except ValueError as exc:
+        where = f" (parent path {' > '.join(path)})" if path else ""
+        raise type(exc)(f"stratum {sid}{where}: {exc}") from exc
+
+
 def principalize_chart_family(
         strata: list[tuple[str, ChartForm, CenterDescriptor]],
-        cap: int = 50,
+        cap: int = DEFAULT_CAP,
 ) -> PrincipalizationTrace:
     # Strata still to blow up wait in `heap`; principal strata and strata
-    # at the cap go to `done`.  The cap bounds the length of any single
-    # chain of blowups (the depth of a stratum's history), mirroring the
-    # finite sequence it stands for; strata at the cap stop expanding and
-    # finish with Exceeded status.  A stratum's chart never changes, so
-    # `admit` finds its locus once and every later read uses that; the
-    # locus and the center depend on the shape alone, so `loci` and
-    # `centers` hold them per shape key for the length of this call.
+    # at the cap go to `done`, in creation order.  The cap bounds the
+    # length of any single chain of blowups (the depth of a stratum's
+    # history); strata at the cap stop expanding and finish with Exceeded
+    # status.  `loci` holds each shape's locus for the length of this call
+    # and `ids` every id given out, so its size counts the strata created.
+    check_cap(cap)
     heap: list[tuple[int, int, int, _Stratum]] = []
     done: list[_Stratum] = []
     loci: dict[tuple, NonprincipalLocus] = {}
-    centers: dict[tuple, BlowupCenterChart] = {}
+    ids: set[str] = set()
 
-    def admit(sid, chart, z, family_pos, created, path):
-        shape = shape_key(chart, z)
-        locus = loci.get(shape)
-        if locus is None:
-            locus = loci[shape] = nonprincipal_locus(chart, z)
-        s = _Stratum(sid, chart, z, family_pos, created, path, locus, shape)
+    def admit(sid, chart, z, family_pos, path):
+        with _naming(sid, path):
+            if sid in ids:
+                raise ValueError("id repeated in the family")
+            ids.add(sid)
+            shape = shape_key(chart, z)
+            locus = loci.get(shape)
+            if locus is None:
+                locus = loci[shape] = nonprincipal_locus(chart, z)
+        s = _Stratum(sid, chart, z, family_pos, path, locus)
         if locus.is_principal or len(path) >= cap:
             done.append(s)
         else:
             heapq.heappush(heap, (-order_at_origin(locus.residual),
-                                  family_pos, created, s))
+                                  family_pos, len(ids), s))
 
     for pos, (sid, cf, z) in enumerate(strata):
-        try:
-            admit(sid, cf, z, pos, pos, ())
-        except ValueError as exc:
-            # An input chart not adapted to its descriptor fails here; the
-            # class is kept, so a regime limit stays one.
-            raise type(exc)(f"stratum {sid}: {exc}") from exc
-    counter = len(strata)
+        admit(sid, cf, z, pos, ())
     steps: list[PrincipalizationStep] = []
 
     while heap:
-        if len(steps) >= RUNAWAY_GUARD:
-            raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
-                              "blowup rounds without finishing")
         nonprincipal_count = len(heap)
         neg_order, _, _, target = heapq.heappop(heap)
-        center = centers.get(target.shape)
-        if center is None:
-            center = centers[target.shape] = POLICY.select(
-                target.chart, target.z, target.locus.residual)
+        with _naming(target.stratum_id, target.path):
+            if len(steps) >= RUNAWAY_GUARD:
+                raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
+                                  "blowup rounds without finishing")
+            center = POLICY.select(target.chart, target.z, target.locus.residual)
+            children = enumerate_blowup_strata(
+                target.chart, center, symbol_prefix=target.stratum_id)
         path = target.path + (target.stratum_id,)
         records = []
-        for choice, result in enumerate_blowup_strata(
-                target.chart, center, symbol_prefix=target.stratum_id):
+        for choice, result in children:
             child_id = f"{target.stratum_id}.{_choice_tag(choice)}"
-            admit(child_id, result.chart, target.z, target.family_pos,
-                  counter, path)
-            counter += 1
+            admit(child_id, result.chart, target.z, target.family_pos, path)
             records.append((choice, child_id))
         steps.append(PrincipalizationStep(
             stratum_id=target.stratum_id, center=center,
@@ -243,7 +245,7 @@ def principalize_chart_family(
             nonprincipal_count=nonprincipal_count,
             children=tuple(records)))
 
-    done.sort(key=lambda s: (s.family_pos, s.created))
+    done.sort(key=lambda s: s.family_pos)
     final = tuple(
         FinalStratum(s.stratum_id,
                      PRINCIPAL if s.locus.is_principal else EXCEEDED,

@@ -214,6 +214,13 @@ def _unadapted_doc(chart, descriptor):
                         "descriptor": descriptor_to_doc(descriptor)}]}
 
 
+def _repeated_id_doc():
+    """`_principalize_doc` with both strata named x0."""
+    doc = _principalize_doc()
+    doc["strata"][1]["id"] = "x0"
+    return doc
+
+
 IDENTITY_CHART = ChartForm(d=2, m=2, n=2, ell=2, s=0, tag="toroidal",
                            matrix=((1, 0), (0, 1)), units=(UnitToken(),) * 2)
 Z2 = CenterDescriptor(ell_bar=2, c=2, divisor_rows=(0, 1))
@@ -267,6 +274,8 @@ PINNED = {
         _unadapted_doc(derive_center_form(IDENTITY_CHART, Z2)[0],
                        CenterDescriptor(ell_bar=1, c=2, divisor_rows=(0,))),
         "stratum s0: chart is not adapted to this descriptor"),
+    "principalize repeated stratum id": (
+        "principalize", _repeated_id_doc(), "stratum x0: id repeated in the family"),
     "negative cap option": ("--cap -3 toroidalize", identity_doc(), "--cap"),
     "trace with a negative cap": (
         "verify-trace", (identity_doc(), {**IDENTITY_TRACE, "cap": -3}),

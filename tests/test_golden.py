@@ -88,7 +88,7 @@ def test_termination_corpus_digest():
             if final.status == EXCEEDED:
                 continue
             result = lift_after_principalization(final.chart, final.descriptor)
-            lifts.append({"record": lift_record_to_doc(result.record),
+            lifts.append({"record": lift_record_to_doc(result),
                           "chart": chart_to_doc(result.lifted)})
         principalization = principalization_to_doc(trace)
         lines.append(canonical_dumps(

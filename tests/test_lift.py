@@ -72,9 +72,9 @@ class TestCase1:
     def test_identity_like_lift(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         result = lift_after_principalization(cf, Z22)
-        assert result.record.case == CASE1
+        assert result.skeleton.case == CASE1
         assert result.lifted.matrix == ((1, 0), (0, 1))
-        assert result.record.row_sources == (("gen", 0), ("strict", 1))
+        assert result.skeleton.row_sources == (("gen", 0), ("strict", 1))
         assert result.lifted.ell == 2
         assert verify_commutes(cf, Z22, result).ok
 
@@ -85,8 +85,8 @@ class TestCase1:
         result = lift_after_principalization(cf, Z22)
         assert result.lifted.matrix == ((1, 2),)
         assert result.lifted.ell == 1
-        assert result.record.row_sources == (("gen", 0),)
-        param = result.record.fresh[0]
+        assert result.skeleton.row_sources == (("gen", 0),)
+        param = result.fresh[0]
         assert param.source == ("row", 1)
         assert param.shift == UnitValue.of(3)
         assert verify_commutes(cf, Z22, result).ok
@@ -97,7 +97,7 @@ class TestCase1:
                        units=(UnitToken(UnitValue.symbol("u")), TRIVIAL_UNIT),
                        ell_bar=2)
         result = lift_after_principalization(cf, Z22)
-        assert result.record.fresh[0].shift == UnitValue.symbol("u", -1)
+        assert result.fresh[0].shift == UnitValue.symbol("u", -1)
         assert verify_commutes(cf, Z22, result).ok
 
 
@@ -109,7 +109,7 @@ class TestCase2:
                        units=(unit_of(5), TRIVIAL_UNIT),
                        betas=(Stratum.of_value(Fraction(2)),), ell_bar=1)
         result = lift_after_principalization(cf, z)
-        assert result.record.case == CASE2
+        assert result.skeleton.case == CASE2
         assert result.lifted.matrix == ((1, 0), (1, 1))
         gen_const = result.lifted.units[0].constant()
         assert gen_const == UnitValue.of(2)
@@ -126,7 +126,7 @@ class TestCase3:
                        units=(TRIVIAL_UNIT,) * 2,
                        betas=(None,), ell_bar=1)
         result = lift_after_principalization(cf, z)
-        assert result.record.case == CASE3
+        assert result.skeleton.case == CASE3
         assert result.lifted.matrix == ((0, 0, 1), (2, 1, 1))
         assert verify_commutes(cf, z, result).ok
 
@@ -139,7 +139,7 @@ class TestOutsideDivisor:
                                  choice_for(cf.slot_var(0), zero_vars=(1,)))
         result = lift_after_principalization(blown.chart, z)
         assert result.lifted.ell == 0 and result.lifted.n == 0
-        assert result.record.drop_col is not None
+        assert result.skeleton.drop_col is not None
         assert verify_commutes(blown.chart, z, result).ok
 
     def test_divisor_chart_outside_center(self):
@@ -169,8 +169,8 @@ class TestVerifyCommutes:
                        matrix=((1, 2), (1, 2)),
                        units=(TRIVIAL_UNIT, unit_of(3)), ell_bar=2)
         result = lift_after_principalization(cf, Z22)
-        bad_fresh = (replace(result.record.fresh[0], shift=UnitValue.of(7)),)
-        bad = replace(result, record=replace(result.record, fresh=bad_fresh))
+        bad_fresh = (replace(result.fresh[0], shift=UnitValue.of(7)),)
+        bad = replace(result, fresh=bad_fresh)
         assert not verify_commutes(cf, Z22, bad).ok
 
 
@@ -184,6 +184,6 @@ class TestRandomCorpus:
             out = lift_after_principalization(result.chart, z)
             assert verify_toroidal_form(out.lifted).ok
             assert verify_commutes(result.chart, z, out).ok, (
-                result.chart, out.record)
+                result.chart, out.skeleton, out.fresh)
             lifted += 1
         assert lifted > 50

@@ -187,6 +187,13 @@ class TestEndToEnd:
         assert trace["verdicts"]["cap_exceeded"]
         assert not trace["verdicts"]["pass"]
 
+    def test_negative_cap_rejected(self):
+        # A script with no steps never reaches the driver's own check.
+        for steps in (identity_doc()["script"], []):
+            atlas, script = parse_document({**identity_doc(), "script": steps})
+            with pytest.raises(ValueError, match="^cap must be >= 0$"):
+                toroidalize(atlas, script, cap=-3)
+
 
 class TestGlobalVerification:
     def test_extra_global_labels_extend(self):
@@ -565,21 +572,37 @@ class TestExitStatuses:
                             lambda cf, center: (False, ("row", 0)))
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert status == 4
-        assert err.startswith("error: no permissible candidate")
+        assert err.startswith("error: stratum A/p0: no permissible candidate")
+
+    def test_child_without_permissible_center_names_its_path(
+            self, tmp_path, capsys, monkeypatch):
+        # The root's center passes; every later candidate is rejected.
+        real, tested = principalize.matrix_permissibility, []
+
+        def first_only(cf, center):
+            tested.append(center)
+            return real(cf, center) if len(tested) == 1 else (False, ("row", 0))
+
+        monkeypatch.setattr(principalize, "matrix_permissibility", first_only)
+        status, err = self.run_main(tmp_path, capsys, "principalize",
+                                    TWO_BLOWUP_FAMILY)
+        assert status == 4
+        assert err.startswith("error: stratum x0.e1z (parent path x0): "
+                              "no permissible candidate"), err
 
     def test_runaway_guard(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(principalize, "RUNAWAY_GUARD", 1)
         status, err = self.run_main(tmp_path, capsys, "principalize",
                                     TWO_BLOWUP_FAMILY)
         assert status == 4
-        assert err.startswith("error: runaway principalization")
+        assert err.startswith("error: stratum x0.e1z (parent path x0): "
+                              "runaway principalization"), err
 
     def test_internal_check_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(principalize, "minimal_transversals",
-                            lambda gens, k: ((0,),))
+        monkeypatch.setattr(blowup, "classify_form", lambda chart: (None, {}))
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert status == 5
-        assert err.startswith("error: component (0,) violates")
+        assert err.startswith("error: transformed chart failed qtf1 invariants")
 
     def test_blowup_checks_its_center_once(self, tmp_path, capsys, monkeypatch):
         checks = []

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal import blowup, lift, principalize
+from toroidal import blowup, lift, monomial, principalize
 from toroidal.chart import CenterDescriptor, ChartForm, classify_form, shape_key
-from toroidal.errors import InternalCheckError
 from toroidal.lift import (
     CASE1,
     CASE2,
@@ -16,7 +15,7 @@ from toroidal.lift import (
     lift_case,
     lift_skeleton,
 )
-from toroidal.monomial import minimal_generators
+from toroidal.monomial import max_order_components, minimal_generators
 from toroidal.principalize import (
     EXCEEDED,
     PRINCIPAL,
@@ -39,32 +38,19 @@ class TestNonprincipalLocus:
         locus = nonprincipal_locus(cf, Z22)
         assert locus.monomial_part == (0, 0)
         assert locus.residual.gens == ((0, 1), (1, 0))
-        assert locus.components == ((0, 1),)
+        assert max_order_components(locus.residual) == ((0, 1),)
 
     def test_factor_then_decompose(self):
         cf = adapted([[2, 1], [1, 3]], ell_bar=2, s=0)
         locus = nonprincipal_locus(cf, Z22)
         assert locus.monomial_part == (1, 1)
         assert locus.residual.gens == ((0, 2), (1, 0))
-        assert locus.components == ((0, 1),)
+        assert max_order_components(locus.residual) == ((0, 1),)
 
     def test_principal_pullback(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         locus = nonprincipal_locus(cf, Z22)
-        assert locus.is_principal and locus.components == ()
-
-    def test_codimension_violation_is_internal_check_error(self, monkeypatch):
-        cf = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
-        monkeypatch.setattr(principalize, "minimal_transversals",
-                            lambda gens, k: ((0,),))
-        with pytest.raises(InternalCheckError, match="codimension bounds"):
-            nonprincipal_locus(cf, Z22)
-
-    def test_slot_components_have_codim_at_least_two(self):
-        cf = adapted([[2, 1], [0, 0]], ell_bar=1, s=1, d=4, m=3)
-        z = CenterDescriptor(1, 2, (0,))
-        locus = nonprincipal_locus(cf, z)
-        assert all(len(c) >= 2 for c in locus.components)
+        assert locus.is_principal
 
 
 class TestSelectCenter:
@@ -110,6 +96,20 @@ class TestDriver:
         trace = principalize_chart_family([("x0", cf, Z22)], cap=1)
         assert trace.exceeded
         assert any(f.status == EXCEEDED for f in trace.final)
+
+    def test_negative_cap_rejected(self):
+        cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
+        with pytest.raises(ValueError, match="^cap must be >= 0$"):
+            principalize_chart_family([("x0", cf, Z22)], cap=-3)
+
+    def test_repeated_id_rejected(self):
+        principal = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
+        origin = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
+        with pytest.raises(ValueError, match="^stratum x0: id repeated in the family$"):
+            principalize_chart_family([("x0", principal, Z22), ("x0", origin, Z22)])
+        # A blowup child may not take a root's id either.
+        with pytest.raises(ValueError, match=r"^stratum x0\.e1z \(parent path x0\): id"):
+            principalize_chart_family([("x0", origin, Z22), ("x0.e1z", principal, Z22)])
 
     def test_every_stratum_classifies(self):
         cf = adapted([[2, 1], [1, 3]], ell_bar=2, s=0, d=3)
@@ -324,6 +324,47 @@ class TestSingleSites:
             for final in finals:
                 lift_after_principalization(final.chart, final.descriptor, memo)
         assert len(pullbacks) == len(skeletons) > 0
+
+    def test_one_transversal_search_per_blowup(self, monkeypatch):
+        searches, in_locus = [], []
+        real_search, real_locus = monomial.minimal_transversals, principalize.nonprincipal_locus
+
+        def search(gens, k):
+            searches.append(bool(in_locus))
+            return real_search(gens, k)
+
+        def locus(cf, z):
+            in_locus.append(True)
+            try:
+                return real_locus(cf, z)
+            finally:
+                in_locus.pop()
+
+        monkeypatch.setattr(monomial, "minimal_transversals", search)
+        monkeypatch.setattr(principalize, "nonprincipal_locus", locus)
+        blowups = 0
+        for family in random_families(830, 40):
+            searches.clear()
+            trace = principalize_chart_family(family, cap=50)
+            assert len(searches) == len(trace.steps)
+            assert not any(searches)
+            blowups += len(trace.steps)
+        assert blowups > 0
+
+    def test_leaves_of_one_shape_share_a_skeleton(self):
+        shared = 0
+        for _, finals in principal_finals(840, 40):
+            memo: dict = {}
+            first = {}
+            for final in finals:
+                result = lift_after_principalization(final.chart, final.descriptor, memo)
+                key = shape_key(final.chart, final.descriptor)
+                if key in first:
+                    assert result.skeleton is first[key].skeleton
+                    shared += 1
+                else:
+                    first[key] = result
+        assert shared > 0
 
     def test_case_and_generator_match_reference(self):
         seen = Counter()
