@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalCheckError
-from .monomial import MonomialIdeal, minimal_generators
+from .monomial import MonomialIdeal
 from .units import TRIVIAL_UNIT, ZERO_STRATUM, Stratum, UnitToken
 
 TOROIDAL = "toroidal"
@@ -89,6 +89,16 @@ class ChartForm:
     @property
     def rows(self) -> int:
         return len(self.matrix)
+
+    def with_constant_units(self, units: tuple[UnitToken, ...]) -> "ChartForm":
+        """This chart with `units`, factor-free tokens one per row, in place
+        of its own.  No structural condition reads a unit constant, so the
+        copy is not checked again."""
+        if len(units) != len(self.units) or any(u.factors for u in units):
+            raise ValueError("constant units are factor-free, one per row")
+        chart = object.__new__(ChartForm)
+        chart.__dict__.update(self.__dict__, units=units)
+        return chart
 
     @property
     def num_slots(self) -> int:
@@ -174,7 +184,7 @@ def column_minima(cf: ChartForm) -> tuple[int, ...]:
     rows = _min_row_indices(cf)
     if not rows:
         return (0,) * cf.n
-    return tuple(min(cf.matrix[i][j] for i in rows) for j in range(cf.n))
+    return tuple(map(min, zip(*(cf.matrix[i] for i in rows))))
 
 
 def shape_key(cf: ChartForm, z: CenterDescriptor) -> tuple:
@@ -212,11 +222,12 @@ def _zero_sum_failures(matrix, n: int, rows: int,
     """Zero column sums over the first `rows` rows, then zero row sums;
     `over` qualifies the column message."""
     failures = []
-    for j in range(n):
-        if sum(matrix[i][j] for i in range(rows)) <= 0:
+    top = matrix[:rows]
+    for j, total in enumerate(map(sum, zip(*top)) if top else (0,) * n):
+        if total <= 0:
             failures.append(("column", f"column {j} has zero sum{over}"))
-    for i in range(rows):
-        if sum(matrix[i]) <= 0:
+    for i, row in enumerate(top):
+        if sum(row) <= 0:
             failures.append(("row", f"row {i} has zero sum"))
     return failures
 
@@ -303,6 +314,13 @@ def derive_center_form(cf: ChartForm, z: CenterDescriptor) -> AdaptedForm:
 
 def pullback_center_ideal(cf: ChartForm, z: CenterDescriptor) -> MonomialIdeal:
     """Pullback of the center's ideal, as a monomial ideal in d variables.
+    Its generators come from the chart's checked matrix, so they are not
+    checked again."""
+    return MonomialIdeal.trusted(cf.d, pullback_center_generators(cf, z))
+
+
+def pullback_center_generators(cf: ChartForm, z: CenterDescriptor) -> list[tuple[int, ...]]:
+    """One generator of the center's pullback per center row, unreduced.
 
     Unit factors never change a monomial ideal and are dropped; a slot
     row contributes its translated variable only on the zero stratum.
@@ -320,7 +338,7 @@ def pullback_center_ideal(cf: ChartForm, z: CenterDescriptor) -> MonomialIdeal:
         if beta is not None and beta.is_zero:
             row[cf.slot_var(t)] += 1
         gens.append(tuple(row))
-    return minimal_generators(gens, cf.d)
+    return gens
 
 
 def extend_to_global_form(cf: ChartForm, ell_global: int) -> ChartForm:

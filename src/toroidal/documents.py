@@ -3,10 +3,15 @@
 All rationals are serialized as "num/den" strings so round trips stay
 exact; canonical dumps sort keys and drop whitespace so equal values
 have equal bytes.
+
+The encoders of charts and unit values take an optional `memo`, one
+dict per trace: an object encoded before into the same memo shares its
+document, so a trace may share sub-documents and is read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -130,7 +135,23 @@ def fraction_from_doc(s, where: str) -> Fraction:
     raise InvalidDocument(f"{where} must be a rational, found {s!r}")
 
 
-def unit_value_to_doc(v: UnitValue):
+def _once_per_memo(encode):
+    """`encode(obj, memo)` run once per object and memo: the memo maps
+    id(obj) to (obj, document), and holding the object keeps its id from
+    being reused while the memo lives."""
+    @functools.wraps(encode)
+    def shared(obj, memo: dict | None = None):
+        if memo is None:
+            return encode(obj, None)
+        known = memo.get(id(obj))
+        if known is None:
+            known = memo[id(obj)] = (obj, encode(obj, memo))
+        return known[1]
+    return shared
+
+
+@_once_per_memo
+def unit_value_to_doc(v: UnitValue, memo=None):
     doc = {"coeff": fraction_to_doc(v.coeff)}
     if v.symbols:
         doc["symbols"] = [[name, fraction_to_doc(e)] for name, e in v.symbols]
@@ -141,7 +162,7 @@ def unit_value_from_doc(doc, where: str) -> UnitValue:
     doc = read_object(doc, where)
     # Multiplying symbol by symbol sorts and merges them, so a document
     # cannot smuggle in a value whose symbols are not canonical.
-    value = construct(where, UnitValue,
+    value = construct(where, UnitValue.of,
                       fraction_from_doc(doc.get("coeff"), f"{where}: field 'coeff'"))
     for name, e in _pairs(doc, "symbols", where, lambda x: isinstance(x, str),
                           "[name, exponent]"):
@@ -150,13 +171,13 @@ def unit_value_from_doc(doc, where: str) -> UnitValue:
     return value
 
 
-def unit_token_to_doc(u: UnitToken):
+def unit_token_to_doc(u: UnitToken, memo: dict | None = None):
     doc = {}
     if not u.base.is_one:
-        doc["base"] = unit_value_to_doc(u.base)
+        doc["base"] = unit_value_to_doc(u.base, memo)
     if u.factors:
         doc["factors"] = [
-            {"var": f.var, "shift": unit_value_to_doc(f.shift), "exp": f.exp}
+            {"var": f.var, "shift": unit_value_to_doc(f.shift, memo), "exp": f.exp}
             for f in u.factors]
     return doc
 
@@ -203,13 +224,14 @@ def stratum_from_doc(doc, where: str) -> Stratum | None:
     raise InvalidDocument(f"{where}: field 'kind' must be 'zero', 'generic' or 'value'")
 
 
-def chart_to_doc(cf: ChartForm):
+@_once_per_memo
+def chart_to_doc(cf: ChartForm, memo=None):
     doc = {
         "d": cf.d, "m": cf.m, "n": cf.n, "ell": cf.ell, "s": cf.s,
         "tag": cf.tag, "matrix": [list(row) for row in cf.matrix],
     }
     if any(not u.is_trivial for u in cf.units):
-        doc["units"] = [unit_token_to_doc(u) for u in cf.units]
+        doc["units"] = [unit_token_to_doc(u, memo) for u in cf.units]
     if cf.betas:
         doc["betas"] = [stratum_to_doc(b) for b in cf.betas]
     if cf.ell_bar:
@@ -269,7 +291,7 @@ def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
                                        "[variable, stratum]")))
 
 
-def lift_record_to_doc(result: LiftResult):
+def lift_record_to_doc(result: LiftResult, memo: dict | None = None):
     """The lift's case and row bookkeeping from its skeleton, and its fresh
     parameters.  The point of the target blowup chart it lands on is named
     by `gen_row`, the `strict` row sources (ratio zero) and the fresh
@@ -282,13 +304,14 @@ def lift_record_to_doc(result: LiftResult):
         "row_sources": [list(src) for src in sk.row_sources],
         "fresh": [{
             "source": list(p.source),
-            "scale": unit_value_to_doc(p.scale),
-            "shift": None if p.shift is None else unit_value_to_doc(p.shift),
+            "scale": unit_value_to_doc(p.scale, memo),
+            "shift": None if p.shift is None else unit_value_to_doc(p.shift, memo),
         } for p in result.fresh],
     }
 
 
-def principalization_to_doc(trace: PrincipalizationTrace) -> dict:
+def principalization_to_doc(trace: PrincipalizationTrace,
+                            memo: dict | None = None) -> dict:
     return {
         "steps": [{
             "stratum": s.stratum_id,
@@ -302,6 +325,6 @@ def principalization_to_doc(trace: PrincipalizationTrace) -> dict:
             "id": f.stratum_id,
             "status": f.status,
             "descriptor": descriptor_to_doc(f.descriptor),
-            "chart": chart_to_doc(f.chart),
+            "chart": chart_to_doc(f.chart, memo),
         } for f in trace.final],
     }

@@ -12,10 +12,12 @@ and is dropped back out of the chart instead.
 
 A lift runs in two passes.  The skeleton (`lift_skeleton`) reads only
 the chart's shape, its `shape_key`: the case, the generator row, which
-center rows are strict, vanished or kept, and the lifted exponent
-matrix, with every check on them.  The constants pass fills in the
-generator constant, the lifted units and the fresh parameters from the
-chart's unit constants and beta values.  Charts of one shape share a
+center rows are strict, vanished or kept, and the lifted chart's shape,
+with every check on them, the chart's structural check included.  The
+constants pass fills in the generator constant, the lifted units and the
+fresh parameters from the chart's unit constants and beta values; a
+lifted chart has no betas and no unit factors, so its structure is the
+skeleton's and is not checked again.  Charts of one shape share a
 skeleton, so a caller lifting many strata can keep skeletons in a dict
 for the length of one chart family.  The point of the target blowup
 chart the lift lands on is not stored apart: the generator row, the row
@@ -34,13 +36,13 @@ from .chart import (
     ChartForm,
     ValidityReport,
     column_minima,
-    pullback_center_ideal,
+    pullback_center_generators,
     shape_key,
     toroidal_shape_failures,
 )
 from .errors import InternalCheckError
 from .linalg import rank
-from .units import UnitToken, UnitValue
+from .units import TRIVIAL_UNIT, UnitToken, UnitValue
 
 CASE1, CASE2, CASE3, SMOOTH_CASE = "case1", "case2", "case3", "smooth"
 
@@ -67,6 +69,7 @@ class LiftSkeleton:
     lists the center rows that collapse onto the generator and become
     fresh parameters.  `drop_col` is the exceptional column dropped by
     an outside-divisor lift, None when the exceptional joins the divisor.
+    `shape` is the lifted chart with trivial units, checked once here.
     """
 
     case: str
@@ -74,7 +77,7 @@ class LiftSkeleton:
     drop_col: int | None
     zero: tuple[int, ...]
     row_sources: tuple[tuple[str, int], ...]
-    matrix: tuple[tuple[int, ...], ...]
+    shape: ChartForm
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,11 @@ def _case_and_generator(cf: ChartForm, z: CenterDescriptor) -> tuple[str, int]:
     """The lift's branch and the chart row generating the principal
     pullback: the first slot row (smooth, case 3), the first slot row with
     a nonzero constant (case 2) or the first center row at the column
-    minima (case 1).  `pullback_center_ideal` checks that the chart is
-    adapted."""
-    ideal = pullback_center_ideal(cf, z)
-    if len(ideal.gens) != 1:
+    minima (case 1).  `pullback_center_generators` checks that the chart
+    is adapted; the pullback is principal iff the generators' gcd is one
+    of them."""
+    gens = pullback_center_generators(cf, z)
+    if tuple(map(min, zip(*gens))) not in gens:
         raise ValueError("pullback of the center is not principal")
     if cf.ell == 0:
         return SMOOTH_CASE, cf.ell
@@ -130,21 +134,22 @@ def lift_after_principalization(cf: ChartForm, z: CenterDescriptor,
 def lift_skeleton(cf: ChartForm, z: CenterDescriptor) -> LiftSkeleton:
     """The shape-only part of the lift, checked as it is built."""
     case, gen_row = _case_and_generator(cf, z)
-    if cf.ell_bar == 0:
-        skeleton = _skeleton_outside_divisor(cf, case, gen_row)
-    else:
-        skeleton = _skeleton_inside_divisor(cf, case, gen_row)
-    n = cf.n if skeleton.drop_col is None else cf.n - 1
-    failures = toroidal_shape_failures(skeleton.matrix, n, len(skeleton.matrix))
+    build = _skeleton_outside_divisor if cf.ell_bar == 0 else _skeleton_inside_divisor
+    drop_col, zero, row_sources, matrix = build(cf, case, gen_row)
+    n = cf.n if drop_col is None else cf.n - 1
+    failures = toroidal_shape_failures(matrix, n, len(matrix))
     if failures:
         raise InternalCheckError(
             f"lifted chart is not toroidal: {ValidityReport(tuple(failures))}")
-    return skeleton
+    shape = ChartForm(d=cf.d, m=cf.m, n=n, ell=len(matrix), s=0, tag=TOROIDAL,
+                      matrix=matrix, units=(TRIVIAL_UNIT,) * len(matrix))
+    return LiftSkeleton(case, gen_row, drop_col, zero, row_sources, shape)
 
 
-def _skeleton_inside_divisor(cf: ChartForm, case: str,
-                             gen_row: int) -> LiftSkeleton:
-    """Cases with ell_bar >= 1: the target exceptional joins the divisor."""
+def _skeleton_inside_divisor(cf: ChartForm, case: str, gen_row: int):
+    """Cases with ell_bar >= 1: the target exceptional joins the divisor.
+    Returns the skeleton's drop column, vanished rows, row sources and
+    lifted matrix."""
     mins = column_minima(cf)
     if cf.matrix[gen_row] != mins:
         raise InternalCheckError("generator row is not the columnwise minimum")
@@ -170,15 +175,14 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str,
                    + tuple(("kept", i) for i in kept))
     if len(matrix) != cf.ell - cf.ell_bar + len(strict) + 1:
         raise InternalCheckError("lifted divisor count bookkeeping broke")
-    return LiftSkeleton(case=case, gen_row=gen_row, drop_col=None,
-                        zero=zero, row_sources=row_sources, matrix=matrix)
+    return None, zero, row_sources, matrix
 
 
-def _skeleton_outside_divisor(cf: ChartForm, case: str,
-                              gen_row: int) -> LiftSkeleton:
+def _skeleton_outside_divisor(cf: ChartForm, case: str, gen_row: int):
     """ell_bar == 0: the center lies in no divisor component through the
     point, so neither exceptional joins a divisor; the exceptional chart
-    variable is consumed back into an identity parameter."""
+    variable is consumed back into an identity parameter.  Returns what
+    `_skeleton_inside_divisor` does."""
     if cf.tag != QTF2:
         raise ValueError("an ell_bar = 0 stratum lifts only from the qtf2 shape")
     exc_col = cf.n - 1
@@ -188,10 +192,8 @@ def _skeleton_outside_divisor(cf: ChartForm, case: str,
     for i in range(cf.ell):
         if cf.matrix[i][exc_col] != 0:
             raise InternalCheckError("divisor rows meet the exceptional column")
-    return LiftSkeleton(
-        case=case, gen_row=gen_row, drop_col=exc_col, zero=(),
-        row_sources=tuple(("kept", i) for i in range(cf.ell)),
-        matrix=tuple(row[:exc_col] for row in cf.matrix[:cf.ell]))
+    return (exc_col, (), tuple(("kept", i) for i in range(cf.ell)),
+            tuple(row[:exc_col] for row in cf.matrix[:cf.ell]))
 
 
 def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
@@ -226,10 +228,7 @@ def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
             shift = scale * beta.unit_value()
         fresh.append(FreshParam(("slot", row), scale=scale, shift=shift))
 
-    lifted = ChartForm(
-        d=cf.d, m=cf.m, n=cf.n if sk.drop_col is None else cf.n - 1,
-        ell=len(sk.matrix), s=0, tag=TOROIDAL, matrix=sk.matrix, units=tuple(units))
-    return LiftResult(lifted, sk, tuple(fresh))
+    return LiftResult(sk.shape.with_constant_units(tuple(units)), sk, tuple(fresh))
 
 
 def verify_commutes(cf: ChartForm, z: CenterDescriptor,

@@ -4,6 +4,11 @@ Ideals are stored by their unique minimal (antichain) generating set of
 exponent tuples.  The zero ideal is the empty generator set; the unit
 ideal is generated by the all-zeros exponent.  Everything is integer
 arithmetic on tuples, so values are hashable and order-independent.
+
+Every exponent is checked once, where it enters: by the constructor,
+`minimal_generators` and the monomial arguments of the operations.  An
+ideal built from checked exponents (a chart's pullback, a colon or a
+product) goes through `MonomialIdeal.trusted`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +44,16 @@ class MonomialIdeal:
         for g in self.gens:
             _check_exponent(g, self.ambient_dim)
 
+    @classmethod
+    def trusted(cls, ambient_dim: int, gens) -> "MonomialIdeal":
+        """The ideal generated by `gens`, tuples of `ambient_dim`
+        nonnegative integers built from checked exponents; they are reduced
+        to the sorted antichain and not checked again."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ambient_dim", ambient_dim)
+        object.__setattr__(ideal, "gens", _antichain(gens))
+        return ideal
+
     @property
     def is_zero(self) -> bool:
         return not self.gens
@@ -65,13 +80,21 @@ def minimal_generators(gens, ambient_dim: int | None = None) -> MonomialIdeal:
         if not gens:
             raise ValueError("ambient dimension required for an empty generator set")
         ambient_dim = len(gens[0])
+    if ambient_dim < 0:
+        raise ValueError("ambient dimension must be nonnegative")
     for g in gens:
         _check_exponent(g, ambient_dim)
+    return MonomialIdeal.trusted(ambient_dim, gens)
+
+
+def _antichain(gens) -> tuple[Exponent, ...]:
+    """The generators no other one divides, sorted.  A proper divisor
+    comes first in lexicographic order, so one sorted pass finds them."""
     minimal: list[Exponent] = []
-    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
+    for g in sorted(set(gens)):
         if not any(divides(h, g) for h in minimal):
             minimal.append(g)
-    return MonomialIdeal(ambient_dim, tuple(sorted(minimal)))
+    return tuple(minimal)
 
 
 def contains_monomial(ideal: MonomialIdeal, e: Exponent) -> bool:
@@ -95,14 +118,14 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Exponent) -> MonomialIdeal:
     if ideal.is_zero:
         return ideal
     shifted = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in ideal.gens]
-    return minimal_generators(shifted, ideal.ambient_dim)
+    return MonomialIdeal.trusted(ideal.ambient_dim, shifted)
 
 
 def multiply_by_monomial(ideal: MonomialIdeal, m: Exponent) -> MonomialIdeal:
     m = tuple(m)
     _check_exponent(m, ideal.ambient_dim)
     gens = [tuple(x + y for x, y in zip(g, m)) for g in ideal.gens]
-    return MonomialIdeal(ideal.ambient_dim, tuple(sorted(gens)))
+    return MonomialIdeal.trusted(ideal.ambient_dim, gens)
 
 
 def principal_part_factorization(ideal: MonomialIdeal) -> tuple[Exponent, MonomialIdeal]:

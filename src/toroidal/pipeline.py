@@ -49,6 +49,7 @@ from .principalize import (
     EXCEEDED,
     POLICY,
     check_cap,
+    naming,
     principalize_chart_family,
 )
 
@@ -363,9 +364,9 @@ def _descriptor_for(stratum: TrackedStratum, view: CenterView) -> CenterDescript
 
 
 def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
-              cap: int) -> tuple[dict, bool]:
+              cap: int, memo: dict) -> tuple[dict, bool]:
     """Run one script step on `atlas`; returns the step's trace record and
-    whether every lift commutes."""
+    whether every lift commutes.  `memo` is the trace's encoding memo."""
     step_doc = {"id": step.step_id, "exceptional_label": exc_label, "charts": {}}
     commutes_ok = True
     views = dict(step.views)
@@ -401,23 +402,24 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
         for final in trace.final:
             root = roots[final.parent_path[0] if final.parent_path else final.stratum_id]
             if final.status == EXCEEDED:
-                new_strata.append(replace(root, stratum_id=final.stratum_id,
-                                          chart=final.chart))
+                new_strata.append(TrackedStratum(final.stratum_id, final.chart,
+                                                 root.row_labels, root.extra_global_labels))
                 continue
-            result = lift_after_principalization(final.chart, final.descriptor,
-                                                 skeletons)
-            report = verify_commutes(final.chart, final.descriptor, result)
+            with naming(final.stratum_id, final.parent_path):
+                result = lift_after_principalization(final.chart, final.descriptor,
+                                                     skeletons)
+                report = verify_commutes(final.chart, final.descriptor, result)
+                new_labels = _lifted_labels(result, root.row_labels, exc_label)
             if not report.ok:
                 commutes_ok = False
-            new_labels = _lifted_labels(result, root.row_labels, exc_label)
             lifted_id = f"{final.stratum_id}^"
-            new_strata.append(replace(root, stratum_id=lifted_id, chart=result.lifted,
-                                      row_labels=new_labels))
+            new_strata.append(TrackedStratum(lifted_id, result.lifted, new_labels,
+                                             root.extra_global_labels))
             lifts.append({
                 "stratum": final.stratum_id,
                 "lifted_id": lifted_id,
-                "record": lift_record_to_doc(result),
-                "chart": chart_to_doc(result.lifted),
+                "record": lift_record_to_doc(result, memo),
+                "chart": chart_to_doc(result.lifted, memo),
                 "row_labels": list(new_labels),
                 "commutes": report.ok,
             })
@@ -427,7 +429,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
             s for s in chart_strata if s.stratum_id not in roots] + new_strata
         step_doc["charts"][chart_id] = {
             "adapted": adapted_docs,
-            "principalization": principalization_to_doc(trace),
+            "principalization": principalization_to_doc(trace, memo),
             "lifts": lifts,
         }
     return step_doc, commutes_ok
@@ -475,7 +477,8 @@ def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:
     return ValidityReport(tuple(failures))
 
 
-def atlas_to_doc(atlas: MorphismAtlas) -> dict:
+def atlas_to_doc(atlas: MorphismAtlas, memo: dict | None = None) -> dict:
+    """The atlas document; `memo` is an encoding memo (see documents)."""
     return {
         "schema": ATLAS_SCHEMA,
         "dims": {"d": atlas.d, "m": atlas.m},
@@ -489,7 +492,7 @@ def atlas_to_doc(atlas: MorphismAtlas) -> dict:
             "id": chart_id,
             "strata": [{
                 "id": s.stratum_id,
-                "chart": chart_to_doc(s.chart),
+                "chart": chart_to_doc(s.chart, memo),
                 "row_labels": list(s.row_labels),
                 "extra_global_labels": s.extra_global_labels,
             } for s in chart_strata],
@@ -499,7 +502,10 @@ def atlas_to_doc(atlas: MorphismAtlas) -> dict:
 
 def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
                 cap: int = DEFAULT_CAP) -> dict:
-    """Run the full pipeline and return the trace document."""
+    """Run the full pipeline and return the trace document.  The trace
+    encodes each chart and unit value once and shares the document where
+    it recurs (a lifted chart sits in its lift record and in
+    `final_atlas`), so it is read-only; no two calls share a document."""
     check_cap(cap)
     atlas_report = check_atlas(atlas)
     if not atlas_report.ok:
@@ -515,8 +521,9 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
 
     steps = []
     commutes = True
+    memo: dict = {}
     for step, exc_label in zip(script.steps, exc_labels):
-        step_doc, step_commutes = _run_step(working, step, exc_label, cap)
+        step_doc, step_commutes = _run_step(working, step, exc_label, cap, memo)
         steps.append(step_doc)
         commutes = commutes and step_commutes
 
@@ -538,7 +545,7 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
         "cap": cap,
         "policy": POLICY.name,
         "steps": steps,
-        "final_atlas": atlas_to_doc(working),
+        "final_atlas": atlas_to_doc(working, memo),
         "verdicts": verdicts,
     }
 

@@ -21,7 +21,6 @@ once.  A failure on a stratum names it and its parent path.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .blowup import (
@@ -38,7 +37,7 @@ from .chart import (
     pullback_center_ideal,
     shape_key,
 )
-from .errors import RegimeLimit
+from .errors import InternalCheckError, RegimeLimit
 from .monomial import (
     MonomialIdeal,
     max_order_components,
@@ -177,14 +176,23 @@ def _choice_tag(choice: BlowupChartChoice) -> str:
     return f"e{choice.j0}{flags}"
 
 
-@contextmanager
-def _naming(sid: str, path: tuple[str, ...]):
-    """Re-raise a ValueError as its own class with the stratum in front."""
-    try:
-        yield
-    except ValueError as exc:
-        where = f" (parent path {' > '.join(path)})" if path else ""
-        raise type(exc)(f"stratum {sid}{where}: {exc}") from exc
+class naming:
+    """A context that re-raises a ValueError or an InternalCheckError as
+    its own class with the stratum and its parent path in front."""
+
+    __slots__ = ("sid", "path")
+
+    def __init__(self, sid: str, path: tuple[str, ...]):
+        self.sid, self.path = sid, path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (ValueError, InternalCheckError)):
+            where = f" (parent path {' > '.join(self.path)})" if self.path else ""
+            raise type(exc)(f"stratum {self.sid}{where}: {exc}") from exc
+        return False
 
 
 def principalize_chart_family(
@@ -204,7 +212,7 @@ def principalize_chart_family(
     ids: set[str] = set()
 
     def admit(sid, chart, z, family_pos, path):
-        with _naming(sid, path):
+        with naming(sid, path):
             if sid in ids:
                 raise ValueError("id repeated in the family")
             ids.add(sid)
@@ -226,7 +234,7 @@ def principalize_chart_family(
     while heap:
         nonprincipal_count = len(heap)
         neg_order, _, _, target = heapq.heappop(heap)
-        with _naming(target.stratum_id, target.path):
+        with naming(target.stratum_id, target.path):
             if len(steps) >= RUNAWAY_GUARD:
                 raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
                                   "blowup rounds without finishing")

@@ -5,20 +5,24 @@ constructions consume: the nonzero constant value of each unit at the
 chart point, plus a list of symbolic shift factors (x_j + alpha)^e for
 display and reindexing.  Constants are products of a nonzero rational
 and named generic nonzero symbols with exact exponents, so ratios and
-fractional powers stay closed and comparable.  An integral exponent is
-held as an `int` and only a fractional one as a `Fraction`, so the
-exponent merges the engine makes are integer additions.
+fractional powers stay closed and comparable.  A coefficient or an
+exponent is held as an `int` when integral and as a `Fraction` only when
+fractional: every product, power and inverse normalizes its result, and
+a negative power of an integer goes through `Fraction`, so the merges
+the engine makes are integer operations and nothing becomes a float.
 
 A unit token carries its constant from parent to child: renaming its
 variables keeps the constant, and appending a factor multiplies it by
 that factor's constant once, so a chart built by a chain of blowups
-never walks its full factor list again.
+never walks its full factor list again.  A factor is a plain immutable
+record, so renaming a row's variables costs one tuple per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def _as_fraction(x) -> Fraction:
@@ -31,8 +35,8 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _exponent(x) -> int | Fraction:
-    """An exact exponent: an `int` when integral, else a `Fraction`."""
+def _exact(x) -> int | Fraction:
+    """An exact rational: an `int` when integral, else a `Fraction`."""
     if type(x) is int:
         return x
     e = _as_fraction(x)
@@ -44,11 +48,12 @@ class UnitValue:
     """A guaranteed-nonzero constant: coeff * prod(symbol^exponent).
 
     `symbols` is canonical: sorted by name, one entry per name, no zero
-    exponent, and an exponent is an `int` unless it is fractional.  Every
-    operation here keeps it so, and equal values are equal tuples.
+    exponent, and the coefficient and every exponent are `int`s unless
+    they are fractional.  `of`, `symbol` and every operation here make
+    canonical values, and equal values are equal tuples.
     """
 
-    coeff: Fraction = Fraction(1)
+    coeff: int | Fraction = 1
     symbols: tuple[tuple[str, int | Fraction], ...] = ()
 
     def __post_init__(self):
@@ -59,49 +64,48 @@ class UnitValue:
     def of(x) -> "UnitValue":
         if isinstance(x, UnitValue):
             return x
-        return UnitValue(_as_fraction(x))
+        return UnitValue(_exact(x))
 
     @staticmethod
     def symbol(name: str, exp=1) -> "UnitValue":
-        e = _exponent(exp)
+        e = _exact(exp)
         if e == 0:
-            return UnitValue()
-        return UnitValue(Fraction(1), ((name, e),))
+            return ONE
+        return UnitValue(1, ((name, e),))
 
     def __mul__(self, other: "UnitValue") -> "UnitValue":
         # A side without symbols only scales the other side's coefficient.
         if not other.symbols:
             if other.coeff == 1:
                 return self
-            return UnitValue(self.coeff * other.coeff, self.symbols)
+            return UnitValue(_exact(self.coeff * other.coeff), self.symbols)
         if not self.symbols:
             if self.coeff == 1:
                 return other
-            return UnitValue(self.coeff * other.coeff, other.symbols)
+            return UnitValue(_exact(self.coeff * other.coeff), other.symbols)
         exps: dict[str, int | Fraction] = dict(self.symbols)
         for name, e in other.symbols:
             e += exps.get(name, 0)
             exps[name] = e.numerator if type(e) is Fraction and e.denominator == 1 else e
         syms = tuple(sorted((n, e) for n, e in exps.items() if e))
         # A generic symbol's power, the common factor, has coefficient 1.
-        coeff = self.coeff if other.coeff == 1 else self.coeff * other.coeff
+        coeff = self.coeff if other.coeff == 1 else _exact(self.coeff * other.coeff)
         return UnitValue(coeff, syms)
 
     def __pow__(self, exp) -> "UnitValue":
-        e = _exponent(exp)
+        e = _exact(exp)
         if e == 1:
             return self
         if e == 0:
-            return UnitValue()
-        syms = tuple((n, _exponent(x * e)) for n, x in self.symbols)
-        if self.coeff == 1:
-            coeff = self.coeff
-        elif type(e) is int:
-            coeff = self.coeff ** e
-        else:
-            # A fractional power of a non-unit rational: keep it symbolic.
-            return UnitValue(Fraction(1), tuple(sorted(
-                syms + ((f"rat:{self.coeff}", e),))))
+            return ONE
+        syms = tuple((n, _exact(x * e)) for n, x in self.symbols)
+        coeff = self.coeff
+        if coeff != 1:
+            if type(e) is not int:
+                # A fractional power of a non-unit rational: keep it symbolic.
+                return UnitValue(1, tuple(sorted(syms + ((f"rat:{coeff}", e),))))
+            # `int ** -k` is a float; a negative power goes through Fraction.
+            coeff = _exact(coeff ** e if e > 0 else Fraction(coeff) ** e)
         return UnitValue(coeff, syms)
 
     def inv(self) -> "UnitValue":
@@ -176,8 +180,7 @@ class Stratum:
 ZERO_STRATUM = Stratum.zero()
 
 
-@dataclass(frozen=True)
-class UnitFactor:
+class UnitFactor(NamedTuple):
     """A translated-variable factor (x_var + shift)^exp of a unit series."""
 
     var: int
@@ -226,6 +229,8 @@ class UnitToken:
 
     def remap_vars(self, mapping: dict[int, int]) -> "UnitToken":
         # Renaming variables does not change the value at the chart point.
+        if not self.factors:
+            return self
         return self._carrying(tuple(
             UnitFactor(mapping.get(f.var, f.var), f.shift, f.exp) for f in self.factors),
             self.constant())

@@ -225,13 +225,14 @@ def reference_mul(a: UnitValue, b: UnitValue) -> UnitValue:
 
 
 def reference_pow(a: UnitValue, exp) -> UnitValue:
-    """UnitValue power with the exponent taken as a Fraction."""
+    """UnitValue power with the exponent and the coefficient taken as
+    Fractions, so a negative power of an `int` coefficient stays exact."""
     e = _as_fraction(exp)
     if e == 0:
         return UnitValue()
     syms = tuple((n, x * e) for n, x in a.symbols)
     if e.denominator == 1:
-        coeff = a.coeff ** e.numerator
+        coeff = Fraction(a.coeff) ** e.numerator
     elif a.coeff == 1:
         coeff = Fraction(1)
     else:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from toroidal import blowup, principalize
+from toroidal import blowup, documents, lift, pipeline, principalize
 from toroidal.cli import main
 from toroidal.documents import canonical_dumps
 from toroidal.pipeline import (
@@ -602,7 +602,16 @@ class TestExitStatuses:
         monkeypatch.setattr(blowup, "classify_form", lambda chart: (None, {}))
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert status == 5
-        assert err.startswith("error: transformed chart failed qtf1 invariants")
+        assert err.startswith("error: stratum A/p0: transformed chart failed qtf1 "
+                              "invariants"), err
+
+    def test_internal_check_error_in_a_lift(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lift, "toroidal_shape_failures",
+                            lambda matrix, n, ell: [("forced", "failure")])
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
+        assert status == 5
+        assert err.startswith("error: stratum A/p0.e0z (parent path A/p0): "
+                              "lifted chart is not toroidal: forced: failure"), err
 
     def test_blowup_checks_its_center_once(self, tmp_path, capsys, monkeypatch):
         checks = []
@@ -618,3 +627,53 @@ class TestExitStatuses:
         status, _ = self.run_main(tmp_path, capsys, "blowup", doc)
         assert status == 0
         assert len(checks) == 1
+
+
+class TestTraceSharing:
+    """A trace encodes each chart and unit value once and shares the
+    document where it recurs; nothing is shared between two calls."""
+
+    def parsed(self):
+        doc = identity_doc()
+        doc["charts"][0]["strata"][0]["chart"]["units"] = [{"base": {"coeff": "3/2"}}, {}]
+        return parse_document(doc)
+
+    def test_mutating_a_trace_leaves_the_next_run_alone(self):
+        atlas, script = self.parsed()
+        first = toroidalize(atlas, script)
+        before = canonical_dumps(first)
+        lifted = first["steps"][0]["charts"]["A"]["lifts"][0]["chart"]
+        assert lifted["units"][0]["base"] == {"coeff": "3/2"}  # the input's constant
+        lifted["matrix"][0][0] += 7
+        lifted["units"][0]["base"]["coeff"] = "999"
+        assert canonical_dumps(first) != before
+        assert canonical_dumps(toroidalize(atlas, script)) == before
+
+    def test_each_chart_and_value_is_encoded_once_per_call(self, monkeypatch):
+        docs: dict[str, dict] = {"chart": {}, "value": {}}
+        held = []  # keeps every encoded object alive, so no id is reused
+
+        def recording(kind, encode):
+            def wrapper(obj, memo=None):
+                doc = encode(obj, memo)
+                held.append(obj)
+                docs[kind].setdefault(id(obj), set()).add(id(doc))
+                return doc
+            return wrapper
+
+        chart_to_doc = recording("chart", documents.chart_to_doc)
+        monkeypatch.setattr(documents, "chart_to_doc", chart_to_doc)
+        monkeypatch.setattr(pipeline, "chart_to_doc", chart_to_doc)
+        monkeypatch.setattr(documents, "unit_value_to_doc",
+                            recording("value", documents.unit_value_to_doc))
+        atlas, script = self.parsed()
+        trace = toroidalize(atlas, script)
+        assert docs["chart"] and docs["value"]
+        for kind in docs:
+            assert all(len(ids) == 1 for ids in docs[kind].values()), kind
+        lifted = [lift["chart"] for lift in trace["steps"][0]["charts"]["A"]["lifts"]]
+        final = [s["chart"] for s in trace["final_atlas"]["charts"][0]["strata"]]
+        assert len(lifted) == 4 and all(a is b for a, b in zip(lifted, final))
+        again = toroidalize(atlas, script)
+        assert not any(a is b for a, b in zip(
+            final, (s["chart"] for s in again["final_atlas"]["charts"][0]["strata"])))

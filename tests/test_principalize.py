@@ -307,7 +307,7 @@ class TestSingleSites:
 
     def test_pullback_once_per_skeleton(self, monkeypatch):
         pullbacks, skeletons = [], []
-        real_pullback, real_skeleton = lift.pullback_center_ideal, lift.lift_skeleton
+        real_pullback, real_skeleton = lift.pullback_center_generators, lift.lift_skeleton
 
         def pullback(cf, z):
             pullbacks.append(z)
@@ -317,7 +317,7 @@ class TestSingleSites:
             skeletons.append(z)
             return real_skeleton(cf, z)
 
-        monkeypatch.setattr(lift, "pullback_center_ideal", pullback)
+        monkeypatch.setattr(lift, "pullback_center_generators", pullback)
         monkeypatch.setattr(lift, "lift_skeleton", skeleton)
         for _, finals in principal_finals(810, 40):
             memo: dict = {}
