@@ -50,7 +50,7 @@ for chart_id, chart_doc in sorted(trace["steps"][0]["charts"].items()):
     for lift in chart_doc["lifts"]:
         print(f"  {lift['stratum']:<24} {lift['record']['case']:<6}"
               f" ell1 = {lift['chart']['ell']}"
-              f" labels = {lift['row_labels']}")
+              f" labels = {list(lift['row_labels'])}")
 
 # Determinism: replaying from the same document reproduces the trace.
 atlas2, script2 = parse_document(DOC)

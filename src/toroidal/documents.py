@@ -6,7 +6,11 @@ have equal bytes.
 
 The encoders of charts and unit values take an optional `memo`, one
 dict per trace: an object encoded before into the same memo shares its
-document, so a trace may share sub-documents and is read-only.
+document, so a trace may share sub-documents and is read-only.  Tuples
+the engine holds (exponent rows, row indices, labels) go in uncopied.
+
+`canonical_dumps` is the one serializer.  It skips the cycle check: a
+document nests only finished sub-documents, so none contains itself.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ def read_integers(doc: dict, key: str, where: str, default=()) -> tuple[int, ...
 
 def read_matrix(doc: dict, key: str, where: str, default=()) -> tuple[tuple[int, ...], ...]:
     value = read_field(doc, key, (list, tuple), where, default)
-    if not all(isinstance(row, list) and all(map(_is_integer, row)) for row in value):
+    if not all(isinstance(row, (list, tuple)) and all(map(_is_integer, row))
+               for row in value):
         raise InvalidDocument(f"{where}: field {key!r} must list lists of integers")
     return tuple(map(tuple, value))
 
@@ -117,8 +122,11 @@ def construct(where: str, make, *args, **kwargs):
         raise InvalidDocument(f"{where}: {exc}") from exc
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def fraction_to_doc(x: Fraction) -> str:
@@ -228,7 +236,7 @@ def stratum_from_doc(doc, where: str) -> Stratum | None:
 def chart_to_doc(cf: ChartForm, memo=None):
     doc = {
         "d": cf.d, "m": cf.m, "n": cf.n, "ell": cf.ell, "s": cf.s,
-        "tag": cf.tag, "matrix": [list(row) for row in cf.matrix],
+        "tag": cf.tag, "matrix": cf.matrix,
     }
     if any(not u.is_trivial for u in cf.units):
         doc["units"] = [unit_token_to_doc(u, memo) for u in cf.units]
@@ -257,7 +265,7 @@ def chart_from_doc(doc: dict, where: str) -> ChartForm:
 
 
 def descriptor_to_doc(z: CenterDescriptor):
-    return {"ell_bar": z.ell_bar, "c": z.c, "divisor_rows": list(z.divisor_rows)}
+    return {"ell_bar": z.ell_bar, "c": z.c, "divisor_rows": z.divisor_rows}
 
 
 def descriptor_from_doc(doc: dict, where: str) -> CenterDescriptor:
@@ -268,7 +276,7 @@ def descriptor_from_doc(doc: dict, where: str) -> CenterDescriptor:
 
 
 def center_to_doc(center: BlowupCenterChart):
-    return {"divisor_indices": list(center.divisor_indices),
+    return {"divisor_indices": center.divisor_indices,
             "slot_count": center.slot_count}
 
 
@@ -301,9 +309,9 @@ def lift_record_to_doc(result: LiftResult, memo: dict | None = None):
         "case": sk.case,
         "gen_row": sk.gen_row,
         "drop_col": sk.drop_col,
-        "row_sources": [list(src) for src in sk.row_sources],
+        "row_sources": sk.row_sources,
         "fresh": [{
-            "source": list(p.source),
+            "source": p.source,
             "scale": unit_value_to_doc(p.scale, memo),
             "shift": None if p.shift is None else unit_value_to_doc(p.shift, memo),
         } for p in result.fresh],

@@ -120,12 +120,14 @@ def _case_and_generator(cf: ChartForm, z: CenterDescriptor) -> tuple[str, int]:
 
 
 def lift_after_principalization(cf: ChartForm, z: CenterDescriptor,
-                                skeletons: dict | None = None) -> LiftResult:
+                                skeletons: dict | None = None,
+                                key: tuple | None = None) -> LiftResult:
     """Lift one principal stratum.  `skeletons`, when given, maps
     `shape_key`s to skeletons already built; the caller keeps it for the
-    length of one chart family, and missing skeletons are added to it."""
+    length of one chart family, and missing skeletons are added to it.
+    `key`, when given, is `shape_key(cf, z)` as the caller computed it."""
     skeletons = {} if skeletons is None else skeletons
-    key = shape_key(cf, z)
+    key = shape_key(cf, z) if key is None else key
     if key not in skeletons:
         skeletons[key] = lift_skeleton(cf, z)
     return _lift_constants(cf, skeletons[key])

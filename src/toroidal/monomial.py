@@ -49,9 +49,14 @@ class MonomialIdeal:
         """The ideal generated by `gens`, tuples of `ambient_dim`
         nonnegative integers built from checked exponents; they are reduced
         to the sorted antichain and not checked again."""
+        return cls._of_antichain(ambient_dim, _antichain(gens))
+
+    @classmethod
+    def _of_antichain(cls, ambient_dim: int, gens: tuple) -> "MonomialIdeal":
+        """The ideal whose sorted antichain of checked exponents is `gens`."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "ambient_dim", ambient_dim)
-        object.__setattr__(ideal, "gens", _antichain(gens))
+        object.__setattr__(ideal, "gens", gens)
         return ideal
 
     @property
@@ -122,10 +127,12 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Exponent) -> MonomialIdeal:
 
 
 def multiply_by_monomial(ideal: MonomialIdeal, m: Exponent) -> MonomialIdeal:
+    """x^m * I.  Adding m keeps lexicographic order and divisibility, so
+    the products of a sorted antichain are one and are not reduced again."""
     m = tuple(m)
     _check_exponent(m, ideal.ambient_dim)
-    gens = [tuple(x + y for x, y in zip(g, m)) for g in ideal.gens]
-    return MonomialIdeal.trusted(ideal.ambient_dim, gens)
+    return MonomialIdeal._of_antichain(
+        ideal.ambient_dim, tuple(tuple(x + y for x, y in zip(g, m)) for g in ideal.gens))
 
 
 def principal_part_factorization(ideal: MonomialIdeal) -> tuple[Exponent, MonomialIdeal]:

@@ -392,7 +392,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
             adapted_docs.append({
                 "stratum": stratum.stratum_id,
                 "descriptor": descriptor_to_doc(z),
-                "row_order": list(row_order),
+                "row_order": row_order,
             })
 
         trace = principalize_chart_family(family, cap=cap)
@@ -407,7 +407,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
                 continue
             with naming(final.stratum_id, final.parent_path):
                 result = lift_after_principalization(final.chart, final.descriptor,
-                                                     skeletons)
+                                                     skeletons, final.shape)
                 report = verify_commutes(final.chart, final.descriptor, result)
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
             if not report.ok:
@@ -420,7 +420,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
                 "lifted_id": lifted_id,
                 "record": lift_record_to_doc(result, memo),
                 "chart": chart_to_doc(result.lifted, memo),
-                "row_labels": list(new_labels),
+                "row_labels": new_labels,
                 "commutes": report.ok,
             })
 
@@ -484,8 +484,8 @@ def atlas_to_doc(atlas: MorphismAtlas, memo: dict | None = None) -> dict:
         "dims": {"d": atlas.d, "m": atlas.m},
         "labels": [{
             "name": info.name,
-            "charts": list(info.charts),
-            "e_charts": list(info.e_charts),
+            "charts": info.charts,
+            "e_charts": info.e_charts,
             "under_e0": info.under_e0,
         } for info in sorted(atlas.labels.values(), key=lambda i: i.name)],
         "charts": [{
@@ -493,7 +493,7 @@ def atlas_to_doc(atlas: MorphismAtlas, memo: dict | None = None) -> dict:
             "strata": [{
                 "id": s.stratum_id,
                 "chart": chart_to_doc(s.chart, memo),
-                "row_labels": list(s.row_labels),
+                "row_labels": s.row_labels,
                 "extra_global_labels": s.extra_global_labels,
             } for s in chart_strata],
         } for chart_id, chart_strata in atlas.strata.items()],

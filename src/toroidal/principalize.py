@@ -149,6 +149,7 @@ class FinalStratum:
     chart: ChartForm
     descriptor: CenterDescriptor
     parent_path: tuple[str, ...]
+    shape: tuple  # shape_key(chart, descriptor), the lift's skeleton key
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,7 @@ class _Stratum:
     z: CenterDescriptor
     family_pos: int
     path: tuple[str, ...]
+    shape: tuple
     locus: NonprincipalLocus
 
 
@@ -220,7 +222,7 @@ def principalize_chart_family(
             locus = loci.get(shape)
             if locus is None:
                 locus = loci[shape] = nonprincipal_locus(chart, z)
-        s = _Stratum(sid, chart, z, family_pos, path, locus)
+        s = _Stratum(sid, chart, z, family_pos, path, shape, locus)
         if locus.is_principal or len(path) >= cap:
             done.append(s)
         else:
@@ -257,6 +259,6 @@ def principalize_chart_family(
     final = tuple(
         FinalStratum(s.stratum_id,
                      PRINCIPAL if s.locus.is_principal else EXCEEDED,
-                     s.chart, s.z, s.path)
+                     s.chart, s.z, s.path, s.shape)
         for s in done)
     return PrincipalizationTrace(tuple(steps), final)

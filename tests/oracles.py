@@ -35,7 +35,14 @@ from functools import lru_cache
 import numpy as np
 
 from toroidal.blowup import BlowupResult, enumerate_blowup_strata
-from toroidal.chart import QTF1, QTF2, ChartForm, column_minima, pullback_center_ideal
+from toroidal.chart import (
+    QTF1,
+    QTF2,
+    ChartForm,
+    column_minima,
+    pullback_center_ideal,
+    shape_key,
+)
 from toroidal.errors import InternalCheckError
 from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE
 from toroidal.monomial import (
@@ -211,7 +218,7 @@ def rescan_principalize(strata, cap=50):
     final = []
     for sid, cf, z, _, _, path in sorted(live, key=lambda s: (s[3], s[4])):
         status = PRINCIPAL if nonprincipal_locus(cf, z).is_principal else EXCEEDED
-        final.append(FinalStratum(sid, status, cf, z, path))
+        final.append(FinalStratum(sid, status, cf, z, path, shape_key(cf, z)))
     return PrincipalizationTrace(tuple(steps), tuple(final))
 
 

@@ -75,12 +75,9 @@ TERMINATION_CORPUS_DIGEST_TRACE2 = (
     "06cbc51548c97d9415a81c6ce7b02d33371bff4e69187808aa75ad555b6d4026")
 
 
-def test_termination_corpus_digest():
-    """Principalization steps, finals and every lift of the 200-instance
-    acceptance termination corpus (seed 60606), one canonical line each;
-    the trace/1 digest holds with each lift record given back its trace/1
-    fields."""
-    lines, lines1 = [], []
+def termination_corpus_documents():
+    """Per instance of the acceptance termination corpus: its
+    principalization and the record and chart of every lift."""
     for k, (cf, z) in enumerate(test_acceptance._termination_corpus()):
         trace = principalize_chart_family([(f"s{k}", cf, z)], cap=50)
         lifts = []
@@ -90,11 +87,19 @@ def test_termination_corpus_digest():
             result = lift_after_principalization(final.chart, final.descriptor)
             lifts.append({"record": lift_record_to_doc(result),
                           "chart": chart_to_doc(result.lifted)})
-        principalization = principalization_to_doc(trace)
-        lines.append(canonical_dumps(
-            {"principalization": principalization, "lifts": lifts}))
+        yield {"principalization": principalization_to_doc(trace), "lifts": lifts}
+
+
+def test_termination_corpus_digest():
+    """Principalization steps, finals and every lift of the 200-instance
+    acceptance termination corpus (seed 60606), one canonical line each;
+    the trace/1 digest holds with each lift record given back its trace/1
+    fields."""
+    lines, lines1 = [], []
+    for doc in termination_corpus_documents():
+        lines.append(canonical_dumps(doc))
         lines1.append(canonical_dumps(
-            {"principalization": principalization,
-             "lifts": [{**lift, "record": record1_of(lift["record"])} for lift in lifts]}))
+            {**doc, "lifts": [{**lift, "record": record1_of(lift["record"])}
+                              for lift in doc["lifts"]]}))
     assert _sha("\n".join(lines)) == TERMINATION_CORPUS_DIGEST_TRACE2
     assert _sha("\n".join(lines1)) == TERMINATION_CORPUS_DIGEST

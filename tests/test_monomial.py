@@ -115,6 +115,25 @@ class TestColon:
             assert (got == want).all()
 
 
+class TestMultiply:
+    def test_example(self):
+        assert multiply_by_monomial(ideal((2, 1), (0, 3)), (1, 0)).gens == \
+            ((1, 3), (3, 1))
+
+    def test_matches_reduced_products(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            dim = rng.randint(1, 5)
+            i = random_ideal(rng, dim)
+            m = tuple(rng.randint(0, 3) for _ in range(dim))
+            want = minimal_generators([tuple(x + y for x, y in zip(g, m)) for g in i.gens],
+                                      dim)
+            assert multiply_by_monomial(i, m) == want
+
+    def test_zero_ideal(self):
+        assert multiply_by_monomial(minimal_generators([], 2), (1, 1)).is_zero
+
+
 class TestFactorization:
     def test_example(self):
         f, n = principal_part_factorization(ideal((2, 1), (1, 3)))

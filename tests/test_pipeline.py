@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from toroidal import blowup, documents, lift, pipeline, principalize
+from toroidal.chart import shape_key
 from toroidal.cli import main
 from toroidal.documents import canonical_dumps
 from toroidal.pipeline import (
@@ -122,7 +123,8 @@ class TestParsingAndChecks:
 class TestEndToEnd:
     def test_identity_example_trace(self):
         atlas, script = parse_document(identity_doc())
-        trace = toroidalize(atlas, script)
+        # The document a reader of the trace file sees: arrays as lists.
+        trace = json.loads(canonical_dumps(toroidalize(atlas, script)))
         assert trace["verdicts"]["pass"]
 
         step = trace["steps"][0]
@@ -158,7 +160,7 @@ class TestEndToEnd:
         doc = identity_doc()
         doc["script"] = []
         atlas, script = parse_document(doc)
-        trace = toroidalize(atlas, script)
+        trace = json.loads(canonical_dumps(toroidalize(atlas, script)))
         assert trace["steps"] == []
         assert trace["verdicts"]["pass"]
         assert trace["final_atlas"]["charts"][0]["strata"][0]["chart"]["matrix"] \
@@ -176,6 +178,25 @@ class TestEndToEnd:
             assert lift["record"]["drop_col"] is not None
             assert lift["chart"]["ell"] == 0
         assert trace["verdicts"]["global_failures"] == []
+
+    def test_shape_key_once_per_stratum(self, monkeypatch):
+        calls = []
+
+        def counting(cf, z):
+            calls.append(1)
+            return shape_key(cf, z)
+
+        monkeypatch.setattr(principalize, "shape_key", counting)
+        monkeypatch.setattr(lift, "shape_key", counting)
+        for doc in (two_chart_doc(), TestMultiStepScript().doc()):
+            calls.clear()
+            trace = toroidalize(*parse_document(doc))
+            strata = sum(
+                len(chart["adapted"]) + sum(len(b["children"]) for b in
+                                            chart["principalization"]["steps"])
+                for step in trace["steps"] for chart in step["charts"].values()
+                if chart["adapted"])
+            assert strata > 0 and len(calls) == strata
 
     def test_low_cap_reports_exceeded(self):
         doc = identity_doc()
@@ -644,7 +665,8 @@ class TestTraceSharing:
         before = canonical_dumps(first)
         lifted = first["steps"][0]["charts"]["A"]["lifts"][0]["chart"]
         assert lifted["units"][0]["base"] == {"coeff": "3/2"}  # the input's constant
-        lifted["matrix"][0][0] += 7
+        with pytest.raises(TypeError):
+            lifted["matrix"][0][0] += 7  # the engine's own row, a tuple
         lifted["units"][0]["base"]["coeff"] = "999"
         assert canonical_dumps(first) != before
         assert canonical_dumps(toroidalize(atlas, script)) == before

@@ -1,0 +1,71 @@
+"""`canonical_dumps` writes what `json.dumps` with sorted keys and no
+whitespace writes, for the documents the engine returns (tuples and
+shared sub-documents included) and for the trees `json.loads` reads
+back; it skips only the cycle check."""
+
+import json
+
+import pytest
+
+import test_pipeline
+from test_golden import PIPELINE_GOLDEN, termination_corpus_documents
+from toroidal.documents import canonical_dumps
+from toroidal.pipeline import parse_document, toroidalize
+
+
+def reference_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def assert_canonical(doc):
+    text = canonical_dumps(doc)
+    assert text == reference_dumps(doc)
+    loaded = json.loads(text)
+    assert canonical_dumps(loaded) == reference_dumps(loaded) == text
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
+def test_golden_traces_match_json_dumps(name):
+    doc_fn, cap, _ = PIPELINE_GOLDEN[name]
+    atlas, script = parse_document(doc_fn())
+    assert_canonical(toroidalize(atlas, script, cap=cap))
+
+
+def test_acceptance_corpus_documents_match_json_dumps():
+    count = 0
+    for doc in termination_corpus_documents():
+        assert_canonical(doc)
+        count += 1
+    assert count == 200
+
+
+def test_non_ascii_labels_escape_as_before():
+    assert canonical_dumps({"é": ("ü", "☃"), "a": ((1, 2), [3])}) == \
+        '{"a":[[1,2],[3]],"\\u00e9":["\\u00fc","\\u2603"]}'
+    doc = test_pipeline.identity_doc()
+    renames = {"L1": "Lé", "L2": "L☃"}
+    for label in doc["labels"]:
+        label["name"] = renames[label["name"]]
+    stratum = doc["charts"][0]["strata"][0]
+    stratum["row_labels"] = [renames[x] for x in stratum["row_labels"]]
+    doc["script"][0]["incidence"] = {
+        renames[k]: v for k, v in doc["script"][0]["incidence"].items()}
+    for view in doc["script"][0]["views"].values():
+        view["contained"] = [renames[x] for x in view["contained"]]
+    atlas, script = parse_document(doc)
+    trace = toroidalize(atlas, script)
+    assert trace["verdicts"]["pass"]
+    text = canonical_dumps(trace)
+    assert text.isascii() and "L\\u00e9" in text and "L\\u2603" in text
+    assert_canonical(trace)
+
+
+def test_self_containing_document_raises():
+    looped: list = [1]
+    looped.append(looped)
+    with pytest.raises(RecursionError):
+        canonical_dumps(looped)
+    nested: dict = {"a": []}
+    nested["a"].append(nested)
+    with pytest.raises(RecursionError):
+        canonical_dumps(nested)
