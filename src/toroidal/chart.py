@@ -13,6 +13,10 @@ Variable layout, 0-based and dense:
                                    translated slot row
     [.. + (m - ell - s))           identity-row variables
     [..d)                          tail variables (only units see these)
+
+The `ChartForm` constructor is the input check and raises `ValueError`.
+`built_chart` is the engine's postcondition on a chart it built, its
+structure and the shape of its own tag, and raises `InternalCheckError`.
 """
 
 from __future__ import annotations
@@ -246,33 +250,49 @@ def _qtf_condition_failures(cf: ChartForm) -> list[tuple[str, str]]:
     return failures
 
 
+def shape_failures(cf: ChartForm, tag: str) -> list[tuple[str, str]]:
+    """The shape conditions of `tag` that a structurally sound chart
+    fails; empty when they hold.  TOROIDAL is read on charts with s = 0."""
+    if tag == SMOOTH:
+        return []
+    if tag == TOROIDAL:
+        return toroidal_shape_failures(cf.matrix, cf.n, cf.ell)
+    if tag == QTF2:
+        return _positivity_failures(cf, cf.ell + 1) + _qtf_condition_failures(cf)
+    failures = _positivity_failures(cf, cf.ell) + _qtf_condition_failures(cf)
+    if cf.ell == 0 and cf.n > 0:
+        failures.append(("shape", "an ell=0 chart cannot carry divisor columns"))
+    return failures
+
+
 def classify_form(cf: ChartForm) -> tuple[str | None, dict[str, list[tuple[str, str]]]]:
     """Strongest tag whose invariants hold, with per-tag diagnostics."""
     diagnostics: dict[str, list[tuple[str, str]]] = {}
     if cf.tag == SMOOTH:
         return SMOOTH, diagnostics
-
-    if cf.s == 0:
-        failures = toroidal_shape_failures(cf.matrix, cf.n, cf.ell)
+    candidates = ((TOROIDAL,) if cf.s == 0 else ()) + (
+        (QTF2,) if cf.tag == QTF2 else (QTF1,))
+    for tag in candidates:
+        failures = shape_failures(cf, tag)
         if not failures:
-            return TOROIDAL, diagnostics
-        diagnostics[TOROIDAL] = failures
-
-    if cf.tag != QTF2:
-        failures = _positivity_failures(cf, cf.ell) + _qtf_condition_failures(cf)
-        if cf.ell == 0 and cf.n > 0:
-            failures.append(("shape", "an ell=0 chart cannot carry divisor columns"))
-        if not failures:
-            return QTF1, diagnostics
-        diagnostics[QTF1] = failures
-
-    if cf.tag == QTF2:
-        failures = _positivity_failures(cf, cf.ell + 1) + _qtf_condition_failures(cf)
-        if not failures:
-            return QTF2, diagnostics
-        diagnostics[QTF2] = failures
-
+            return tag, diagnostics
+        diagnostics[tag] = failures
     return None, diagnostics
+
+
+def built_chart(**fields) -> ChartForm:
+    """The chart built from `fields`, checked once: structure, then the
+    shape of its own tag (a qtf1 chart with s = 0 fails it exactly when it
+    fails the toroidal shape).  A failure is an engine bug."""
+    try:
+        cf = ChartForm(**fields)
+    except ValueError as exc:
+        raise InternalCheckError(f"built chart: {exc}") from exc
+    failures = shape_failures(cf, cf.tag)
+    if failures:
+        raise InternalCheckError(
+            f"built chart is not {cf.tag}: {ValidityReport(tuple(failures))}")
+    return cf
 
 
 class AdaptedForm(NamedTuple):
@@ -302,13 +322,10 @@ def derive_center_form(cf: ChartForm, z: CenterDescriptor) -> AdaptedForm:
     order = center_row_order(cf.ell, z)
     matrix = tuple(cf.matrix[i] for i in order) + ((0,) * cf.n,) * s
     units = tuple(cf.units[i] for i in order) + (TRIVIAL_UNIT,) * s
-    chart = ChartForm(
+    chart = built_chart(
         d=cf.d, m=cf.m, n=cf.n, ell=cf.ell, s=s, tag=QTF1,
         matrix=matrix, units=units, betas=(ZERO_STRATUM,) * s,
         ell_bar=z.ell_bar)
-    tag, diag = classify_form(chart)
-    if tag not in (QTF1, TOROIDAL):
-        raise InternalCheckError(f"adapted chart failed classification: {diag}")
     return AdaptedForm(chart, order)
 
 
@@ -358,13 +375,9 @@ def extend_to_global_form(cf: ChartForm, ell_global: int) -> ChartForm:
     block = tuple(
         (0,) * cf.n + tuple(1 if j == k else 0 for j in range(g))
         for k in range(g))
-    out = ChartForm(
+    return built_chart(
         d=cf.d, m=cf.m, n=cf.n + g, ell=ell_global, s=0, tag=TOROIDAL,
         matrix=matrix + block, units=cf.units + (TRIVIAL_UNIT,) * g)
-    report = verify_toroidal_form(out)
-    if not report.ok:
-        raise InternalCheckError(f"extension broke toroidal shape: {report}")
-    return out
 
 
 def smooth_chart(d: int, m: int) -> ChartForm:

@@ -13,16 +13,15 @@ and is dropped back out of the chart instead.
 A lift runs in two passes.  The skeleton (`lift_skeleton`) reads only
 the chart's shape, its `shape_key`: the case, the generator row, which
 center rows are strict, vanished or kept, and the lifted chart's shape,
-with every check on them, the chart's structural check included.  The
-constants pass fills in the generator constant, the lifted units and the
-fresh parameters from the chart's unit constants and beta values; a
-lifted chart has no betas and no unit factors, so its structure is the
-skeleton's and is not checked again.  Charts of one shape share a
-skeleton, so a caller lifting many strata can keep skeletons in a dict
-for the length of one chart family.  The point of the target blowup
-chart the lift lands on is not stored apart: the generator row, the row
-sources and the fresh parameters' shifts name it, in the engine and in
-the trace alike.
+with every check on them.  The constants pass fills in the generator
+constant, the lifted units and the fresh parameters from the chart's
+unit constants and beta values; a lifted chart has no betas and no unit
+factors, so its structure is the skeleton's and is not checked again.
+Charts of one shape share a skeleton, so a caller lifting many strata
+can keep skeletons in a dict for the length of one chart family.  The
+point of the target blowup chart the lift lands on is not stored apart:
+the generator row, the row sources and the fresh parameters' shifts name
+it, in the engine and in the trace alike.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from .chart import (
     CenterDescriptor,
     ChartForm,
     ValidityReport,
+    built_chart,
     column_minima,
     pullback_center_generators,
     shape_key,
-    toroidal_shape_failures,
 )
 from .errors import InternalCheckError
 from .linalg import rank
@@ -139,12 +138,8 @@ def lift_skeleton(cf: ChartForm, z: CenterDescriptor) -> LiftSkeleton:
     build = _skeleton_outside_divisor if cf.ell_bar == 0 else _skeleton_inside_divisor
     drop_col, zero, row_sources, matrix = build(cf, case, gen_row)
     n = cf.n if drop_col is None else cf.n - 1
-    failures = toroidal_shape_failures(matrix, n, len(matrix))
-    if failures:
-        raise InternalCheckError(
-            f"lifted chart is not toroidal: {ValidityReport(tuple(failures))}")
-    shape = ChartForm(d=cf.d, m=cf.m, n=n, ell=len(matrix), s=0, tag=TOROIDAL,
-                      matrix=matrix, units=(TRIVIAL_UNIT,) * len(matrix))
+    shape = built_chart(d=cf.d, m=cf.m, n=n, ell=len(matrix), s=0, tag=TOROIDAL,
+                        matrix=matrix, units=(TRIVIAL_UNIT,) * len(matrix))
     return LiftSkeleton(case, gen_row, drop_col, zero, row_sources, shape)
 
 
@@ -158,8 +153,6 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str, gen_row: int):
 
     reduced = {i: tuple(x - y for x, y in zip(cf.matrix[i], mins))
                for i in range(cf.ell_bar) if i != gen_row}
-    if any(x < 0 for row in reduced.values() for x in row):
-        raise InternalCheckError("column minima exceeded a center row")
     strict = tuple(i for i in sorted(reduced) if any(reduced[i]))
     zero = tuple(i for i in sorted(reduced) if not any(reduced[i]))
 
@@ -175,8 +168,6 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str, gen_row: int):
               + tuple(cf.matrix[i] for i in kept))
     row_sources = ((("gen", gen_row),) + tuple(("strict", i) for i in strict)
                    + tuple(("kept", i) for i in kept))
-    if len(matrix) != cf.ell - cf.ell_bar + len(strict) + 1:
-        raise InternalCheckError("lifted divisor count bookkeeping broke")
     return None, zero, row_sources, matrix
 
 

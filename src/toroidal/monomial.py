@@ -6,7 +6,8 @@ ideal is generated by the all-zeros exponent.  Everything is integer
 arithmetic on tuples, so values are hashable and order-independent.
 
 Every exponent is checked once, where it enters: by the constructor,
-`minimal_generators` and the monomial arguments of the operations.  An
+`minimal_generators` and the monomial arguments of the operations.  The
+constructor also requires the generators as their sorted antichain.  An
 ideal built from checked exponents (a chart's pullback, a colon or a
 product) goes through `MonomialIdeal.trusted`, which checks nothing.
 """
@@ -43,6 +44,8 @@ class MonomialIdeal:
             raise ValueError("ambient dimension must be nonnegative")
         for g in self.gens:
             _check_exponent(g, self.ambient_dim)
+        if self.gens != _antichain(map(tuple, self.gens)):
+            raise ValueError("generators must be given as their sorted antichain")
 
     @classmethod
     def trusted(cls, ambient_dim: int, gens) -> "MonomialIdeal":

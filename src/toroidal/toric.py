@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chart import SMOOTH, TOROIDAL, ChartForm, ValidityReport, verify_toroidal_form
+from .chart import TOROIDAL, ChartForm, ValidityReport, built_chart, smooth_chart
 from .errors import InternalCheckError
 from .linalg import greedy_pivot_cols, greedy_pivot_rows, mat_mul, rank, solve_square
 from .units import TRIVIAL_UNIT, UnitToken, UnitValue
@@ -181,7 +181,7 @@ def _tf_chart(data: ToricMorphismData, perm, r: int,
     translated factors of rows r+1..ell carried as unit tokens."""
     d, n, m, ell = data.d, data.n, data.m, data.ell
     if ell == 0:
-        return ChartForm(d=d, m=m, n=0, ell=0, s=0, tag=SMOOTH)
+        return smooth_chart(d, m)
     matrix = tuple(tuple(perm[i][j] for j in range(n)) for i in range(ell))
     units: list[UnitToken] = []
     factor_base = n + (m - ell)
@@ -191,9 +191,5 @@ def _tf_chart(data: ToricMorphismData, perm, r: int,
         else:
             units.append(UnitToken().with_factor(
                 factor_base + (i - r), constants[i - r], 1))
-    chart = ChartForm(d=d, m=m, n=n, ell=ell, s=0, tag=TOROIDAL,
-                      matrix=matrix, units=tuple(units))
-    report = verify_toroidal_form(chart)
-    if not report.ok:
-        raise InternalCheckError(f"normalized chart is not toroidal: {report}")
-    return chart
+    return built_chart(d=d, m=m, n=n, ell=ell, s=0, tag=TOROIDAL,
+                       matrix=matrix, units=tuple(units))

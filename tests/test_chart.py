@@ -5,6 +5,7 @@ import pytest
 
 from toroidal.chart import (
     QTF1,
+    QTF2,
     SMOOTH,
     TOROIDAL,
     CenterDescriptor,
@@ -14,6 +15,7 @@ from toroidal.chart import (
     derive_center_form,
     extend_to_global_form,
     pullback_center_ideal,
+    shape_failures,
     smooth_chart,
     verify_toroidal_form,
 )
@@ -81,6 +83,28 @@ class TestClassify:
     def test_smooth(self):
         tag, _ = classify_form(smooth_chart(3, 2))
         assert tag == SMOOTH
+
+    @pytest.mark.parametrize("tag", [QTF1, QTF2])
+    def test_own_shape_accepts_what_classify_accepted(self, tag):
+        # The engine's postcondition reads only the chart's own tag; before,
+        # it accepted that tag or TOROIDAL from classify_form.
+        rng = random.Random(337)
+        verdicts = set()
+        for _ in range(400):
+            n, ell = rng.randint(0, 3), rng.randint(0, 3)
+            s = rng.randint(1 if tag == QTF2 else 0, 2)
+            betas = (ZERO_STRATUM,) * s
+            if tag == QTF2:
+                betas = (None,) + betas[1:]
+            cf = ChartForm(d=n + ell + s + 1, m=ell + s + 1, n=n, ell=ell, s=s,
+                           tag=tag, units=(TRIVIAL_UNIT,) * (ell + s), betas=betas,
+                           matrix=tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                                        for _ in range(ell + s)),
+                           ell_bar=rng.randint(0, ell))
+            accepted = not shape_failures(cf, tag)
+            assert accepted == (classify_form(cf)[0] in (tag, TOROIDAL)), cf
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
     def test_unslotted_diagnostics_match_toroidal_view(self):
         # An s = 0 adapted chart is judged as the toroidal chart with the

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from toroidal.monomial import (
+    MonomialIdeal,
     colon_by_monomial,
     contains_monomial,
     gcd_generators,
@@ -60,6 +61,23 @@ class TestMinimalGenerators:
         for _ in range(100):
             i = random_ideal(rng, rng.randint(1, 4))
             assert minimal_generators(i.gens, i.ambient_dim) == i
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("gens", [
+        ((1, 1), (0, 1)),  # (0, 1) divides (1, 1)
+        ((1, 0), (0, 1)),  # an antichain, unsorted
+        ((0, 1), (0, 1)),
+        [(0, 1), (1, 0)],
+    ])
+    def test_non_canonical_generators_rejected(self, gens):
+        with pytest.raises(ValueError, match="sorted antichain"):
+            MonomialIdeal(2, gens)
+
+    def test_canonical_generators_accepted(self):
+        reduced = ideal((1, 1), (0, 1), (2, 0))
+        assert MonomialIdeal(2, reduced.gens) == reduced
+        assert MonomialIdeal(2, ()).is_zero
 
 
 class TestContainsMonomial:

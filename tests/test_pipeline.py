@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from toroidal import blowup, documents, lift, pipeline, principalize
-from toroidal.chart import shape_key
+from toroidal import blowup, chart, documents, lift, pipeline, principalize, units
+from toroidal.chart import TOROIDAL, shape_key
 from toroidal.cli import main
 from toroidal.documents import canonical_dumps
 from toroidal.pipeline import (
@@ -620,19 +620,33 @@ class TestExitStatuses:
                               "runaway principalization"), err
 
     def test_internal_check_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(blowup, "classify_form", lambda chart: (None, {}))
+        # The adapted root keeps the identity matrix; every blowup child fails.
+        monkeypatch.setattr(chart, "shape_failures", lambda cf, tag: (
+            [] if cf.matrix == ((1, 0), (0, 1)) else [("forced", "failure")]))
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert status == 5
-        assert err.startswith("error: stratum A/p0: transformed chart failed qtf1 "
-                              "invariants"), err
+        assert err.startswith("error: stratum A/p0: built chart is not qtf1: "
+                              "forced: failure"), err
 
     def test_internal_check_error_in_a_lift(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(lift, "toroidal_shape_failures",
-                            lambda matrix, n, ell: [("forced", "failure")])
+        real = chart.shape_failures
+        monkeypatch.setattr(chart, "shape_failures", lambda cf, tag: (
+            [("forced", "failure")] if tag == TOROIDAL else real(cf, tag)))
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert status == 5
         assert err.startswith("error: stratum A/p0.e0z (parent path A/p0): "
-                              "lifted chart is not toroidal: forced: failure"), err
+                              "built chart is not toroidal: forced: failure"), err
+
+    def test_malformed_engine_chart_is_internal(self, tmp_path, capsys, monkeypatch):
+        # A unit factor on an active variable breaks the chart's structure;
+        # the engine built it, so it is a bug (5), not bad input (2).
+        real = units.UnitToken.with_factor
+        monkeypatch.setattr(units.UnitToken, "with_factor",
+                            lambda self, var, value, k: real(self, 0, value, k))
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
+        assert status == 5
+        assert err.startswith("error: stratum A/p0: built chart: malformed chart: "
+                              "unit of row 1 touches active variable 0"), err
 
     def test_blowup_checks_its_center_once(self, tmp_path, capsys, monkeypatch):
         checks = []

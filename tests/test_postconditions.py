@@ -7,10 +7,11 @@ not as bad input or as a verdict.
 
 import pytest
 
-from toroidal import blowup, chart, monomial
+from toroidal import blowup, chart, lift, monomial
 from toroidal.chart import (
+    QTF1,
     CenterDescriptor,
-    ValidityReport,
+    ChartForm,
     derive_center_form,
     smooth_chart,
 )
@@ -21,6 +22,8 @@ from toroidal.monomial import (
     principal_part_factorization,
 )
 from toroidal.pipeline import parse_document, verify_global_toroidal
+from toroidal.toric import LocalModelDims, ToricMorphismData, normalize_toric_presentation
+from toroidal.units import TRIVIAL_UNIT
 from test_blowup import FULL_CENTER, IDENTITY
 from test_pipeline import identity_doc
 
@@ -46,6 +49,17 @@ def _global_extension():
     verify_global_toroidal(parse_document(doc)[0])
 
 
+def _lift_skeleton():
+    cf = ChartForm(d=2, m=2, n=2, ell=2, s=0, tag=QTF1, matrix=((1, 0), (1, 1)),
+                   units=(TRIVIAL_UNIT,) * 2, ell_bar=2)
+    lift.lift_skeleton(cf, CenterDescriptor(2, 2, (0, 1)))
+
+
+def _toric_chart():
+    normalize_toric_presentation(ToricMorphismData(
+        LocalModelDims(3, 2), LocalModelDims(2, 2), ((1, 1, 1), (2, 2, 1))))
+
+
 def _factorization():
     principal_part_factorization(minimal_generators([(2, 1), (1, 2)], 2))
 
@@ -54,8 +68,8 @@ def _decomposition():
     irreducible_decomposition(minimal_generators([(1, 1)], 2))
 
 
-def _not_toroidal(*args):
-    return None, "forced failure"
+def _forced(cf, tag):
+    return [("forced", "failure")]
 
 
 def _wrong_ideal(*args):
@@ -63,11 +77,11 @@ def _wrong_ideal(*args):
 
 
 CASES = {
-    "blowup-chart": (blowup, "classify_form", _not_toroidal, _blowup_chart),
-    "center-form": (chart, "classify_form", _not_toroidal, _center_form),
-    "global-extension": (chart, "verify_toroidal_form",
-                         lambda cf: ValidityReport((("forced", "failure"),)),
-                         _global_extension),
+    "blowup-chart": (chart, "shape_failures", _forced, _blowup_chart),
+    "center-form": (chart, "shape_failures", _forced, _center_form),
+    "global-extension": (chart, "shape_failures", _forced, _global_extension),
+    "lift-skeleton": (chart, "shape_failures", _forced, _lift_skeleton),
+    "toric-chart": (chart, "shape_failures", _forced, _toric_chart),
     "factorization": (monomial, "multiply_by_monomial", _wrong_ideal, _factorization),
     "decomposition": (monomial, "intersect", _wrong_ideal, _decomposition),
 }
