@@ -7,7 +7,7 @@ ideals by permissible blowups, lifts the morphism through each target
 blowup, and certifies that the final charts are toroidal.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .blowup import (
     BlowupCenterChart,

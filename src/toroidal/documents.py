@@ -325,7 +325,6 @@ def principalization_to_doc(trace: PrincipalizationTrace,
             "stratum": s.stratum_id,
             "center": center_to_doc(s.center),
             "residual_order": s.residual_order,
-            "nonprincipal_count": s.nonprincipal_count,
             "children": [{"choice": choice_to_doc(choice), "id": cid}
                          for choice, cid in s.children],
         } for s in trace.steps],

@@ -41,7 +41,6 @@ from .documents import (
     read_schema,
     read_strings,
 )
-from .errors import InternalCheckError
 from .lift import lift_after_principalization, verify_commutes
 from .linalg import rank
 from .principalize import (
@@ -54,7 +53,7 @@ from .principalize import (
 )
 
 ATLAS_SCHEMA = "toroidal-atlas/1"
-TRACE_SCHEMA = "toroidal-trace/2"
+TRACE_SCHEMA = "toroidal-trace/3"
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +362,7 @@ def _descriptor_for(stratum: TrackedStratum, view: CenterView) -> CenterDescript
     return CenterDescriptor(ell_bar=len(rows), c=view.c, divisor_rows=rows)
 
 
-def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
+def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
               cap: int, memo: dict) -> tuple[dict, bool]:
     """Run one script step on `atlas`; returns the step's trace record and
     whether every lift commutes.  `memo` is the trace's encoding memo."""
@@ -436,18 +435,12 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str | None,
 
 
 def _lifted_labels(result, old_labels: tuple[str, ...],
-                   exc_label: str | None) -> tuple[str, ...]:
-    labels = []
-    for kind, src in result.skeleton.row_sources:
-        if kind == "gen":
-            if exc_label is None:
-                raise InternalCheckError("generator row needs an exceptional label")
-            labels.append(exc_label)
-        else:
-            labels.append(old_labels[src])
-    if len(labels) != result.lifted.ell:
-        raise InternalCheckError("label bookkeeping disagrees with the lifted chart")
-    return tuple(labels)
+                   exc_label: str) -> tuple[str, ...]:
+    """One label per lifted row, as the skeleton built its row sources
+    with its rows; a step runs only once its script passed, so its
+    exceptional label exists."""
+    return tuple(exc_label if kind == "gen" else old_labels[src]
+                 for kind, src in result.skeleton.row_sources)
 
 
 def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:

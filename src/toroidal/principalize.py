@@ -1,15 +1,14 @@
 """Driver that makes the pulled-back center ideal principal on every
 tracked chart stratum by repeated permissible blowups.
 
-The pullback's locus is found when a stratum is created (as a member
-of the input family or as a blowup child) and kept with it.  Strata
-that are not yet principal wait in a heap keyed by the order of their
-residual ideal (largest first, ties broken by family position, then
-creation order).  Each round pops the top stratum, selects a blowup
-center inside the residual's maximum order locus, and replaces the
-stratum by the finite list of chart strata covering the exceptional
-fiber.  A step cap stands in for a termination proof; hitting it is a
-reported status.
+Each input stratum roots its own tree, and the trees are expanded one
+after another in family order, each depth first.  A stratum whose
+pullback is principal, or that sits at the cap, is a leaf; any other is
+blown up along a center inside its residual's maximum order locus, and
+its children (the chart strata covering the exceptional fiber) are
+expanded in enumeration order.  A subtree thus depends only on its root
+chart, descriptor, id and depth, not on the rest of the family.  A step
+cap stands in for a termination proof; hitting it is a reported status.
 
 The locus is the factorization x^F * N of the pullback and nothing more:
 the policy draws the candidate centers from `max_order_components(N)`,
@@ -20,7 +19,6 @@ once.  A failure on a stratum names it and its parent path.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .blowup import (
@@ -138,7 +136,6 @@ class PrincipalizationStep:
     stratum_id: str
     center: BlowupCenterChart
     residual_order: int
-    nonprincipal_count: int
     children: tuple[tuple[BlowupChartChoice, str], ...]
 
 
@@ -160,17 +157,6 @@ class PrincipalizationTrace:
     @property
     def exceeded(self) -> bool:
         return any(f.status == EXCEEDED for f in self.final)
-
-
-@dataclass(frozen=True)
-class _Stratum:
-    stratum_id: str
-    chart: ChartForm
-    z: CenterDescriptor
-    family_pos: int
-    path: tuple[str, ...]
-    shape: tuple
-    locus: NonprincipalLocus
 
 
 def _choice_tag(choice: BlowupChartChoice) -> str:
@@ -201,64 +187,59 @@ def principalize_chart_family(
         strata: list[tuple[str, ChartForm, CenterDescriptor]],
         cap: int = DEFAULT_CAP,
 ) -> PrincipalizationTrace:
-    # Strata still to blow up wait in `heap`; principal strata and strata
-    # at the cap go to `done`, in creation order.  The cap bounds the
-    # length of any single chain of blowups (the depth of a stratum's
-    # history); strata at the cap stop expanding and finish with Exceeded
+    # Each root's tree is expanded depth first from an explicit stack (the
+    # cap is user-set, so recursion could outgrow Python's limit): steps
+    # come in preorder and each root's finals are its leaves in preorder.
+    # The cap bounds the length of any single chain of blowups (the depth
+    # of a stratum's history); a stratum at the cap finishes with Exceeded
     # status.  `loci` holds each shape's locus for the length of this call
-    # and `ids` every id given out, so its size counts the strata created.
+    # and `ids` every id given out, roots first, so a child that takes a
+    # root's id is named with its parent path.
     check_cap(cap)
-    heap: list[tuple[int, int, int, _Stratum]] = []
-    done: list[_Stratum] = []
     loci: dict[tuple, NonprincipalLocus] = {}
     ids: set[str] = set()
+    steps: list[PrincipalizationStep] = []
+    final: list[FinalStratum] = []
 
-    def admit(sid, chart, z, family_pos, path):
+    def register(sid, path):
         with naming(sid, path):
             if sid in ids:
                 raise ValueError("id repeated in the family")
-            ids.add(sid)
-            shape = shape_key(chart, z)
-            locus = loci.get(shape)
-            if locus is None:
-                locus = loci[shape] = nonprincipal_locus(chart, z)
-        s = _Stratum(sid, chart, z, family_pos, path, shape, locus)
-        if locus.is_principal or len(path) >= cap:
-            done.append(s)
-        else:
-            heapq.heappush(heap, (-order_at_origin(locus.residual),
-                                  family_pos, len(ids), s))
+        ids.add(sid)
 
-    for pos, (sid, cf, z) in enumerate(strata):
-        admit(sid, cf, z, pos, ())
-    steps: list[PrincipalizationStep] = []
-
-    while heap:
-        nonprincipal_count = len(heap)
-        neg_order, _, _, target = heapq.heappop(heap)
-        with naming(target.stratum_id, target.path):
-            if len(steps) >= RUNAWAY_GUARD:
-                raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
-                                  "blowup rounds without finishing")
-            center = POLICY.select(target.chart, target.z, target.locus.residual)
-            children = enumerate_blowup_strata(
-                target.chart, center, symbol_prefix=target.stratum_id)
-        path = target.path + (target.stratum_id,)
-        records = []
-        for choice, result in children:
-            child_id = f"{target.stratum_id}.{_choice_tag(choice)}"
-            admit(child_id, result.chart, target.z, target.family_pos, path)
-            records.append((choice, child_id))
-        steps.append(PrincipalizationStep(
-            stratum_id=target.stratum_id, center=center,
-            residual_order=-neg_order,
-            nonprincipal_count=nonprincipal_count,
-            children=tuple(records)))
-
-    done.sort(key=lambda s: s.family_pos)
-    final = tuple(
-        FinalStratum(s.stratum_id,
-                     PRINCIPAL if s.locus.is_principal else EXCEEDED,
-                     s.chart, s.z, s.path, s.shape)
-        for s in done)
-    return PrincipalizationTrace(tuple(steps), final)
+    for sid, _, _ in strata:
+        register(sid, ())
+    for root_id, root_chart, z in strata:
+        stack = [(root_id, root_chart, ())]
+        while stack:
+            sid, chart, path = stack.pop()
+            with naming(sid, path):
+                shape = shape_key(chart, z)
+                locus = loci.get(shape)
+                if locus is None:
+                    locus = loci[shape] = nonprincipal_locus(chart, z)
+                if locus.is_principal or len(path) >= cap:
+                    final.append(FinalStratum(
+                        sid, PRINCIPAL if locus.is_principal else EXCEEDED,
+                        chart, z, path, shape))
+                    continue
+                if len(steps) >= RUNAWAY_GUARD:
+                    raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
+                                      "blowup rounds without finishing")
+                center = POLICY.select(chart, z, locus.residual)
+                children = enumerate_blowup_strata(chart, center, symbol_prefix=sid)
+            path += (sid,)
+            records = []
+            top = len(stack)
+            for choice, result in children:
+                child_id = f"{sid}.{_choice_tag(choice)}"
+                register(child_id, path)
+                records.append((choice, child_id))
+                # Each child goes under its elder siblings, so the first
+                # child is expanded first.
+                stack.insert(top, (child_id, result.chart, path))
+            steps.append(PrincipalizationStep(
+                stratum_id=sid, center=center,
+                residual_order=order_at_origin(locus.residual),
+                children=tuple(records)))
+    return PrincipalizationTrace(tuple(steps), tuple(final))

@@ -94,10 +94,6 @@ class ToroidalPresentation:
     constants: tuple[UnitValue, ...]               # m - r translated constants
     chart: ChartForm
 
-    @property
-    def tf_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return self.chart.matrix
-
 
 def default_alphas(data: ToricMorphismData) -> dict[int, UnitValue]:
     """Symbolic nonzero coordinates for the torus directions."""

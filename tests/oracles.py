@@ -4,8 +4,9 @@ principalization driver and reference unit-value arithmetic.
 The monomial oracles work by explicit divisibility scans over all
 monomials up to a degree bound, independent of the library's own
 algebra, so the two sides can disagree only when one of them is wrong.
-The reference driver is the plain rescanning loop the incremental
-driver in `toroidal.principalize` must agree with step for step.  The
+The reference driver is the plain rescanning heap-order loop whose
+tree the depth-first driver in `toroidal.principalize` must build, step
+record for step record and final for final.  The
 reference product and power are the general `UnitValue` operations
 without the fast paths the library takes for symbol-free sides and
 integer exponents.  The reference blowup transform builds divisor-j0
@@ -20,14 +21,17 @@ agree with both.  The reference irreducible decomposition drops a
 redundant component by intersecting all the others; the library's
 pairwise containment test must leave the same components.  The
 reference rank eliminates over `Fraction`s with division; the library's
-fraction-free elimination must find the same rank.  `trace1_of` turns a
-toroidal-trace/2 document back into the toroidal-trace/1 bytes by
-rebuilding the fields trace/2 leaves out, so digests recorded under
-trace/1 still pin the engine's output.
+fraction-free elimination must find the same rank.  `trace2_of` turns a
+toroidal-trace/3 document back into the toroidal-trace/2 bytes by
+replaying the heap order trace/3 no longer follows, and `trace1_of` turns
+that into the toroidal-trace/1 bytes by rebuilding the fields trace/2
+leaves out, so digests recorded under trace/1 and trace/2 still pin the
+engine's output.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -188,7 +192,9 @@ def reference_radical_components(ideal) -> tuple[tuple[int, ...], ...]:
 def rescan_principalize(strata, cap=50):
     """Reference driver: every round recomputes the locus of every live
     stratum, sorts the nonprincipal ones below the cap by (-residual
-    order, family position, creation order) and blows up the first."""
+    order, family position, creation order) and blows up the first.  It
+    builds the same tree as the depth-first driver, in the heap order of
+    toroidal-trace/2."""
     # live entries: [stratum_id, chart, z, family_pos, created, path]
     live = [[sid, cf, z, pos, pos, ()] for pos, (sid, cf, z) in enumerate(strata)]
     counter = len(live)
@@ -214,7 +220,7 @@ def rescan_principalize(strata, cap=50):
             counter += 1
             records.append((choice, child_id))
         steps.append(PrincipalizationStep(sid, center, order_at_origin(locus.residual),
-                                          len(working), tuple(records)))
+                                          tuple(records)))
     final = []
     for sid, cf, z, _, _, path in sorted(live, key=lambda s: (s[3], s[4])):
         status = PRINCIPAL if nonprincipal_locus(cf, z).is_principal else EXCEEDED
@@ -422,3 +428,73 @@ def trace1_of(doc: dict) -> dict:
                          "resolution_script": True,
                          "all_strata_toroidal": not verdicts["cap_exceeded"],
                          "global_toroidal": verdicts["global_failures"] == []}}
+
+
+def principalization2_of(doc: dict, roots: list[str]) -> tuple[dict, list[str]]:
+    """The toroidal-trace/2 principalization record for a toroidal-trace/3
+    one over the family `roots`, and its finals' ids in trace/2 order.
+
+    Trace/2 blew up the stratum first in (-residual order, family
+    position, creation order) and wrote the number of strata waiting as
+    `nonprincipal_count`; a stratum with a step record is one that
+    waited, any other is a final.  Trace/2 listed the finals by family
+    position, then creation order."""
+    steps = {step["stratum"]: step for step in doc["steps"]}
+    heap, done, created = [], [], 0
+
+    def admit(sid, pos):
+        nonlocal created
+        created += 1
+        if sid in steps:
+            heapq.heappush(heap, (-steps[sid]["residual_order"], pos, created, sid))
+        else:
+            done.append((pos, sid))
+
+    for pos, sid in enumerate(roots):
+        admit(sid, pos)
+    steps2 = []
+    while heap:
+        count = len(heap)
+        _, pos, _, sid = heapq.heappop(heap)
+        for child in steps[sid]["children"]:
+            admit(child["id"], pos)
+        steps2.append({**steps[sid], "nonprincipal_count": count})
+    order = [sid for _, sid in sorted(done, key=lambda ps: ps[0])]
+    finals = {f["id"]: f for f in doc["final"]}
+    return {"steps": steps2, "final": [finals[sid] for sid in order]}, order
+
+
+def trace2_of(doc: dict, atlas_doc: dict) -> dict:
+    """The toroidal-trace/2 document (engine 0.2.0) for a toroidal-trace/3
+    one run on `atlas_doc`.  Each chart's strata are followed in trace/2
+    order from step to step: that order sets the adapted records (and so
+    the family positions), the principalization record, the lifts, and
+    the strata each step leaves to the next and to `final_atlas`."""
+    order = {chart["id"]: [f"{chart['id']}/{s['id']}" for s in chart.get("strata", [])]
+             for chart in atlas_doc["charts"]}
+    steps = []
+    for step in doc["steps"]:
+        charts = {}
+        for chart_id, chart_doc in step["charts"].items():
+            adapted = {a["stratum"]: a for a in chart_doc["adapted"]}
+            if not adapted:
+                charts[chart_id] = chart_doc
+                continue
+            roots = [sid for sid in order[chart_id] if sid in adapted]
+            principalization, finals = principalization2_of(
+                chart_doc["principalization"], roots)
+            lifts = {lift["stratum"]: lift for lift in chart_doc["lifts"]}
+            charts[chart_id] = {
+                **chart_doc, "principalization": principalization,
+                "adapted": [adapted[sid] for sid in roots],
+                "lifts": [lifts[sid] for sid in finals if sid in lifts]}
+            order[chart_id] = [sid for sid in order[chart_id] if sid not in adapted] + [
+                lifts[sid]["lifted_id"] if sid in lifts else sid for sid in finals]
+        steps.append({**step, "charts": charts})
+    final_atlas = doc["final_atlas"]
+    charts = []
+    for chart in final_atlas["charts"]:
+        strata = {s["id"]: s for s in chart["strata"]}
+        charts.append({**chart, "strata": [strata[sid] for sid in order[chart["id"]]]})
+    return {**doc, "schema": "toroidal-trace/2", "engine": "0.2.0", "steps": steps,
+            "final_atlas": {**final_atlas, "charts": charts}}

@@ -24,7 +24,7 @@ DEMO_DIGESTS = {
     "03_blowup_charts.py":
         "d041d91b3c05b360792718b9e6dcbb232c28421360705d7c9e7285ddf9e06286",
     "04_principalization_and_lift.py":
-        "d428c2fa7beb77a763fb81d2efc533171dfe2bc42c48ba4e7fbdd9f27c9f5398",
+        "754b7633eee33d002fe2450dcc9cf755e6d5db3cc4992188f3221b729955cdc7",
     "05_full_toroidalization.py":
         "f51795b880711ce3fed4ce9d74bff39af416d865e996c6425aaabe55bc8888bd",
 }

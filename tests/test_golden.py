@@ -5,9 +5,11 @@ digests were recorded from the engine and any change to the bytes a
 trace serializes to fails the matching test.  A deliberate change to
 the output (a new `TRACE_SCHEMA` or engine version) records new ones.
 
-The digests recorded under toroidal-trace/1 are kept: `oracles.trace1_of`
-rebuilds the fields trace/2 leaves out, and the result must still hash
-to them.  The trace/2 digests are pinned next to them.
+The digests recorded under toroidal-trace/1 and toroidal-trace/2 are
+kept: `oracles.trace2_of` puts a trace/3 document back in the heap order
+trace/2 followed, `oracles.trace1_of` rebuilds the fields trace/2 leaves
+out, and the results must still hash to them.  The trace/3 digests are
+pinned next to them.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import pytest
 
 import test_acceptance
 import test_pipeline
-from oracles import record1_of, trace1_of
+from oracles import principalization2_of, record1_of, trace1_of, trace2_of
 from toroidal.documents import (
     canonical_dumps,
     chart_to_doc,
@@ -40,6 +42,18 @@ def _low_cap_doc():
     return doc
 
 
+def _deep_multi_step_doc():
+    """The two-step script on a chart whose first principalization takes
+    two blowups, so the second step adapts four strata: trace/3 lists
+    the adapted strata, steps, finals, lifts and final atlas in another
+    order than trace/2 did."""
+    doc = test_pipeline.TestMultiStepScript().doc()
+    doc["charts"][0]["strata"][0]["chart"]["matrix"] = [[2, 1], [1, 3]]
+    return doc
+
+
+# The deep_multi_step trace/1 digest is `trace1_of` of the trace/2 one,
+# which was recorded from the engine at 0.2.0.
 PIPELINE_GOLDEN = {
     "identity": (test_pipeline.identity_doc, 50,
                  "8f4ca0b93d427a7a9de1c8ab4e437d8416f14a9d1a175c5b4da3e31a313f600b"),
@@ -49,6 +63,8 @@ PIPELINE_GOLDEN = {
                    "e692762ff54fd35c3c03dcc2c0cbe87f8d16807150329f738d3fe618e13eb057"),
     "low_cap": (_low_cap_doc, 1,
                 "5e56b9b90d15c42cc3e9d3183a41ee989397f11426fe87f094e9e035fcc5fb8c"),
+    "deep_multi_step": (_deep_multi_step_doc, 50,
+                        "e162f4a571e580b9a8f8e4654855f54fbf9797bf0df89eb39d96fe01de8ac72d"),
 }
 
 
@@ -57,22 +73,37 @@ PIPELINE_GOLDEN_TRACE2 = {
     "two_chart": "e025a5c662f6dc0b9ca24f316ab6d17a42ca9c1c74bef188fe29e28449fd5914",
     "multi_step": "2eeb1c20eead3fe4253067d4a1bb4cd8850e91c2246f2c0e5aa93f900a5d43d0",
     "low_cap": "3405a93031eb788c93e1bcbebb404016a61e9323bcdc6beb7b6c66746c06c2d5",
+    "deep_multi_step": "fcb5fa8dcb72449c557628e6d9847ed110c5a5a1ca9b04eb1f2c0985de17f346",
+}
+
+
+PIPELINE_GOLDEN_TRACE3 = {
+    "identity": "208209f807ff1b29db4cd75444b25b9512a37b66e56eb3ef3c98c80fda6e532a",
+    "two_chart": "bfb061f69cdd7e658bdba1eb7e728d201b571f98ca2a4acf14b675608aafc94e",
+    "multi_step": "847416b5a87e4a19bdab67eb4f76d4b001dd7001773acb7bba81da371b7b7a03",
+    "low_cap": "ee05ae1632c4e9fe156401339295f376f7b8d56b1f7b149f26bfc6a5dc3cad00",
+    "deep_multi_step": "aa3ec28495614586ce6ddf8c5f6c96569459077dc4d6943ebd65627b346934b6",
 }
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
 def test_pipeline_fixture_trace_digest(name):
     doc_fn, cap, digest = PIPELINE_GOLDEN[name]
-    atlas, script = parse_document(doc_fn())
+    doc = doc_fn()
+    atlas, script = parse_document(doc)
     trace = toroidalize(atlas, script, cap=cap)
-    assert _sha(canonical_dumps(trace)) == PIPELINE_GOLDEN_TRACE2[name]
-    assert _sha(canonical_dumps(trace1_of(trace))) == digest
+    trace2 = trace2_of(trace, doc)
+    assert _sha(canonical_dumps(trace)) == PIPELINE_GOLDEN_TRACE3[name]
+    assert _sha(canonical_dumps(trace2)) == PIPELINE_GOLDEN_TRACE2[name]
+    assert _sha(canonical_dumps(trace1_of(trace2))) == digest
 
 
 TERMINATION_CORPUS_DIGEST = (
     "8d0f986fb9483211412b1bdb28098725ab4d9c331ee8151654d516ff2d51dce0")
 TERMINATION_CORPUS_DIGEST_TRACE2 = (
     "06cbc51548c97d9415a81c6ce7b02d33371bff4e69187808aa75ad555b6d4026")
+TERMINATION_CORPUS_DIGEST_TRACE3 = (
+    "695010897ed71be7d5ea04b2e9408a18f4da18abdab54606827026e81536f232")
 
 
 def termination_corpus_documents():
@@ -90,16 +121,31 @@ def termination_corpus_documents():
         yield {"principalization": principalization_to_doc(trace), "lifts": lifts}
 
 
+def corpus2_of(k: int, doc: dict) -> dict:
+    """Instance `k`'s corpus document in trace/2 order: the lifts follow
+    the principal finals, so they are matched to them by position."""
+    principalization, order = principalization2_of(doc["principalization"], [f"s{k}"])
+    principal = [f["id"] for f in doc["principalization"]["final"]
+                 if f["status"] != EXCEEDED]
+    lifts = dict(zip(principal, doc["lifts"]))
+    return {"principalization": principalization,
+            "lifts": [lifts[sid] for sid in order if sid in lifts]}
+
+
 def test_termination_corpus_digest():
     """Principalization steps, finals and every lift of the 200-instance
     acceptance termination corpus (seed 60606), one canonical line each;
-    the trace/1 digest holds with each lift record given back its trace/1
-    fields."""
-    lines, lines1 = [], []
-    for doc in termination_corpus_documents():
+    the trace/2 digest holds with each instance put back in trace/2
+    order, and the trace/1 digest with each lift record given back its
+    trace/1 fields as well."""
+    lines, lines2, lines1 = [], [], []
+    for k, doc in enumerate(termination_corpus_documents()):
+        doc2 = corpus2_of(k, doc)
         lines.append(canonical_dumps(doc))
+        lines2.append(canonical_dumps(doc2))
         lines1.append(canonical_dumps(
-            {**doc, "lifts": [{**lift, "record": record1_of(lift["record"])}
-                              for lift in doc["lifts"]]}))
-    assert _sha("\n".join(lines)) == TERMINATION_CORPUS_DIGEST_TRACE2
+            {**doc2, "lifts": [{**lift, "record": record1_of(lift["record"])}
+                               for lift in doc2["lifts"]]}))
+    assert _sha("\n".join(lines)) == TERMINATION_CORPUS_DIGEST_TRACE3
+    assert _sha("\n".join(lines2)) == TERMINATION_CORPUS_DIGEST_TRACE2
     assert _sha("\n".join(lines1)) == TERMINATION_CORPUS_DIGEST

@@ -20,7 +20,7 @@ from toroidal.pipeline import (
     verify_resolution_script,
 )
 
-from oracles import trace1_of
+from oracles import trace1_of, trace2_of
 
 
 def identity_doc():
@@ -311,13 +311,16 @@ class TestDeterminismAndReplay:
         assert "replay mismatch" in capsys.readouterr().err
 
     def test_replay_rejects_trace1(self, tmp_path, capsys):
+        # A trace/2 document and the trace/1 one rebuilt from it.
         atlas, script = parse_document(identity_doc())
         atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
         atlas_path.write_text(json.dumps(identity_doc()))
-        trace_path.write_text(json.dumps(trace1_of(toroidalize(atlas, script))))
-        assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: expected schema 'toroidal-trace/2'\n")
+        trace2 = trace2_of(toroidalize(atlas, script), identity_doc())
+        for old in (trace2, trace1_of(trace2)):
+            trace_path.write_text(json.dumps(old))
+            assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 2
+            assert capsys.readouterr().err == (
+                "error: expected schema 'toroidal-trace/3'\n")
 
     def test_invalid_atlas_rejected(self):
         doc = identity_doc()

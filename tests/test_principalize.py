@@ -152,19 +152,43 @@ def random_families(seed, count):
         yield family
 
 
+def preorder(family, trace):
+    """The step ids and the final ids met walking each root's tree depth
+    first, roots in family order and children in enumeration order."""
+    steps = {s.stratum_id: s for s in trace.steps}
+    step_ids, final_ids = [], []
+    stack = [sid for sid, _, _ in reversed(family)]
+    while stack:
+        sid = stack.pop()
+        if sid not in steps:
+            final_ids.append(sid)
+            continue
+        step_ids.append(sid)
+        stack.extend(child_id for _, child_id in reversed(steps[sid].children))
+    return step_ids, final_ids
+
+
 class TestIncrementalDriver:
     @pytest.mark.parametrize("cap", [1, 2, 3, 50])
     def test_matches_rescan_reference(self, cap):
-        exceeded = at_cap = multi = 0
+        # The reference builds the same tree in heap order.
+        exceeded = at_cap = multi = reordered = 0
         for family in random_families(100 + cap, 25):
             trace = principalize_chart_family(family, cap=cap)
             ref = rescan_principalize(family, cap=cap)
-            assert trace.steps == ref.steps
-            assert trace.final == ref.final
+            assert {s.stratum_id: s for s in trace.steps} == {
+                s.stratum_id: s for s in ref.steps}
+            assert {f.stratum_id: f for f in trace.final} == {
+                f.stratum_id: f for f in ref.final}
+            assert preorder(family, trace) == (
+                [s.stratum_id for s in trace.steps],
+                [f.stratum_id for f in trace.final])
+            reordered += trace != ref
             exceeded += trace.exceeded
             at_cap += any(len(f.parent_path) == cap for f in trace.final)
             multi += len({s.stratum_id.split(".")[0] for s in trace.steps}) > 1
         assert multi > 0
+        assert reordered > 0 or cap == 1
         if cap < 50:
             assert exceeded > 0 and at_cap > 0
 

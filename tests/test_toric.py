@@ -51,7 +51,7 @@ class TestNormalize:
         assert pres.elimination == ((Fraction(1),),)
         assert pres.c_block == ((Fraction(-1),),)
         assert rank(pres.c_block) == 1
-        assert pres.tf_matrix == ((1, 1), (2, 2))
+        assert pres.chart.matrix == ((1, 1), (2, 2))
         assert verify_toroidal_form(pres.chart).ok
         # The translated constant is the torus coordinate to the power -1.
         assert pres.constants == (UnitValue.symbol("a2", -1),)
