@@ -61,12 +61,6 @@ from .principalize import (
     nonprincipal_locus,
     principalize_chart_family,
 )
-from .toric import (
-    LocalModelDims,
-    ToricMorphismData,
-    normalize_toric_presentation,
-    validate_toric_morphism,
-)
 from .units import Stratum, UnitToken, UnitValue
 
 __all__ = [
@@ -86,3 +80,15 @@ __all__ = [
     "verify_commutes", "verify_global_toroidal", "verify_resolution_script",
     "verify_toroidal_form",
 ]
+
+# The toric reduction is not on the toroidalize path, so its module loads
+# on first use of one of its names.
+_TORIC = ("LocalModelDims", "ToricMorphismData", "normalize_toric_presentation",
+          "validate_toric_morphism")
+
+
+def __getattr__(name):
+    if name in _TORIC:
+        from . import toric
+        return getattr(toric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,8 +46,7 @@ class BlowupCenterChart:
         return len(self.divisor_indices) + self.slot_count
 
 
-@dataclass(frozen=True)
-class BlowupChartChoice:
+class BlowupChartChoice(NamedTuple):
     """Which center coordinate becomes exceptional, and the strata chosen
     for the remaining center coordinates (keyed by chart variable)."""
 

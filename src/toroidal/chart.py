@@ -34,8 +34,9 @@ QTF2 = "qtf2"
 SMOOTH = "smooth"
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
+    """The failed conditions of a check, as (code, detail) pairs."""
+
     failures: tuple[tuple[str, str], ...] = ()
 
     @property
@@ -74,6 +75,9 @@ class CenterDescriptor:
 
 @dataclass(frozen=True)
 class ChartForm:
+    """One chart of the morphism, laid out as the module docstring says;
+    the constructor checks its structure (`structural_problems`)."""
+
     d: int
     m: int
     n: int

@@ -58,12 +58,6 @@ from .pipeline import (
     verify_resolution_script,
 )
 from .principalize import DEFAULT_CAP, check_cap, principalize_chart_family
-from .toric import (
-    LocalModelDims,
-    ToricMorphismData,
-    normalize_toric_presentation,
-    validate_toric_morphism,
-)
 
 PASS, FAIL, INVALID, CAP, REGIME, INTERNAL = 0, 1, 2, 3, 4, 5
 
@@ -139,6 +133,14 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_normalize_toric(args) -> int:
+    # Loaded here, so the other commands never import the toric reduction.
+    from .toric import (
+        LocalModelDims,
+        ToricMorphismData,
+        normalize_toric_presentation,
+        validate_toric_morphism,
+    )
+
     where = "toric document"
     doc = read_object(_read_json(args.file), where)
     source, target = (read_integers(doc, key, where, None) for key in ("source", "target"))

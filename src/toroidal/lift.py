@@ -22,11 +22,15 @@ can keep skeletons in a dict for the length of one chart family.  The
 point of the target blowup chart the lift lands on is not stored apart:
 the generator row, the row sources and the fresh parameters' shifts name
 it, in the engine and in the trace alike.
+
+The skeleton, the fresh parameters and the result are plain records
+(`typing.NamedTuple`s): every check runs where they are built, so
+their constructors check nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chart import (
     QTF2,
@@ -46,8 +50,7 @@ from .units import TRIVIAL_UNIT, UnitToken, UnitValue
 CASE1, CASE2, CASE3, SMOOTH_CASE = "case1", "case2", "case3", "smooth"
 
 
-@dataclass(frozen=True)
-class FreshParam:
+class FreshParam(NamedTuple):
     """A center coordinate consumed into a fresh translated parameter.
 
     The target coordinate is scale * (original factor) - shift at the
@@ -59,8 +62,7 @@ class FreshParam:
     shift: UnitValue | None
 
 
-@dataclass(frozen=True)
-class LiftSkeleton:
+class LiftSkeleton(NamedTuple):
     """The part of a lift fixed by the chart's shape.
 
     `row_sources` names the origin of each lifted row ("gen", "strict"
@@ -79,8 +81,7 @@ class LiftSkeleton:
     shape: ChartForm
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     """The lifted chart, its shape's skeleton (one object for every chart
     of that shape lifted through one skeleton dict) and its fresh parameters."""
 

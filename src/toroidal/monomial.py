@@ -36,6 +36,9 @@ def divides(a: Exponent, b: Exponent) -> bool:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
+    """A monomial ideal held by its sorted antichain of generators; the
+    constructor checks every exponent and the antichain."""
+
     ambient_dim: int
     gens: tuple[Exponent, ...]  # sorted antichain
 

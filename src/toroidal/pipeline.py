@@ -8,11 +8,17 @@ principalizes the pulled-back center ideal by permissible blowups,
 lifts every resulting stratum through the target blowup, and records
 everything in a replayable trace.  The final verdict certifies that
 every stratum is toroidal for the global divisor label count.
+
+The parsed atlas's strata and labels and the script's steps and views
+are plain records (`typing.NamedTuple`s); the document readers check
+every field before one is built.  `MorphismAtlas` is the one mutable
+record: a step replaces the strata it lifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import __version__
 from .chart import (
@@ -60,16 +66,14 @@ TRACE_SCHEMA = "toroidal-trace/3"
 # Atlas model
 
 
-@dataclass(frozen=True)
-class TrackedStratum:
+class TrackedStratum(NamedTuple):
     stratum_id: str
     chart: ChartForm
     row_labels: tuple[str, ...]
     extra_global_labels: int = 0
 
 
-@dataclass(frozen=True)
-class LabelInfo:
+class LabelInfo(NamedTuple):
     name: str
     charts: tuple[str, ...]      # charts whose open set sees the component
     e_charts: tuple[str, ...]    # charts where it is a divisor component
@@ -78,6 +82,8 @@ class LabelInfo:
 
 @dataclass
 class MorphismAtlas:
+    """The atlas: its dimensions, its strata by chart id and its labels."""
+
     d: int
     m: int
     strata: dict[str, list[TrackedStratum]]  # by chart id, in document order
@@ -89,15 +95,13 @@ class MorphismAtlas:
                 yield chart_id, stratum
 
 
-@dataclass(frozen=True)
-class CenterView:
+class CenterView(NamedTuple):
     c: int
     contained: tuple[str, ...]
     strata: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(NamedTuple):
     step_id: str
     views: tuple[tuple[str, CenterView], ...]
     incidence: tuple[tuple[str, str], ...]
@@ -109,8 +113,7 @@ class ScriptStep:
         return "out"
 
 
-@dataclass(frozen=True)
-class ResolutionScript:
+class ResolutionScript(NamedTuple):
     steps: tuple[ScriptStep, ...]
 
 
@@ -386,8 +389,8 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
             z = _descriptor_for(stratum, view)
             adapted, row_order = derive_center_form(stratum.chart, z)
             family.append((stratum.stratum_id, adapted, z))
-            roots[stratum.stratum_id] = replace(
-                stratum, row_labels=tuple(stratum.row_labels[i] for i in row_order))
+            roots[stratum.stratum_id] = stratum._replace(
+                row_labels=tuple(stratum.row_labels[i] for i in row_order))
             adapted_docs.append({
                 "stratum": stratum.stratum_id,
                 "descriptor": descriptor_to_doc(z),
@@ -558,11 +561,11 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
             f"this is {__version__}")
     cap = read_integer(trace_doc, "cap", "trace", default=DEFAULT_CAP)
     check_cap(cap, "trace: field 'cap'")
+    old_steps = read_field(trace_doc, "steps", list, "trace", [])
     fresh = toroidalize(atlas, script, cap=cap)
     if canonical_dumps(trace_doc) == canonical_dumps(fresh):
         return fresh
     # Only a mismatch pays for locating the first differing step.
-    old_steps = trace_doc.get("steps", [])
     if len(old_steps) != len(fresh["steps"]):
         raise ReplayMismatch("step count differs")
     for k, (old, new) in enumerate(zip(old_steps, fresh["steps"])):

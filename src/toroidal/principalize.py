@@ -15,11 +15,15 @@ the policy draws the candidate centers from `max_order_components(N)`,
 and the blowup checks the chosen one.  The locus reads only the chart's
 shape (`shape_key`), so one driver call factors each distinct shape
 once.  A failure on a stratum names it and its parent path.
+
+The locus, the steps, the finals and the trace are plain records
+(`typing.NamedTuple`s): they hold no invariant, so building one runs no
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blowup import (
     BlowupCenterChart,
@@ -59,8 +63,7 @@ def check_cap(cap: int, name: str = "cap") -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class NonprincipalLocus:
+class NonprincipalLocus(NamedTuple):
     monomial_part: tuple[int, ...]
     residual: MonomialIdeal
 
@@ -82,7 +85,6 @@ class NoPermissibleCenter(RegimeLimit):
     input is outside the guaranteed regime."""
 
 
-@dataclass(frozen=True)
 class MaxOrderLexPolicy:
     """The center selection among the maximum-order components.
 
@@ -95,7 +97,7 @@ class MaxOrderLexPolicy:
     strict progress.
     """
 
-    name: str = "max-order-lex"
+    name = "max-order-lex"
 
     def _reduced_depth(self, cf: ChartForm, subset) -> int:
         if cf.ell_bar == 0:
@@ -131,16 +133,14 @@ class MaxOrderLexPolicy:
 POLICY = MaxOrderLexPolicy()
 
 
-@dataclass(frozen=True)
-class PrincipalizationStep:
+class PrincipalizationStep(NamedTuple):
     stratum_id: str
     center: BlowupCenterChart
     residual_order: int
     children: tuple[tuple[BlowupChartChoice, str], ...]
 
 
-@dataclass(frozen=True)
-class FinalStratum:
+class FinalStratum(NamedTuple):
     stratum_id: str
     status: str
     chart: ChartForm
@@ -149,8 +149,7 @@ class FinalStratum:
     shape: tuple  # shape_key(chart, descriptor), the lift's skeleton key
 
 
-@dataclass(frozen=True)
-class PrincipalizationTrace:
+class PrincipalizationTrace(NamedTuple):
     steps: tuple[PrincipalizationStep, ...]
     final: tuple[FinalStratum, ...]
 

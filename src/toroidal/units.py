@@ -16,6 +16,12 @@ variables keeps the constant, and appending a factor multiplies it by
 that factor's constant once, so a chart built by a chain of blowups
 never walks its full factor list again.  A factor is a plain immutable
 record, so renaming a row's variables costs one tuple per factor.
+
+`UnitValue` and `UnitToken` are the engine's most-built objects, so they
+are slotted classes rather than dataclasses: each has one constructor,
+refuses attribute assignment, and compares, hashes and prints by its
+fields alone.  A token's cached constant sits in a slot of its own that
+none of the three reads.
 """
 
 from __future__ import annotations
@@ -43,22 +49,54 @@ def _exact(x) -> int | Fraction:
     return e.numerator if e.denominator == 1 else e
 
 
-@dataclass(frozen=True)
-class UnitValue:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the slotted immutable values: a constructor sets the slots
+    through `object.__setattr__`, and plain assignment or deletion raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class UnitValue(_Frozen):
     """A guaranteed-nonzero constant: coeff * prod(symbol^exponent).
 
     `symbols` is canonical: sorted by name, one entry per name, no zero
     exponent, and the coefficient and every exponent are `int`s unless
     they are fractional.  `of`, `symbol` and every operation here make
-    canonical values, and equal values are equal tuples.
+    canonical values, and equal values are equal tuples.  The constructor
+    is the one check, and every value is built through it.
     """
 
-    coeff: int | Fraction = 1
-    symbols: tuple[tuple[str, int | Fraction], ...] = ()
+    __slots__ = ("coeff", "symbols")
 
-    def __post_init__(self):
-        if not self.coeff:
+    def __init__(self, coeff: int | Fraction = 1,
+                 symbols: tuple[tuple[str, int | Fraction], ...] = ()):
+        if not coeff:
             raise ValueError("unit values are nonzero")
+        _set(self, "coeff", coeff)
+        _set(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is not UnitValue:
+            return NotImplemented
+        return self.coeff == other.coeff and self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash((self.coeff, self.symbols))
+
+    def __repr__(self):
+        return f"UnitValue(coeff={self.coeff!r}, symbols={self.symbols!r})"
+
+    def __reduce__(self):
+        return UnitValue, (self.coeff, self.symbols)
 
     @staticmethod
     def of(x) -> "UnitValue":
@@ -191,8 +229,7 @@ class UnitFactor(NamedTuple):
         return self.shift ** self.exp
 
 
-@dataclass(frozen=True)
-class UnitToken:
+class UnitToken(_Frozen):
     """A unit series reduced to its origin value and shift factors.
 
     The factor variables must stay outside the chart's active range
@@ -200,25 +237,43 @@ class UnitToken:
     chart point is base * prod((0 + shift)^exp).
     """
 
-    base: UnitValue = ONE
-    factors: tuple[UnitFactor, ...] = ()
+    # `_constant` caches the value at the chart point.  Equality, hashing
+    # and repr read only `base` and `factors`, so they never see it.
+    __slots__ = ("base", "factors", "_constant")
+
+    def __init__(self, base: UnitValue = ONE, factors: tuple[UnitFactor, ...] = ()):
+        _set(self, "base", base)
+        _set(self, "factors", factors)
+        _set(self, "_constant", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not UnitToken:
+            return NotImplemented
+        return self.base == other.base and self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.base, self.factors))
+
+    def __repr__(self):
+        return f"UnitToken(base={self.base!r}, factors={self.factors!r})"
+
+    def __reduce__(self):
+        return UnitToken, (self.base, self.factors)
 
     def constant(self) -> UnitValue:
-        # Computed on first use and kept in the instance dict, outside the
-        # dataclass fields, so equality, hashing and repr never see it;
-        # tokens made by with_factor and remap_vars receive theirs from the
-        # token they came from.
-        value = self.__dict__.get("_constant")
+        # Computed on first use; tokens made by with_factor and remap_vars
+        # receive theirs from the token they came from.
+        value = self._constant
         if value is None:
             value = self.base
             for f in self.factors:
                 value = value * f.constant()
-            object.__setattr__(self, "_constant", value)
+            _set(self, "_constant", value)
         return value
 
     def _carrying(self, factors: tuple[UnitFactor, ...], value: UnitValue) -> "UnitToken":
         token = UnitToken(self.base, factors)
-        object.__setattr__(token, "_constant", value)
+        _set(token, "_constant", value)
         return token
 
     def with_factor(self, var: int, shift: UnitValue, exp: int) -> "UnitToken":

@@ -80,13 +80,13 @@ def inexact_parts(value: UnitValue) -> list[str]:
 def constructed(monkeypatch):
     """Every UnitValue built while the fixture is active."""
     made = []
-    real = UnitValue.__post_init__
+    real = UnitValue.__init__
 
-    def recording(self):
-        real(self)
+    def recording(self, *args):
+        real(self, *args)
         made.append(self)
 
-    monkeypatch.setattr(UnitValue, "__post_init__", recording)
+    monkeypatch.setattr(UnitValue, "__init__", recording)
     return made
 
 

@@ -161,7 +161,7 @@ class TestVerifyCommutes:
         result = lift_after_principalization(cf, Z22)
         bad_matrix = ((1, 1), (0, 1))
         bad = replace(result.lifted, matrix=bad_matrix)
-        report = verify_commutes(cf, Z22, replace(result, lifted=bad))
+        report = verify_commutes(cf, Z22, result._replace(lifted=bad))
         assert not report.ok
 
     def test_detects_corrupted_constant(self):
@@ -169,8 +169,8 @@ class TestVerifyCommutes:
                        matrix=((1, 2), (1, 2)),
                        units=(TRIVIAL_UNIT, unit_of(3)), ell_bar=2)
         result = lift_after_principalization(cf, Z22)
-        bad_fresh = (replace(result.fresh[0], shift=UnitValue.of(7)),)
-        bad = replace(result, fresh=bad_fresh)
+        bad_fresh = (result.fresh[0]._replace(shift=UnitValue.of(7)),)
+        bad = result._replace(fresh=bad_fresh)
         assert not verify_commutes(cf, Z22, bad).ok
 
 

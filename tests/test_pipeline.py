@@ -651,6 +651,17 @@ class TestExitStatuses:
         assert err.startswith("error: stratum A/p0: built chart: malformed chart: "
                               "unit of row 1 touches active variable 0"), err
 
+    @pytest.mark.parametrize("steps", [5, None])
+    def test_verify_trace_needs_a_steps_list(self, tmp_path, capsys, steps):
+        trace = toroidalize(*parse_document(identity_doc()))
+        trace["steps"] = steps
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(identity_doc()))
+        trace_path.write_text(json.dumps(trace))
+        status = main(["verify-trace", str(atlas_path), str(trace_path)])
+        assert status == 2
+        assert capsys.readouterr().err == "error: trace: field 'steps' must be a list\n"
+
     def test_blowup_checks_its_center_once(self, tmp_path, capsys, monkeypatch):
         checks = []
         real = blowup._check_center
