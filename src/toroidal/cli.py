@@ -3,9 +3,12 @@
 Exit codes: 0 pass, 1 verdict failure, 2 invalid input, 3 cap exceeded,
 4 regime limit (valid input the engine does not handle: no permissible
 center, the transversal search bound or the runaway guard), 5 internal
-check failure (an engine bug).  Errors print one `error:` line.  The
-`ideal` op `max-order-components` has no support limit, only the
-transversal search bound.
+check failure (an engine bug, such as a lift that does not commute).  A
+capped run exits 3 also when later script steps follow: a stratum the
+cap stopped is above no later center.  Errors print one `error:` line,
+which names the stratum when one was being adapted, principalized or
+lifted.  The `ideal` op `max-order-components` has no support limit,
+only the transversal search bound.
 """
 
 from __future__ import annotations

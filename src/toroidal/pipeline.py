@@ -47,6 +47,7 @@ from .documents import (
     read_schema,
     read_strings,
 )
+from .errors import InternalCheckError
 from .lift import lift_after_principalization, verify_commutes
 from .linalg import rank
 from .principalize import (
@@ -335,24 +336,26 @@ class ToroidalizeError(ValueError):
 
 
 def _strata_above(chart_strata: list[TrackedStratum], view: CenterView,
-                  chart_id: str):
+                  chart_id: str, step_id: str):
+    where = f"step {step_id} view {chart_id}"
     contained = set(view.contained)
     explicit = None if view.strata is None else {
         sid if "/" in sid else f"{chart_id}/{sid}" for sid in view.strata}
     if explicit is not None:
         unknown = sorted(explicit - {s.stratum_id for s in chart_strata})
         if unknown:
-            raise ToroidalizeError(
-                f"view of chart {chart_id}: field 'strata' names no stratum {unknown}")
+            raise ToroidalizeError(f"{where}: field 'strata' names no stratum {unknown}")
     above = []
     for stratum in chart_strata:
+        if stratum.chart.tag not in (TOROIDAL, SMOOTH):
+            continue  # the cap stopped it: it stays as the cap left it
         if explicit is not None:
             if stratum.stratum_id not in explicit:
                 continue
             if not contained <= set(stratum.row_labels):
                 raise ToroidalizeError(
-                    f"{stratum.stratum_id}: listed above the center but missing "
-                    "one of its divisor components")
+                    f"{where}: stratum {stratum.stratum_id}: listed above the "
+                    "center but missing one of its divisor components")
             above.append(stratum)
         elif contained and contained <= set(stratum.row_labels):
             above.append(stratum)
@@ -366,18 +369,18 @@ def _descriptor_for(stratum: TrackedStratum, view: CenterView) -> CenterDescript
 
 
 def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
-              cap: int, memo: dict) -> tuple[dict, bool]:
-    """Run one script step on `atlas`; returns the step's trace record and
-    whether every lift commutes.  `memo` is the trace's encoding memo."""
+              cap: int, memo: dict) -> dict:
+    """Run one script step on `atlas` and return its trace record; `memo`
+    is the trace's encoding memo.  A lift that does not commute is an
+    engine bug: it raises `InternalCheckError` naming its stratum."""
     step_doc = {"id": step.step_id, "exceptional_label": exc_label, "charts": {}}
-    commutes_ok = True
     views = dict(step.views)
 
     for chart_id, chart_strata in atlas.strata.items():
         view = views.get(chart_id)
         if view is None:
             continue
-        above = _strata_above(chart_strata, view, chart_id)
+        above = _strata_above(chart_strata, view, chart_id, step.step_id)
         if not above:
             step_doc["charts"][chart_id] = {"adapted": [], "lifts": []}
             continue
@@ -386,8 +389,9 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
         adapted_docs = []
         roots: dict[str, TrackedStratum] = {}  # labels in adapted row order
         for stratum in above:
-            z = _descriptor_for(stratum, view)
-            adapted, row_order = derive_center_form(stratum.chart, z)
+            with naming(stratum.stratum_id, ()):
+                z = _descriptor_for(stratum, view)
+                adapted, row_order = derive_center_form(stratum.chart, z)
             family.append((stratum.stratum_id, adapted, z))
             roots[stratum.stratum_id] = stratum._replace(
                 row_labels=tuple(stratum.row_labels[i] for i in row_order))
@@ -411,9 +415,9 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
                 result = lift_after_principalization(final.chart, final.descriptor,
                                                      skeletons, final.shape)
                 report = verify_commutes(final.chart, final.descriptor, result)
+                if not report.ok:
+                    raise InternalCheckError(f"lift does not commute: {report}")
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
-            if not report.ok:
-                commutes_ok = False
             lifted_id = f"{final.stratum_id}^"
             new_strata.append(TrackedStratum(lifted_id, result.lifted, new_labels,
                                              root.extra_global_labels))
@@ -423,7 +427,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
                 "record": lift_record_to_doc(result, memo),
                 "chart": chart_to_doc(result.lifted, memo),
                 "row_labels": new_labels,
-                "commutes": report.ok,
+                "commutes": True,
             })
 
         # Reassigning an existing key keeps its place in the chart order.
@@ -434,7 +438,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
             "principalization": principalization_to_doc(trace, memo),
             "lifts": lifts,
         }
-    return step_doc, commutes_ok
+    return step_doc
 
 
 def _lifted_labels(result, old_labels: tuple[str, ...],
@@ -501,7 +505,8 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
     """Run the full pipeline and return the trace document.  The trace
     encodes each chart and unit value once and shares the document where
     it recurs (a lifted chart sits in its lift record and in
-    `final_atlas`), so it is read-only; no two calls share a document."""
+    `final_atlas`), so it is read-only; no two calls share a document.
+    Each verdict is read off the final atlas; `commutes` is always true."""
     check_cap(cap)
     atlas_report = check_atlas(atlas)
     if not atlas_report.ok:
@@ -515,25 +520,21 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
     if not script_report.ok:
         raise ToroidalizeError(f"resolution script rejected: {script_report}")
 
-    steps = []
-    commutes = True
     memo: dict = {}
-    for step, exc_label in zip(script.steps, exc_labels):
-        step_doc, step_commutes = _run_step(working, step, exc_label, cap, memo)
-        steps.append(step_doc)
-        commutes = commutes and step_commutes
+    steps = [_run_step(working, step, exc_label, cap, memo)
+             for step, exc_label in zip(script.steps, exc_labels)]
 
     # Input strata are toroidal or smooth and lifts are toroidal, so a qtf
     # chart left in the atlas is exactly a stratum the cap stopped (no later
-    # step can adapt it).  The global check fails on any such tag.
+    # center is above it).  The global check fails on any such tag.
     exceeded = not all(
         s.chart.tag in (TOROIDAL, SMOOTH) for _, s in working.all_strata())
     global_report = verify_global_toroidal(working)
     verdicts = {
         "global_failures": [list(f) for f in global_report.failures],
-        "commutes": commutes,
+        "commutes": True,
         "cap_exceeded": exceeded,
-        "pass": global_report.ok and commutes,
+        "pass": global_report.ok,
     }
     return {
         "schema": TRACE_SCHEMA,

@@ -32,7 +32,8 @@ from toroidal.documents import (
 from toroidal.pipeline import parse_document, toroidalize
 from toroidal.units import UnitToken, UnitValue
 
-from test_pipeline import TWO_BLOWUP_FAMILY, identity_doc, two_chart_doc
+import test_pipeline
+from test_pipeline import TWO_BLOWUP_FAMILY, identity_doc, second_center_doc, two_chart_doc
 
 KNOWN_EXITS = {0, 1, 2, 3, 4}
 SEED = 20240611
@@ -205,6 +206,10 @@ def _with(doc, path, value):
 IDENTITY_TRACE = _trace_doc(identity_doc())
 FIRST_LIFT = ("steps", 0, "charts", "A", "lifts", 0)
 FIRST_CHART = ("charts", 0, "strata", 0, "chart")
+# The module, not the class, is imported: a test class imported here would
+# be collected twice.
+MULTI_STEP = test_pipeline.TestMultiStepScript().doc()
+SECOND_VIEW = ("script", 1, "views", "A", "strata")
 
 
 def _unadapted_doc(chart, descriptor):
@@ -280,6 +285,16 @@ PINNED = {
     "trace with a negative cap": (
         "verify-trace", (identity_doc(), {**IDENTITY_TRACE, "cap": -3}),
         "trace: field 'cap'"),
+    "second center without spare target coordinates": (
+        "toroidalize", second_center_doc(d=3, m=2),
+        "error: stratum A/p0.e0z^: center needs more spare target coordinates"),
+    "view listing an unknown stratum": (
+        "toroidalize", _with(MULTI_STEP, SECOND_VIEW, ["zz"]),
+        "error: step z2 view A: field 'strata' names no stratum ['A/zz']\n"),
+    "view listing a stratum outside a contained component": (
+        "toroidalize", _with(MULTI_STEP, SECOND_VIEW, ["A/p0.e1z^"]),
+        "error: step z2 view A: stratum A/p0.e1z^: listed above the center but "
+        "missing one of its divisor components\n"),
 }
 
 

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,19 @@ def identity_doc():
             "incidence": {"L1": "in", "L2": "in"},
         }],
     }
+
+
+def second_center_doc(d=4, m=3):
+    """`identity_doc` on matrix [[2, 1], [1, 3]] with a second center
+    inside L2 alone.  Under `--cap` 0 or 1 the first step leaves strata
+    the cap stopped, some carrying L2; with d = 3 and m = 2 the first
+    lifted stratum has no spare target coordinate for the second center."""
+    doc = identity_doc()
+    doc["dims"] = {"d": d, "m": m}
+    doc["charts"][0]["strata"][0]["chart"].update(d=d, m=m, matrix=[[2, 1], [1, 3]])
+    doc["script"].append({"id": "z2", "views": {"A": {"c": 2, "contained": ["L2"]}},
+                          "incidence": {"L2": "in"}})
+    return doc
 
 
 def two_chart_doc():
@@ -639,6 +653,55 @@ class TestExitStatuses:
         assert status == 5
         assert err.startswith("error: stratum A/p0.e0z (parent path A/p0): "
                               "built chart is not toroidal: forced: failure"), err
+
+    def test_lift_that_does_not_commute_is_internal(self, tmp_path, capsys, monkeypatch):
+        # Double the first lifted unit constant: the structure stays sound,
+        # so only the commutation check can catch it.
+        real = lift._lift_constants
+
+        def corrupted(cf, sk):
+            result = real(cf, sk)
+            units_ = list(result.lifted.units)
+            units_[0] = units.UnitToken(units_[0].constant() * units.UnitValue(2))
+            return result._replace(lifted=replace(result.lifted, units=tuple(units_)))
+
+        monkeypatch.setattr(lift, "_lift_constants", corrupted)
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
+        assert status == 5
+        assert err.startswith("error: stratum A/p0.e0z (parent path A/p0): "
+                              "lift does not commute: "), err
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_capped_strata_are_above_no_later_center(self, tmp_path, capsys, cap):
+        # The cap stops strata carrying L2 in step z1; step z2 leaves them
+        # as they are, and the run exits 3 with a trace that replays.
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(second_center_doc()))
+        status = main(["--cap", str(cap), "--out", str(trace_path), "toroidalize",
+                       str(atlas_path)])
+        assert (status, capsys.readouterr().err) == (3, "")
+        trace = json.loads(trace_path.read_text())
+        capped = [s for c in trace["final_atlas"]["charts"] for s in c["strata"]
+                  if s["chart"]["tag"] != TOROIDAL]
+        assert capped and all("L2" in s["row_labels"] for s in capped)
+        adapted = [a["stratum"] for a in trace["steps"][1]["charts"]["A"]["adapted"]]
+        assert not {s["id"] for s in capped} & set(adapted)
+        status = main(["verify-trace", str(atlas_path), str(trace_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert (status, out["replay"], out["verdicts"]["pass"]) == (1, "identical", False)
+
+    def test_capped_stratum_listed_in_a_view_is_left_alone(self, tmp_path, capsys):
+        doc = second_center_doc()
+        doc["script"][1]["views"]["A"]["strata"] = ["p0"]
+        atlas, script = parse_document(doc)
+        trace = toroidalize(atlas, script, cap=0)
+        assert trace["steps"][1]["charts"]["A"] == {"adapted": [], "lifts": []}
+        assert [s["id"] for s in trace["final_atlas"]["charts"][0]["strata"]] == ["A/p0"]
+        assert trace["verdicts"]["cap_exceeded"]
+
+    def test_uncapped_second_center_passes(self, tmp_path, capsys):
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", second_center_doc())
+        assert (status, err) == (0, "")
 
     def test_malformed_engine_chart_is_internal(self, tmp_path, capsys, monkeypatch):
         # A unit factor on an active variable breaks the chart's structure;
