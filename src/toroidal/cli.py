@@ -3,12 +3,13 @@
 Exit codes: 0 pass, 1 verdict failure, 2 invalid input, 3 cap exceeded,
 4 regime limit (valid input the engine does not handle: no permissible
 center, the transversal search bound or the runaway guard), 5 internal
-check failure (an engine bug, such as a lift that does not commute).  A
-capped run exits 3 also when later script steps follow: a stratum the
-cap stopped is above no later center.  Errors print one `error:` line,
-which names the stratum when one was being adapted, principalized or
-lifted.  The `ideal` op `max-order-components` has no support limit,
-only the transversal search bound.
+check failure (an engine bug, such as a lift that does not commute).
+`toroidalize`, `verify-trace` and `report` exit 3 on a capped run, also
+when later script steps follow: a stratum the cap stopped is above no
+later center.  Errors print one `error:` line, which names the stratum
+when one was being adapted, principalized or lifted.  The `ideal` op
+`max-order-components` has no support limit, only the transversal
+search bound.
 """
 
 from __future__ import annotations
@@ -208,14 +209,16 @@ def cmd_principalize(args) -> int:
     return CAP if trace.exceeded else PASS
 
 
+def _verdict_status(verdicts: dict) -> int:
+    """A run's exit status: a capped run exits 3 whatever its verdict."""
+    return CAP if verdicts["cap_exceeded"] else PASS if verdicts["pass"] else FAIL
+
+
 def cmd_toroidalize(args) -> int:
     atlas, script = parse_document(_read_json(args.file))
     trace = toroidalize(atlas, script, cap=args.cap)
     _emit(trace, args.out)
-    verdicts = trace["verdicts"]
-    if verdicts["cap_exceeded"]:
-        return CAP
-    return PASS if verdicts["pass"] else FAIL
+    return _verdict_status(trace["verdicts"])
 
 
 def cmd_verify_trace(args) -> int:
@@ -227,7 +230,7 @@ def cmd_verify_trace(args) -> int:
         print(f"replay mismatch: {exc}", file=sys.stderr)
         return FAIL
     _emit({"replay": "identical", "verdicts": fresh["verdicts"]}, args.out)
-    return PASS if fresh["verdicts"]["pass"] else FAIL
+    return _verdict_status(fresh["verdicts"])
 
 
 def cmd_report(args) -> int:
@@ -278,7 +281,7 @@ def cmd_report(args) -> int:
     for key in ("commutes", "cap_exceeded", "pass"):
         lines.append(f"{key}: {read_bool(verdicts, key, 'trace verdicts')}")
     _emit("\n".join(lines), args.out)
-    return PASS if verdicts["pass"] else FAIL
+    return _verdict_status(verdicts)
 
 
 def build_parser() -> argparse.ArgumentParser:

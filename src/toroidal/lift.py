@@ -13,15 +13,14 @@ and is dropped back out of the chart instead.
 A lift runs in two passes.  The skeleton (`lift_skeleton`) reads only
 the chart's shape, its `shape_key`: the case, the generator row, which
 center rows are strict, vanished or kept, and the lifted chart's shape,
-with every check on them.  The constants pass fills in the generator
-constant, the lifted units and the fresh parameters from the chart's
-unit constants and beta values; a lifted chart has no betas and no unit
-factors, so its structure is the skeleton's and is not checked again.
-Charts of one shape share a skeleton, so a caller lifting many strata
-can keep skeletons in a dict for the length of one chart family.  The
-point of the target blowup chart the lift lands on is not stored apart:
-the generator row, the row sources and the fresh parameters' shifts name
-it, in the engine and in the trace alike.
+checked for structure.  The constants pass fills in the generator
+constant, the lifted units and the fresh parameters.  Commutation
+(`verify_commutes`, run by `lift_after_principalization`) is the lift's
+one check of exponents and constants.  Charts of one shape share a
+skeleton, so a caller can keep skeletons in a dict for the length of
+one chart family.  The point of the target blowup chart the lift lands
+on is not stored apart: the generator row, the row sources and the
+fresh parameters' shifts name it, in the engine and in the trace alike.
 
 The skeleton, the fresh parameters and the result are plain records
 (`typing.NamedTuple`s): every check runs where they are built, so
@@ -70,7 +69,8 @@ class LiftSkeleton(NamedTuple):
     lists the center rows that collapse onto the generator and become
     fresh parameters.  `drop_col` is the exceptional column dropped by
     an outside-divisor lift, None when the exceptional joins the divisor.
-    `shape` is the lifted chart with trivial units, checked once here.
+    `shape` is the lifted chart with trivial units, checked here for
+    structure; `verify_commutes` checks the exponents of every lift.
     """
 
     case: str
@@ -125,16 +125,22 @@ def lift_after_principalization(cf: ChartForm, z: CenterDescriptor,
     """Lift one principal stratum.  `skeletons`, when given, maps
     `shape_key`s to skeletons already built; the caller keeps it for the
     length of one chart family, and missing skeletons are added to it.
-    `key`, when given, is `shape_key(cf, z)` as the caller computed it."""
+    `key`, when given, is `shape_key(cf, z)` as the caller computed it.
+    A lift that does not commute is an engine bug: it raises
+    `InternalCheckError`."""
     skeletons = {} if skeletons is None else skeletons
     key = shape_key(cf, z) if key is None else key
     if key not in skeletons:
         skeletons[key] = lift_skeleton(cf, z)
-    return _lift_constants(cf, skeletons[key])
+    result = _lift_constants(cf, skeletons[key])
+    report = verify_commutes(cf, z, result)
+    if not report.ok:
+        raise InternalCheckError(f"lift does not commute: {report}")
+    return result
 
 
 def lift_skeleton(cf: ChartForm, z: CenterDescriptor) -> LiftSkeleton:
-    """The shape-only part of the lift, checked as it is built."""
+    """The shape-only part of the lift, its structure checked as built."""
     case, gen_row = _case_and_generator(cf, z)
     build = _skeleton_outside_divisor if cf.ell_bar == 0 else _skeleton_inside_divisor
     drop_col, zero, row_sources, matrix = build(cf, case, gen_row)
@@ -149,9 +155,6 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str, gen_row: int):
     Returns the skeleton's drop column, vanished rows, row sources and
     lifted matrix."""
     mins = column_minima(cf)
-    if cf.matrix[gen_row] != mins:
-        raise InternalCheckError("generator row is not the columnwise minimum")
-
     reduced = {i: tuple(x - y for x, y in zip(cf.matrix[i], mins))
                for i in range(cf.ell_bar) if i != gen_row}
     strict = tuple(i for i in sorted(reduced) if any(reduced[i]))
@@ -180,12 +183,6 @@ def _skeleton_outside_divisor(cf: ChartForm, case: str, gen_row: int):
     if cf.tag != QTF2:
         raise ValueError("an ell_bar = 0 stratum lifts only from the qtf2 shape")
     exc_col = cf.n - 1
-    expected = tuple(1 if j == exc_col else 0 for j in range(cf.n))
-    if cf.matrix[gen_row] != expected:
-        raise InternalCheckError("unexpected generator shape for an outside-divisor lift")
-    for i in range(cf.ell):
-        if cf.matrix[i][exc_col] != 0:
-            raise InternalCheckError("divisor rows meet the exceptional column")
     return (exc_col, (), tuple(("kept", i) for i in range(cf.ell)),
             tuple(row[:exc_col] for row in cf.matrix[:cf.ell]))
 
@@ -228,83 +225,55 @@ def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
 def verify_commutes(cf: ChartForm, z: CenterDescriptor,
                     result: LiftResult) -> ValidityReport:
     """Substitute the target blowup equations into the lifted form and
-    compare, row by row and constant by constant, with the original chart."""
-    sk = result.skeleton
-    lifted = result.lifted
+    compare, row by row and constant by constant, with the original chart.
+    The blowup coordinate y'_i of row i is the lifted row or the fresh
+    parameter whose source is i, exactly one of them; a fresh parameter
+    has no monomial unless it is the outside-divisor generator.  The
+    center rows come from the descriptor: row g recomposes to y'_g, any
+    other center row to y'_g * y'_i, and every other row to y'_i."""
+    sk, lifted, g = result.skeleton, result.lifted, result.skeleton.gen_row
     failures: list[tuple[str, str]] = []
+    images: dict[int, tuple] = {}
 
-    def fail(code, msg):
-        failures.append((code, msg))
+    def cover(i, vec, const, param=None):
+        if i in images:
+            failures.append(("coverage", f"row {i} is covered twice"))
+        images[i] = vec, const, param
 
-    def pad(row: tuple[int, ...]) -> tuple[int, ...]:
-        if sk.drop_col is None:
-            return row
-        return row[:sk.drop_col] + (0,) + row[sk.drop_col:]
+    for (_, i), row, unit in zip(sk.row_sources, lifted.matrix, lifted.units):
+        if sk.drop_col is not None:
+            row = row[:sk.drop_col] + (0,) + row[sk.drop_col:]
+        cover(i, row, unit.constant())
+    for p in result.fresh:
+        i = p.source[1]
+        cover(i, tuple(int(i == g and j == sk.drop_col) for j in range(cf.n)),
+              p.scale, p)
 
-    lifted_index = {src: k for k, src in enumerate(sk.row_sources)}
-    fresh_index = {p.source[1]: p for p in result.fresh}
-
-    if ("gen", sk.gen_row) in lifted_index:
-        k = lifted_index[("gen", sk.gen_row)]
-        gen_vec = pad(lifted.matrix[k])
-        gen_const = lifted.units[k].constant()
-    else:
-        p = fresh_index.get(sk.gen_row)
-        if p is None:
-            return ValidityReport((("gen", "generator row is unaccounted for"),))
-        gen_vec = tuple(1 if j == sk.drop_col else 0 for j in range(cf.n))
-        gen_const = p.scale
-
+    if g not in images:
+        return ValidityReport(tuple(failures) + (
+            ("coverage", f"generator row {g} is unaccounted for"),))
+    gen_vec, gen_const, _ = images[g]
     for i in range(cf.rows):
-        original_const = cf.units[i].constant()
-        slot_t = i - cf.ell if i >= cf.ell else None
-        beta = cf.betas[slot_t] if slot_t is not None else None
-
-        if i == sk.gen_row:
-            if gen_vec != cf.matrix[i]:
-                fail("exponent", f"generator row {i} exponents changed")
-            expected = original_const
-            if beta is not None and not beta.is_zero:
-                expected = expected * beta.unit_value()
-            if gen_const != expected:
-                fail("constant", f"generator row {i} constant mismatch")
+        if i not in images:
+            failures.append(("coverage", f"row {i} of the input chart is unaccounted for"))
             continue
-
-        if ("strict", i) in lifted_index:
-            k = lifted_index[("strict", i)]
-            recon = tuple(x + y for x, y in zip(gen_vec, pad(lifted.matrix[k])))
-            if recon != cf.matrix[i]:
-                fail("exponent", f"strict transform of row {i} does not recompose")
-            if gen_const * lifted.units[k].constant() != original_const:
-                fail("constant", f"strict transform of row {i} constant mismatch")
-            continue
-
-        if ("kept", i) in lifted_index:
-            k = lifted_index[("kept", i)]
-            if pad(lifted.matrix[k]) != cf.matrix[i]:
-                fail("exponent", f"kept row {i} exponents changed")
-            if lifted.units[k].constant() != original_const:
-                fail("constant", f"kept row {i} constant mismatch")
-            continue
-
-        if i in fresh_index:
-            p = fresh_index[i]
-            if gen_vec != cf.matrix[i]:
-                fail("exponent",
-                     f"fresh parameter row {i} does not share the generator exponents")
-            if gen_const * p.scale != original_const:
-                fail("constant", f"fresh parameter row {i} scale mismatch")
-            if beta is not None and not beta.is_zero:
-                expected_shift = p.scale * beta.unit_value()
-                if p.shift is None or p.shift != expected_shift:
-                    fail("constant", f"fresh parameter row {i} shift mismatch")
-            elif p.source[0] == "slot" and p.shift is not None:
-                fail("constant", f"fresh slot row {i} should have zero shift")
-            elif p.source[0] == "row" and (
-                    p.shift is None or p.shift != p.scale):
-                fail("constant",
-                     f"fresh parameter row {i} must shift by its unit ratio")
-            continue
-
-        fail("coverage", f"row {i} of the input chart is unaccounted for")
+        vec, const, p = images[i]
+        beta = cf.betas[i - cf.ell] if i >= cf.ell else None
+        beta = None if beta is None or beta.is_zero else beta.unit_value()
+        expected = cf.units[i].constant()
+        if i == g:
+            if beta is not None:
+                expected = expected * beta
+        elif i < z.ell_bar or i >= cf.ell:
+            vec = tuple(x + y for x, y in zip(gen_vec, vec))
+            const = gen_const * const
+            if p is not None:
+                shift = (p.scale * beta if beta is not None
+                         else None if i >= cf.ell else p.scale)
+                if p.shift != shift:
+                    failures.append(("constant", f"row {i} fresh parameter shift mismatch"))
+        if vec != cf.matrix[i]:
+            failures.append(("exponent", f"row {i} does not recompose"))
+        if const != expected:
+            failures.append(("constant", f"row {i} constant does not recompose"))
     return ValidityReport(tuple(failures))

@@ -47,8 +47,7 @@ from .documents import (
     read_schema,
     read_strings,
 )
-from .errors import InternalCheckError
-from .lift import lift_after_principalization, verify_commutes
+from .lift import lift_after_principalization
 from .linalg import rank
 from .principalize import (
     DEFAULT_CAP,
@@ -371,8 +370,8 @@ def _descriptor_for(stratum: TrackedStratum, view: CenterView) -> CenterDescript
 def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
               cap: int, memo: dict) -> dict:
     """Run one script step on `atlas` and return its trace record; `memo`
-    is the trace's encoding memo.  A lift that does not commute is an
-    engine bug: it raises `InternalCheckError` naming its stratum."""
+    is the trace's encoding memo.  Errors raised while a stratum is
+    adapted or lifted name it."""
     step_doc = {"id": step.step_id, "exceptional_label": exc_label, "charts": {}}
     views = dict(step.views)
 
@@ -414,9 +413,6 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
             with naming(final.stratum_id, final.parent_path):
                 result = lift_after_principalization(final.chart, final.descriptor,
                                                      skeletons, final.shape)
-                report = verify_commutes(final.chart, final.descriptor, result)
-                if not report.ok:
-                    raise InternalCheckError(f"lift does not commute: {report}")
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
             lifted_id = f"{final.stratum_id}^"
             new_strata.append(TrackedStratum(lifted_id, result.lifted, new_labels,

@@ -176,14 +176,16 @@ def _write(tmp_path, name, doc):
 @pytest.mark.parametrize("command", sorted(BASES))
 def test_mutated_documents_exit_cleanly(command, tmp_path):
     rng = random.Random(f"{SEED}:{command}")
+    # Each case gets fresh file names: creating a file is far cheaper than
+    # truncating and rewriting one on some file systems.
     for b, base in enumerate(BASES[command]):
-        for _ in range(CASES_PER_DOCUMENT):
+        for k in range(CASES_PER_DOCUMENT):
             what, doc = mutate(base, rng)
             label = f"{command} base {b}: {what}"
-            path = _write(tmp_path, "doc.json", doc)
+            path = _write(tmp_path, f"doc-{b}-{k}.json", doc)
             if command == "report":
                 check_run(["report", path], label)
-                atlas = _write(tmp_path, "atlas.json",
+                atlas = _write(tmp_path, f"atlas-{b}-{k}.json",
                                identity_doc() if b == 0 else _unit_atlas())
                 check_run(["--cap", "3", "verify-trace", atlas, path], label)
             else:

@@ -20,6 +20,7 @@ from toroidal.lift import (
     CASE2,
     CASE3,
     SMOOTH_CASE,
+    FreshParam,
     lift_after_principalization,
     lift_case,
     verify_commutes,
@@ -172,6 +173,44 @@ class TestVerifyCommutes:
         bad_fresh = (result.fresh[0]._replace(shift=UnitValue.of(7)),)
         bad = result._replace(fresh=bad_fresh)
         assert not verify_commutes(cf, Z22, bad).ok
+
+    @staticmethod
+    def strict_row_relabelled_kept():
+        # The skeleton passes the strict row off as kept, unreduced and
+        # with its original constant; its own row kinds would accept it.
+        cf = replace(adapted([[1, 0], [1, 1]], ell_bar=2, s=0),
+                     units=(TRIVIAL_UNIT, unit_of(3)))
+        result = lift_after_principalization(cf, Z22)
+        sk = result.skeleton._replace(row_sources=(("gen", 0), ("kept", 1)))
+        lifted = replace(result.lifted, matrix=(cf.matrix[0], cf.matrix[1]),
+                         units=cf.units)
+        return cf, Z22, result._replace(skeleton=sk, lifted=lifted)
+
+    @staticmethod
+    def row_covered_twice():
+        cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
+        result = lift_after_principalization(cf, Z22)
+        one = UnitValue.of(1)
+        return cf, Z22, result._replace(fresh=(FreshParam(("row", 1), one, one),))
+
+    @staticmethod
+    def divisor_row_meets_dropped_column():
+        z = CenterDescriptor(0, 2)
+        cf = ChartForm(d=3, m=3, n=2, ell=1, s=2, tag=QTF2,
+                       matrix=((1, 0), (0, 1), (0, 1)), units=(TRIVIAL_UNIT,) * 3,
+                       betas=(None, Stratum.zero()))
+        result = lift_after_principalization(cf, z)
+        assert result.skeleton.drop_col == 1
+        return replace(cf, matrix=((1, 1),) + cf.matrix[1:]), z, result
+
+    @pytest.mark.parametrize("corruption, first_failure", [
+        ("strict_row_relabelled_kept", ("exponent", "row 1 does not recompose")),
+        ("row_covered_twice", ("coverage", "row 1 is covered twice")),
+        ("divisor_row_meets_dropped_column", ("exponent", "row 0 does not recompose")),
+    ], ids=["relabelled", "covered_twice", "dropped_column"])
+    def test_detects_corrupted_lift(self, corruption, first_failure):
+        cf, z, result = getattr(self, corruption)()
+        assert verify_commutes(cf, z, result).failures[0] == first_failure
 
 
 class TestRandomCorpus:

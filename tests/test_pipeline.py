@@ -61,6 +61,39 @@ def second_center_doc(d=4, m=3):
     return doc
 
 
+def rank_deficient_doc():
+    """`identity_doc` with a third component L3 outside the center and
+    matrix [[1, 0], [0, 1], [1, 1]] of rank 2, so a vanished center row
+    stays within the rank bound."""
+    doc = identity_doc()
+    doc["dims"] = {"d": 3, "m": 3}
+    doc["labels"].append({"name": "L3", "charts": ["A"]})
+    stratum = doc["charts"][0]["strata"][0]
+    stratum["chart"].update(d=3, m=3, ell=3, matrix=[[1, 0], [0, 1], [1, 1]])
+    stratum["row_labels"].append("L3")
+    doc["script"][0]["incidence"]["L3"] = "out"
+    return doc
+
+
+def outside_divisor_doc():
+    """One 3 -> 3 chart with one divisor component L1 and a codimension-2
+    center outside it: its lifts drop the exceptional column."""
+    return {
+        "schema": "toroidal-atlas/1",
+        "dims": {"d": 3, "m": 3},
+        "labels": [{"name": "L1", "charts": ["A"]}],
+        "charts": [{"id": "A", "strata": [{
+            "id": "p0",
+            "chart": {"d": 3, "m": 3, "n": 1, "ell": 1, "s": 0,
+                      "tag": "toroidal", "matrix": [[1]]},
+            "row_labels": ["L1"],
+        }]}],
+        "script": [{"id": "z1",
+                    "views": {"A": {"c": 2, "contained": [], "strata": ["p0"]}},
+                    "incidence": {"L1": "out"}}],
+    }
+
+
 def two_chart_doc():
     """Chart A sees the center inside both its components; chart B is a
     smooth chart through the same center."""
@@ -671,10 +704,77 @@ class TestExitStatuses:
         assert err.startswith("error: stratum A/p0.e0z (parent path A/p0): "
                               "lift does not commute: "), err
 
+    @staticmethod
+    def strict_row_relabelled_kept(monkeypatch):
+        # The skeleton passes its first strict row off as kept, unreduced:
+        # the check takes the center rows from the descriptor, not from it.
+        real = lift._skeleton_inside_divisor
+
+        def relabelled(cf, case, gen_row):
+            drop_col, zero, sources, matrix = real(cf, case, gen_row)
+            k = next(k for k, (kind, _) in enumerate(sources) if kind == "strict")
+            i = sources[k][1]
+            return (drop_col, zero, sources[:k] + (("kept", i),) + sources[k + 1:],
+                    matrix[:k] + (cf.matrix[i],) + matrix[k + 1:])
+
+        monkeypatch.setattr(lift, "_skeleton_inside_divisor", relabelled)
+        return identity_doc(), "A/p0.e0z", "row 1"
+
+    @staticmethod
+    def generator_off_the_minimum(monkeypatch):
+        real = lift._case_and_generator
+
+        def off_by_one(cf, z):
+            case, gen_row = real(cf, z)
+            return case, (gen_row + 1) % cf.ell_bar if case == lift.CASE1 else gen_row
+
+        monkeypatch.setattr(lift, "_case_and_generator", off_by_one)
+        return rank_deficient_doc(), "A/p0.e0z", "row 1"
+
+    @staticmethod
+    def final_rows_replaced(monkeypatch, rows):
+        real = pipeline.principalize_chart_family
+
+        def corrupted(family, cap):
+            trace = real(family, cap=cap)
+            return trace._replace(final=tuple(
+                f._replace(chart=replace(f.chart, matrix=tuple(
+                    rows.get(i, row) for i, row in enumerate(f.chart.matrix))))
+                for f in trace.final))
+
+        monkeypatch.setattr(pipeline, "principalize_chart_family", corrupted)
+
+    @classmethod
+    def outside_generator_off_the_exceptional(cls, monkeypatch):
+        cls.final_rows_replaced(monkeypatch, {1: (1, 1), 2: (1, 1)})
+        return outside_divisor_doc(), "A/p0.e1z", "row 1"
+
+    @classmethod
+    def divisor_row_meets_the_exceptional(cls, monkeypatch):
+        cls.final_rows_replaced(monkeypatch, {0: (1, 1)})
+        return outside_divisor_doc(), "A/p0.e1z", "row 0"
+
+    @pytest.mark.parametrize("fault", [
+        "strict_row_relabelled_kept",
+        "generator_off_the_minimum",
+        "outside_generator_off_the_exceptional",
+        "divisor_row_meets_the_exceptional",
+    ])
+    def test_skeleton_fault_does_not_commute(
+            self, tmp_path, capsys, monkeypatch, fault):
+        # A relabelled row passed every check; each other fault failed a
+        # skeleton check of its own.  The commutation check catches all.
+        doc, stratum, row = getattr(self, fault)(monkeypatch)
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", doc)
+        assert status == 5
+        assert err.startswith(f"error: stratum {stratum} (parent path A/p0): "
+                              f"lift does not commute: exponent: {row} "), err
+
     @pytest.mark.parametrize("cap", [0, 1])
     def test_capped_strata_are_above_no_later_center(self, tmp_path, capsys, cap):
         # The cap stops strata carrying L2 in step z1; step z2 leaves them
-        # as they are, and the run exits 3 with a trace that replays.
+        # as they are, and the run exits 3 with a trace that replays and
+        # verifies to 3 as well.
         atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
         atlas_path.write_text(json.dumps(second_center_doc()))
         status = main(["--cap", str(cap), "--out", str(trace_path), "toroidalize",
@@ -688,7 +788,7 @@ class TestExitStatuses:
         assert not {s["id"] for s in capped} & set(adapted)
         status = main(["verify-trace", str(atlas_path), str(trace_path)])
         out = json.loads(capsys.readouterr().out)
-        assert (status, out["replay"], out["verdicts"]["pass"]) == (1, "identical", False)
+        assert (status, out["replay"], out["verdicts"]["pass"]) == (3, "identical", False)
 
     def test_capped_stratum_listed_in_a_view_is_left_alone(self, tmp_path, capsys):
         doc = second_center_doc()
