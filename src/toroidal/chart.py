@@ -365,8 +365,8 @@ def pullback_center_generators(cf: ChartForm, z: CenterDescriptor) -> list[tuple
 def extend_to_global_form(cf: ChartForm, ell_global: int) -> ChartForm:
     """Extend a chart toroidal for k local divisor components to one
     toroidal for ell_global >= k components, by an identity block on
-    spare identity variables."""
-    if cf.tag != TOROIDAL:
+    spare identity variables.  A smooth chart is toroidal with k = 0."""
+    if cf.tag not in (TOROIDAL, SMOOTH):
         raise ValueError("extension applies to toroidal charts")
     g = ell_global - cf.ell
     if g < 0:

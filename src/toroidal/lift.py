@@ -227,13 +227,20 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
     """Substitute the target blowup equations into the lifted form and
     compare, row by row and constant by constant, with the original chart.
     The blowup coordinate y'_i of row i is the lifted row or the fresh
-    parameter whose source is i, exactly one of them; a fresh parameter
-    has no monomial unless it is the outside-divisor generator.  The
-    center rows come from the descriptor: row g recomposes to y'_g, any
-    other center row to y'_g * y'_i, and every other row to y'_i."""
+    parameter whose source is i, exactly one of them.  Exponents span the
+    divisor and slot columns: a zero-stratum slot row and its fresh
+    parameter carry its slot variable, and a fresh parameter has no other
+    monomial unless it is the outside-divisor generator.  The center rows
+    come from the descriptor: row g recomposes to y'_g, any other center
+    row to y'_g * y'_i, and every other row to y'_i."""
     sk, lifted, g = result.skeleton, result.lifted, result.skeleton.gen_row
     failures: list[tuple[str, str]] = []
     images: dict[int, tuple] = {}
+    # Slot-column exponents: zero but for a zero-stratum slot row's variable.
+    pad = (0,) * cf.num_slots
+    slot_pads = {cf.ell + t: pad[:k] + (1,) + pad[k + 1:]
+                 for t, beta in enumerate(cf.betas) if beta is not None and beta.is_zero
+                 for k in (cf.slot_var(t) - cf.n,)}
 
     def cover(i, vec, const, param=None):
         if i in images:
@@ -243,11 +250,11 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
     for (_, i), row, unit in zip(sk.row_sources, lifted.matrix, lifted.units):
         if sk.drop_col is not None:
             row = row[:sk.drop_col] + (0,) + row[sk.drop_col:]
-        cover(i, row, unit.constant())
+        cover(i, row + pad, unit.constant())
     for p in result.fresh:
         i = p.source[1]
-        cover(i, tuple(int(i == g and j == sk.drop_col) for j in range(cf.n)),
-              p.scale, p)
+        vec = tuple(int(i == g and j == sk.drop_col) for j in range(cf.n))
+        cover(i, vec + slot_pads.get(i, pad), p.scale, p)
 
     if g not in images:
         return ValidityReport(tuple(failures) + (
@@ -272,7 +279,7 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
                          else None if i >= cf.ell else p.scale)
                 if p.shift != shift:
                     failures.append(("constant", f"row {i} fresh parameter shift mismatch"))
-        if vec != cf.matrix[i]:
+        if vec != cf.matrix[i] + slot_pads.get(i, pad):
             failures.append(("exponent", f"row {i} does not recompose"))
         if const != expected:
             failures.append(("constant", f"row {i} constant does not recompose"))

@@ -245,6 +245,23 @@ class TestEndToEnd:
                 if chart["adapted"])
             assert strata > 0 and len(calls) == strata
 
+    def test_toroidal_shape_checked_once_per_input_stratum(self, monkeypatch):
+        # check_atlas checks each input toroidal chart; a final stratum is
+        # one of those or a chart the engine built and checked, so the
+        # final verdict checks no shape again.
+        checked = []
+        real = chart.verify_toroidal_form
+        for module in (chart, pipeline):
+            monkeypatch.setattr(module, "verify_toroidal_form",
+                                lambda cf: checked.append(cf) or real(cf))
+        for doc in (two_chart_doc(), TestMultiStepScript().doc(), rank_deficient_doc()):
+            checked.clear()
+            atlas, script = parse_document(doc)
+            trace = toroidalize(atlas, script)
+            inputs = [s.chart for _, s in atlas.all_strata() if s.chart.tag == TOROIDAL]
+            assert trace["verdicts"]["pass"] and trace["steps"]
+            assert list(map(id, checked)) == list(map(id, inputs))
+
     def test_low_cap_reports_exceeded(self):
         doc = identity_doc()
         doc["charts"][0]["strata"][0]["chart"]["matrix"] = [[2, 1], [1, 3]]
@@ -264,37 +281,51 @@ class TestEndToEnd:
 
 
 class TestGlobalVerification:
-    def test_extra_global_labels_extend(self):
+    @staticmethod
+    def smooth_doc(extra):
+        """`identity_doc` with no script and a smooth stratum meeting
+        `extra` global components (m = 2)."""
+        doc = identity_doc()
+        doc["script"] = []
+        doc["charts"][0]["strata"][0].update(
+            chart={"d": 2, "m": 2, "n": 0, "ell": 0, "s": 0, "tag": "smooth",
+                   "matrix": []},
+            row_labels=[], extra_global_labels=extra)
+        return doc
+
+    @staticmethod
+    def toroidal_doc(extra):
         doc = identity_doc()
         doc["dims"]["d"] = 3
         stratum = doc["charts"][0]["strata"][0]
         stratum["chart"] = {"d": 3, "m": 2, "n": 1, "ell": 1, "s": 0,
                             "tag": "toroidal", "matrix": [[2]]}
         stratum["row_labels"] = ["L1"]
-        stratum["extra_global_labels"] = 1
+        stratum["extra_global_labels"] = extra
         doc["script"] = []
-        atlas, _ = parse_document(doc)
-        assert verify_global_toroidal(atlas).ok
+        return doc
+
+    def test_extra_global_labels_extend(self):
+        # A smooth stratum extends to the identity up to m components.
+        for doc in (self.toroidal_doc(1), *map(self.smooth_doc, range(3))):
+            atlas, _ = parse_document(doc)
+            assert verify_global_toroidal(atlas).ok
 
     def test_extension_failure_detected(self):
-        doc = identity_doc()
-        stratum = doc["charts"][0]["strata"][0]
-        stratum["extra_global_labels"] = 3
-        doc["script"] = []
-        atlas, _ = parse_document(doc)
-        report = verify_global_toroidal(atlas)
-        assert not report.ok
+        for doc in (self.toroidal_doc(3), self.smooth_doc(3)):
+            atlas, _ = parse_document(doc)
+            assert verify_global_toroidal(atlas).failures == (
+                ("extend", "A/p0: not enough identity rows to extend"),)
 
     def test_mutated_stratum_reported_with_witness(self):
+        # check_atlas owns the shape check of an input stratum.
         doc = identity_doc()
-        stratum = doc["charts"][0]["strata"][0]
-        stratum["chart"]["matrix"] = [[1, 0], [2, 0]]
-        stratum["extra_global_labels"] = 0
-        doc["script"] = []
-        atlas, _ = parse_document(doc)
-        report = verify_global_toroidal(atlas)
-        assert any(code == "column" and "A/p0" in msg
-                   for code, msg in report.failures)
+        doc["charts"][0]["strata"][0]["chart"]["matrix"] = [[1, 0], [2, 0]]
+        atlas, script = parse_document(doc)
+        report = check_atlas(atlas)
+        assert ("column", "A/p0: column 1 has zero sum") in report.failures
+        with pytest.raises(ToroidalizeError, match="column 1 has zero sum"):
+            toroidalize(atlas, script)
 
 
 class TestDeterminismAndReplay:
@@ -422,6 +453,23 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert self.run_cli("toroidalize", str(bad)).returncode == 2
+
+    def test_extension_failure_exit_code(self, tmp_path):
+        # A verdict failure exits 1 from toroidalize, verify-trace and report.
+        doc = identity_doc()
+        doc["charts"][0]["strata"][0]["extra_global_labels"] = 1
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(doc))
+        run = self.run_cli("--out", str(trace_path), "toroidalize", str(atlas_path))
+        assert run.returncode == 1, run.stderr
+        failures = json.loads(trace_path.read_text())["verdicts"]["global_failures"]
+        assert ["extend", "A/p0.e0z^: not enough identity rows to extend"] in failures
+        run = self.run_cli("verify-trace", str(atlas_path), str(trace_path))
+        assert run.returncode == 1, run.stderr
+        assert '"replay":"identical"' in run.stdout
+        run = self.run_cli("report", str(trace_path))
+        assert run.returncode == 1, run.stderr
+        assert run.stdout.endswith("pass: False\n")
 
     def test_cap_exit_code(self, tmp_path):
         doc = identity_doc()
@@ -754,16 +802,34 @@ class TestExitStatuses:
         cls.final_rows_replaced(monkeypatch, {0: (1, 1)})
         return outside_divisor_doc(), "A/p0.e1z", "row 0"
 
+    @staticmethod
+    def case3_generator_on_the_zero_slot(monkeypatch):
+        # y'_ell = y_ell / y_(ell+1) carries 1/x_s, the slot variable of the
+        # zero-stratum slot row: seen only over the slot columns.
+        real = lift._case_and_generator
+
+        def moved(cf, z):
+            case, gen_row = real(cf, z)
+            t = gen_row + 1 - cf.ell
+            if case == lift.CASE3 and t < cf.s and cf.betas[t].is_zero:
+                return case, gen_row + 1
+            return case, gen_row
+
+        monkeypatch.setattr(lift, "_case_and_generator", moved)
+        return outside_divisor_doc(), "A/p0.e1z", "row 1"
+
     @pytest.mark.parametrize("fault", [
         "strict_row_relabelled_kept",
         "generator_off_the_minimum",
         "outside_generator_off_the_exceptional",
         "divisor_row_meets_the_exceptional",
+        "case3_generator_on_the_zero_slot",
     ])
     def test_skeleton_fault_does_not_commute(
             self, tmp_path, capsys, monkeypatch, fault):
-        # A relabelled row passed every check; each other fault failed a
-        # skeleton check of its own.  The commutation check catches all.
+        # A relabelled row and a generator on the zero slot passed every
+        # check; each other fault failed a skeleton check of its own.  The
+        # commutation check catches all.
         doc, stratum, row = getattr(self, fault)(monkeypatch)
         status, err = self.run_main(tmp_path, capsys, "toroidalize", doc)
         assert status == 5
