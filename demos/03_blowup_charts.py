@@ -30,7 +30,7 @@ print("adapted tag:", adapted.tag, " row order:", order)
 
 # Its pullback factors into a principal part and a residual whose
 # maximum-order components are the candidate blowup centers.
-locus = nonprincipal_locus(adapted, z)
+locus = nonprincipal_locus(adapted)
 print("pullback principal part:", locus.monomial_part)
 print("residual:", locus.residual.gens)
 print("components:", max_order_components(locus.residual))

@@ -27,8 +27,8 @@ for step in trace.steps:
 print("final strata:", len(trace.final))
 
 for final in trace.final:
-    result = lift_after_principalization(final.chart, final.descriptor)
-    commuted = verify_commutes(final.chart, final.descriptor, result).ok
+    result = lift_after_principalization(final.chart)
+    commuted = verify_commutes(final.chart, result).ok
     print(f"  {final.stratum_id:<16} {result.skeleton.case}: "
           f"ell1 = {result.lifted.ell}, lifted matrix {result.lifted.matrix}, "
           f"commutes = {commuted}")

@@ -195,13 +195,13 @@ def column_minima(cf: ChartForm) -> tuple[int, ...]:
     return tuple(map(min, zip(*(cf.matrix[i] for i in rows))))
 
 
-def shape_key(cf: ChartForm, z: CenterDescriptor) -> tuple:
+def shape_key(cf: ChartForm) -> tuple:
     """Everything the combinatorial kernels (locus, center selection, lift
-    skeleton) read of a chart and its center: dimensions, tag, exponent
+    skeleton) read of a center-adapted chart: dimensions, tag, exponent
     matrix and which slot constants vanish, but no unit constant and no
     beta symbol.  Charts with equal keys get equal kernel results."""
     return (cf.d, cf.m, cf.n, cf.ell, cf.s, cf.tag, cf.ell_bar, cf.matrix,
-            tuple(None if b is None else b.kind for b in cf.betas), z)
+            tuple(None if b is None else b.kind for b in cf.betas))
 
 
 def verify_toroidal_form(cf: ChartForm) -> ValidityReport:
@@ -333,14 +333,14 @@ def derive_center_form(cf: ChartForm, z: CenterDescriptor) -> AdaptedForm:
     return AdaptedForm(chart, order)
 
 
-def pullback_center_ideal(cf: ChartForm, z: CenterDescriptor) -> MonomialIdeal:
+def pullback_center_ideal(cf: ChartForm) -> MonomialIdeal:
     """Pullback of the center's ideal, as a monomial ideal in d variables.
     Its generators come from the chart's checked matrix, so they are not
     checked again."""
-    return MonomialIdeal.trusted(cf.d, pullback_center_generators(cf, z))
+    return MonomialIdeal.trusted(cf.d, pullback_center_generators(cf))
 
 
-def pullback_center_generators(cf: ChartForm, z: CenterDescriptor) -> list[tuple[int, ...]]:
+def pullback_center_generators(cf: ChartForm) -> list[tuple[int, ...]]:
     """One generator of the center's pullback per center row, unreduced.
 
     Unit factors never change a monomial ideal and are dropped; a slot
@@ -348,8 +348,6 @@ def pullback_center_generators(cf: ChartForm, z: CenterDescriptor) -> list[tuple
     """
     if cf.tag not in (QTF1, QTF2):
         raise ValueError("pullback needs a center-adapted chart")
-    if cf.ell_bar != z.ell_bar or cf.s != z.extra_slots:
-        raise ValueError("chart is not adapted to this descriptor")
     gens: list[tuple[int, ...]] = []
     for i in range(cf.ell_bar):
         gens.append(cf.matrix[i] + (0,) * (cf.d - cf.n))

@@ -150,7 +150,8 @@ def cmd_normalize_toric(args) -> int:
     if len(source) != 2 or len(target) != 2:
         raise InvalidDocument(
             f"{where}: fields 'source' and 'target' must list two integers")
-    data = ToricMorphismData(LocalModelDims(*source), LocalModelDims(*target),
+    data = ToricMorphismData(construct(f"{where}: field 'source'", LocalModelDims, *source),
+                             construct(f"{where}: field 'target'", LocalModelDims, *target),
                              read_matrix(doc, "matrix", where, None))
     report = validate_toric_morphism(data)
     if not report.ok:

@@ -1,5 +1,5 @@
 """Lifting the morphism through the target blowup once the pullback of the
-center is principal.
+center is principal, reading the center off the adapted chart alone.
 
 The generating row of the principal pullback names the blowup chart of
 the target that the lifted morphism enters.  Every other center
@@ -34,7 +34,6 @@ from typing import NamedTuple
 from .chart import (
     QTF2,
     TOROIDAL,
-    CenterDescriptor,
     ChartForm,
     ValidityReport,
     built_chart,
@@ -90,19 +89,17 @@ class LiftResult(NamedTuple):
     fresh: tuple[FreshParam, ...]
 
 
-def lift_case(cf: ChartForm, z: CenterDescriptor) -> str:
+def lift_case(cf: ChartForm) -> str:
     """Which branch of the lift applies; requires a principal pullback."""
-    return _case_and_generator(cf, z)[0]
+    return _case_and_generator(cf)[0]
 
 
-def _case_and_generator(cf: ChartForm, z: CenterDescriptor) -> tuple[str, int]:
-    """The lift's branch and the chart row generating the principal
-    pullback: the first slot row (smooth, case 3), the first slot row with
-    a nonzero constant (case 2) or the first center row at the column
-    minima (case 1).  `pullback_center_generators` checks that the chart
-    is adapted; the pullback is principal iff the generators' gcd is one
-    of them."""
-    gens = pullback_center_generators(cf, z)
+def _case_and_generator(cf: ChartForm) -> tuple[str, int]:
+    """The lift's branch and the chart row generating the principal pullback:
+    the first slot row (smooth, case 3), the first slot row with a nonzero
+    constant (case 2) or the first center row at the column minima (case 1);
+    the pullback is principal iff the generators' gcd is one of them."""
+    gens = pullback_center_generators(cf)
     if tuple(map(min, zip(*gens))) not in gens:
         raise ValueError("pullback of the center is not principal")
     if cf.ell == 0:
@@ -119,29 +116,28 @@ def _case_and_generator(cf: ChartForm, z: CenterDescriptor) -> tuple[str, int]:
     raise InternalCheckError("principal qtf1 chart matches no lift case")
 
 
-def lift_after_principalization(cf: ChartForm, z: CenterDescriptor,
-                                skeletons: dict | None = None,
+def lift_after_principalization(cf: ChartForm, skeletons: dict | None = None,
                                 key: tuple | None = None) -> LiftResult:
     """Lift one principal stratum.  `skeletons`, when given, maps
     `shape_key`s to skeletons already built; the caller keeps it for the
     length of one chart family, and missing skeletons are added to it.
-    `key`, when given, is `shape_key(cf, z)` as the caller computed it.
+    `key`, when given, is `shape_key(cf)` as the caller computed it.
     A lift that does not commute is an engine bug: it raises
     `InternalCheckError`."""
     skeletons = {} if skeletons is None else skeletons
-    key = shape_key(cf, z) if key is None else key
+    key = shape_key(cf) if key is None else key
     if key not in skeletons:
-        skeletons[key] = lift_skeleton(cf, z)
+        skeletons[key] = lift_skeleton(cf)
     result = _lift_constants(cf, skeletons[key])
-    report = verify_commutes(cf, z, result)
+    report = verify_commutes(cf, result)
     if not report.ok:
         raise InternalCheckError(f"lift does not commute: {report}")
     return result
 
 
-def lift_skeleton(cf: ChartForm, z: CenterDescriptor) -> LiftSkeleton:
+def lift_skeleton(cf: ChartForm) -> LiftSkeleton:
     """The shape-only part of the lift, its structure checked as built."""
-    case, gen_row = _case_and_generator(cf, z)
+    case, gen_row = _case_and_generator(cf)
     build = _skeleton_outside_divisor if cf.ell_bar == 0 else _skeleton_inside_divisor
     drop_col, zero, row_sources, matrix = build(cf, case, gen_row)
     n = cf.n if drop_col is None else cf.n - 1
@@ -222,8 +218,7 @@ def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
     return LiftResult(sk.shape.with_constant_units(tuple(units)), sk, tuple(fresh))
 
 
-def verify_commutes(cf: ChartForm, z: CenterDescriptor,
-                    result: LiftResult) -> ValidityReport:
+def verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
     """Substitute the target blowup equations into the lifted form and
     compare, row by row and constant by constant, with the original chart.
     The blowup coordinate y'_i of row i is the lifted row or the fresh
@@ -231,8 +226,8 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
     divisor and slot columns: a zero-stratum slot row and its fresh
     parameter carry its slot variable, and a fresh parameter has no other
     monomial unless it is the outside-divisor generator.  The center rows
-    come from the descriptor: row g recomposes to y'_g, any other center
-    row to y'_g * y'_i, and every other row to y'_i."""
+    are the chart's first `ell_bar` rows and its slot rows: row g recomposes
+    to y'_g, any other center row to y'_g * y'_i, any other row to y'_i."""
     sk, lifted, g = result.skeleton, result.lifted, result.skeleton.gen_row
     failures: list[tuple[str, str]] = []
     images: dict[int, tuple] = {}
@@ -271,7 +266,7 @@ def verify_commutes(cf: ChartForm, z: CenterDescriptor,
         if i == g:
             if beta is not None:
                 expected = expected * beta
-        elif i < z.ell_bar or i >= cf.ell:
+        elif i < cf.ell_bar or i >= cf.ell:
             vec = tuple(x + y for x, y in zip(gen_vec, vec))
             const = gen_const * const
             if p is not None:

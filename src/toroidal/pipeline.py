@@ -411,8 +411,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
                                                  root.row_labels, root.extra_global_labels))
                 continue
             with naming(final.stratum_id, final.parent_path):
-                result = lift_after_principalization(final.chart, final.descriptor,
-                                                     skeletons, final.shape)
+                result = lift_after_principalization(final.chart, skeletons, final.shape)
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
             lifted_id = f"{final.stratum_id}^"
             new_strata.append(TrackedStratum(lifted_id, result.lifted, new_labels,

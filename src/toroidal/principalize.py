@@ -7,7 +7,7 @@ pullback is principal, or that sits at the cap, is a leaf; any other is
 blown up along a center inside its residual's maximum order locus, and
 its children (the chart strata covering the exceptional fiber) are
 expanded in enumeration order.  A subtree thus depends only on its root
-chart, descriptor, id and depth, not on the rest of the family.  A step
+chart, id and depth, not on the rest of the family.  A step
 cap stands in for a termination proof; hitting it is a reported status.
 
 The locus is the factorization x^F * N of the pullback and nothing more:
@@ -33,6 +33,8 @@ from .blowup import (
     matrix_permissibility,
 )
 from .chart import (
+    QTF1,
+    QTF2,
     CenterDescriptor,
     ChartForm,
     column_minima,
@@ -72,11 +74,11 @@ class NonprincipalLocus(NamedTuple):
         return self.residual.is_unit
 
 
-def nonprincipal_locus(cf: ChartForm, z: CenterDescriptor) -> NonprincipalLocus:
+def nonprincipal_locus(cf: ChartForm) -> NonprincipalLocus:
     """Factor the pullback I = x^F * N; the residual N cuts the locus where
     the pullback is not principal.  The candidate centers are the
     maximum-order components of N (`MaxOrderLexPolicy.candidates`)."""
-    f, n = principal_part_factorization(pullback_center_ideal(cf, z))
+    f, n = principal_part_factorization(pullback_center_ideal(cf))
     return NonprincipalLocus(f, n)
 
 
@@ -112,8 +114,7 @@ class MaxOrderLexPolicy:
         return sorted(comps, key=lambda s: (-self._reduced_depth(cf, s),
                                             -len(s), s))
 
-    def select(self, cf: ChartForm, z: CenterDescriptor,
-               residual: MonomialIdeal) -> BlowupCenterChart:
+    def select(self, cf: ChartForm, residual: MonomialIdeal) -> BlowupCenterChart:
         """The first candidate through every slot that passes the matrix
         test.  It is a valid center by construction (a single coordinate
         has order 0 on the gcd-free residual), so only the blowup checks it."""
@@ -144,9 +145,9 @@ class FinalStratum(NamedTuple):
     stratum_id: str
     status: str
     chart: ChartForm
-    descriptor: CenterDescriptor
+    descriptor: CenterDescriptor  # the root's, for the trace alone
     parent_path: tuple[str, ...]
-    shape: tuple  # shape_key(chart, descriptor), the lift's skeleton key
+    shape: tuple  # shape_key(chart), the lift's skeleton key
 
 
 class PrincipalizationTrace(NamedTuple):
@@ -186,14 +187,15 @@ def principalize_chart_family(
         strata: list[tuple[str, ChartForm, CenterDescriptor]],
         cap: int = DEFAULT_CAP,
 ) -> PrincipalizationTrace:
-    # Each root's tree is expanded depth first from an explicit stack (the
-    # cap is user-set, so recursion could outgrow Python's limit): steps
-    # come in preorder and each root's finals are its leaves in preorder.
-    # The cap bounds the length of any single chain of blowups (the depth
-    # of a stratum's history); a stratum at the cap finishes with Exceeded
-    # status.  `loci` holds each shape's locus for the length of this call
-    # and `ids` every id given out, roots first, so a child that takes a
-    # root's id is named with its parent path.
+    # Every root is checked adapted to its descriptor first (a blowup child
+    # keeps its parent's `ell_bar` and `s`), then each root's tree is expanded
+    # depth first from an explicit stack (the cap is user-set, so recursion
+    # could outgrow Python's limit): steps come in preorder and each root's
+    # finals are its leaves in preorder.  The cap bounds the length of any
+    # single chain of blowups (the depth of a stratum's history); a stratum at
+    # the cap finishes with Exceeded status.  `loci` holds each shape's locus
+    # for the length of this call and `ids` every id given out, roots first, so
+    # a child that takes a root's id is named with its parent path.
     check_cap(cap)
     loci: dict[tuple, NonprincipalLocus] = {}
     ids: set[str] = set()
@@ -206,17 +208,22 @@ def principalize_chart_family(
                 raise ValueError("id repeated in the family")
         ids.add(sid)
 
-    for sid, _, _ in strata:
+    for sid, chart, z in strata:
         register(sid, ())
+        with naming(sid, ()):
+            if chart.tag not in (QTF1, QTF2):
+                raise ValueError("pullback needs a center-adapted chart")
+            if chart.ell_bar != z.ell_bar or chart.s != z.extra_slots:
+                raise ValueError("chart is not adapted to this descriptor")
     for root_id, root_chart, z in strata:
         stack = [(root_id, root_chart, ())]
         while stack:
             sid, chart, path = stack.pop()
             with naming(sid, path):
-                shape = shape_key(chart, z)
+                shape = shape_key(chart)
                 locus = loci.get(shape)
                 if locus is None:
-                    locus = loci[shape] = nonprincipal_locus(chart, z)
+                    locus = loci[shape] = nonprincipal_locus(chart)
                 if locus.is_principal or len(path) >= cap:
                     final.append(FinalStratum(
                         sid, PRINCIPAL if locus.is_principal else EXCEEDED,
@@ -225,7 +232,7 @@ def principalize_chart_family(
                 if len(steps) >= RUNAWAY_GUARD:
                     raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
                                       "blowup rounds without finishing")
-                center = POLICY.select(chart, z, locus.residual)
+                center = POLICY.select(chart, locus.residual)
                 children = enumerate_blowup_strata(chart, center, symbol_prefix=sid)
             path += (sid,)
             records = []

@@ -89,18 +89,18 @@ def random_toric_data(rng, max_m=4, max_d=6, max_exp=4) -> ToricMorphismData:
             return data
 
 
-def permissible_center_for(adapted, z):
+def permissible_center_for(adapted):
     """The policy's center for a nonprincipal adapted chart, or None."""
     from toroidal.principalize import (
         MaxOrderLexPolicy,
         NoPermissibleCenter,
         nonprincipal_locus,
     )
-    locus = nonprincipal_locus(adapted, z)
+    locus = nonprincipal_locus(adapted)
     if locus.is_principal:
         return None
     try:
-        return MaxOrderLexPolicy().select(adapted, z, locus.residual)
+        return MaxOrderLexPolicy().select(adapted, locus.residual)
     except NoPermissibleCenter:
         return None
 
@@ -115,7 +115,7 @@ def blowup_triples(rng, count, **kwargs):
         if pair is None:
             continue
         adapted, z = pair
-        center = permissible_center_for(adapted, z)
+        center = permissible_center_for(adapted)
         if center is None:
             continue
         for choice, result in enumerate_blowup_strata(

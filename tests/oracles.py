@@ -202,7 +202,7 @@ def rescan_principalize(strata, cap=50):
     while True:
         working = []
         for s in live:
-            locus = nonprincipal_locus(s[1], s[2])
+            locus = nonprincipal_locus(s[1])
             if not locus.is_principal and len(s[5]) < cap:
                 working.append((s, locus))
         if not working:
@@ -210,7 +210,7 @@ def rescan_principalize(strata, cap=50):
         working.sort(key=lambda p: (-order_at_origin(p[1].residual), p[0][3], p[0][4]))
         target, locus = working[0]
         sid, cf, z, pos, _, path = target
-        center = MaxOrderLexPolicy().select(cf, z, locus.residual)
+        center = MaxOrderLexPolicy().select(cf, locus.residual)
         live.remove(target)
         records = []
         for choice, result in enumerate_blowup_strata(cf, center, symbol_prefix=sid):
@@ -223,8 +223,8 @@ def rescan_principalize(strata, cap=50):
                                           tuple(records)))
     final = []
     for sid, cf, z, _, _, path in sorted(live, key=lambda s: (s[3], s[4])):
-        status = PRINCIPAL if nonprincipal_locus(cf, z).is_principal else EXCEEDED
-        final.append(FinalStratum(sid, status, cf, z, path, shape_key(cf, z)))
+        status = PRINCIPAL if nonprincipal_locus(cf).is_principal else EXCEEDED
+        final.append(FinalStratum(sid, status, cf, z, path, shape_key(cf)))
     return PrincipalizationTrace(tuple(steps), tuple(final))
 
 
@@ -363,15 +363,13 @@ def _ref_case2(cf, choice, div):
     return BlowupResult(chart, var_map, tuple(row_order))
 
 
-def reference_lift_case(cf, z):
+def reference_lift_case(cf):
     """(case, generator row) of the lift of a principal stratum: the case
     from the chart's adaptedness, tag, betas and column minima, then the
     generator row derived again from the case."""
     if cf.tag not in (QTF1, QTF2):
         raise ValueError("lift needs a center-adapted chart")
-    if cf.ell_bar != z.ell_bar or cf.s != z.extra_slots:
-        raise ValueError("chart is not adapted to this descriptor")
-    if len(pullback_center_ideal(cf, z).gens) != 1:
+    if len(pullback_center_ideal(cf).gens) != 1:
         raise ValueError("pullback of the center is not principal")
     mins = column_minima(cf)
     if cf.ell == 0:

@@ -195,9 +195,9 @@ def test_principalization_termination_and_lifts():
         assert all(f.status == PRINCIPAL for f in trace.final)
         histogram[len(trace.steps)] += 1
         for final in trace.final:
-            result = lift_after_principalization(final.chart, final.descriptor)
+            result = lift_after_principalization(final.chart)
             assert verify_toroidal_form(result.lifted).ok
-            assert verify_commutes(final.chart, final.descriptor, result).ok
+            assert verify_commutes(final.chart, result).ok
             lifts += 1
     distribution = dict(sorted(histogram.items()))
     print(f"\nACCEPTANCE principalization-termination: PASS "

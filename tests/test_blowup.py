@@ -187,8 +187,8 @@ class TestChartBuilder:
             pair = random_adapted_chart(rng)
             if pair is None:
                 continue
-            cf, z = pair
-            center = permissible_center_for(cf, z)
+            cf, _ = pair
+            center = permissible_center_for(cf)
             if center is None:
                 continue
             charts += 1
@@ -203,7 +203,7 @@ class TestChartBuilder:
                     continue
                 # A zero-beta child is blown up again: the factors its
                 # units already carry must follow the new variable order.
-                inner = permissible_center_for(child, z)
+                inner = permissible_center_for(child)
                 if inner is None:
                     continue
                 for _, grandchild in self.assert_matches_reference(

@@ -168,19 +168,19 @@ class TestPullbackCenterIdeal:
         cf = ChartForm(d=2, m=2, n=2, ell=2, s=0, tag=QTF1,
                        matrix=((1, 0), (1, 1)),
                        units=(TRIVIAL_UNIT,) * 2, ell_bar=2)
-        ideal = pullback_center_ideal(cf, CenterDescriptor(2, 2, (0, 1)))
+        ideal = pullback_center_ideal(cf)
         assert ideal.gens == ((1, 0),)
 
     def test_identity_origin(self):
         z = CenterDescriptor(2, 2, (0, 1))
         adapted, _ = derive_center_form(IDENTITY, z)
-        assert pullback_center_ideal(adapted, z).gens == ((0, 1), (1, 0))
+        assert pullback_center_ideal(adapted).gens == ((0, 1), (1, 0))
 
     def test_slot_generator(self):
         cf = toroidal([[1, 1]], m=2, d=3)
         z = CenterDescriptor(ell_bar=1, c=2, divisor_rows=(0,))
         adapted, _ = derive_center_form(cf, z)
-        ideal = pullback_center_ideal(adapted, z)
+        ideal = pullback_center_ideal(adapted)
         assert ideal.gens == ((0, 0, 1), (1, 1, 0))
 
     def test_nonzero_beta_drops_slot_variable(self):
@@ -188,7 +188,7 @@ class TestPullbackCenterIdeal:
                        matrix=((1, 1), (1, 0)),
                        units=(TRIVIAL_UNIT,) * 2,
                        betas=(Stratum.generic("b"),), ell_bar=1)
-        ideal = pullback_center_ideal(cf, CenterDescriptor(1, 2, (0,)))
+        ideal = pullback_center_ideal(cf)
         assert ideal.gens == ((1, 0, 0),)
 
 
@@ -228,7 +228,7 @@ class TestAlgebraProperties:
             if cf.ell < 2:
                 continue
             adapted, _ = derive_center_form(cf, z)
-            ideal = pullback_center_ideal(adapted, z)
+            ideal = pullback_center_ideal(adapted)
             from toroidal.monomial import gcd_generators
             mins = tuple(min(adapted.matrix[i][j] for i in range(cf.ell))
                          for j in range(cf.n))

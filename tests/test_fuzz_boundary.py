@@ -284,6 +284,14 @@ PINNED = {
     "principalize repeated stratum id": (
         "principalize", _repeated_id_doc(), "stratum x0: id repeated in the family"),
     "negative cap option": ("--cap -3 toroidalize", identity_doc(), "--cap"),
+    "toric source cone above its dimension": (
+        "normalize-toric", {"source": [3, 5], "target": [2, 2],
+                            "matrix": [[1, 1, 1], [2, 2, 1]]},
+        "toric document: field 'source': need 0 <= cone dimension"),
+    "toric target negative cone": (
+        "normalize-toric", {"source": [3, 2], "target": [2, -1],
+                            "matrix": [[1, 1, 1], [2, 2, 1]]},
+        "toric document: field 'target': need 0 <= cone dimension"),
     "trace with a negative cap": (
         "verify-trace", (identity_doc(), {**IDENTITY_TRACE, "cap": -3}),
         "trace: field 'cap'"),

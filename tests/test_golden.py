@@ -115,7 +115,7 @@ def termination_corpus_documents():
         for final in trace.final:
             if final.status == EXCEEDED:
                 continue
-            result = lift_after_principalization(final.chart, final.descriptor)
+            result = lift_after_principalization(final.chart)
             lifts.append({"record": lift_record_to_doc(result),
                           "chart": chart_to_doc(result.lifted)})
         yield {"principalization": principalization_to_doc(trace), "lifts": lifts}

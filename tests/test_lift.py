@@ -30,9 +30,6 @@ from toroidal.units import Stratum, TRIVIAL_UNIT, UnitToken, UnitValue
 from generators import blowup_triples
 from test_blowup import adapted, choice_for
 
-Z22 = CenterDescriptor(2, 2, (0, 1))
-
-
 def unit_of(value):
     return UnitToken(UnitValue.of(value))
 
@@ -40,96 +37,92 @@ def unit_of(value):
 class TestLiftCase:
     def test_min_row_case(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
-        assert lift_case(cf, Z22) == CASE1
+        assert lift_case(cf) == CASE1
 
     def test_generating_slot_case(self):
         cf = ChartForm(d=3, m=2, n=2, ell=1, s=1, tag=QTF1,
                        matrix=((2, 1), (1, 0)),
                        units=(TRIVIAL_UNIT,) * 2,
                        betas=(Stratum.generic("g"),), ell_bar=1)
-        assert lift_case(cf, CenterDescriptor(1, 2, (0,))) == CASE2
+        assert lift_case(cf) == CASE2
 
     def test_smooth_case(self):
         z = CenterDescriptor(0, 2)
         cf, _ = derive_center_form(smooth_chart(3, 2), z)
         blown = blowup_transform(cf, BlowupCenterChart((), 2),
                                  choice_for(cf.slot_var(0), zero_vars=(1,)))
-        assert lift_case(blown.chart, z) == SMOOTH_CASE
+        assert lift_case(blown.chart) == SMOOTH_CASE
 
     def test_nonprincipal_rejected(self):
         cf = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
         with pytest.raises(ValueError):
-            lift_case(cf, Z22)
+            lift_case(cf)
 
     def test_adaptedness_checked_by_the_pullback(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         with pytest.raises(ValueError, match="^pullback needs a center-adapted chart$"):
-            lift_case(replace(cf, tag=TOROIDAL, ell_bar=0), Z22)
-        with pytest.raises(ValueError, match="^chart is not adapted to this descriptor$"):
-            lift_case(cf, CenterDescriptor(1, 2, (0,)))
+            lift_case(replace(cf, tag=TOROIDAL, ell_bar=0))
 
 
 class TestCase1:
     def test_identity_like_lift(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
-        result = lift_after_principalization(cf, Z22)
+        result = lift_after_principalization(cf)
         assert result.skeleton.case == CASE1
         assert result.lifted.matrix == ((1, 0), (0, 1))
         assert result.skeleton.row_sources == (("gen", 0), ("strict", 1))
         assert result.lifted.ell == 2
-        assert verify_commutes(cf, Z22, result).ok
+        assert verify_commutes(cf, result).ok
 
     def test_vanishing_row_produces_fresh_parameter(self):
         cf = ChartForm(d=3, m=2, n=2, ell=2, s=0, tag=QTF1,
                        matrix=((1, 2), (1, 2)),
                        units=(TRIVIAL_UNIT, unit_of(3)), ell_bar=2)
-        result = lift_after_principalization(cf, Z22)
+        result = lift_after_principalization(cf)
         assert result.lifted.matrix == ((1, 2),)
         assert result.lifted.ell == 1
         assert result.skeleton.row_sources == (("gen", 0),)
         param = result.fresh[0]
         assert param.source == ("row", 1)
         assert param.shift == UnitValue.of(3)
-        assert verify_commutes(cf, Z22, result).ok
+        assert verify_commutes(cf, result).ok
 
     def test_generic_unit_ratio(self):
         cf = ChartForm(d=3, m=2, n=2, ell=2, s=0, tag=QTF1,
                        matrix=((1, 1), (1, 1)),
                        units=(UnitToken(UnitValue.symbol("u")), TRIVIAL_UNIT),
                        ell_bar=2)
-        result = lift_after_principalization(cf, Z22)
+        result = lift_after_principalization(cf)
         assert result.fresh[0].shift == UnitValue.symbol("u", -1)
-        assert verify_commutes(cf, Z22, result).ok
+        assert verify_commutes(cf, result).ok
 
 
 class TestCase2:
     def test_slot_generator(self):
-        z = CenterDescriptor(1, 2, (0,))
         cf = ChartForm(d=3, m=2, n=2, ell=1, s=1, tag=QTF1,
                        matrix=((2, 1), (1, 0)),
                        units=(unit_of(5), TRIVIAL_UNIT),
                        betas=(Stratum.of_value(Fraction(2)),), ell_bar=1)
-        result = lift_after_principalization(cf, z)
+        result = lift_after_principalization(cf)
         assert result.skeleton.case == CASE2
         assert result.lifted.matrix == ((1, 0), (1, 1))
         gen_const = result.lifted.units[0].constant()
         assert gen_const == UnitValue.of(2)
         strict_const = result.lifted.units[1].constant()
         assert strict_const == UnitValue.of(Fraction(5, 2))
-        assert verify_commutes(cf, z, result).ok
+        assert verify_commutes(cf, result).ok
 
 
 class TestCase3:
     def test_qtf2_generator(self):
-        z = CenterDescriptor(1, 2, (0,))
         cf = ChartForm(d=4, m=2, n=3, ell=1, s=1, tag=QTF2,
                        matrix=((2, 1, 2), (0, 0, 1)),
                        units=(TRIVIAL_UNIT,) * 2,
                        betas=(None,), ell_bar=1)
-        result = lift_after_principalization(cf, z)
+        result = lift_after_principalization(cf)
         assert result.skeleton.case == CASE3
         assert result.lifted.matrix == ((0, 0, 1), (2, 1, 1))
-        assert verify_commutes(cf, z, result).ok
+        assert verify_commutes(cf, result).ok
 
 
 class TestOutsideDivisor:
@@ -138,10 +131,10 @@ class TestOutsideDivisor:
         cf, _ = derive_center_form(smooth_chart(3, 2), z)
         blown = blowup_transform(cf, BlowupCenterChart((), 2),
                                  choice_for(cf.slot_var(0), zero_vars=(1,)))
-        result = lift_after_principalization(blown.chart, z)
+        result = lift_after_principalization(blown.chart)
         assert result.lifted.ell == 0 and result.lifted.n == 0
         assert result.skeleton.drop_col is not None
-        assert verify_commutes(blown.chart, z, result).ok
+        assert verify_commutes(blown.chart, result).ok
 
     def test_divisor_chart_outside_center(self):
         base = ChartForm(d=4, m=3, n=2, ell=1, s=0, tag="toroidal",
@@ -150,29 +143,29 @@ class TestOutsideDivisor:
         cf, _ = derive_center_form(base, z)
         blown = blowup_transform(cf, BlowupCenterChart((), 2),
                                  choice_for(cf.slot_var(0), zero_vars=(3,)))
-        result = lift_after_principalization(blown.chart, z)
+        result = lift_after_principalization(blown.chart)
         assert result.lifted.matrix == ((2, 1),)
         assert result.lifted.ell == 1
-        assert verify_commutes(blown.chart, z, result).ok
+        assert verify_commutes(blown.chart, result).ok
 
 
 class TestVerifyCommutes:
     def test_detects_corrupted_exponent(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
-        result = lift_after_principalization(cf, Z22)
+        result = lift_after_principalization(cf)
         bad_matrix = ((1, 1), (0, 1))
         bad = replace(result.lifted, matrix=bad_matrix)
-        report = verify_commutes(cf, Z22, result._replace(lifted=bad))
+        report = verify_commutes(cf, result._replace(lifted=bad))
         assert not report.ok
 
     def test_detects_corrupted_constant(self):
         cf = ChartForm(d=3, m=2, n=2, ell=2, s=0, tag=QTF1,
                        matrix=((1, 2), (1, 2)),
                        units=(TRIVIAL_UNIT, unit_of(3)), ell_bar=2)
-        result = lift_after_principalization(cf, Z22)
+        result = lift_after_principalization(cf)
         bad_fresh = (result.fresh[0]._replace(shift=UnitValue.of(7)),)
         bad = result._replace(fresh=bad_fresh)
-        assert not verify_commutes(cf, Z22, bad).ok
+        assert not verify_commutes(cf, bad).ok
 
     @staticmethod
     def strict_row_relabelled_kept():
@@ -180,28 +173,27 @@ class TestVerifyCommutes:
         # with its original constant; its own row kinds would accept it.
         cf = replace(adapted([[1, 0], [1, 1]], ell_bar=2, s=0),
                      units=(TRIVIAL_UNIT, unit_of(3)))
-        result = lift_after_principalization(cf, Z22)
+        result = lift_after_principalization(cf)
         sk = result.skeleton._replace(row_sources=(("gen", 0), ("kept", 1)))
         lifted = replace(result.lifted, matrix=(cf.matrix[0], cf.matrix[1]),
                          units=cf.units)
-        return cf, Z22, result._replace(skeleton=sk, lifted=lifted)
+        return cf, result._replace(skeleton=sk, lifted=lifted)
 
     @staticmethod
     def row_covered_twice():
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
-        result = lift_after_principalization(cf, Z22)
+        result = lift_after_principalization(cf)
         one = UnitValue.of(1)
-        return cf, Z22, result._replace(fresh=(FreshParam(("row", 1), one, one),))
+        return cf, result._replace(fresh=(FreshParam(("row", 1), one, one),))
 
     @staticmethod
     def divisor_row_meets_dropped_column():
-        z = CenterDescriptor(0, 2)
         cf = ChartForm(d=3, m=3, n=2, ell=1, s=2, tag=QTF2,
                        matrix=((1, 0), (0, 1), (0, 1)), units=(TRIVIAL_UNIT,) * 3,
                        betas=(None, Stratum.zero()))
-        result = lift_after_principalization(cf, z)
+        result = lift_after_principalization(cf)
         assert result.skeleton.drop_col == 1
-        return replace(cf, matrix=((1, 1),) + cf.matrix[1:]), z, result
+        return replace(cf, matrix=((1, 1),) + cf.matrix[1:]), result
 
     @pytest.mark.parametrize("corruption, first_failure", [
         ("strict_row_relabelled_kept", ("exponent", "row 1 does not recompose")),
@@ -209,8 +201,8 @@ class TestVerifyCommutes:
         ("divisor_row_meets_dropped_column", ("exponent", "row 0 does not recompose")),
     ], ids=["relabelled", "covered_twice", "dropped_column"])
     def test_detects_corrupted_lift(self, corruption, first_failure):
-        cf, z, result = getattr(self, corruption)()
-        assert verify_commutes(cf, z, result).failures[0] == first_failure
+        cf, result = getattr(self, corruption)()
+        assert verify_commutes(cf, result).failures[0] == first_failure
 
 
 class TestRandomCorpus:
@@ -218,11 +210,11 @@ class TestRandomCorpus:
         rng = random.Random(137)
         lifted = 0
         for cf, z, center, choice, result in blowup_triples(rng, 150):
-            if not nonprincipal_locus(result.chart, z).is_principal:
+            if not nonprincipal_locus(result.chart).is_principal:
                 continue
-            out = lift_after_principalization(result.chart, z)
+            out = lift_after_principalization(result.chart)
             assert verify_toroidal_form(out.lifted).ok
-            assert verify_commutes(result.chart, z, out).ok, (
+            assert verify_commutes(result.chart, out).ok, (
                 result.chart, out.skeleton, out.fresh)
             lifted += 1
         assert lifted > 50

@@ -229,9 +229,9 @@ class TestEndToEnd:
     def test_shape_key_once_per_stratum(self, monkeypatch):
         calls = []
 
-        def counting(cf, z):
+        def counting(cf):
             calls.append(1)
-            return shape_key(cf, z)
+            return shape_key(cf)
 
         monkeypatch.setattr(principalize, "shape_key", counting)
         monkeypatch.setattr(lift, "shape_key", counting)
@@ -755,7 +755,7 @@ class TestExitStatuses:
     @staticmethod
     def strict_row_relabelled_kept(monkeypatch):
         # The skeleton passes its first strict row off as kept, unreduced:
-        # the check takes the center rows from the descriptor, not from it.
+        # the check takes the center rows from the chart, not from the skeleton.
         real = lift._skeleton_inside_divisor
 
         def relabelled(cf, case, gen_row):
@@ -772,8 +772,8 @@ class TestExitStatuses:
     def generator_off_the_minimum(monkeypatch):
         real = lift._case_and_generator
 
-        def off_by_one(cf, z):
-            case, gen_row = real(cf, z)
+        def off_by_one(cf):
+            case, gen_row = real(cf)
             return case, (gen_row + 1) % cf.ell_bar if case == lift.CASE1 else gen_row
 
         monkeypatch.setattr(lift, "_case_and_generator", off_by_one)
@@ -808,8 +808,8 @@ class TestExitStatuses:
         # zero-stratum slot row: seen only over the slot columns.
         real = lift._case_and_generator
 
-        def moved(cf, z):
-            case, gen_row = real(cf, z)
+        def moved(cf):
+            case, gen_row = real(cf)
             t = gen_row + 1 - cf.ell
             if case == lift.CASE3 and t < cf.s and cf.betas[t].is_zero:
                 return case, gen_row + 1

@@ -52,7 +52,7 @@ def _global_extension():
 def _lift_skeleton():
     cf = ChartForm(d=2, m=2, n=2, ell=2, s=0, tag=QTF1, matrix=((1, 0), (1, 1)),
                    units=(TRIVIAL_UNIT,) * 2, ell_bar=2)
-    lift.lift_skeleton(cf, CenterDescriptor(2, 2, (0, 1)))
+    lift.lift_skeleton(cf)
 
 
 def _toric_chart():

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from toroidal import blowup, lift, monomial, principalize
-from toroidal.chart import CenterDescriptor, ChartForm, classify_form, shape_key
+from toroidal.chart import (
+    CenterDescriptor,
+    ChartForm,
+    classify_form,
+    derive_center_form,
+    shape_key,
+)
 from toroidal.lift import (
     CASE1,
     CASE2,
@@ -35,21 +41,21 @@ Z22 = CenterDescriptor(2, 2, (0, 1))
 class TestNonprincipalLocus:
     def test_origin_center(self):
         cf = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf, Z22)
+        locus = nonprincipal_locus(cf)
         assert locus.monomial_part == (0, 0)
         assert locus.residual.gens == ((0, 1), (1, 0))
         assert max_order_components(locus.residual) == ((0, 1),)
 
     def test_factor_then_decompose(self):
         cf = adapted([[2, 1], [1, 3]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf, Z22)
+        locus = nonprincipal_locus(cf)
         assert locus.monomial_part == (1, 1)
         assert locus.residual.gens == ((0, 2), (1, 0))
         assert max_order_components(locus.residual) == ((0, 1),)
 
     def test_principal_pullback(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf, Z22)
+        locus = nonprincipal_locus(cf)
         assert locus.is_principal
 
 
@@ -57,15 +63,14 @@ class TestSelectCenter:
     def test_max_order_then_codim_then_lex(self):
         policy = MaxOrderLexPolicy()
         cf = adapted([[1, 0], [0, 2]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf, Z22)
-        center = policy.select(cf, Z22, locus.residual)
+        locus = nonprincipal_locus(cf)
+        center = policy.select(cf, locus.residual)
         assert center.divisor_indices == (0, 1) and center.slot_count == 0
 
     def test_three_squares(self):
         residual = minimal_generators([(2, 0, 0), (0, 2, 0), (0, 0, 2)], 3)
         cf = adapted([[2, 0, 0], [0, 2, 0], [0, 0, 2]], ell_bar=3, s=0, m=3)
-        z = CenterDescriptor(3, 3, (0, 1, 2))
-        center = MaxOrderLexPolicy().select(cf, z, residual)
+        center = MaxOrderLexPolicy().select(cf, residual)
         assert center.divisor_indices == (0, 1, 2)
 
 
@@ -197,14 +202,13 @@ class TestIncrementalDriver:
         real_locus = principalize.nonprincipal_locus
         real_enumerate = principalize.enumerate_blowup_strata
 
-        def counting(cf, z):
-            calls.append(z)
-            return real_locus(cf, z)
+        def counting(cf):
+            calls.append(cf)
+            return real_locus(cf)
 
         def recording(cf, center, symbol_prefix):
             out = real_enumerate(cf, center, symbol_prefix=symbol_prefix)
-            z = descriptor_of[symbol_prefix.split(".")[0]]
-            created.extend((result.chart, z) for _, result in out)
+            created.extend(result.chart for _, result in out)
             return out
 
         monkeypatch.setattr(principalize, "nonprincipal_locus", counting)
@@ -212,13 +216,12 @@ class TestIncrementalDriver:
         total_calls = total_created = 0
         for cap in (2, 50):
             for family in random_families(300 + cap, 15):
-                descriptor_of = {sid: z for sid, _, z in family}
                 calls.clear()
-                created[:] = [(cf, z) for _, cf, z in family]
+                created[:] = [cf for _, cf, _ in family]
                 trace = principalize_chart_family(family, cap=cap)
                 assert len(created) == len(family) + sum(
                     len(s.children) for s in trace.steps)
-                assert len(calls) == len({shape_key(cf, z) for cf, z in created})
+                assert len(calls) == len({shape_key(cf) for cf in created})
                 assert len(calls) <= len(created)
                 total_calls += len(calls)
                 total_created += len(created)
@@ -245,28 +248,27 @@ class TestShapeKernels:
         policy = MaxOrderLexPolicy()
         for family in random_families(600, 40):
             trace = principalize_chart_family(family, cap=2)
-            strata = [(cf, z) for _, cf, z in family]
-            strata += [(f.chart, f.descriptor) for f in trace.final]
-            for cf, z in strata:
+            strata = [cf for _, cf, _ in family] + [f.chart for f in trace.final]
+            for cf in strata:
                 other = vary_constants(cf, rng)
-                assert other != cf and shape_key(other, z) == shape_key(cf, z)
-                locus = nonprincipal_locus(cf, z)
-                assert nonprincipal_locus(other, z) == locus
+                assert other != cf and shape_key(other) == shape_key(cf)
+                locus = nonprincipal_locus(cf)
+                assert nonprincipal_locus(other) == locus
                 seen["locus"] += 1
                 if locus.is_principal:
-                    skeleton = lift_skeleton(cf, z)
-                    assert lift_skeleton(other, z) == skeleton
+                    skeleton = lift_skeleton(cf)
+                    assert lift_skeleton(other) == skeleton
                     seen["skeleton"] += 1
                     seen[CASE2] += skeleton.case == CASE2
                     continue
                 try:
-                    center = policy.select(cf, z, locus.residual)
+                    center = policy.select(cf, locus.residual)
                 except NoPermissibleCenter:
                     with pytest.raises(NoPermissibleCenter):
-                        policy.select(other, z, locus.residual)
+                        policy.select(other, locus.residual)
                     seen["no center"] += 1
                     continue
-                assert policy.select(other, z, locus.residual) == center
+                assert policy.select(other, locus.residual) == center
                 seen["center"] += 1
         assert all(seen[k] for k in ("locus", "center", "skeleton", CASE2)), seen
 
@@ -278,10 +280,8 @@ class TestShapeKernels:
             for final in trace.final:
                 if final.status != PRINCIPAL:
                     continue
-                memoized = lift_after_principalization(
-                    final.chart, final.descriptor, skeletons)
-                assert memoized == lift_after_principalization(
-                    final.chart, final.descriptor)
+                memoized = lift_after_principalization(final.chart, skeletons)
+                assert memoized == lift_after_principalization(final.chart)
                 lifts += 1
             skeletons_built += len(skeletons)
         assert skeletons_built < lifts
@@ -293,8 +293,54 @@ def principal_finals(seed, count):
         yield trace, [f for f in trace.final if f.status == PRINCIPAL]
 
 
+def one_chart_two_descriptors():
+    """Two roots that adapt to one chart under unequal descriptors: the
+    chart ((2,1),(1,2)) centered on its row 0, and its row swap centered
+    on its row 1."""
+    def root(matrix, z):
+        cf = ChartForm(d=3, m=3, n=2, ell=2, s=0, tag="toroidal", matrix=matrix,
+                       units=(UnitToken(),) * 2)
+        return derive_center_form(cf, z).chart, z
+
+    return [("x0", *root(((2, 1), (1, 2)), CenterDescriptor(1, 2, (0,)))),
+            ("x1", *root(((1, 2), (2, 1)), CenterDescriptor(1, 2, (1,))))]
+
+
 class TestSingleSites:
     """Each chart-level decision is made by one function, once."""
+
+    def test_locus_keyed_by_the_chart_alone(self, monkeypatch):
+        calls = []
+        real_locus = principalize.nonprincipal_locus
+
+        def locus(cf):
+            calls.append(cf)
+            return real_locus(cf)
+
+        monkeypatch.setattr(principalize, "nonprincipal_locus", locus)
+        (_, first, z0), (_, second, z1) = family = one_chart_two_descriptors()
+        assert first == second and z0 != z1
+        trace = principalize_chart_family(family)
+        assert (len(trace.steps), len(trace.final)) == (6, 20)
+        # Each tree blows up 3 strata and ends in 10, all of distinct shapes;
+        # the second tree repeats the first, so it factors no shape anew.
+        assert len(calls) == 13
+
+    def test_adaptation_checked_per_root_before_any_blowup(self, monkeypatch):
+        blowups = []
+        real_enumerate = principalize.enumerate_blowup_strata
+
+        def enumerate_strata(cf, center, symbol_prefix):
+            blowups.append(symbol_prefix)
+            return real_enumerate(cf, center, symbol_prefix=symbol_prefix)
+
+        monkeypatch.setattr(principalize, "enumerate_blowup_strata", enumerate_strata)
+        family = one_chart_two_descriptors()
+        family[1] = family[1][:2] + (CenterDescriptor(2, 2, (0, 1)),)
+        with pytest.raises(ValueError,
+                           match="^stratum x1: chart is not adapted to this descriptor$"):
+            principalize_chart_family(family)
+        assert blowups == []
 
     def test_center_checked_once_per_blowup_never_in_select(self, monkeypatch):
         checks, snc, selecting = [], [], []
@@ -307,10 +353,10 @@ class TestSingleSites:
 
         real_select = MaxOrderLexPolicy.select
 
-        def select(policy, cf, z, residual):
+        def select(policy, cf, residual):
             selecting.append(True)
             try:
-                return real_select(policy, cf, z, residual)
+                return real_select(policy, cf, residual)
             finally:
                 selecting.pop()
 
@@ -333,20 +379,20 @@ class TestSingleSites:
         pullbacks, skeletons = [], []
         real_pullback, real_skeleton = lift.pullback_center_generators, lift.lift_skeleton
 
-        def pullback(cf, z):
-            pullbacks.append(z)
-            return real_pullback(cf, z)
+        def pullback(cf):
+            pullbacks.append(cf)
+            return real_pullback(cf)
 
-        def skeleton(cf, z):
-            skeletons.append(z)
-            return real_skeleton(cf, z)
+        def skeleton(cf):
+            skeletons.append(cf)
+            return real_skeleton(cf)
 
         monkeypatch.setattr(lift, "pullback_center_generators", pullback)
         monkeypatch.setattr(lift, "lift_skeleton", skeleton)
         for _, finals in principal_finals(810, 40):
             memo: dict = {}
             for final in finals:
-                lift_after_principalization(final.chart, final.descriptor, memo)
+                lift_after_principalization(final.chart, memo)
         assert len(pullbacks) == len(skeletons) > 0
 
     def test_one_transversal_search_per_blowup(self, monkeypatch):
@@ -357,10 +403,10 @@ class TestSingleSites:
             searches.append(bool(in_locus))
             return real_search(gens, k)
 
-        def locus(cf, z):
+        def locus(cf):
             in_locus.append(True)
             try:
-                return real_locus(cf, z)
+                return real_locus(cf)
             finally:
                 in_locus.pop()
 
@@ -381,8 +427,8 @@ class TestSingleSites:
             memo: dict = {}
             first = {}
             for final in finals:
-                result = lift_after_principalization(final.chart, final.descriptor, memo)
-                key = shape_key(final.chart, final.descriptor)
+                result = lift_after_principalization(final.chart, memo)
+                key = shape_key(final.chart)
                 if key in first:
                     assert result.skeleton is first[key].skeleton
                     shared += 1
@@ -394,10 +440,10 @@ class TestSingleSites:
         seen = Counter()
         for _, finals in principal_finals(820, 100):
             for final in finals:
-                cf, z = final.chart, final.descriptor
-                case, gen_row = reference_lift_case(cf, z)
-                skeleton = lift_skeleton(cf, z)
-                assert lift_case(cf, z) == skeleton.case == case
+                cf = final.chart
+                case, gen_row = reference_lift_case(cf)
+                skeleton = lift_skeleton(cf)
+                assert lift_case(cf) == skeleton.case == case
                 assert skeleton.gen_row == gen_row
                 seen[case, cf.ell_bar == 0] += 1
         # Every branch of both skeleton builders occurs.
@@ -416,15 +462,15 @@ class TestResidualShapes:
             pair = random_adapted_chart(rng, max_n=3, max_m=4, max_d=5)
             if pair is None:
                 continue
-            cf, z = pair
+            cf, _ = pair
             from toroidal.blowup import enumerate_blowup_strata
             from generators import permissible_center_for
-            center = permissible_center_for(cf, z)
+            center = permissible_center_for(cf)
             if center is None:
                 continue
             for choice, result in enumerate_blowup_strata(cf, center, "t"):
                 out = result.chart
-                locus = nonprincipal_locus(out, z)
+                locus = nonprincipal_locus(out)
                 if locus.is_principal:
                     continue
                 assert all(b is not None and b.is_zero for b in out.betas)

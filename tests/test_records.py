@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from toroidal.chart import QTF1, CenterDescriptor, ChartForm
+from toroidal.chart import QTF1, ChartForm
 from toroidal.documents import chart_from_doc, descriptor_from_doc
 from toroidal.lift import lift_after_principalization
 from toroidal.pipeline import check_atlas, parse_document
@@ -36,10 +36,10 @@ def engine_instances():
     # Two rows on the generator's exponents: the second becomes a fresh parameter.
     cf = ChartForm(d=3, m=2, n=2, ell=2, s=0, tag=QTF1, matrix=((1, 2), (1, 2)),
                    units=(TRIVIAL_UNIT, UnitToken(UnitValue.of(3))), ell_bar=2)
-    result = lift_after_principalization(cf, CenterDescriptor(2, 2, (0, 1)))
+    result = lift_after_principalization(cf)
     return [
         check_atlas(atlas), trace.steps[0].children[0][0],
-        nonprincipal_locus(final.chart, final.descriptor), trace.steps[0], final,
+        nonprincipal_locus(final.chart), trace.steps[0], final,
         trace, result.fresh[0], result.skeleton, result,
         atlas.strata["A"][0], atlas.labels["L1"], step.views[0][1], step, script,
         result.lifted.units[0], result.lifted.units[0].constant(),
