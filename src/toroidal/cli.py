@@ -7,9 +7,10 @@ check failure (an engine bug, such as a lift that does not commute).
 `toroidalize`, `verify-trace` and `report` exit 3 on a capped run, also
 when later script steps follow: a stratum the cap stopped is above no
 later center.  Errors print one `error:` line, which names the stratum
-when one was being adapted, principalized or lifted.  The `ideal` op
-`max-order-components` has no support limit, only the transversal
-search bound.
+when one was being adapted, principalized or lifted.  A file that is not
+UTF-8, is not JSON or nests too deep to decode exits 2 with an error line
+naming it.  The `ideal` op `max-order-components` has no support limit,
+only the transversal search bound.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .pipeline import (
     ReplayMismatch,
     TRACE_SCHEMA,
     check_atlas,
+    collector_paused,
     parse_document,
     replay,
     toroidalize,
@@ -69,9 +71,10 @@ def _read_json(path: str):
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: not UTF-8, not JSON or an overlong integer; RecursionError: too deep.
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc
 
 
@@ -334,7 +337,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_cap(args.cap, "option --cap")
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     except (ValueError, InternalCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, RegimeLimit):

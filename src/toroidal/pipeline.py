@@ -17,6 +17,8 @@ record: a step replaces the strata it lifts.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -334,6 +336,21 @@ class ToroidalizeError(ValueError):
     pass
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, and turn it back on after if it
+    was on before.  The engine makes no reference cycles, so reference
+    counting frees all it drops; collector passes would only re-scan the
+    growing trace.  The switch is per process, not per thread."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _strata_above(chart_strata: list[TrackedStratum], view: CenterView,
                   chart_id: str, step_id: str):
     where = f"step {step_id} view {chart_id}"
@@ -487,9 +504,11 @@ def atlas_to_doc(atlas: MorphismAtlas, memo: dict | None = None) -> dict:
     }
 
 
+@collector_paused()
 def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
                 cap: int = DEFAULT_CAP) -> dict:
-    """Run the full pipeline and return the trace document.  The trace
+    """Run the full pipeline and return the trace document; the cyclic
+    collector is paused for the call (`collector_paused`).  The trace
     encodes each chart and unit value once and shares the document where
     it recurs (a lifted chart sits in its lift record and in
     `final_atlas`), so it is read-only; no two calls share a document.

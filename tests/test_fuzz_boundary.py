@@ -315,3 +315,23 @@ def test_pinned_documents_exit_invalid(name, tmp_path):
     paths = [_write(tmp_path, f"doc{k}.json", doc) for k, doc in enumerate(docs)]
     status, err = check_run(args.split() + paths, name)
     assert status == 2 and err.startswith("error:") and text in err, err
+
+
+# Files `json.dumps` cannot write: JSON nested too deep to decode, and
+# bytes that are not UTF-8.  Each exits 2 with an error line naming the file.
+RAW_FILES = {
+    "nested": ("[" * 100000 + "]" * 100000).encode(),
+    "not utf-8": b"\xff\xfe",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RAW_FILES))
+@pytest.mark.parametrize("command", ["ideal", "toroidalize", "verify-trace"])
+def test_unreadable_files_exit_invalid(command, kind, tmp_path):
+    path = tmp_path / "raw.json"
+    path.write_bytes(RAW_FILES[kind])
+    args = [command, str(path)]
+    if command == "verify-trace":
+        args.insert(1, _write(tmp_path, "atlas.json", identity_doc()))
+    status, err = check_run(args, f"{command} {kind}")
+    assert status == 2 and err.startswith(f"error: cannot read {path}: "), err
