@@ -9,8 +9,9 @@ when later script steps follow: a stratum the cap stopped is above no
 later center.  Errors print one `error:` line, which names the stratum
 when one was being adapted, principalized or lifted.  A file that is not
 UTF-8, is not JSON or nests too deep to decode exits 2 with an error line
-naming it.  The `ideal` op `max-order-components` has no support limit,
-only the transversal search bound.
+naming it; `-` is standard input, read as UTF-8 like a file.  The `ideal`
+op `max-order-components` has no support limit, only the transversal
+search bound.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ PASS, FAIL, INVALID, CAP, REGIME, INTERNAL = 0, 1, 2, 3, 4, 5
 
 def _read_json(path: str):
     try:
-        if path == "-":
-            return json.load(sys.stdin)
+        if path == "-":  # UTF-8 like a file, whatever the locale's encoding
+            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     # ValueError: not UTF-8, not JSON or an overlong integer; RecursionError: too deep.

@@ -6,17 +6,25 @@ have equal bytes.
 
 The encoders of charts and unit values take an optional `memo`, one
 dict per trace: an object encoded before into the same memo shares its
-document, so a trace may share sub-documents and is read-only.  Tuples
-the engine holds (exponent rows, row indices, labels) go in uncopied.
+document, so a trace may share sub-documents and is read-only.
 
-`canonical_dumps` is the one serializer.  It skips the cycle check: a
-document nests only finished sub-documents, so none contains itself.
+Every encoder builds a document in the form `json.loads` gives back for
+its canonical text: each dict inserts its keys in sorted order, and each
+array is a list, so the tuples the engine holds (exponent rows, row
+indices, labels) are copied.  `strict_bytes` of a trace therefore equal
+those of its parsed canonical text, and `pipeline.replay` compares those
+before it falls back to the canonical dumps.
+
+`canonical_dumps` is the one JSON serializer.  It skips the cycle check:
+a document nests only finished sub-documents, so none contains itself.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
+import pickle
 from fractions import Fraction
 
 from .blowup import BlowupCenterChart, BlowupChartChoice
@@ -129,6 +137,19 @@ def canonical_dumps(doc) -> str:
     return _CANONICAL.encode(doc)
 
 
+def strict_bytes(doc) -> bytes:
+    """`doc` pickled without a memo: types and dict order are kept, so 1,
+    1.0 and true differ and a list is not a tuple, and a shared
+    sub-document is written out in full like its parsed copy.  Equal
+    bytes mean equal canonical dumps.  A cyclic document raises
+    `ValueError`, one pickle cannot write raises its own error."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=5)
+    pickler.fast = True
+    pickler.dump(doc)
+    return buffer.getvalue()
+
+
 def fraction_to_doc(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -185,7 +206,7 @@ def unit_token_to_doc(u: UnitToken, memo: dict | None = None):
         doc["base"] = unit_value_to_doc(u.base, memo)
     if u.factors:
         doc["factors"] = [
-            {"var": f.var, "shift": unit_value_to_doc(f.shift, memo), "exp": f.exp}
+            {"exp": f.exp, "shift": unit_value_to_doc(f.shift, memo), "var": f.var}
             for f in u.factors]
     return doc
 
@@ -234,16 +255,20 @@ def stratum_from_doc(doc, where: str) -> Stratum | None:
 
 @_once_per_memo
 def chart_to_doc(cf: ChartForm, memo=None):
-    doc = {
-        "d": cf.d, "m": cf.m, "n": cf.n, "ell": cf.ell, "s": cf.s,
-        "tag": cf.tag, "matrix": cf.matrix,
-    }
-    if any(not u.is_trivial for u in cf.units):
-        doc["units"] = [unit_token_to_doc(u, memo) for u in cf.units]
+    doc = {}
     if cf.betas:
         doc["betas"] = [stratum_to_doc(b) for b in cf.betas]
+    doc["d"] = cf.d
+    doc["ell"] = cf.ell
     if cf.ell_bar:
         doc["ell_bar"] = cf.ell_bar
+    doc["m"] = cf.m
+    doc["matrix"] = [list(row) for row in cf.matrix]
+    doc["n"] = cf.n
+    doc["s"] = cf.s
+    doc["tag"] = cf.tag
+    if any(not u.is_trivial for u in cf.units):
+        doc["units"] = [unit_token_to_doc(u, memo) for u in cf.units]
     return doc
 
 
@@ -265,7 +290,7 @@ def chart_from_doc(doc: dict, where: str) -> ChartForm:
 
 
 def descriptor_to_doc(z: CenterDescriptor):
-    return {"ell_bar": z.ell_bar, "c": z.c, "divisor_rows": z.divisor_rows}
+    return {"c": z.c, "divisor_rows": list(z.divisor_rows), "ell_bar": z.ell_bar}
 
 
 def descriptor_from_doc(doc: dict, where: str) -> CenterDescriptor:
@@ -276,7 +301,7 @@ def descriptor_from_doc(doc: dict, where: str) -> CenterDescriptor:
 
 
 def center_to_doc(center: BlowupCenterChart):
-    return {"divisor_indices": center.divisor_indices,
+    return {"divisor_indices": list(center.divisor_indices),
             "slot_count": center.slot_count}
 
 
@@ -287,8 +312,8 @@ def center_from_doc(doc: dict, where: str) -> BlowupCenterChart:
 
 
 def choice_to_doc(choice: BlowupChartChoice):
-    return {"j0": choice.j0,
-            "betas": [[v, stratum_to_doc(b)] for v, b in choice.betas]}
+    return {"betas": [[v, stratum_to_doc(b)] for v, b in choice.betas],
+            "j0": choice.j0}
 
 
 def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
@@ -307,31 +332,31 @@ def lift_record_to_doc(result: LiftResult, memo: dict | None = None):
     sk = result.skeleton
     return {
         "case": sk.case,
-        "gen_row": sk.gen_row,
         "drop_col": sk.drop_col,
-        "row_sources": sk.row_sources,
         "fresh": [{
-            "source": p.source,
             "scale": unit_value_to_doc(p.scale, memo),
             "shift": None if p.shift is None else unit_value_to_doc(p.shift, memo),
+            "source": list(p.source),
         } for p in result.fresh],
+        "gen_row": sk.gen_row,
+        "row_sources": [list(source) for source in sk.row_sources],
     }
 
 
 def principalization_to_doc(trace: PrincipalizationTrace,
                             memo: dict | None = None) -> dict:
     return {
-        "steps": [{
-            "stratum": s.stratum_id,
-            "center": center_to_doc(s.center),
-            "residual_order": s.residual_order,
-            "children": [{"choice": choice_to_doc(choice), "id": cid}
-                         for choice, cid in s.children],
-        } for s in trace.steps],
         "final": [{
+            "chart": chart_to_doc(f.chart, memo),
+            "descriptor": descriptor_to_doc(f.descriptor),
             "id": f.stratum_id,
             "status": f.status,
-            "descriptor": descriptor_to_doc(f.descriptor),
-            "chart": chart_to_doc(f.chart, memo),
         } for f in trace.final],
+        "steps": [{
+            "center": center_to_doc(s.center),
+            "children": [{"choice": choice_to_doc(choice), "id": cid}
+                         for choice, cid in s.children],
+            "residual_order": s.residual_order,
+            "stratum": s.stratum_id,
+        } for s in trace.steps],
     }

@@ -48,6 +48,7 @@ from .documents import (
     read_object,
     read_schema,
     read_strings,
+    strict_bytes,
 )
 from .lift import lift_after_principalization
 from .linalg import rank
@@ -389,7 +390,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
     """Run one script step on `atlas` and return its trace record; `memo`
     is the trace's encoding memo.  Errors raised while a stratum is
     adapted or lifted name it."""
-    step_doc = {"id": step.step_id, "exceptional_label": exc_label, "charts": {}}
+    charts = {}
     views = dict(step.views)
 
     for chart_id, chart_strata in atlas.strata.items():
@@ -398,7 +399,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
             continue
         above = _strata_above(chart_strata, view, chart_id, step.step_id)
         if not above:
-            step_doc["charts"][chart_id] = {"adapted": [], "lifts": []}
+            charts[chart_id] = {"adapted": [], "lifts": []}
             continue
 
         family = []
@@ -412,9 +413,9 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
             roots[stratum.stratum_id] = stratum._replace(
                 row_labels=tuple(stratum.row_labels[i] for i in row_order))
             adapted_docs.append({
-                "stratum": stratum.stratum_id,
                 "descriptor": descriptor_to_doc(z),
-                "row_order": row_order,
+                "row_order": list(row_order),
+                "stratum": stratum.stratum_id,
             })
 
         trace = principalize_chart_family(family, cap=cap)
@@ -434,23 +435,24 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
             new_strata.append(TrackedStratum(lifted_id, result.lifted, new_labels,
                                              root.extra_global_labels))
             lifts.append({
-                "stratum": final.stratum_id,
+                "chart": chart_to_doc(result.lifted, memo),
+                "commutes": True,
                 "lifted_id": lifted_id,
                 "record": lift_record_to_doc(result, memo),
-                "chart": chart_to_doc(result.lifted, memo),
-                "row_labels": new_labels,
-                "commutes": True,
+                "row_labels": list(new_labels),
+                "stratum": final.stratum_id,
             })
 
         # Reassigning an existing key keeps its place in the chart order.
         atlas.strata[chart_id] = [
             s for s in chart_strata if s.stratum_id not in roots] + new_strata
-        step_doc["charts"][chart_id] = {
+        charts[chart_id] = {
             "adapted": adapted_docs,
-            "principalization": principalization_to_doc(trace, memo),
             "lifts": lifts,
+            "principalization": principalization_to_doc(trace, memo),
         }
-    return step_doc
+    return {"charts": dict(sorted(charts.items())), "exceptional_label": exc_label,
+            "id": step.step_id}
 
 
 def _lifted_labels(result, old_labels: tuple[str, ...],
@@ -484,23 +486,23 @@ def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:
 def atlas_to_doc(atlas: MorphismAtlas, memo: dict | None = None) -> dict:
     """The atlas document; `memo` is an encoding memo (see documents)."""
     return {
-        "schema": ATLAS_SCHEMA,
-        "dims": {"d": atlas.d, "m": atlas.m},
-        "labels": [{
-            "name": info.name,
-            "charts": info.charts,
-            "e_charts": info.e_charts,
-            "under_e0": info.under_e0,
-        } for info in sorted(atlas.labels.values(), key=lambda i: i.name)],
         "charts": [{
             "id": chart_id,
             "strata": [{
-                "id": s.stratum_id,
                 "chart": chart_to_doc(s.chart, memo),
-                "row_labels": s.row_labels,
                 "extra_global_labels": s.extra_global_labels,
+                "id": s.stratum_id,
+                "row_labels": list(s.row_labels),
             } for s in chart_strata],
         } for chart_id, chart_strata in atlas.strata.items()],
+        "dims": {"d": atlas.d, "m": atlas.m},
+        "labels": [{
+            "charts": list(info.charts),
+            "e_charts": list(info.e_charts),
+            "name": info.name,
+            "under_e0": info.under_e0,
+        } for info in sorted(atlas.labels.values(), key=lambda i: i.name)],
+        "schema": ATLAS_SCHEMA,
     }
 
 
@@ -537,18 +539,18 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
         s.chart.tag in (TOROIDAL, SMOOTH) for _, s in working.all_strata())
     global_report = verify_global_toroidal(working)
     verdicts = {
-        "global_failures": [list(f) for f in global_report.failures],
-        "commutes": True,
         "cap_exceeded": exceeded,
+        "commutes": True,
+        "global_failures": [list(f) for f in global_report.failures],
         "pass": global_report.ok,
     }
     return {
-        "schema": TRACE_SCHEMA,
-        "engine": __version__,
         "cap": cap,
-        "policy": POLICY.name,
-        "steps": steps,
+        "engine": __version__,
         "final_atlas": atlas_to_doc(working, memo),
+        "policy": POLICY.name,
+        "schema": TRACE_SCHEMA,
+        "steps": steps,
         "verdicts": verdicts,
     }
 
@@ -560,7 +562,12 @@ class ReplayMismatch(ValueError):
 def replay(trace_doc: dict, atlas: MorphismAtlas,
            script: ResolutionScript) -> dict:
     """Re-execute deterministically and compare against the given trace;
-    a trace recorded under another center policy is a mismatch."""
+    a trace recorded under another center policy is a mismatch.
+
+    The fresh trace is in the form `json.loads` gives back, so a recorded
+    trace read from its canonical text has the same `strict_bytes`.
+    Anything else (keys in another order, a document pickle cannot write,
+    a real mismatch) is decided by the canonical dumps."""
     read_schema(trace_doc, TRACE_SCHEMA)
     if trace_doc.get("engine") != __version__:
         raise ReplayMismatch(
@@ -570,6 +577,11 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
     check_cap(cap, "trace: field 'cap'")
     old_steps = read_field(trace_doc, "steps", list, "trace", [])
     fresh = toroidalize(atlas, script, cap=cap)
+    try:
+        if strict_bytes(trace_doc) == strict_bytes(fresh):
+            return fresh
+    except Exception:  # a cycle, too deep, or an object pickle cannot write:
+        pass           # the dumps below decide, and raise as they always have
     if canonical_dumps(trace_doc) == canonical_dumps(fresh):
         return fresh
     # Only a mismatch pays for locating the first differing step.

@@ -58,14 +58,15 @@ def test_guard_flags_each_pattern():
 # At run time: the AST scan above misses a float made by `int ** -1`.
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-CORPUS_SLICE = 40
+WORKLOAD_SLICE = 40
 
 
-def _corpus_slice():
+def workload_slice(name: str) -> list[dict]:
+    """The first documents of a benchmark workload at seed 1."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [json.loads(text) for _, text in workloads.build("corpus", 1)[:CORPUS_SLICE]]
+    return [json.loads(text) for _, text in workloads.build(name, 1)[:WORKLOAD_SLICE]]
 
 
 def inexact_parts(value: UnitValue) -> list[str]:
@@ -93,7 +94,7 @@ def constructed(monkeypatch):
 def test_engine_builds_only_exact_unit_values(constructed):
     docs = [doc_fn() for doc_fn, _, _ in test_golden.PIPELINE_GOLDEN.values()]
     cases = set()
-    for doc in docs + _corpus_slice():
+    for doc in docs + workload_slice("corpus"):
         atlas, script = parse_document(doc)
         trace = toroidalize(atlas, script)
         cases.update(lift["record"]["case"] for step in trace["steps"]

@@ -21,7 +21,7 @@ import pytest
 
 from toroidal.blowup import BlowupCenterChart, enumerate_blowup_strata
 from toroidal.chart import CenterDescriptor, ChartForm, derive_center_form
-from toroidal.cli import main
+from toroidal.cli import _read_json, main
 from toroidal.documents import (
     canonical_dumps,
     center_to_doc,
@@ -335,3 +335,22 @@ def test_unreadable_files_exit_invalid(command, kind, tmp_path):
         args.insert(1, _write(tmp_path, "atlas.json", identity_doc()))
     status, err = check_run(args, f"{command} {kind}")
     assert status == 2 and err.startswith(f"error: cannot read {path}: "), err
+
+
+def _latin1_stdin(monkeypatch, data: bytes):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+
+
+def test_stdin_is_read_as_utf8(monkeypatch):
+    _latin1_stdin(monkeypatch, json.dumps({"name": "é"}, ensure_ascii=False).encode())
+    assert _read_json("-") == {"name": "é"}
+
+
+def test_stdin_not_utf8_exits_invalid_like_a_file(monkeypatch, tmp_path):
+    path = tmp_path / "raw.json"
+    path.write_bytes(RAW_FILES["not utf-8"])
+    file_status, file_err = check_run(["ideal", str(path)], "ideal file")
+    _latin1_stdin(monkeypatch, RAW_FILES["not utf-8"])
+    status, err = check_run(["ideal", "-"], "ideal stdin")
+    assert (status, err) == (file_status, file_err.replace(str(path), "-"))
+    assert status == 2 and err.startswith("error: cannot read -: 'utf-8' codec"), err

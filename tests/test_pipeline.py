@@ -408,6 +408,76 @@ class TestDeterminismAndReplay:
             toroidalize(atlas, script)
 
 
+class TestStrictReplay:
+    """A recorded trace read from its canonical text is identical by its
+    strict bytes alone; anything else is decided by the canonical dumps,
+    so 1, 1.0 and true still differ."""
+
+    @pytest.fixture
+    def dumps_calls(self, monkeypatch):
+        calls = []
+
+        def spy(doc):
+            calls.append(doc)
+            return canonical_dumps(doc)
+        monkeypatch.setattr(pipeline, "canonical_dumps", spy)
+        return calls
+
+    def recorded(self):
+        atlas, script = parse_document(identity_doc())
+        return json.loads(canonical_dumps(toroidalize(atlas, script)))
+
+    def replay_recorded(self, recorded):
+        atlas, script = parse_document(identity_doc())
+        return replay(recorded, atlas, script)
+
+    def test_canonical_trace_needs_no_dumps(self, dumps_calls):
+        recorded = self.recorded()
+        fresh = self.replay_recorded(recorded)
+        assert dumps_calls == []
+        assert canonical_dumps(fresh) == canonical_dumps(recorded)
+
+    def test_reordered_keys_replay_through_the_dumps(self, dumps_calls):
+        def reversed_keys(doc):
+            if isinstance(doc, dict):
+                return {k: reversed_keys(doc[k]) for k in reversed(doc)}
+            if isinstance(doc, list):
+                return [reversed_keys(x) for x in doc]
+            return doc
+        recorded = reversed_keys(self.recorded())
+        assert list(recorded) != sorted(recorded)
+        self.replay_recorded(recorded)
+        assert len(dumps_calls) == 2
+
+    def lifted_matrix(self, trace):
+        return trace["steps"][0]["charts"]["A"]["lifts"][0]["chart"]["matrix"]
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_equal_number_of_another_type_differs(self, value):
+        recorded = self.recorded()
+        row = self.lifted_matrix(recorded)[0]
+        row[row.index(1)] = value
+        with pytest.raises(ReplayMismatch,
+                           match="^step 0 differs from the recorded trace$"):
+            self.replay_recorded(recorded)
+
+    def test_integer_for_a_verdict_differs(self):
+        recorded = self.recorded()
+        assert recorded["verdicts"]["pass"] is True
+        recorded["verdicts"]["pass"] = 1
+        with pytest.raises(ReplayMismatch,
+                           match="^trace differs outside the step records$"):
+            self.replay_recorded(recorded)
+
+    @pytest.mark.parametrize("where", ["verdicts", "steps"])
+    def test_self_containing_trace_raises(self, where):
+        recorded = self.recorded()
+        holder = recorded["verdicts"] if where == "verdicts" else recorded["steps"][0]
+        holder["self"] = holder
+        with pytest.raises(RecursionError):
+            self.replay_recorded(recorded)
+
+
 class TestCli:
     def run_cli(self, *argv, stdin=None):
         return subprocess.run(
@@ -922,10 +992,10 @@ class TestTraceSharing:
         before = canonical_dumps(first)
         lifted = first["steps"][0]["charts"]["A"]["lifts"][0]["chart"]
         assert lifted["units"][0]["base"] == {"coeff": "3/2"}  # the input's constant
-        with pytest.raises(TypeError):
-            lifted["matrix"][0][0] += 7  # the engine's own row, a tuple
-        lifted["units"][0]["base"]["coeff"] = "999"
+        lifted["matrix"][0][0] += 7  # a copy of the engine's row
         assert canonical_dumps(first) != before
+        assert canonical_dumps(toroidalize(atlas, script)) == before
+        lifted["units"][0]["base"]["coeff"] = "999"
         assert canonical_dumps(toroidalize(atlas, script)) == before
 
     def test_each_chart_and_value_is_encoded_once_per_call(self, monkeypatch):

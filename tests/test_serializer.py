@@ -1,15 +1,18 @@
 """`canonical_dumps` writes what `json.dumps` with sorted keys and no
 whitespace writes, for the documents the engine returns (tuples and
 shared sub-documents included) and for the trees `json.loads` reads
-back; it skips only the cycle check."""
+back; it skips only the cycle check.  A trace is built in the form
+`json.loads` gives back, so its `strict_bytes` are those of its parsed
+canonical text."""
 
 import json
 
 import pytest
 
 import test_pipeline
+from test_exactness import workload_slice
 from test_golden import PIPELINE_GOLDEN, termination_corpus_documents
-from toroidal.documents import canonical_dumps
+from toroidal.documents import canonical_dumps, strict_bytes
 from toroidal.pipeline import parse_document, toroidalize
 
 
@@ -65,7 +68,36 @@ def test_self_containing_document_raises():
     looped.append(looped)
     with pytest.raises(RecursionError):
         canonical_dumps(looped)
+    with pytest.raises(ValueError, match="cyclic"):
+        strict_bytes(looped)
     nested: dict = {"a": []}
     nested["a"].append(nested)
     with pytest.raises(RecursionError):
         canonical_dumps(nested)
+
+
+def _golden_and_workload_traces():
+    for name in sorted(PIPELINE_GOLDEN):
+        doc_fn, cap, _ = PIPELINE_GOLDEN[name]
+        yield name, doc_fn(), cap
+    for workload in ("corpus", "deep", "wide"):
+        for k, doc in enumerate(workload_slice(workload)):
+            yield f"{workload} {k}", doc, 50
+
+
+def test_traces_are_built_in_parsed_form():
+    count = 0
+    for name, doc, cap in _golden_and_workload_traces():
+        atlas, script = parse_document(doc)
+        trace = toroidalize(atlas, script, cap=cap)
+        assert strict_bytes(trace) == strict_bytes(json.loads(canonical_dumps(trace))), name
+        count += 1
+    assert count > 50
+
+
+def test_strict_bytes_keep_types_and_order():
+    assert strict_bytes({"a": [1]}) == strict_bytes(json.loads('{"a":[1]}'))
+    distinct = [[1], [1.0], [True], (1,), {"a": 1, "b": 2}, {"b": 2, "a": 1}]
+    assert len({strict_bytes(doc) for doc in distinct}) == len(distinct)
+    shared = {"x": 1}
+    assert strict_bytes([shared, shared]) == strict_bytes([{"x": 1}, {"x": 1}])
