@@ -9,7 +9,8 @@ when later script steps follow: a stratum the cap stopped is above no
 later center.  Errors print one `error:` line, which names the stratum
 when one was being adapted, principalized or lifted.  A file that is not
 UTF-8, is not JSON or nests too deep to decode exits 2 with an error line
-naming it; `-` is standard input, read as UTF-8 like a file.  The `ideal`
+naming it; `-` is standard input, read as UTF-8 like a file.  Output,
+on stdout or to `--out`, is UTF-8 whatever the locale.  The `ideal`
 op `max-order-components` has no support limit, only the transversal
 search bound.
 """
@@ -80,13 +81,17 @@ def _read_json(path: str):
 
 
 def _emit(doc, out: str | None):
-    """Write a document as canonical JSON, or a text as it is."""
-    text = doc if isinstance(doc, str) else canonical_dumps(doc)
+    """Write a document as canonical JSON, or a text as it is, in UTF-8
+    whatever the locale's encoding."""
+    text = (doc if isinstance(doc, str) else canonical_dumps(doc)) + "\n"
     if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text stream with no bytes beneath it, such as io.StringIO
+        sys.stdout.write(text)
 
 
 def cmd_check_atlas(args) -> int:

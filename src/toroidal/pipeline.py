@@ -534,12 +534,10 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
 
     # Input strata are toroidal or smooth and lifts are toroidal, so a qtf
     # chart left in the atlas is exactly a stratum the cap stopped (no later
-    # center is above it).  The global check fails on any such tag.
-    exceeded = not all(
-        s.chart.tag in (TOROIDAL, SMOOTH) for _, s in working.all_strata())
+    # center is above it): the global check's `tag` failures.
     global_report = verify_global_toroidal(working)
     verdicts = {
-        "cap_exceeded": exceeded,
+        "cap_exceeded": any(kind == "tag" for kind, _ in global_report.failures),
         "commutes": True,
         "global_failures": [list(f) for f in global_report.failures],
         "pass": global_report.ok,

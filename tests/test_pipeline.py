@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -408,6 +409,15 @@ class TestDeterminismAndReplay:
             toroidalize(atlas, script)
 
 
+def reversed_keys(doc):
+    """`doc` with every object's keys in reverse order."""
+    if isinstance(doc, dict):
+        return {k: reversed_keys(doc[k]) for k in reversed(doc)}
+    if isinstance(doc, list):
+        return [reversed_keys(x) for x in doc]
+    return doc
+
+
 class TestStrictReplay:
     """A recorded trace read from its canonical text is identical by its
     strict bytes alone; anything else is decided by the canonical dumps,
@@ -438,12 +448,6 @@ class TestStrictReplay:
         assert canonical_dumps(fresh) == canonical_dumps(recorded)
 
     def test_reordered_keys_replay_through_the_dumps(self, dumps_calls):
-        def reversed_keys(doc):
-            if isinstance(doc, dict):
-                return {k: reversed_keys(doc[k]) for k in reversed(doc)}
-            if isinstance(doc, list):
-                return [reversed_keys(x) for x in doc]
-            return doc
         recorded = reversed_keys(self.recorded())
         assert list(recorded) != sorted(recorded)
         self.replay_recorded(recorded)
@@ -498,6 +502,48 @@ class TestCli:
         assert "A/p0.e0z -> A/p0.e0z^ [case1] ell1=2 commutes=True" in run.stdout
         assert run.stdout.endswith(
             "global_failures: 0\ncommutes: True\ncap_exceeded: False\npass: True\n")
+
+    @pytest.mark.parametrize("variant, status", [
+        ("indented", 0), ("reversed", 0), ("bumped", 1), ("float", 1)])
+    def test_verify_trace_reads_the_trace_not_its_bytes(self, tmp_path, variant, status):
+        # Replay compares what the trace file says, so layout and key order
+        # do not matter; a changed exponent or an integer written as a
+        # float is a mismatch.
+        trace = json.loads(canonical_dumps(toroidalize(*parse_document(identity_doc()))))
+        row = trace["steps"][0]["charts"]["A"]["lifts"][0]["chart"]["matrix"][0]
+        if variant == "bumped":
+            row[0] += 1
+        elif variant == "float":
+            row[0] = float(row[0])
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(identity_doc()))
+        trace_path.write_text(json.dumps(trace, indent=2) if variant == "indented"
+                              else json.dumps(reversed_keys(trace)) if variant == "reversed"
+                              else json.dumps(trace))
+        run = self.run_cli("verify-trace", str(atlas_path), str(trace_path))
+        assert run.returncode == status, run.stderr
+        if status == 0:
+            assert json.loads(run.stdout)["replay"] == "identical"
+        else:
+            assert run.stderr == "replay mismatch: step 0 differs from the recorded trace\n"
+
+    @pytest.mark.parametrize("how", ["stdout", "out"])
+    def test_report_writes_utf8_whatever_the_locale(self, tmp_path, how):
+        doc = json.loads(json.dumps(identity_doc()).replace('"A"', '"\\u00c4"'))
+        trace_path, report_path = tmp_path / "trace.json", tmp_path / "report.txt"
+        trace_path.write_text(canonical_dumps(toroidalize(*parse_document(doc))))
+        env = dict(os.environ)
+        if how == "stdout":
+            env["PYTHONIOENCODING"] = "ascii"
+            argv = ["report", str(trace_path)]
+        else:
+            env.update(LC_ALL="C", PYTHONUTF8="0")
+            argv = ["--out", str(report_path), "report", str(trace_path)]
+        run = subprocess.run([sys.executable, "-m", "toroidal.cli", *argv],
+                             capture_output=True, env=env)
+        assert run.returncode == 0, run.stderr
+        text = run.stdout if how == "stdout" else report_path.read_bytes()
+        assert "    chart Ä: 1 strata adapted".encode() in text
 
     def test_check_atlas(self, tmp_path):
         atlas_path = tmp_path / "atlas.json"
@@ -910,7 +956,7 @@ class TestExitStatuses:
     def test_capped_strata_are_above_no_later_center(self, tmp_path, capsys, cap):
         # The cap stops strata carrying L2 in step z1; step z2 leaves them
         # as they are, and the run exits 3 with a trace that replays and
-        # verifies to 3 as well.
+        # verifies to 3 as well, and reports 3.
         atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
         atlas_path.write_text(json.dumps(second_center_doc()))
         status = main(["--cap", str(cap), "--out", str(trace_path), "toroidalize",
@@ -925,6 +971,8 @@ class TestExitStatuses:
         status = main(["verify-trace", str(atlas_path), str(trace_path)])
         out = json.loads(capsys.readouterr().out)
         assert (status, out["replay"], out["verdicts"]["pass"]) == (3, "identical", False)
+        assert main(["report", str(trace_path)]) == 3
+        assert capsys.readouterr().out.endswith("cap_exceeded: True\npass: False\n")
 
     def test_capped_stratum_listed_in_a_view_is_left_alone(self, tmp_path, capsys):
         doc = second_center_doc()
