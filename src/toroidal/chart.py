@@ -209,62 +209,40 @@ def verify_toroidal_form(cf: ChartForm) -> ValidityReport:
     positive column sums and positive row sums, units on tail variables."""
     if cf.tag != TOROIDAL:
         return ValidityReport((("tag", f"expected toroidal, found {cf.tag}"),))
-    return ValidityReport(tuple(toroidal_shape_failures(cf.matrix, cf.n, cf.ell)))
+    return ValidityReport(tuple(shape_failures(cf, TOROIDAL)))
 
 
-def toroidal_shape_failures(matrix, n: int, ell: int) -> list[tuple[str, str]]:
-    """The toroidal shape conditions on an exponent matrix alone."""
+def shape_failures(cf: ChartForm, tag: str) -> list[tuple[str, str]]:
+    """The shape conditions of `tag` that a structurally sound chart
+    fails; empty when they hold.  TOROIDAL is read on charts with s = 0.
+    Column and row sums run over the divisor rows (qtf2: and its first
+    slot row), and every slot row must lie on the column minima."""
+    if tag == SMOOTH:
+        return []
     failures = []
-    if ell and n == 0:
-        failures.append(("shape", "divisor image needs divisor variables"))
-    return failures + _zero_sum_failures(matrix, n, ell)
-
-
-def _positivity_failures(cf: ChartForm, row_range: int) -> list[tuple[str, str]]:
-    return _zero_sum_failures(cf.matrix, cf.n, row_range,
-                              f" over rows [{row_range}]")
-
-
-def _zero_sum_failures(matrix, n: int, rows: int,
-                       over: str = "") -> list[tuple[str, str]]:
-    """Zero column sums over the first `rows` rows, then zero row sums;
-    `over` qualifies the column message."""
-    failures = []
-    top = matrix[:rows]
-    for j, total in enumerate(map(sum, zip(*top)) if top else (0,) * n):
+    if tag == TOROIDAL:
+        if cf.ell and cf.n == 0:
+            failures.append(("shape", "divisor image needs divisor variables"))
+        rows, over = cf.ell, ""
+    else:
+        rows = cf.ell + 1 if tag == QTF2 else cf.ell
+        over = f" over rows [{rows}]"
+    top = cf.matrix[:rows]
+    for j, total in enumerate(map(sum, zip(*top)) if top else (0,) * cf.n):
         if total <= 0:
             failures.append(("column", f"column {j} has zero sum{over}"))
     for i, row in enumerate(top):
         if sum(row) <= 0:
             failures.append(("row", f"row {i} has zero sum"))
-    return failures
-
-
-def _qtf_condition_failures(cf: ChartForm) -> list[tuple[str, str]]:
-    if cf.s == 0:
-        return []
-    failures = []
-    mins = column_minima(cf)
-    for t in range(cf.s):
-        row = cf.matrix[cf.ell + t]
-        for j in range(cf.n):
-            if row[j] != mins[j]:
-                failures.append(("min-row",
-                                 f"slot row {t} column {j}: {row[j]} != min {mins[j]}"))
-    return failures
-
-
-def shape_failures(cf: ChartForm, tag: str) -> list[tuple[str, str]]:
-    """The shape conditions of `tag` that a structurally sound chart
-    fails; empty when they hold.  TOROIDAL is read on charts with s = 0."""
-    if tag == SMOOTH:
-        return []
-    if tag == TOROIDAL:
-        return toroidal_shape_failures(cf.matrix, cf.n, cf.ell)
-    if tag == QTF2:
-        return _positivity_failures(cf, cf.ell + 1) + _qtf_condition_failures(cf)
-    failures = _positivity_failures(cf, cf.ell) + _qtf_condition_failures(cf)
-    if cf.ell == 0 and cf.n > 0:
+    if cf.s:
+        mins = column_minima(cf)
+        for t in range(cf.s):
+            row = cf.matrix[cf.ell + t]
+            for j in range(cf.n):
+                if row[j] != mins[j]:
+                    failures.append(("min-row",
+                                     f"slot row {t} column {j}: {row[j]} != min {mins[j]}"))
+    if tag == QTF1 and cf.ell == 0 and cf.n > 0:
         failures.append(("shape", "an ell=0 chart cannot carry divisor columns"))
     return failures
 

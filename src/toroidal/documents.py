@@ -4,9 +4,9 @@ All rationals are serialized as "num/den" strings so round trips stay
 exact; canonical dumps sort keys and drop whitespace so equal values
 have equal bytes.
 
-The encoders of charts and unit values take an optional `memo`, one
-dict per trace: an object encoded before into the same memo shares its
-document, so a trace may share sub-documents and is read-only.
+Each encoder is a plain function of its object and builds a fresh
+document.  The one sub-document a trace shares is a lifted chart's: the
+pipeline writes the document of its lift record again in `final_atlas`.
 
 Every encoder builds a document in the form `json.loads` gives back for
 its canonical text: each dict inserts its keys in sorted order, and each
@@ -21,7 +21,6 @@ a document nests only finished sub-documents, so none contains itself.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import pickle
@@ -164,23 +163,7 @@ def fraction_from_doc(s, where: str) -> Fraction:
     raise InvalidDocument(f"{where} must be a rational, found {s!r}")
 
 
-def _once_per_memo(encode):
-    """`encode(obj, memo)` run once per object and memo: the memo maps
-    id(obj) to (obj, document), and holding the object keeps its id from
-    being reused while the memo lives."""
-    @functools.wraps(encode)
-    def shared(obj, memo: dict | None = None):
-        if memo is None:
-            return encode(obj, None)
-        known = memo.get(id(obj))
-        if known is None:
-            known = memo[id(obj)] = (obj, encode(obj, memo))
-        return known[1]
-    return shared
-
-
-@_once_per_memo
-def unit_value_to_doc(v: UnitValue, memo=None):
+def unit_value_to_doc(v: UnitValue):
     doc = {"coeff": fraction_to_doc(v.coeff)}
     if v.symbols:
         doc["symbols"] = [[name, fraction_to_doc(e)] for name, e in v.symbols]
@@ -200,13 +183,13 @@ def unit_value_from_doc(doc, where: str) -> UnitValue:
     return value
 
 
-def unit_token_to_doc(u: UnitToken, memo: dict | None = None):
+def unit_token_to_doc(u: UnitToken):
     doc = {}
     if not u.base.is_one:
-        doc["base"] = unit_value_to_doc(u.base, memo)
+        doc["base"] = unit_value_to_doc(u.base)
     if u.factors:
         doc["factors"] = [
-            {"exp": f.exp, "shift": unit_value_to_doc(f.shift, memo), "var": f.var}
+            {"exp": f.exp, "shift": unit_value_to_doc(f.shift), "var": f.var}
             for f in u.factors]
     return doc
 
@@ -253,8 +236,7 @@ def stratum_from_doc(doc, where: str) -> Stratum | None:
     raise InvalidDocument(f"{where}: field 'kind' must be 'zero', 'generic' or 'value'")
 
 
-@_once_per_memo
-def chart_to_doc(cf: ChartForm, memo=None):
+def chart_to_doc(cf: ChartForm):
     doc = {}
     if cf.betas:
         doc["betas"] = [stratum_to_doc(b) for b in cf.betas]
@@ -268,7 +250,7 @@ def chart_to_doc(cf: ChartForm, memo=None):
     doc["s"] = cf.s
     doc["tag"] = cf.tag
     if any(not u.is_trivial for u in cf.units):
-        doc["units"] = [unit_token_to_doc(u, memo) for u in cf.units]
+        doc["units"] = [unit_token_to_doc(u) for u in cf.units]
     return doc
 
 
@@ -324,7 +306,7 @@ def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
                                        "[variable, stratum]")))
 
 
-def lift_record_to_doc(result: LiftResult, memo: dict | None = None):
+def lift_record_to_doc(result: LiftResult):
     """The lift's case and row bookkeeping from its skeleton, and its fresh
     parameters.  The point of the target blowup chart it lands on is named
     by `gen_row`, the `strict` row sources (ratio zero) and the fresh
@@ -334,8 +316,8 @@ def lift_record_to_doc(result: LiftResult, memo: dict | None = None):
         "case": sk.case,
         "drop_col": sk.drop_col,
         "fresh": [{
-            "scale": unit_value_to_doc(p.scale, memo),
-            "shift": None if p.shift is None else unit_value_to_doc(p.shift, memo),
+            "scale": unit_value_to_doc(p.scale),
+            "shift": None if p.shift is None else unit_value_to_doc(p.shift),
             "source": list(p.source),
         } for p in result.fresh],
         "gen_row": sk.gen_row,
@@ -343,11 +325,10 @@ def lift_record_to_doc(result: LiftResult, memo: dict | None = None):
     }
 
 
-def principalization_to_doc(trace: PrincipalizationTrace,
-                            memo: dict | None = None) -> dict:
+def principalization_to_doc(trace: PrincipalizationTrace) -> dict:
     return {
         "final": [{
-            "chart": chart_to_doc(f.chart, memo),
+            "chart": chart_to_doc(f.chart),
             "descriptor": descriptor_to_doc(f.descriptor),
             "id": f.stratum_id,
             "status": f.status,

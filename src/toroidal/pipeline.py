@@ -74,6 +74,7 @@ class TrackedStratum(NamedTuple):
     chart: ChartForm
     row_labels: tuple[str, ...]
     extra_global_labels: int = 0
+    chart_doc: dict | None = None  # a lifted chart's document, from its lift record
 
 
 class LabelInfo(NamedTuple):
@@ -385,11 +386,10 @@ def _descriptor_for(stratum: TrackedStratum, view: CenterView) -> CenterDescript
     return CenterDescriptor(ell_bar=len(rows), c=view.c, divisor_rows=rows)
 
 
-def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
-              cap: int, memo: dict) -> dict:
-    """Run one script step on `atlas` and return its trace record; `memo`
-    is the trace's encoding memo.  Errors raised while a stratum is
-    adapted or lifted name it."""
+def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) -> dict:
+    """Run one script step on `atlas` and return its trace record.  Errors
+    raised while a stratum is adapted or lifted name it; a new stratum id
+    already taken in its chart raises `ToroidalizeError`."""
     charts = {}
     views = dict(step.views)
 
@@ -432,24 +432,31 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str,
                 result = lift_after_principalization(final.chart, skeletons, final.shape)
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
             lifted_id = f"{final.stratum_id}^"
+            chart_doc = chart_to_doc(result.lifted)
             new_strata.append(TrackedStratum(lifted_id, result.lifted, new_labels,
-                                             root.extra_global_labels))
+                                             root.extra_global_labels, chart_doc))
             lifts.append({
-                "chart": chart_to_doc(result.lifted, memo),
+                "chart": chart_doc,
                 "commutes": True,
                 "lifted_id": lifted_id,
-                "record": lift_record_to_doc(result, memo),
+                "record": lift_record_to_doc(result),
                 "row_labels": list(new_labels),
                 "stratum": final.stratum_id,
             })
 
+        kept = [s for s in chart_strata if s.stratum_id not in roots]
+        taken = {s.stratum_id for s in kept}
+        for s in new_strata:
+            if s.stratum_id in taken:
+                raise ToroidalizeError(f"step {step.step_id} chart {chart_id}: "
+                                       f"stratum id {s.stratum_id!r} is already taken")
+            taken.add(s.stratum_id)
         # Reassigning an existing key keeps its place in the chart order.
-        atlas.strata[chart_id] = [
-            s for s in chart_strata if s.stratum_id not in roots] + new_strata
+        atlas.strata[chart_id] = kept + new_strata
         charts[chart_id] = {
             "adapted": adapted_docs,
             "lifts": lifts,
-            "principalization": principalization_to_doc(trace, memo),
+            "principalization": principalization_to_doc(trace),
         }
     return {"charts": dict(sorted(charts.items())), "exceptional_label": exc_label,
             "id": step.step_id}
@@ -483,13 +490,13 @@ def verify_global_toroidal(atlas: MorphismAtlas) -> ValidityReport:
     return ValidityReport(tuple(failures))
 
 
-def atlas_to_doc(atlas: MorphismAtlas, memo: dict | None = None) -> dict:
-    """The atlas document; `memo` is an encoding memo (see documents)."""
+def atlas_to_doc(atlas: MorphismAtlas) -> dict:
+    """The atlas document; a lifted stratum's chart is its lift record's."""
     return {
         "charts": [{
             "id": chart_id,
             "strata": [{
-                "chart": chart_to_doc(s.chart, memo),
+                "chart": chart_to_doc(s.chart) if s.chart_doc is None else s.chart_doc,
                 "extra_global_labels": s.extra_global_labels,
                 "id": s.stratum_id,
                 "row_labels": list(s.row_labels),
@@ -510,10 +517,10 @@ def atlas_to_doc(atlas: MorphismAtlas, memo: dict | None = None) -> dict:
 def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
                 cap: int = DEFAULT_CAP) -> dict:
     """Run the full pipeline and return the trace document; the cyclic
-    collector is paused for the call (`collector_paused`).  The trace
-    encodes each chart and unit value once and shares the document where
-    it recurs (a lifted chart sits in its lift record and in
-    `final_atlas`), so it is read-only; no two calls share a document.
+    collector is paused for the call (`collector_paused`).  The one
+    sub-document the trace shares is a lifted chart's: it sits in its lift
+    record and, while the stratum survives, in `final_atlas`, so the trace
+    is read-only.  No two calls share a document.
     Each verdict is read off the final atlas; `commutes` is always true."""
     check_cap(cap)
     atlas_report = check_atlas(atlas)
@@ -528,8 +535,7 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
     if not script_report.ok:
         raise ToroidalizeError(f"resolution script rejected: {script_report}")
 
-    memo: dict = {}
-    steps = [_run_step(working, step, exc_label, cap, memo)
+    steps = [_run_step(working, step, exc_label, cap)
              for step, exc_label in zip(script.steps, exc_labels)]
 
     # Input strata are toroidal or smooth and lifts are toroidal, so a qtf
@@ -545,7 +551,7 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
     return {
         "cap": cap,
         "engine": __version__,
-        "final_atlas": atlas_to_doc(working, memo),
+        "final_atlas": atlas_to_doc(working),
         "policy": POLICY.name,
         "schema": TRACE_SCHEMA,
         "steps": steps,

@@ -48,6 +48,42 @@ class TestVerifyToroidalForm:
         report = verify_toroidal_form(toroidal([[1, 0], [2, 0]]))
         assert any(code == "column" for code, _ in report.failures)
 
+    @staticmethod
+    def adapted(tag, d, m, n, ell, s, matrix, ell_bar):
+        betas = (ZERO_STRATUM,) * s if tag == QTF1 else (None,) + (ZERO_STRATUM,) * (s - 1)
+        return ChartForm(d=d, m=m, n=n, ell=ell, s=s, tag=tag, ell_bar=ell_bar,
+                         matrix=tuple(map(tuple, matrix)),
+                         units=(TRIVIAL_UNIT,) * len(matrix), betas=betas)
+
+    def test_every_shape_message(self):
+        # Each (code, message) pair the shape checks give, in their order.
+        assert verify_toroidal_form(toroidal([[]], d=2, m=2)).failures == (
+            ("shape", "divisor image needs divisor variables"),
+            ("row", "row 0 has zero sum"))
+        assert verify_toroidal_form(toroidal([[1, 0], [2, 0]])).failures == (
+            ("column", "column 1 has zero sum"),)
+        assert verify_toroidal_form(toroidal([[1, 1], [0, 0]])).failures == (
+            ("row", "row 1 has zero sum"),)
+        assert verify_toroidal_form(self.adapted(QTF1, 3, 2, 2, 1, 1, [[1, 0], [0, 0]], 1)
+                                    ).failures == (("tag", "expected toroidal, found qtf1"),)
+        cases = [
+            (QTF1, (3, 2, 2, 1, 1, [[1, 0], [0, 0]], 1),
+             [("column", "column 1 has zero sum over rows [1]")]),
+            (QTF2, (2, 2, 2, 1, 1, [[1, 0], [0, 0]], 1),
+             [("column", "column 1 has zero sum over rows [2]"),
+              ("row", "row 1 has zero sum")]),
+            (QTF1, (4, 3, 2, 1, 2, [[1, 1], [0, 1], [1, 0]], 0),
+             [("min-row", "slot row 0 column 1: 1 != min 0"),
+              ("min-row", "slot row 1 column 0: 1 != min 0")]),
+            (QTF1, (3, 2, 1, 0, 1, [[0]], 0),
+             [("column", "column 0 has zero sum over rows [0]"),
+              ("shape", "an ell=0 chart cannot carry divisor columns")]),
+        ]
+        for tag, fields, expected in cases:
+            cf = self.adapted(tag, *fields)
+            assert shape_failures(cf, tag) == expected, (tag, fields)
+            assert classify_form(cf) == (None, {tag: expected})
+
     def test_unit_on_active_variable_rejected(self):
         with pytest.raises(ValueError):
             toroidal([[1, 0], [0, 1]],
@@ -235,9 +271,8 @@ class TestAlgebraProperties:
             assert gcd_generators(ideal)[:cf.n] == mins
 
     def test_classify_monotone_toroidal_implies_qtf1(self):
-        from toroidal.chart import _positivity_failures
         rng = random.Random(317)
         for _ in range(60):
             cf = random_toroidal_chart(rng)
             if verify_toroidal_form(cf).ok:
-                assert not _positivity_failures(cf, cf.ell)
+                assert not shape_failures(cf, QTF1)

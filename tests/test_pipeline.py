@@ -843,9 +843,15 @@ class TestExitStatuses:
                               "forced: failure"), err
 
     def test_internal_check_error_in_a_lift(self, tmp_path, capsys, monkeypatch):
-        real = chart.shape_failures
-        monkeypatch.setattr(chart, "shape_failures", lambda cf, tag: (
-            [("forced", "failure")] if tag == TOROIDAL else real(cf, tag)))
+        # Every chart the lift builds fails its shape check; the input's
+        # check (`check_atlas`) runs the real one.
+        def failing_shape(**fields):
+            with monkeypatch.context() as patch:
+                patch.setattr(chart, "shape_failures",
+                              lambda cf, tag: [("forced", "failure")])
+                return chart.built_chart(**fields)
+
+        monkeypatch.setattr(lift, "built_chart", failing_shape)
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert status == 5
         assert err.startswith("error: stratum A/p0.e0z (parent path A/p0): "
@@ -983,6 +989,18 @@ class TestExitStatuses:
         assert [s["id"] for s in trace["final_atlas"]["charts"][0]["strata"]] == ["A/p0"]
         assert trace["verdicts"]["cap_exceeded"]
 
+    def test_lifted_id_taken_by_a_kept_stratum(self, tmp_path, capsys):
+        # p0 is principal at the root, so its lift is A/p0^: the id of a
+        # stratum the step keeps.
+        doc = identity_doc()
+        strata = doc["charts"][0]["strata"]
+        strata[0]["chart"]["matrix"] = [[1, 0], [1, 1]]
+        strata.append({"id": "p0^", "chart": {"d": 2, "m": 2, "n": 0, "ell": 0, "s": 0,
+                                              "tag": "smooth", "matrix": []}})
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", doc)
+        assert (status, err) == (
+            2, "error: step z1 chart A: stratum id 'A/p0^' is already taken\n")
+
     def test_uncapped_second_center_passes(self, tmp_path, capsys):
         status, err = self.run_main(tmp_path, capsys, "toroidalize", second_center_doc())
         assert (status, err) == (0, "")
@@ -1025,9 +1043,42 @@ class TestExitStatuses:
         assert len(checks) == 1
 
 
+def sharing_faults(trace) -> list[str]:
+    """Where `trace` breaks its sharing rule: it reaches every dict and list
+    once, but a lifted chart's document, which is its lift record's `chart`
+    and, while the stratum survives (no later step adapts it), its
+    `final_atlas` entry's.  Empty when the rule holds."""
+    reached: dict[int, int] = {}
+
+    def walk(obj):
+        if isinstance(obj, (dict, list)):
+            reached[id(obj)] = reached.get(id(obj), 0) + 1
+            if reached[id(obj)] == 1:
+                for child in obj.values() if isinstance(obj, dict) else obj:
+                    walk(child)
+
+    walk(trace)
+    final = {(chart["id"], s["id"]): s["chart"]
+             for chart in trace["final_atlas"]["charts"] for s in chart["strata"]}
+    faults, expected = [], {}
+    for k, step in enumerate(trace["steps"]):
+        for chart_id, record in step["charts"].items():
+            for lift_doc in record["lifts"]:
+                sid, doc = lift_doc["lifted_id"], lift_doc["chart"]
+                survives = not any(
+                    a["stratum"] == sid for later in trace["steps"][k + 1:]
+                    for a in later["charts"].get(chart_id, {}).get("adapted", ()))
+                if survives and final.get((chart_id, sid)) is not doc:
+                    faults.append(f"{sid}: final_atlas does not share its lift's chart")
+                expected[id(doc)] = 1 + survives
+    faults += [f"a document reached {count} times, not {expected.get(key, 1)}"
+               for key, count in reached.items() if count != expected.get(key, 1)]
+    return faults
+
+
 class TestTraceSharing:
-    """A trace encodes each chart and unit value once and shares the
-    document where it recurs; nothing is shared between two calls."""
+    """A trace shares no document but a lifted chart's (`sharing_faults`),
+    encoded once; nothing is shared between two calls."""
 
     def parsed(self):
         doc = identity_doc()
@@ -1046,31 +1097,27 @@ class TestTraceSharing:
         lifted["units"][0]["base"]["coeff"] = "999"
         assert canonical_dumps(toroidalize(atlas, script)) == before
 
-    def test_each_chart_and_value_is_encoded_once_per_call(self, monkeypatch):
-        docs: dict[str, dict] = {"chart": {}, "value": {}}
-        held = []  # keeps every encoded object alive, so no id is reused
+    @pytest.mark.parametrize("cap", [1, 50])
+    def test_only_a_lifted_chart_is_shared(self, cap, monkeypatch):
+        # At cap 1 some strata the cap stopped sit in the final atlas, and
+        # step z2 replaces lifted strata of step z1.
+        lifted, encoded = [], []
 
-        def recording(kind, encode):
-            def wrapper(obj, memo=None):
-                doc = encode(obj, memo)
-                held.append(obj)
-                docs[kind].setdefault(id(obj), set()).add(id(doc))
-                return doc
-            return wrapper
+        def lifting(*args):
+            result = lift.lift_after_principalization(*args)
+            lifted.append(result.lifted)
+            return result
 
-        chart_to_doc = recording("chart", documents.chart_to_doc)
-        monkeypatch.setattr(documents, "chart_to_doc", chart_to_doc)
-        monkeypatch.setattr(pipeline, "chart_to_doc", chart_to_doc)
-        monkeypatch.setattr(documents, "unit_value_to_doc",
-                            recording("value", documents.unit_value_to_doc))
-        atlas, script = self.parsed()
-        trace = toroidalize(atlas, script)
-        assert docs["chart"] and docs["value"]
-        for kind in docs:
-            assert all(len(ids) == 1 for ids in docs[kind].values()), kind
-        lifted = [lift["chart"] for lift in trace["steps"][0]["charts"]["A"]["lifts"]]
-        final = [s["chart"] for s in trace["final_atlas"]["charts"][0]["strata"]]
-        assert len(lifted) == 4 and all(a is b for a, b in zip(lifted, final))
-        again = toroidalize(atlas, script)
-        assert not any(a is b for a, b in zip(
-            final, (s["chart"] for s in again["final_atlas"]["charts"][0]["strata"])))
+        def encoding(cf):
+            encoded.append(cf)
+            return documents.chart_to_doc(cf)
+
+        monkeypatch.setattr(pipeline, "lift_after_principalization", lifting)
+        monkeypatch.setattr(pipeline, "chart_to_doc", encoding)
+        trace = toroidalize(*parse_document(second_center_doc()), cap=cap)
+        assert sharing_faults(trace) == []
+        lifts = [lift_doc for step in trace["steps"]
+                 for record in step["charts"].values() for lift_doc in record["lifts"]]
+        assert len(lifts) == len(lifted) > 0
+        assert trace["verdicts"]["cap_exceeded"] == (cap == 1)
+        assert [sum(x is cf for x in encoded) for cf in lifted] == [1] * len(lifted)
