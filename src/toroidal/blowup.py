@@ -7,6 +7,12 @@ exceptional one (j0) and, for every other center coordinate, whether the
 new translation constant is zero, a generic nonzero value, or a given
 value.  A divisor j0 keeps the chart in translated (qtf1) shape; a slot
 j0 turns its row into a plain monomial row (qtf2 shape).
+
+A blowup's children differ only in j0 and in the zero/generic split, so
+`enumerate_blowup_strata` first computes what they share, once per
+blowup or once per j0 (`_Fanout`), then builds each child from it with
+`_blowup_child`; `blowup_transform` builds its one child the same way.
+Every child is checked as built (`built_chart`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .chart import (
     built_chart,
     column_minima,
 )
-from .units import Stratum, ZERO_STRATUM
+from .units import Stratum, UnitToken, ZERO_STRATUM
 
 
 @dataclass(frozen=True)
@@ -156,70 +162,108 @@ def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
                      choice: BlowupChartChoice) -> BlowupResult:
     _check_center(cf, center)
     _validate_choice(cf, center, choice)
-    return _blowup_chart(cf, center, choice)
+    fan, = _fanouts(cf, center, (choice.j0,))
+    strata = dict(choice.betas)
+    betas = tuple((v, strata[v]) for v in fan.others)
+    return _blowup_child(cf, fan, betas,
+                         tuple(None if b.is_zero else b.unit_value() for _, b in betas))
 
 
-def _blowup_chart(cf: ChartForm, center: BlowupCenterChart,
-                  choice: BlowupChartChoice) -> BlowupResult:
-    """Substitute x_i -> x_j0 * x_i' (+ beta_i) for the other center
-    coordinates i.  Generic betas absorb their variable into the units;
-    the exceptional column leads the divisor block for a divisor j0
-    (qtf1) and closes it for a slot j0, whose row then leads the slot
-    rows (qtf2).  New variables: divisor, other slots, the old variables
-    from n + s on, absorbed."""
-    j0 = choice.j0
+class _Fanout(NamedTuple):
+    """What every child of one blowup with exceptional coordinate `j0`
+    shares: the other center coordinates (divisor ones first), the old
+    variables each child keeps in its order, and the chart's rows in the
+    child's row order, held as each row's exceptional exponent, each old
+    divisor column and each row's unit."""
+
+    j0: int
+    others: tuple[int, ...]
+    noncenter: list[int]     # divisor columns off the center
+    kept: list[int]          # the other slot variables, then those from n + s on
+    row_order: tuple[int, ...]
+    exc: tuple[int, ...]
+    columns: list[tuple[int, ...]]
+    units: tuple[UnitToken, ...]
+
+
+def _fanouts(cf: ChartForm, center: BlowupCenterChart, j0s):
+    """The `_Fanout` of each exceptional coordinate in `j0s`; the rows'
+    exceptional exponents (the row's sum over the center's divisor
+    columns, plus one on a slot row), the non-center columns and the tail
+    are computed once for all of them."""
     div = center.divisor_indices
-    betas = dict(choice.betas)
-    zero = [j for j in div if j != j0 and betas[j].is_zero]
-    generic = [j for j in div if j != j0 and not betas[j].is_zero]
-    noncenter = [j for j in range(cf.n) if j not in div]
-    other_slots = [v for v in range(cf.n, cf.n + cf.s) if v != j0]
-    if j0 < cf.n:
-        tag, new_div, slot_rows = QTF1, [j0] + zero + noncenter, other_slots
-    else:
-        tag, new_div, slot_rows = QTF2, zero + noncenter + [j0], [j0] + other_slots
-    order = new_div + other_slots + list(range(cf.n + cf.s, cf.d)) + generic
+    n, ell = cf.n, cf.ell
+    noncenter = [j for j in range(n) if j not in div]
+    tail = list(range(n + cf.s, cf.d))
+    exc = [sum(row[j] for j in div) + (i >= ell) for i, row in enumerate(cf.matrix)]
+    for j0 in j0s:
+        other_slots = [v for v in range(n, n + cf.s) if v != j0]
+        slot_rows = other_slots if j0 < n else [j0] + other_slots
+        row_order = tuple(range(ell)) + tuple(ell + v - n for v in slot_rows)
+        yield _Fanout(
+            j0, tuple(j for j in div if j != j0) + tuple(other_slots), noncenter,
+            other_slots + tail, row_order, tuple(exc[i] for i in row_order),
+            list(zip(*(cf.matrix[i] for i in row_order))),
+            tuple(cf.units[i] for i in row_order))
+
+
+def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values) -> BlowupResult:
+    """Substitute x_i -> x_j0 * x_i' (+ beta_i) for the other center
+    coordinates i, on the strata `betas` ((i, stratum) in `fan.others`
+    order) whose unit values are `values` (None on a zero stratum).
+    Generic betas absorb their variable into the units; the exceptional
+    column leads the divisor block for a divisor j0 (qtf1) and closes it
+    for a slot j0, whose row then leads the slot rows (qtf2).  New
+    variables: divisor, other slots, the old variables from n + s on,
+    absorbed."""
+    j0, n = fan.j0, cf.n
+    zero, shifted = [], []
+    for (v, _), value in zip(betas, values):
+        if v < n:
+            if value is None:
+                zero.append(v)
+            else:
+                shifted.append((v, value))
+    cols = zero + fan.noncenter
+    qtf1 = j0 < n
+    new_div = [j0] + cols if qtf1 else cols + [j0]
+    order = new_div + fan.kept + [v for v, _ in shifted]
     var_map = [0] * cf.d
     for new, old in enumerate(order):
         var_map[old] = new
-    remap = dict(enumerate(var_map))
-    shifts = [(j, var_map[j], betas[j].unit_value()) for j in generic]
 
-    row_order = list(range(cf.ell)) + [cf.ell + v - cf.n for v in slot_rows]
-    matrix = []
+    block = [fan.columns[j] for j in cols]
+    matrix = tuple(zip(fan.exc, *block) if qtf1 else zip(*block, fan.exc))
+    shifts = [(fan.columns[v], var_map[v], value) for v, value in shifted]
     units = []
-    for i in row_order:
-        row = cf.matrix[i]
-        exc = sum(row[j] for j in div) + (1 if i >= cf.ell else 0)
-        matrix.append(tuple(exc if j == j0 else row[j] for j in new_div))
-        u = cf.units[i].remap_vars(remap)
-        for j, var, shift in shifts:
-            u = u.with_factor(var, shift, row[j])
+    for r, unit in enumerate(fan.units):
+        u = unit.remap_vars(var_map)
+        for column, var, value in shifts:
+            u = u.with_factor(var, value, column[r])
         units.append(u)
 
+    slot_betas = tuple(b for v, b in betas if v >= n)
     chart = built_chart(
-        d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=tag,
-        matrix=tuple(matrix), units=tuple(units),
-        betas=tuple(None if v == j0 else betas[v] for v in slot_rows),
-        ell_bar=cf.ell_bar)
-    return BlowupResult(chart, tuple(var_map), tuple(row_order))
+        d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF1 if qtf1 else QTF2,
+        matrix=matrix, units=tuple(units),
+        betas=slot_betas if qtf1 else (None,) + slot_betas, ell_bar=cf.ell_bar)
+    return BlowupResult(chart, tuple(var_map), fan.row_order)
 
 
 def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart,
                             symbol_prefix: str = "b"):
     """All (choice, transform) pairs covering the exceptional fiber:
     every exceptional coordinate j0, every zero/generic split of the
-    remaining center coordinates, in a fixed canonical order."""
+    remaining center coordinates, in a fixed canonical order.  What the
+    children share is computed once per blowup or once per j0, the
+    generic strata and their unit values included."""
     _check_center(cf, center)
-    coords = center_coordinates(cf, center)
     out = []
-    for j0 in coords:
-        others = [v for v in coords if v != j0]
-        for pattern in itertools.product((False, True), repeat=len(others)):
-            betas = tuple(
-                (v, Stratum.generic(f"{symbol_prefix}.{j0}.{v}") if generic
-                 else ZERO_STRATUM)
-                for v, generic in zip(others, pattern))
-            choice = BlowupChartChoice(j0=j0, betas=betas)
-            out.append((choice, _blowup_chart(cf, center, choice)))
+    for fan in _fanouts(cf, center, center_coordinates(cf, center)):
+        generic = [Stratum.generic(f"{symbol_prefix}.{fan.j0}.{v}") for v in fan.others]
+        strata = itertools.product(*(((v, ZERO_STRATUM), (v, g))
+                                     for v, g in zip(fan.others, generic)))
+        values = itertools.product(*((None, g.unit_value()) for g in generic))
+        for betas, vals in zip(strata, values):
+            out.append((BlowupChartChoice(fan.j0, betas), _blowup_child(cf, fan, betas, vals)))
     return out

@@ -135,50 +135,68 @@ class ChartForm:
 
 
 def structural_problems(cf: ChartForm) -> list[str]:
+    """The structure conditions `cf` fails, as messages in a fixed order;
+    empty when it is sound.  It runs on every chart built, so it reads
+    each field once and calls no property."""
+    d, m, n, ell, s, tag = cf.d, cf.m, cf.n, cf.ell, cf.s, cf.tag
+    matrix, units, betas, ell_bar = cf.matrix, cf.units, cf.betas, cf.ell_bar
+    if tag == QTF1 or tag == QTF2:
+        adapted, expected_rows = True, ell + s
+        num_slots = s if tag == QTF1 else s - 1
+    elif tag == TOROIDAL or tag == SMOOTH:
+        adapted, expected_rows, num_slots = False, ell if tag == TOROIDAL else 0, 0
+    else:
+        return [f"unknown tag {tag!r}"]
     p: list[str] = []
-    if cf.tag not in (TOROIDAL, QTF1, QTF2, SMOOTH):
-        p.append(f"unknown tag {cf.tag!r}")
-        return p
-    if not (0 <= cf.n <= cf.d and 0 <= cf.ell <= cf.m):
+    if not (0 <= n <= d and 0 <= ell <= m):
         p.append("dimension counts out of range")
-    expected_rows = {TOROIDAL: cf.ell, QTF1: cf.ell + cf.s,
-                     QTF2: cf.ell + cf.s, SMOOTH: 0}[cf.tag]
-    if cf.tag == SMOOTH and (cf.n or cf.ell or cf.s):
+    if tag == SMOOTH and (n or ell or s):
         p.append("smooth charts have n = ell = s = 0")
-    if cf.rows != expected_rows:
-        p.append(f"expected {expected_rows} matrix rows, found {cf.rows}")
-    if cf.tag in (TOROIDAL, SMOOTH) and cf.s:
+    rows = len(matrix)
+    if rows != expected_rows:
+        p.append(f"expected {expected_rows} matrix rows, found {rows}")
+    if s and not adapted:
         p.append("only center-adapted charts carry slot rows")
-    if cf.tag == QTF2 and cf.s < 1:
+    if tag == QTF2 and s < 1:
         p.append("qtf2 needs at least one slot row")
-    for i, row in enumerate(cf.matrix):
-        if len(row) != cf.n:
-            p.append(f"row {i} has length {len(row)} != n = {cf.n}")
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            p.append(f"row {i} has length {len(row)} != n = {n}")
         elif row and min(row) < 0:
             p.append(f"row {i} has a negative exponent")
-    if len(cf.units) != cf.rows:
+    if len(units) != rows:
         p.append("one unit token per matrix row required")
-    if len(cf.betas) != cf.s:
+    if len(betas) != s:
         p.append("one beta entry per slot row required")
-    if cf.tag == QTF1 and any(b is None for b in cf.betas):
+    if tag == QTF1 and None in betas:
         p.append("qtf1 slot rows all carry strata")
-    if cf.tag == QTF2 and cf.betas and (
-            cf.betas[0] is not None or any(b is None for b in cf.betas[1:])):
+    if tag == QTF2 and betas and (betas[0] is not None or None in betas[1:]):
         p.append("qtf2 carries strata on slot rows 2..s only")
-    if not 0 <= cf.ell_bar <= min(cf.ell, cf.ell + cf.s):
+    if not 0 <= ell_bar <= min(ell, ell + s):
         p.append("ell_bar out of range")
-    if cf.tag in (TOROIDAL, SMOOTH) and cf.ell_bar:
+    if ell_bar and not adapted:
         p.append("ell_bar only applies to center-adapted charts")
-    active = cf.active_vars
-    if cf.identity_rows < 0:
+    identity_rows = m - ell - s
+    active = n + num_slots + identity_rows
+    if identity_rows < 0:
         p.append("more slot rows than spare target coordinates")
-    elif active > cf.d:
-        p.append(f"active variables {active} exceed d = {cf.d}")
+    elif active > d:
+        p.append(f"active variables {active} exceed d = {d}")
     else:
-        for i, u in enumerate(cf.units):
-            bad = [f.var for f in u.factors if f.var < active]
-            if bad:
-                p.append(f"unit of row {i} touches active variable {bad[0]}")
+        # A unit factor lies on a tail variable: at or above `active`, below d.
+        for i, u in enumerate(units):
+            if not u.factors:
+                continue
+            low = high = None
+            for f in u.factors:
+                if f.var < active:
+                    low = f.var if low is None else low
+                elif f.var >= d:
+                    high = f.var if high is None else high
+            if low is not None:
+                p.append(f"unit of row {i} touches active variable {low}")
+            if high is not None:
+                p.append(f"unit of row {i} touches variable {high} >= d = {d}")
     return p
 
 

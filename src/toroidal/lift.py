@@ -43,6 +43,7 @@ from .chart import (
 )
 from .errors import InternalCheckError
 from .linalg import rank
+from .monomial import principal_generator
 from .units import TRIVIAL_UNIT, UnitToken, UnitValue
 
 CASE1, CASE2, CASE3, SMOOTH_CASE = "case1", "case2", "case3", "smooth"
@@ -97,10 +98,9 @@ def lift_case(cf: ChartForm) -> str:
 def _case_and_generator(cf: ChartForm) -> tuple[str, int]:
     """The lift's branch and the chart row generating the principal pullback:
     the first slot row (smooth, case 3), the first slot row with a nonzero
-    constant (case 2) or the first center row at the column minima (case 1);
-    the pullback is principal iff the generators' gcd is one of them."""
-    gens = pullback_center_generators(cf)
-    if tuple(map(min, zip(*gens))) not in gens:
+    constant (case 2) or the first center row at the column minima (case 1).
+    The pullback must be principal (`principal_generator`)."""
+    if principal_generator(pullback_center_generators(cf)) is None:
         raise ValueError("pullback of the center is not principal")
     if cf.ell == 0:
         return SMOOTH_CASE, cf.ell

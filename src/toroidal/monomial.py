@@ -58,6 +58,11 @@ class MonomialIdeal:
         return cls._of_antichain(ambient_dim, _antichain(gens))
 
     @classmethod
+    def unit(cls, ambient_dim: int) -> "MonomialIdeal":
+        """The unit ideal, generated by the all-zeros exponent."""
+        return cls._of_antichain(ambient_dim, ((0,) * ambient_dim,))
+
+    @classmethod
     def _of_antichain(cls, ambient_dim: int, gens: tuple) -> "MonomialIdeal":
         """The ideal whose sorted antichain of checked exponents is `gens`."""
         ideal = object.__new__(cls)
@@ -120,6 +125,14 @@ def gcd_generators(ideal: MonomialIdeal) -> Exponent:
     if ideal.is_zero:
         raise ValueError("gcd of the zero ideal is undefined")
     return tuple(min(col) for col in zip(*ideal.gens))
+
+
+def principal_generator(gens) -> Exponent | None:
+    """The one of `gens` that divides them all, None when there is none:
+    the ideal they generate is principal exactly when their componentwise
+    minimum, the gcd, is one of them.  `gens` need not be reduced."""
+    f = tuple(map(min, zip(*gens)))
+    return f if f in gens else None
 
 
 def colon_by_monomial(ideal: MonomialIdeal, m: Exponent) -> MonomialIdeal:

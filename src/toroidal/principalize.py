@@ -12,9 +12,12 @@ cap stands in for a termination proof; hitting it is a reported status.
 
 The locus is the factorization x^F * N of the pullback and nothing more:
 the policy draws the candidate centers from `max_order_components(N)`,
-and the blowup checks the chosen one.  The locus reads only the chart's
-shape (`shape_key`), so one driver call factors each distinct shape
-once.  A failure on a stratum names it and its parent path.
+and the blowup checks the chosen one.  A principal pullback, whose
+generators' gcd is one of them, has N the unit ideal and is not
+factored; only a nonprincipal one is reduced and factored.  The locus
+reads only the chart's shape (`shape_key`), so one driver call computes
+it once per distinct shape.  A failure on a stratum names it and its
+parent path.
 
 The locus, the steps, the finals and the trace are plain records
 (`typing.NamedTuple`s): they hold no invariant, so building one runs no
@@ -38,7 +41,7 @@ from .chart import (
     CenterDescriptor,
     ChartForm,
     column_minima,
-    pullback_center_ideal,
+    pullback_center_generators,
     shape_key,
 )
 from .errors import InternalCheckError, RegimeLimit
@@ -46,6 +49,7 @@ from .monomial import (
     MonomialIdeal,
     max_order_components,
     order_at_origin,
+    principal_generator,
     principal_part_factorization,
 )
 
@@ -77,8 +81,15 @@ class NonprincipalLocus(NamedTuple):
 def nonprincipal_locus(cf: ChartForm) -> NonprincipalLocus:
     """Factor the pullback I = x^F * N; the residual N cuts the locus where
     the pullback is not principal.  The candidate centers are the
-    maximum-order components of N (`MaxOrderLexPolicy.candidates`)."""
-    f, n = principal_part_factorization(pullback_center_ideal(cf))
+    maximum-order components of N (`MaxOrderLexPolicy.candidates`).
+    A principal pullback, F the generator that divides the others, has N
+    the unit ideal and is neither reduced nor factored; only a nonprincipal
+    one goes through the factorization and its reconstruction check."""
+    gens = pullback_center_generators(cf)
+    f = principal_generator(gens)
+    if f is not None:
+        return NonprincipalLocus(f, MonomialIdeal.unit(cf.d))
+    f, n = principal_part_factorization(MonomialIdeal.trusted(cf.d, gens))
     return NonprincipalLocus(f, n)
 
 
@@ -166,7 +177,9 @@ def _choice_tag(choice: BlowupChartChoice) -> str:
 
 class naming:
     """A context that re-raises a ValueError or an InternalCheckError as
-    its own class with the stratum and its parent path in front."""
+    its own class with the stratum and its parent path in front.  A
+    child's id extends its parent's, so the path is written as the root
+    id, then each deeper ancestor's suffix: linear in the depth."""
 
     __slots__ = ("sid", "path")
 
@@ -178,7 +191,10 @@ class naming:
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, (ValueError, InternalCheckError)):
-            where = f" (parent path {' > '.join(self.path)})" if self.path else ""
+            path, where = self.path, ""
+            if path:
+                steps = (sid[len(parent):] for parent, sid in zip(path, path[1:]))
+                where = f" (parent path {' > '.join((path[0], *steps))})"
             raise type(exc)(f"stratum {self.sid}{where}: {exc}") from exc
         return False
 
@@ -203,8 +219,8 @@ def principalize_chart_family(
     final: list[FinalStratum] = []
 
     def register(sid, path):
-        with naming(sid, path):
-            if sid in ids:
+        if sid in ids:
+            with naming(sid, path):
                 raise ValueError("id repeated in the family")
         ids.add(sid)
 

@@ -282,12 +282,15 @@ class UnitToken(_Frozen):
         factor = UnitFactor(var, shift, exp)
         return self._carrying(self.factors + (factor,), self.constant() * factor.constant())
 
-    def remap_vars(self, mapping: dict[int, int]) -> "UnitToken":
+    def remap_vars(self, var_map) -> "UnitToken":
+        """This token with each factor's variable v renamed `var_map[v]`;
+        `var_map` is indexed by every variable a factor names (a chart's
+        variable map covers them all: its structure keeps them below d)."""
         # Renaming variables does not change the value at the chart point.
         if not self.factors:
             return self
         return self._carrying(tuple(
-            UnitFactor(mapping.get(f.var, f.var), f.shift, f.exp) for f in self.factors),
+            UnitFactor(var_map[f.var], f.shift, f.exp) for f in self.factors),
             self.constant())
 
     @property

@@ -14,6 +14,8 @@ integer exponents.  The reference blowup transform builds divisor-j0
 chart builder in `toroidal.blowup` must agree with both.  The reference
 lift case derives the case and then, separately, its generator row; the
 single helper in `toroidal.lift` must agree with it.  The reference
+locus factors every pullback as an ideal; the library's locus, which
+factors only a nonprincipal one, must agree with it.  The reference
 maximum-order locus scans every subset of the generator support, and the
 reference locus components come from the irreducible decomposition of
 the radical; the one transversal search in `toroidal.monomial` must
@@ -56,6 +58,7 @@ from toroidal.monomial import (
     irreducible_decomposition,
     minimal_generators,
     order_at_origin,
+    principal_part_factorization,
     radical,
 )
 from toroidal.principalize import (
@@ -361,6 +364,13 @@ def _ref_case2(cf, choice, div):
         betas=(None,) + tuple(betas[cf.n + t] for t in range(cf.s) if t != t0),
         ell_bar=cf.ell_bar)
     return BlowupResult(chart, var_map, tuple(row_order))
+
+
+def reference_locus(cf):
+    """The pullback's (principal part, residual), factored as an ideal
+    whatever the shape: the reduced pullback ideal through the library's
+    factorization, with no principality test first."""
+    return principal_part_factorization(pullback_center_ideal(cf))
 
 
 def reference_lift_case(cf):

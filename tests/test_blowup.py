@@ -167,12 +167,14 @@ class TestInvariants:
 
 
 class TestChartBuilder:
-    """The one chart builder against the twin-function reference."""
+    """The one chart builder against the twin-function reference; a single
+    transform builds the child its choice picks out of the enumeration."""
 
     @staticmethod
     def assert_matches_reference(cf, center, prefix):
         out = enumerate_blowup_strata(cf, center, symbol_prefix=prefix)
         for choice, result in out:
+            assert blowup_transform(cf, center, choice) == result
             ref = reference_blowup_transform(cf, center, choice)
             assert result.chart == ref.chart, (cf, center, choice)
             assert result.var_map == ref.var_map

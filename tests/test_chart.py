@@ -17,9 +17,10 @@ from toroidal.chart import (
     pullback_center_ideal,
     shape_failures,
     smooth_chart,
+    structural_problems,
     verify_toroidal_form,
 )
-from toroidal.units import Stratum, TRIVIAL_UNIT, UnitToken, UnitValue, ZERO_STRATUM
+from toroidal.units import ONE, Stratum, TRIVIAL_UNIT, UnitToken, UnitValue, ZERO_STRATUM
 from generators import random_toroidal_chart
 
 
@@ -89,6 +90,86 @@ class TestVerifyToroidalForm:
             toroidal([[1, 0], [0, 1]],
                      units=(TRIVIAL_UNIT,
                             UnitToken().with_factor(0, UnitValue.of(2), 1)))
+
+
+def unchecked(**fields) -> ChartForm:
+    """A chart with `fields`, built without the constructor's check."""
+    cf = object.__new__(ChartForm)
+    cf.__dict__.update(fields)
+    return cf
+
+
+ADAPTED = dict(d=4, m=3, n=2, ell=2, s=1, tag=QTF1, matrix=((1, 0), (0, 1), (0, 0)),
+               units=(TRIVIAL_UNIT,) * 3, betas=(ZERO_STRATUM,), ell_bar=1)
+TOROIDAL_2 = dict(d=2, m=2, n=2, ell=2, s=0, tag=TOROIDAL, matrix=((1, 0), (0, 1)),
+                  units=(TRIVIAL_UNIT,) * 2, betas=(), ell_bar=0)
+EMPTY = dict(d=2, m=2, n=0, ell=0, s=0, matrix=(), units=(), betas=(), ell_bar=0)
+
+
+def factor_on(var):
+    return UnitToken().with_factor(var, UnitValue.of(2), 1)
+
+
+class TestStructuralProblems:
+    # One malformed chart per structural condition, with the exact list of
+    # messages `structural_problems` returns for it, in its order.
+    CASES = {
+        "unknown_tag": ({**ADAPTED, "tag": "bogus", "n": -1}, ["unknown tag 'bogus'"]),
+        "dimensions": ({**EMPTY, "tag": TOROIDAL, "n": -1},
+                       ["dimension counts out of range"]),
+        "smooth_counts": ({**EMPTY, "tag": SMOOTH, "d": 3, "n": 1},
+                          ["smooth charts have n = ell = s = 0"]),
+        "row_count": ({**TOROIDAL_2, "matrix": ((1, 0),), "units": (TRIVIAL_UNIT,)},
+                      ["expected 2 matrix rows, found 1"]),
+        "slots_on_toroidal": ({**TOROIDAL_2, "d": 3, "m": 3, "s": 1,
+                               "betas": (ZERO_STRATUM,)},
+                              ["only center-adapted charts carry slot rows"]),
+        "qtf2_without_slots": ({**EMPTY, "tag": QTF2, "n": 1, "ell": 1,
+                                "matrix": ((1,),), "units": (TRIVIAL_UNIT,)},
+                               ["qtf2 needs at least one slot row"]),
+        "row_length": ({**ADAPTED, "matrix": ((1, 0), (0,), (0, 0))},
+                       ["row 1 has length 1 != n = 2"]),
+        "negative_exponent": ({**ADAPTED, "matrix": ((1, 0), (0, -1), (0, 0))},
+                              ["row 1 has a negative exponent"]),
+        "unit_count": ({**ADAPTED, "units": (TRIVIAL_UNIT,) * 2},
+                       ["one unit token per matrix row required"]),
+        "beta_count": ({**ADAPTED, "betas": ()}, ["one beta entry per slot row required"]),
+        "qtf1_none_beta": ({**ADAPTED, "betas": (None,)},
+                           ["qtf1 slot rows all carry strata"]),
+        "qtf2_beta_layout": ({**ADAPTED, "tag": QTF2, "ell": 1, "s": 2,
+                              "matrix": ((1, 1), (0, 0), (0, 0)),
+                              "betas": (ZERO_STRATUM, ZERO_STRATUM)},
+                             ["qtf2 carries strata on slot rows 2..s only"]),
+        "ell_bar_range": ({**ADAPTED, "ell_bar": 3}, ["ell_bar out of range"]),
+        "ell_bar_on_toroidal": ({**TOROIDAL_2, "ell_bar": 1},
+                                ["ell_bar only applies to center-adapted charts"]),
+        "identity_rows": ({**ADAPTED, "m": 2},
+                          ["more slot rows than spare target coordinates"]),
+        "active_above_d": ({**ADAPTED, "d": 2}, ["active variables 3 exceed d = 2"]),
+        "unit_on_active": ({**ADAPTED, "units": (
+                                TRIVIAL_UNIT, factor_on(3).with_factor(1, ONE, 2),
+                                factor_on(0))},
+                           ["unit of row 1 touches active variable 1",
+                            "unit of row 2 touches active variable 0"]),
+        "unit_beyond_d": ({**ADAPTED, "units": (factor_on(100), TRIVIAL_UNIT, factor_on(4))},
+                          ["unit of row 0 touches variable 100 >= d = 4",
+                           "unit of row 2 touches variable 4 >= d = 4"]),
+        "order": ({**ADAPTED, "betas": (),
+                   "units": (factor_on(4).with_factor(2, ONE, 1),) * 3},
+                  ["one beta entry per slot row required"]
+                  + [f"unit of row {i} touches {what}" for i in range(3)
+                     for what in ("active variable 2", "variable 4 >= d = 4")]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_structural_message(self, name):
+        fields, expected = self.CASES[name]
+        assert structural_problems(unchecked(**fields)) == expected
+
+    def test_valid_charts_have_no_problems(self):
+        for fields in (ADAPTED, TOROIDAL_2, {**EMPTY, "tag": SMOOTH}):
+            assert structural_problems(unchecked(**fields)) == []
+            assert ChartForm(**fields) == unchecked(**fields)
 
 
 class TestClassify:

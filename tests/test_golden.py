@@ -9,10 +9,14 @@ The digests recorded under toroidal-trace/1 and toroidal-trace/2 are
 kept: `oracles.trace2_of` puts a trace/3 document back in the heap order
 trace/2 followed, `oracles.trace1_of` rebuilds the fields trace/2 leaves
 out, and the results must still hash to them.  The trace/3 digests are
-pinned next to them.
+pinned next to them, and so are the digests of the benchmark workloads'
+traces (`perfbench/workloads.py`, loaded by path and unchanged).
 """
 
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +153,33 @@ def test_termination_corpus_digest():
     assert _sha("\n".join(lines)) == TERMINATION_CORPUS_DIGEST_TRACE3
     assert _sha("\n".join(lines2)) == TERMINATION_CORPUS_DIGEST_TRACE2
     assert _sha("\n".join(lines1)) == TERMINATION_CORPUS_DIGEST
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+# Full sha256 of the canonical traces of a benchmark workload's documents,
+# concatenated in order; tier-1 checks seed 1 and CI seed 7.
+WORKLOAD_DIGESTS = {
+    ("corpus", 1): "64103393215ba9e4c447015f7ce0d81cd236b93948dd88ed547cbb01a0217ba7",
+    ("corpus", 7): "fbac6955e6624b4507661f09cf19ba91629bebd30e93d8a4ad39880ccbdc4d82",
+    ("deep", 1): "dda3f5ff0757222db8d190bbe3ff84057d99c44f9e24763241cf0e096785c95f",
+    ("deep", 7): "10f39be8416d10fa944f8b0ecd4d68baa02c6a0d5d2c4ffda0b898dd6c9f38c1",
+    ("wide", 1): "82102268e202a7d7f3a14dc2305628649522b36a3b53123debf06d0faedfc8b8",
+    ("wide", 7): "bca5d21fd0c87d3f80c8f99c62b7d5667e861a9898e0d4414de1ab7de9dbaf2a",
+}
+
+
+def workload_digest(name: str, seed: int) -> str:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digest = hashlib.sha256()
+    for _, text in workloads.build(name, seed):
+        trace = toroidalize(*parse_document(json.loads(text)))
+        digest.update(canonical_dumps(trace).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["corpus", "deep", "wide"])
+def test_workload_trace_digest(name):
+    assert workload_digest(name, 1) == WORKLOAD_DIGESTS[name, 1]

@@ -833,6 +833,17 @@ class TestExitStatuses:
         assert err.startswith("error: stratum x0.e1z (parent path x0): "
                               "runaway principalization"), err
 
+    def test_deep_parent_path_grows_by_suffixes(self, tmp_path, capsys, monkeypatch):
+        # Below the root each ancestor is written as the suffix its id adds
+        # to its parent's; before, as `x0 > x0.e1z > x0.e1z.e1z`.
+        monkeypatch.setattr(principalize, "RUNAWAY_GUARD", 3)
+        doc = json.loads(json.dumps(TWO_BLOWUP_FAMILY))
+        doc["strata"][0]["chart"]["matrix"] = [[4, 1], [1, 5]]
+        status, err = self.run_main(tmp_path, capsys, "principalize", doc)
+        assert status == 4
+        assert err.startswith("error: stratum x0.e1z.e1z.e0z (parent path x0 > .e1z > "
+                              ".e1z): runaway principalization"), err
+
     def test_internal_check_error(self, tmp_path, capsys, monkeypatch):
         # The adapted root keeps the identity matrix; every blowup child fails.
         monkeypatch.setattr(chart, "shape_failures", lambda cf, tag: (
@@ -1015,6 +1026,18 @@ class TestExitStatuses:
         assert status == 5
         assert err.startswith("error: stratum A/p0: built chart: malformed chart: "
                               "unit of row 1 touches active variable 0"), err
+
+    def test_unit_on_a_variable_beyond_d(self, tmp_path, capsys):
+        # Before, the factor was accepted and written into the trace.
+        doc = identity_doc()
+        doc["dims"]["d"] = 3
+        chart_doc = doc["charts"][0]["strata"][0]["chart"]
+        chart_doc["d"] = 3
+        chart_doc["units"] = [{"base": {"coeff": "2"}, "factors": [
+            {"var": 100, "shift": {"coeff": "1"}, "exp": 1}]}, {}]
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", doc)
+        assert (status, err) == (2, "error: stratum A/p0 chart: malformed chart: "
+                                    "unit of row 0 touches variable 100 >= d = 3\n")
 
     @pytest.mark.parametrize("steps", [5, None])
     def test_verify_trace_needs_a_steps_list(self, tmp_path, capsys, steps):

@@ -32,7 +32,7 @@ from toroidal.principalize import (
 )
 from toroidal.units import Stratum, UnitToken, UnitValue
 from generators import random_adapted_chart
-from oracles import reference_lift_case, rescan_principalize
+from oracles import reference_lift_case, reference_locus, rescan_principalize
 from test_blowup import adapted
 
 Z22 = CenterDescriptor(2, 2, (0, 1))
@@ -57,6 +57,53 @@ class TestNonprincipalLocus:
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         locus = nonprincipal_locus(cf)
         assert locus.is_principal
+
+    @staticmethod
+    def record_created(monkeypatch, created):
+        """Append every chart `principalize_chart_family` blows up into to `created`."""
+        real_enumerate = principalize.enumerate_blowup_strata
+
+        def recording(cf, center, symbol_prefix):
+            out = real_enumerate(cf, center, symbol_prefix=symbol_prefix)
+            created.extend(result.chart for _, result in out)
+            return out
+
+        monkeypatch.setattr(principalize, "enumerate_blowup_strata", recording)
+
+    def test_matches_reference_locus(self, monkeypatch):
+        created, verdicts = [], Counter()
+        self.record_created(monkeypatch, created)
+        for family in random_families(350, 25):
+            created.extend(cf for _, cf, _ in family)
+            principalize_chart_family(family, cap=50)
+        for cf in created:
+            locus = nonprincipal_locus(cf)
+            assert locus == reference_locus(cf), cf
+            verdicts[locus.is_principal] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+
+    def test_factored_once_per_nonprincipal_shape(self, monkeypatch):
+        created, factored = [], []
+        real_factor = principalize.principal_part_factorization
+
+        def factoring(ideal):
+            factored.append(ideal)
+            return real_factor(ideal)
+
+        monkeypatch.setattr(principalize, "principal_part_factorization", factoring)
+        self.record_created(monkeypatch, created)
+        total = 0
+        for cap in (2, 50):
+            for family in random_families(360 + cap, 15):
+                created[:] = [cf for _, cf, _ in family]
+                factored.clear()
+                principalize_chart_family(family, cap=cap)
+                nonprincipal = {shape_key(cf) for cf in created
+                                if not reference_locus(cf)[1].is_unit}
+                assert len(factored) == len(nonprincipal)
+                assert all(len(ideal) > 1 for ideal in factored)
+                total += len(factored)
+        assert total > 0
 
 
 class TestSelectCenter:
