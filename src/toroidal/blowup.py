@@ -18,8 +18,7 @@ Every child is checked as built (`built_chart`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .chart import (
     QTF1,
@@ -29,41 +28,39 @@ from .chart import (
     built_chart,
     column_minima,
 )
-from .units import Stratum, UnitToken, ZERO_STRATUM
+from .units import ZERO_STRATUM, Stratum, _Record, _set
 
 
-@dataclass(frozen=True)
-class BlowupCenterChart:
+class BlowupCenterChart(_Record):
     """Center in chart coordinates: divisor variables plus every slot."""
 
-    divisor_indices: tuple[int, ...]
-    slot_count: int
+    # The constructor sorts `divisor_indices`.
+    __slots__ = ("divisor_indices", "slot_count")
 
-    def __post_init__(self):
-        object.__setattr__(self, "divisor_indices",
-                           tuple(sorted(self.divisor_indices)))
-        if len(set(self.divisor_indices)) != len(self.divisor_indices):
+    def __init__(self, divisor_indices: tuple[int, ...], slot_count: int):
+        divisor_indices = tuple(sorted(divisor_indices))
+        if len(set(divisor_indices)) != len(divisor_indices):
             raise ValueError("duplicate divisor indices")
-        if self.slot_count < 0:
+        if slot_count < 0:
             raise ValueError("negative slot count")
+        _set(self, "divisor_indices", divisor_indices)
+        _set(self, "slot_count", slot_count)
 
     @property
     def codim(self) -> int:
         return len(self.divisor_indices) + self.slot_count
 
 
-class BlowupChartChoice(NamedTuple):
+class BlowupChartChoice(namedtuple("BlowupChartChoice", "j0 betas")):
     """Which center coordinate becomes exceptional, and the strata chosen
     for the remaining center coordinates (keyed by chart variable)."""
 
-    j0: int
-    betas: tuple[tuple[int, Stratum], ...]
+    __slots__ = ()
 
 
-class BlowupResult(NamedTuple):
-    chart: ChartForm
-    var_map: tuple[int, ...]   # old chart variable -> new chart variable
-    row_order: tuple[int, ...]  # new row index -> old row index
+# `var_map` maps an old chart variable to its new one, and `row_order` a
+# new row index to the old one.
+BlowupResult = namedtuple("BlowupResult", "chart var_map row_order")
 
 
 def center_coordinates(cf: ChartForm, center: BlowupCenterChart) -> list[int]:
@@ -169,21 +166,13 @@ def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
                          tuple(None if b.is_zero else b.unit_value() for _, b in betas))
 
 
-class _Fanout(NamedTuple):
-    """What every child of one blowup with exceptional coordinate `j0`
-    shares: the other center coordinates (divisor ones first), the old
-    variables each child keeps in its order, and the chart's rows in the
-    child's row order, held as each row's exceptional exponent, each old
-    divisor column and each row's unit."""
-
-    j0: int
-    others: tuple[int, ...]
-    noncenter: list[int]     # divisor columns off the center
-    kept: list[int]          # the other slot variables, then those from n + s on
-    row_order: tuple[int, ...]
-    exc: tuple[int, ...]
-    columns: list[tuple[int, ...]]
-    units: tuple[UnitToken, ...]
+# What every child of one blowup with exceptional coordinate `j0` shares:
+# the other center coordinates (divisor ones first), the divisor columns
+# off the center (`noncenter`), the old variables each child keeps in its
+# order (`kept`: the other slot variables, then those from n + s on), and
+# the chart's rows in the child's row order, held as each row's
+# exceptional exponent, each old divisor column and each row's unit.
+_Fanout = namedtuple("_Fanout", "j0 others noncenter kept row_order exc columns units")
 
 
 def _fanouts(cf: ChartForm, center: BlowupCenterChart, j0s):

@@ -21,12 +21,11 @@ structure and the shape of its own tag, and raises `InternalCheckError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InternalCheckError
 from .monomial import MonomialIdeal
-from .units import TRIVIAL_UNIT, ZERO_STRATUM, Stratum, UnitToken
+from .units import TRIVIAL_UNIT, ZERO_STRATUM, Stratum, UnitToken, _Frozen, _Record, _set
 
 TOROIDAL = "toroidal"
 QTF1 = "qtf1"
@@ -34,10 +33,10 @@ QTF2 = "qtf2"
 SMOOTH = "smooth"
 
 
-class ValidityReport(NamedTuple):
+class ValidityReport(namedtuple("ValidityReport", "failures", defaults=((),))):
     """The failed conditions of a check, as (code, detail) pairs."""
 
-    failures: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -49,50 +48,70 @@ class ValidityReport(NamedTuple):
         return "; ".join(f"{code}: {detail}" for code, detail in self.failures)
 
 
-@dataclass(frozen=True)
-class CenterDescriptor:
+class CenterDescriptor(_Record):
     """A blowup center seen from one chart: it lies in `ell_bar` of the
     divisor components through the point and has codimension `c`."""
 
-    ell_bar: int
-    c: int
-    divisor_rows: tuple[int, ...] = ()
+    __slots__ = ("ell_bar", "c", "divisor_rows")
 
-    def __post_init__(self):
-        if not 0 <= self.ell_bar <= self.c:
+    def __init__(self, ell_bar: int, c: int, divisor_rows: tuple[int, ...] = ()):
+        if not 0 <= ell_bar <= c:
             raise ValueError("need 0 <= ell_bar <= c")
-        if self.c < 1:
+        if c < 1:
             raise ValueError("centers have codimension >= 1")
-        if len(self.divisor_rows) != self.ell_bar:
+        if len(divisor_rows) != ell_bar:
             raise ValueError("divisor_rows must list exactly ell_bar rows")
-        if len(set(self.divisor_rows)) != self.ell_bar:
+        if len(set(divisor_rows)) != ell_bar:
             raise ValueError("divisor_rows must be distinct")
+        _set(self, "ell_bar", ell_bar)
+        _set(self, "c", c)
+        _set(self, "divisor_rows", divisor_rows)
 
     @property
     def extra_slots(self) -> int:
         return self.c - self.ell_bar
 
 
-@dataclass(frozen=True)
-class ChartForm:
+_CHART_FIELDS = ("d", "m", "n", "ell", "s", "tag", "matrix", "units", "betas", "ell_bar")
+
+
+class ChartForm(_Frozen):
     """One chart of the morphism, laid out as the module docstring says;
-    the constructor checks its structure (`structural_problems`)."""
+    the constructor checks its structure (`structural_problems`).
 
-    d: int
-    m: int
-    n: int
-    ell: int
-    s: int
-    tag: str
-    matrix: tuple[tuple[int, ...], ...] = ()
-    units: tuple[UnitToken, ...] = ()
-    betas: tuple[Stratum | None, ...] = ()
-    ell_bar: int = 0
+    Its fields sit in its instance dict, written by one update: a slotted
+    chart would pay one call per field for each copy.  Assignment and
+    deletion raise, and equality (charts only), hashing, `repr` and
+    pickling read the fields in the order of `_CHART_FIELDS`."""
 
-    def __post_init__(self):
+    def __init__(self, d: int, m: int, n: int, ell: int, s: int, tag: str,
+                 matrix: tuple[tuple[int, ...], ...] = (),
+                 units: tuple[UnitToken, ...] = (),
+                 betas: tuple[Stratum | None, ...] = (), ell_bar: int = 0):
+        self.__dict__.update(d=d, m=m, n=n, ell=ell, s=s, tag=tag, matrix=matrix,
+                             units=units, betas=betas, ell_bar=ell_bar)
         problems = structural_problems(self)
         if problems:
             raise ValueError("malformed chart: " + "; ".join(problems))
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in _CHART_FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is not ChartForm:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in _CHART_FIELDS)
+        return f"ChartForm({fields})"
+
+    def __reduce__(self):
+        return ChartForm, self._values()
 
     @property
     def rows(self) -> int:
@@ -295,9 +314,8 @@ def built_chart(**fields) -> ChartForm:
     return cf
 
 
-class AdaptedForm(NamedTuple):
-    chart: ChartForm
-    row_order: tuple[int, ...]  # new row index -> original row index
+# `row_order` maps a new row index to the original row index.
+AdaptedForm = namedtuple("AdaptedForm", "chart row_order")
 
 
 def center_row_order(ell: int, z: CenterDescriptor) -> tuple[int, ...]:

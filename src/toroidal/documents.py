@@ -21,9 +21,7 @@ a document nests only finished sub-documents, so none contains itself.
 
 from __future__ import annotations
 
-import io
 import json
-import pickle
 from fractions import Fraction
 
 from .blowup import BlowupCenterChart, BlowupChartChoice
@@ -141,7 +139,11 @@ def strict_bytes(doc) -> bytes:
     1.0 and true differ and a list is not a tuple, and a shared
     sub-document is written out in full like its parsed copy.  Equal
     bytes mean equal canonical dumps.  A cyclic document raises
-    `ValueError`, one pickle cannot write raises its own error."""
+    `ValueError`, one pickle cannot write raises its own error.  Only
+    replay calls it, so `pickle` loads on first use."""
+    import io
+    import pickle
+
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=5)
     pickler.fast = True

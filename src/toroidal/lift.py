@@ -23,13 +23,13 @@ on is not stored apart: the generator row, the row sources and the
 fresh parameters' shifts name it, in the engine and in the trace alike.
 
 The skeleton, the fresh parameters and the result are plain records
-(`typing.NamedTuple`s): every check runs where they are built, so
+(`collections.namedtuple`s): every check runs where they are built, so
 their constructors check nothing.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .chart import (
     QTF2,
@@ -44,24 +44,24 @@ from .chart import (
 from .errors import InternalCheckError
 from .linalg import rank
 from .monomial import principal_generator
-from .units import TRIVIAL_UNIT, UnitToken, UnitValue
+from .units import TRIVIAL_UNIT, UnitToken
 
 CASE1, CASE2, CASE3, SMOOTH_CASE = "case1", "case2", "case3", "smooth"
 
 
-class FreshParam(NamedTuple):
+class FreshParam(namedtuple("FreshParam", "source scale shift")):
     """A center coordinate consumed into a fresh translated parameter.
 
-    The target coordinate is scale * (original factor) - shift at the
-    new point; `shift` is None when the subtracted value is zero.
+    `source` is ("row" | "slot", chart row index).  The target coordinate
+    is scale * (original factor) - shift at the new point; `shift` is None
+    when the subtracted value is zero.
     """
 
-    source: tuple[str, int]  # ("row" | "slot", chart row index)
-    scale: UnitValue
-    shift: UnitValue | None
+    __slots__ = ()
 
 
-class LiftSkeleton(NamedTuple):
+class LiftSkeleton(namedtuple("LiftSkeleton",
+                              "case gen_row drop_col zero row_sources shape")):
     """The part of a lift fixed by the chart's shape.
 
     `row_sources` names the origin of each lifted row ("gen", "strict"
@@ -73,21 +73,14 @@ class LiftSkeleton(NamedTuple):
     structure; `verify_commutes` checks the exponents of every lift.
     """
 
-    case: str
-    gen_row: int
-    drop_col: int | None
-    zero: tuple[int, ...]
-    row_sources: tuple[tuple[str, int], ...]
-    shape: ChartForm
+    __slots__ = ()
 
 
-class LiftResult(NamedTuple):
+class LiftResult(namedtuple("LiftResult", "lifted skeleton fresh")):
     """The lifted chart, its shape's skeleton (one object for every chart
     of that shape lifted through one skeleton dict) and its fresh parameters."""
 
-    lifted: ChartForm
-    skeleton: LiftSkeleton
-    fresh: tuple[FreshParam, ...]
+    __slots__ = ()
 
 
 def lift_case(cf: ChartForm) -> str:

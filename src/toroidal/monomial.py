@@ -14,9 +14,8 @@ product) goes through `MonomialIdeal.trusted`, which checks nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalCheckError, RegimeLimit
+from .units import _Record, _set
 
 Exponent = tuple[int, ...]
 TRANSVERSAL_SEARCH_BOUND = 2 ** 10  # visited sets; any support of <= 10 variables fits
@@ -34,21 +33,22 @@ def divides(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Record):
     """A monomial ideal held by its sorted antichain of generators; the
     constructor checks every exponent and the antichain."""
 
-    ambient_dim: int
-    gens: tuple[Exponent, ...]  # sorted antichain
+    # `gens` is the sorted antichain.
+    __slots__ = ("ambient_dim", "gens")
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
+    def __init__(self, ambient_dim: int, gens: tuple[Exponent, ...]):
+        if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        for g in self.gens:
-            _check_exponent(g, self.ambient_dim)
-        if self.gens != _antichain(map(tuple, self.gens)):
+        for g in gens:
+            _check_exponent(g, ambient_dim)
+        if gens != _antichain(map(tuple, gens)):
             raise ValueError("generators must be given as their sorted antichain")
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "gens", gens)
 
     @classmethod
     def trusted(cls, ambient_dim: int, gens) -> "MonomialIdeal":
@@ -66,8 +66,8 @@ class MonomialIdeal:
     def _of_antichain(cls, ambient_dim: int, gens: tuple) -> "MonomialIdeal":
         """The ideal whose sorted antichain of checked exponents is `gens`."""
         ideal = object.__new__(cls)
-        object.__setattr__(ideal, "ambient_dim", ambient_dim)
-        object.__setattr__(ideal, "gens", gens)
+        _set(ideal, "ambient_dim", ambient_dim)
+        _set(ideal, "gens", gens)
         return ideal
 
     @property

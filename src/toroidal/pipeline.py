@@ -10,24 +10,23 @@ everything in a replayable trace.  The final verdict certifies that
 every stratum is toroidal for the global divisor label count.
 
 The parsed atlas's strata and labels and the script's steps and views
-are plain records (`typing.NamedTuple`s); the document readers check
-every field before one is built.  `MorphismAtlas` is the one mutable
-record: a step replaces the strata it lifts.
+are plain records (`collections.namedtuple`s); the document readers
+check every field before one is built.  `MorphismAtlas` is the one
+mutable record, a plain slotted class: a step replaces the strata it
+lifts.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import __version__
 from .chart import (
     SMOOTH,
     TOROIDAL,
     CenterDescriptor,
-    ChartForm,
     ValidityReport,
     derive_center_form,
     extend_to_global_form,
@@ -69,29 +68,28 @@ TRACE_SCHEMA = "toroidal-trace/3"
 # Atlas model
 
 
-class TrackedStratum(NamedTuple):
-    stratum_id: str
-    chart: ChartForm
-    row_labels: tuple[str, ...]
-    extra_global_labels: int = 0
-    chart_doc: dict | None = None  # a lifted chart's document, from its lift record
+# `chart_doc` is a lifted chart's document, from its lift record.
+TrackedStratum = namedtuple(
+    "TrackedStratum", "stratum_id chart row_labels extra_global_labels chart_doc",
+    defaults=(0, None))
+
+# `charts` lists the charts whose open set sees the component, and
+# `e_charts` those where it is a divisor component.
+LabelInfo = namedtuple("LabelInfo", "name charts e_charts under_e0", defaults=(True,))
 
 
-class LabelInfo(NamedTuple):
-    name: str
-    charts: tuple[str, ...]      # charts whose open set sees the component
-    e_charts: tuple[str, ...]    # charts where it is a divisor component
-    under_e0: bool = True
-
-
-@dataclass
 class MorphismAtlas:
-    """The atlas: its dimensions, its strata by chart id and its labels."""
+    """The atlas: its dimensions, its strata by chart id (each chart's in
+    document order) and its labels by name."""
 
-    d: int
-    m: int
-    strata: dict[str, list[TrackedStratum]]  # by chart id, in document order
-    labels: dict[str, LabelInfo]
+    __slots__ = ("d", "m", "strata", "labels")
+
+    def __init__(self, d: int, m: int, strata: dict[str, list[TrackedStratum]],
+                 labels: dict[str, LabelInfo]):
+        self.d = d
+        self.m = m
+        self.strata = strata
+        self.labels = labels
 
     def all_strata(self):
         for chart_id, chart_strata in self.strata.items():
@@ -99,16 +97,11 @@ class MorphismAtlas:
                 yield chart_id, stratum
 
 
-class CenterView(NamedTuple):
-    c: int
-    contained: tuple[str, ...]
-    strata: tuple[str, ...] | None = None
+CenterView = namedtuple("CenterView", "c contained strata", defaults=(None,))
 
 
-class ScriptStep(NamedTuple):
-    step_id: str
-    views: tuple[tuple[str, CenterView], ...]
-    incidence: tuple[tuple[str, str], ...]
+class ScriptStep(namedtuple("ScriptStep", "step_id views incidence")):
+    __slots__ = ()
 
     def incidence_of(self, label: str) -> str:
         for name, kind in self.incidence:
@@ -117,8 +110,7 @@ class ScriptStep(NamedTuple):
         return "out"
 
 
-class ResolutionScript(NamedTuple):
-    steps: tuple[ScriptStep, ...]
+ResolutionScript = namedtuple("ResolutionScript", "steps")
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ it once per distinct shape.  A failure on a stratum names it and its
 parent path.
 
 The locus, the steps, the finals and the trace are plain records
-(`typing.NamedTuple`s): they hold no invariant, so building one runs no
-check.
+(`collections.namedtuple`s): they hold no invariant, so building one
+runs no check.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .blowup import (
     BlowupCenterChart,
@@ -69,9 +69,8 @@ def check_cap(cap: int, name: str = "cap") -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-class NonprincipalLocus(NamedTuple):
-    monomial_part: tuple[int, ...]
-    residual: MonomialIdeal
+class NonprincipalLocus(namedtuple("NonprincipalLocus", "monomial_part residual")):
+    __slots__ = ()
 
     @property
     def is_principal(self) -> bool:
@@ -145,25 +144,18 @@ class MaxOrderLexPolicy:
 POLICY = MaxOrderLexPolicy()
 
 
-class PrincipalizationStep(NamedTuple):
-    stratum_id: str
-    center: BlowupCenterChart
-    residual_order: int
-    children: tuple[tuple[BlowupChartChoice, str], ...]
+# `children` holds (choice, child id) pairs.
+PrincipalizationStep = namedtuple(
+    "PrincipalizationStep", "stratum_id center residual_order children")
+
+# `descriptor` is the root's, for the trace alone; `shape` is
+# shape_key(chart), the lift's skeleton key.
+FinalStratum = namedtuple(
+    "FinalStratum", "stratum_id status chart descriptor parent_path shape")
 
 
-class FinalStratum(NamedTuple):
-    stratum_id: str
-    status: str
-    chart: ChartForm
-    descriptor: CenterDescriptor  # the root's, for the trace alone
-    parent_path: tuple[str, ...]
-    shape: tuple  # shape_key(chart), the lift's skeleton key
-
-
-class PrincipalizationTrace(NamedTuple):
-    steps: tuple[PrincipalizationStep, ...]
-    final: tuple[FinalStratum, ...]
+class PrincipalizationTrace(namedtuple("PrincipalizationTrace", "steps final")):
+    __slots__ = ()
 
     @property
     def exceeded(self) -> bool:

@@ -11,30 +11,35 @@ the constants of those parameters are retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chart import TOROIDAL, ChartForm, ValidityReport, built_chart, smooth_chart
 from .errors import InternalCheckError
 from .linalg import greedy_pivot_cols, greedy_pivot_rows, mat_mul, rank, solve_square
-from .units import TRIVIAL_UNIT, UnitToken, UnitValue
+from .units import TRIVIAL_UNIT, UnitToken, UnitValue, _Record, _set
 
 
-@dataclass(frozen=True)
-class LocalModelDims:
-    dim: int
-    cone: int
+class LocalModelDims(_Record):
+    __slots__ = ("dim", "cone")
 
-    def __post_init__(self):
-        if not 0 <= self.cone <= self.dim:
+    def __init__(self, dim: int, cone: int):
+        if not 0 <= cone <= dim:
             raise ValueError("need 0 <= cone dimension <= ambient dimension")
+        _set(self, "dim", dim)
+        _set(self, "cone", cone)
 
 
-@dataclass(frozen=True)
-class ToricMorphismData:
-    source: LocalModelDims  # (d, n)
-    target: LocalModelDims  # (m, ell)
-    matrix: tuple[tuple[int, ...], ...]  # m rows, d columns
+class ToricMorphismData(_Record):
+    # `source` is (d, n), `target` is (m, ell), and `matrix` has m rows
+    # and d columns.
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: LocalModelDims, target: LocalModelDims,
+                 matrix: tuple[tuple[int, ...], ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "matrix", matrix)
 
     @property
     def d(self) -> int:
@@ -84,15 +89,12 @@ def validate_toric_morphism(data: ToricMorphismData) -> ValidityReport:
     return ValidityReport(tuple(failures))
 
 
-@dataclass(frozen=True)
-class ToroidalPresentation:
-    r: int
-    row_perm: tuple[int, ...]        # new row index -> input row index
-    col_perm: tuple[int, ...]        # new column index -> input column index
-    elimination: tuple[tuple[Fraction, ...], ...]  # r x (d - n)
-    c_block: tuple[tuple[Fraction, ...], ...]      # (m - r) x (d - n)
-    constants: tuple[UnitValue, ...]               # m - r translated constants
-    chart: ChartForm
+# `row_perm` and `col_perm` map a new row or column index to the input's;
+# `elimination` is r x (d - n) and `c_block` (m - r) x (d - n), and
+# `constants` holds the m - r translated constants.
+ToroidalPresentation = namedtuple(
+    "ToroidalPresentation",
+    "r row_perm col_perm elimination c_block constants chart")
 
 
 def default_alphas(data: ToricMorphismData) -> dict[int, UnitValue]:

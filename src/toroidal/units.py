@@ -17,18 +17,21 @@ that factor's constant once, so a chart built by a chain of blowups
 never walks its full factor list again.  A factor is a plain immutable
 record, so renaming a row's variables costs one tuple per factor.
 
-`UnitValue` and `UnitToken` are the engine's most-built objects, so they
-are slotted classes rather than dataclasses: each has one constructor,
-refuses attribute assignment, and compares, hashes and prints by its
-fields alone.  A token's cached constant sits in a slot of its own that
-none of the three reads.
+No record of the package is made by `dataclasses` or `typing`, so
+importing it loads neither.  `UnitValue` and `UnitToken` are the
+engine's most-built objects: each is a slotted class with one
+constructor that refuses attribute assignment and compares, hashes and
+prints by its fields alone.  A token's cached constant sits in a slot of
+its own that none of the three reads.  The checked records (`Stratum`
+here, and others in the other modules) share `_Record`, which does the
+same by their slots in order; the field-only records are
+`collections.namedtuple`s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 
 def _as_fraction(x) -> Fraction:
@@ -53,8 +56,9 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Base of the slotted immutable values: a constructor sets the slots
-    through `object.__setattr__`, and plain assignment or deletion raises."""
+    """Base of the immutable values: a constructor sets the fields through
+    `object.__setattr__` or the instance dict, and plain assignment or
+    deletion raises."""
 
     __slots__ = ()
 
@@ -63,6 +67,32 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """Base of the frozen records: a constructor checks its arguments and
+    sets the slots, and equality (same class only), hashing, `repr` and
+    pickling read the slots in their declared order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 class UnitValue(_Frozen):
@@ -163,25 +193,27 @@ class UnitValue(_Frozen):
 ONE = UnitValue()
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Record):
     """Case split on a translation constant: zero, generic nonzero, or a value.
 
     Generic strata carry the symbol that names their value once the
     constant is consumed, keeping enumeration and replay deterministic.
     """
 
-    kind: str  # "zero" | "generic" | "value"
-    value: Fraction | None = None
-    symbol: str | None = None
+    # `kind` is "zero", "generic" or "value".
+    __slots__ = ("kind", "value", "symbol")
 
-    def __post_init__(self):
-        if self.kind not in ("zero", "generic", "value"):
-            raise ValueError(f"bad stratum kind {self.kind!r}")
-        if self.kind == "value" and (self.value is None or self.value == 0):
+    def __init__(self, kind: str, value: Fraction | None = None,
+                 symbol: str | None = None):
+        if kind not in ("zero", "generic", "value"):
+            raise ValueError(f"bad stratum kind {kind!r}")
+        if kind == "value" and (value is None or value == 0):
             raise ValueError("value strata must be nonzero")
-        if self.kind == "generic" and not self.symbol:
+        if kind == "generic" and not symbol:
             raise ValueError("generic strata need a symbol name")
+        _set(self, "kind", kind)
+        _set(self, "value", value)
+        _set(self, "symbol", symbol)
 
     @staticmethod
     def zero() -> "Stratum":
@@ -218,12 +250,10 @@ class Stratum:
 ZERO_STRATUM = Stratum.zero()
 
 
-class UnitFactor(NamedTuple):
+class UnitFactor(namedtuple("UnitFactor", "var shift exp")):
     """A translated-variable factor (x_var + shift)^exp of a unit series."""
 
-    var: int
-    shift: UnitValue
-    exp: int
+    __slots__ = ()
 
     def constant(self) -> UnitValue:
         return self.shift ** self.exp

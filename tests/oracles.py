@@ -73,6 +73,12 @@ from toroidal.principalize import (
 from toroidal.units import UnitValue, _as_fraction
 
 
+def rebuilt_chart(cf: ChartForm, **changes) -> ChartForm:
+    """`cf` with the fields in `changes` replaced, built again through the
+    `ChartForm` constructor, so its structure check runs on the result."""
+    return ChartForm(**{**vars(cf), **changes})
+
+
 @lru_cache(maxsize=None)
 def monomials_up_to(dim: int, maxdeg: int) -> np.ndarray:
     """All exponent vectors in `dim` variables of total degree <= maxdeg."""

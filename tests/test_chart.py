@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -22,6 +21,7 @@ from toroidal.chart import (
 )
 from toroidal.units import ONE, Stratum, TRIVIAL_UNIT, UnitToken, UnitValue, ZERO_STRATUM
 from generators import random_toroidal_chart
+from oracles import rebuilt_chart
 
 
 def toroidal(matrix, d=None, m=None, **kw):
@@ -235,7 +235,7 @@ class TestClassify:
             cf = ChartForm(d=n + 1, m=ell, n=n, ell=ell, s=0, tag=QTF1,
                            matrix=matrix, units=(TRIVIAL_UNIT,) * ell,
                            ell_bar=rng.randint(0, ell))
-            view = replace(cf, tag=TOROIDAL, ell_bar=0)
+            view = rebuilt_chart(cf, tag=TOROIDAL, ell_bar=0)
             tag, diagnostics = classify_form(cf)
             report = verify_toroidal_form(view)
             assert (tag == TOROIDAL) == report.ok

@@ -15,7 +15,6 @@ import io
 import json
 import random
 import traceback
-from dataclasses import replace
 
 import pytest
 
@@ -32,6 +31,7 @@ from toroidal.documents import (
 from toroidal.pipeline import parse_document, toroidalize
 from toroidal.units import UnitToken, UnitValue
 
+from oracles import rebuilt_chart
 import test_pipeline
 from test_pipeline import TWO_BLOWUP_FAMILY, identity_doc, second_center_doc, two_chart_doc
 
@@ -68,7 +68,7 @@ def _blowup_doc():
 
 def _principalize_doc():
     chart, z = _slot_chart()
-    chart = replace(chart, units=(UnitToken(UnitValue.symbol("u", 2)),) * chart.rows)
+    chart = rebuilt_chart(chart, units=(UnitToken(UnitValue.symbol("u", 2)),) * chart.rows)
     doc = copy.deepcopy(TWO_BLOWUP_FAMILY)
     doc["strata"].append({"id": "y0", "chart": chart_to_doc(chart),
                           "descriptor": descriptor_to_doc(z)})

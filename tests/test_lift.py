@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +27,7 @@ from toroidal.lift import (
 from toroidal.principalize import nonprincipal_locus
 from toroidal.units import Stratum, TRIVIAL_UNIT, UnitToken, UnitValue
 from generators import blowup_triples
+from oracles import rebuilt_chart
 from test_blowup import adapted, choice_for
 
 def unit_of(value):
@@ -61,7 +61,7 @@ class TestLiftCase:
     def test_adaptedness_checked_by_the_pullback(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         with pytest.raises(ValueError, match="^pullback needs a center-adapted chart$"):
-            lift_case(replace(cf, tag=TOROIDAL, ell_bar=0))
+            lift_case(rebuilt_chart(cf, tag=TOROIDAL, ell_bar=0))
 
 
 class TestCase1:
@@ -154,7 +154,7 @@ class TestVerifyCommutes:
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         result = lift_after_principalization(cf)
         bad_matrix = ((1, 1), (0, 1))
-        bad = replace(result.lifted, matrix=bad_matrix)
+        bad = rebuilt_chart(result.lifted, matrix=bad_matrix)
         report = verify_commutes(cf, result._replace(lifted=bad))
         assert not report.ok
 
@@ -171,12 +171,12 @@ class TestVerifyCommutes:
     def strict_row_relabelled_kept():
         # The skeleton passes the strict row off as kept, unreduced and
         # with its original constant; its own row kinds would accept it.
-        cf = replace(adapted([[1, 0], [1, 1]], ell_bar=2, s=0),
-                     units=(TRIVIAL_UNIT, unit_of(3)))
+        cf = rebuilt_chart(adapted([[1, 0], [1, 1]], ell_bar=2, s=0),
+                           units=(TRIVIAL_UNIT, unit_of(3)))
         result = lift_after_principalization(cf)
         sk = result.skeleton._replace(row_sources=(("gen", 0), ("kept", 1)))
-        lifted = replace(result.lifted, matrix=(cf.matrix[0], cf.matrix[1]),
-                         units=cf.units)
+        lifted = rebuilt_chart(result.lifted, matrix=(cf.matrix[0], cf.matrix[1]),
+                               units=cf.units)
         return cf, result._replace(skeleton=sk, lifted=lifted)
 
     @staticmethod
@@ -193,7 +193,7 @@ class TestVerifyCommutes:
                        betas=(None, Stratum.zero()))
         result = lift_after_principalization(cf)
         assert result.skeleton.drop_col == 1
-        return replace(cf, matrix=((1, 1),) + cf.matrix[1:]), result
+        return rebuilt_chart(cf, matrix=((1, 1),) + cf.matrix[1:]), result
 
     @pytest.mark.parametrize("corruption, first_failure", [
         ("strict_row_relabelled_kept", ("exponent", "row 1 does not recompose")),

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -22,7 +21,7 @@ from toroidal.pipeline import (
     verify_resolution_script,
 )
 
-from oracles import trace1_of, trace2_of
+from oracles import rebuilt_chart, trace1_of, trace2_of
 
 
 def identity_doc():
@@ -877,7 +876,7 @@ class TestExitStatuses:
             result = real(cf, sk)
             units_ = list(result.lifted.units)
             units_[0] = units.UnitToken(units_[0].constant() * units.UnitValue(2))
-            return result._replace(lifted=replace(result.lifted, units=tuple(units_)))
+            return result._replace(lifted=rebuilt_chart(result.lifted, units=tuple(units_)))
 
         monkeypatch.setattr(lift, "_lift_constants", corrupted)
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
@@ -919,7 +918,7 @@ class TestExitStatuses:
         def corrupted(family, cap):
             trace = real(family, cap=cap)
             return trace._replace(final=tuple(
-                f._replace(chart=replace(f.chart, matrix=tuple(
+                f._replace(chart=rebuilt_chart(f.chart, matrix=tuple(
                     rows.get(i, row) for i, row in enumerate(f.chart.matrix))))
                 for f in trace.final))
 

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,7 +31,7 @@ from toroidal.principalize import (
 )
 from toroidal.units import Stratum, UnitToken, UnitValue
 from generators import random_adapted_chart
-from oracles import reference_lift_case, reference_locus, rescan_principalize
+from oracles import rebuilt_chart, reference_lift_case, reference_locus, rescan_principalize
 from test_blowup import adapted
 
 Z22 = CenterDescriptor(2, 2, (0, 1))
@@ -284,7 +283,7 @@ def vary_constants(cf: ChartForm, rng) -> ChartForm:
     betas = tuple(Stratum.generic(f"other.{b.symbol}")
                   if b is not None and b.kind == "generic" else b
                   for b in cf.betas)
-    return replace(cf, units=units, betas=betas)
+    return rebuilt_chart(cf, units=units, betas=betas)
 
 
 class TestShapeKernels:
