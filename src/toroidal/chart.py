@@ -219,17 +219,14 @@ def structural_problems(cf: ChartForm) -> list[str]:
     return p
 
 
-def _min_row_indices(cf: ChartForm) -> list[int]:
-    """Rows of the permissible set I = [ell_bar] + slot rows."""
-    return list(range(cf.ell_bar)) + list(range(cf.ell, cf.ell + cf.s))
-
-
 def column_minima(cf: ChartForm) -> tuple[int, ...]:
-    """Columnwise minimum over the permissible row set I."""
-    rows = _min_row_indices(cf)
+    """Columnwise minimum over the permissible row set I: the first
+    `ell_bar` rows and the slot rows."""
+    matrix = cf.matrix
+    rows = matrix[:cf.ell_bar] + matrix[cf.ell:]
     if not rows:
         return (0,) * cf.n
-    return tuple(map(min, zip(*(cf.matrix[i] for i in rows))))
+    return tuple(map(min, zip(*rows)))
 
 
 def shape_key(cf: ChartForm) -> tuple:
@@ -253,33 +250,40 @@ def shape_failures(cf: ChartForm, tag: str) -> list[tuple[str, str]]:
     """The shape conditions of `tag` that a structurally sound chart
     fails; empty when they hold.  TOROIDAL is read on charts with s = 0.
     Column and row sums run over the divisor rows (qtf2: and its first
-    slot row), and every slot row must lie on the column minima."""
+    slot row), and every slot row must lie on the column minima.  The
+    structure check found the matrix nonnegative, so a sum is positive
+    exactly when some entry is nonzero: each condition is decided once
+    over whole rows, and its messages are written only when it fails."""
     if tag == SMOOTH:
         return []
     failures = []
+    n, ell, matrix = cf.n, cf.ell, cf.matrix
     if tag == TOROIDAL:
-        if cf.ell and cf.n == 0:
+        if ell and n == 0:
             failures.append(("shape", "divisor image needs divisor variables"))
-        rows, over = cf.ell, ""
+        rows, over = ell, ""
     else:
-        rows = cf.ell + 1 if tag == QTF2 else cf.ell
+        rows = ell + 1 if tag == QTF2 else ell
         over = f" over rows [{rows}]"
-    top = cf.matrix[:rows]
-    for j, total in enumerate(map(sum, zip(*top)) if top else (0,) * cf.n):
-        if total <= 0:
-            failures.append(("column", f"column {j} has zero sum{over}"))
-    for i, row in enumerate(top):
-        if sum(row) <= 0:
-            failures.append(("row", f"row {i} has zero sum"))
+    top = matrix[:rows]
+    if not (all(map(any, zip(*top))) if top else n == 0):
+        for j, total in enumerate(map(sum, zip(*top)) if top else (0,) * n):
+            if total <= 0:
+                failures.append(("column", f"column {j} has zero sum{over}"))
+    if not all(map(any, top)):
+        for i, row in enumerate(top):
+            if sum(row) <= 0:
+                failures.append(("row", f"row {i} has zero sum"))
     if cf.s:
         mins = column_minima(cf)
-        for t in range(cf.s):
-            row = cf.matrix[cf.ell + t]
-            for j in range(cf.n):
-                if row[j] != mins[j]:
-                    failures.append(("min-row",
-                                     f"slot row {t} column {j}: {row[j]} != min {mins[j]}"))
-    if tag == QTF1 and cf.ell == 0 and cf.n > 0:
+        if matrix[ell:] != (mins,) * cf.s:
+            for t in range(cf.s):
+                row = matrix[ell + t]
+                for j in range(n):
+                    if row[j] != mins[j]:
+                        failures.append(("min-row",
+                                         f"slot row {t} column {j}: {row[j]} != min {mins[j]}"))
+    if tag == QTF1 and ell == 0 and n > 0:
         failures.append(("shape", "an ell=0 chart cannot carry divisor columns"))
     return failures
 

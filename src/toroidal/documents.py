@@ -1,8 +1,9 @@
 """JSON document encoding for charts, traces, and exact constants.
 
-All rationals are serialized as "num/den" strings so round trips stay
-exact; canonical dumps sort keys and drop whitespace so equal values
-have equal bytes.
+All rationals are serialized as "num/den" strings (the integer alone
+when the denominator is 1), which is what `str` writes for an `int` or
+a `Fraction`, so round trips stay exact; canonical dumps sort keys and
+drop whitespace so equal values have equal bytes.
 
 Each encoder is a plain function of its object and builds a fresh
 document.  The one sub-document a trace shares is a lifted chart's: the
@@ -151,8 +152,10 @@ def strict_bytes(doc) -> bytes:
     return buffer.getvalue()
 
 
-def fraction_to_doc(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def fraction_to_doc(x: int | Fraction) -> str:
+    """An exact rational's document text, as the module docstring says;
+    the encoders call `str` directly."""
+    return str(x)
 
 
 def fraction_from_doc(s, where: str) -> Fraction:
@@ -166,10 +169,9 @@ def fraction_from_doc(s, where: str) -> Fraction:
 
 
 def unit_value_to_doc(v: UnitValue):
-    doc = {"coeff": fraction_to_doc(v.coeff)}
     if v.symbols:
-        doc["symbols"] = [[name, fraction_to_doc(e)] for name, e in v.symbols]
-    return doc
+        return {"coeff": str(v.coeff), "symbols": [[name, str(e)] for name, e in v.symbols]}
+    return {"coeff": str(v.coeff)}
 
 
 def unit_value_from_doc(doc, where: str) -> UnitValue:
@@ -186,13 +188,12 @@ def unit_value_from_doc(doc, where: str) -> UnitValue:
 
 
 def unit_token_to_doc(u: UnitToken):
-    doc = {}
-    if not u.base.is_one:
-        doc["base"] = unit_value_to_doc(u.base)
+    """Empty exactly when the token is trivial: no factor and base 1."""
+    base = u.base
+    doc = {} if base.coeff == 1 and not base.symbols else {"base": unit_value_to_doc(base)}
     if u.factors:
-        doc["factors"] = [
-            {"exp": f.exp, "shift": unit_value_to_doc(f.shift), "var": f.var}
-            for f in u.factors]
+        doc["factors"] = [{"exp": f.exp, "shift": unit_value_to_doc(f.shift), "var": f.var}
+                          for f in u.factors]
     return doc
 
 
@@ -221,7 +222,7 @@ def stratum_to_doc(s: Stratum | None):
         return {"kind": "zero"}
     if s.kind == "generic":
         return {"kind": "generic", "symbol": s.symbol}
-    return {"kind": "value", "value": fraction_to_doc(s.value)}
+    return {"kind": "value", "value": str(s.value)}
 
 
 def stratum_from_doc(doc, where: str) -> Stratum | None:
@@ -241,18 +242,20 @@ def stratum_from_doc(doc, where: str) -> Stratum | None:
 def chart_to_doc(cf: ChartForm):
     doc = {}
     if cf.betas:
-        doc["betas"] = [stratum_to_doc(b) for b in cf.betas]
+        doc["betas"] = list(map(stratum_to_doc, cf.betas))
     doc["d"] = cf.d
     doc["ell"] = cf.ell
     if cf.ell_bar:
         doc["ell_bar"] = cf.ell_bar
     doc["m"] = cf.m
-    doc["matrix"] = [list(row) for row in cf.matrix]
+    doc["matrix"] = list(map(list, cf.matrix))
     doc["n"] = cf.n
     doc["s"] = cf.s
     doc["tag"] = cf.tag
-    if any(not u.is_trivial for u in cf.units):
-        doc["units"] = [unit_token_to_doc(u) for u in cf.units]
+    # Only a trivial unit's document is empty.
+    units = list(map(unit_token_to_doc, cf.units))
+    if any(units):
+        doc["units"] = units
     return doc
 
 

@@ -220,54 +220,63 @@ def verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
     parameter carry its slot variable, and a fresh parameter has no other
     monomial unless it is the outside-divisor generator.  The center rows
     are the chart's first `ell_bar` rows and its slot rows: row g recomposes
-    to y'_g, any other center row to y'_g * y'_i, any other row to y'_i."""
-    sk, lifted, g = result.skeleton, result.lifted, result.skeleton.gen_row
+    to y'_g, any other center row to y'_g * y'_i, any other row to y'_i.
+
+    Each image is built once from whole rows: a fresh parameter's divisor
+    exponents are one shared zero tuple, or the generator's unit vector,
+    and a center row's product with y'_g sums two rows with one `map`."""
+    sk, lifted = result.skeleton, result.lifted
+    g, drop, n, ell, ell_bar = sk.gen_row, sk.drop_col, cf.n, cf.ell, cf.ell_bar
+    matrix, units, betas = cf.matrix, cf.units, cf.betas
     failures: list[tuple[str, str]] = []
     images: dict[int, tuple] = {}
     # Slot-column exponents: zero but for a zero-stratum slot row's variable.
     pad = (0,) * cf.num_slots
-    slot_pads = {cf.ell + t: pad[:k] + (1,) + pad[k + 1:]
-                 for t, beta in enumerate(cf.betas) if beta is not None and beta.is_zero
-                 for k in (cf.slot_var(t) - cf.n,)}
-
-    def cover(i, vec, const, param=None):
-        if i in images:
-            failures.append(("coverage", f"row {i} is covered twice"))
-        images[i] = vec, const, param
+    slot_pads = {ell + t: pad[:k] + (1,) + pad[k + 1:]
+                 for t, beta in enumerate(betas) if beta is not None and beta.kind == "zero"
+                 for k in (cf.slot_var(t) - n,)}
 
     for (_, i), row, unit in zip(sk.row_sources, lifted.matrix, lifted.units):
-        if sk.drop_col is not None:
-            row = row[:sk.drop_col] + (0,) + row[sk.drop_col:]
-        cover(i, row + pad, unit.constant())
+        if i in images:
+            failures.append(("coverage", f"row {i} is covered twice"))
+        if drop is not None:
+            row = row[:drop] + (0,) + row[drop:]
+        images[i] = row + pad, unit.constant(), None
+    zero = (0,) * n
     for p in result.fresh:
         i = p.source[1]
-        vec = tuple(int(i == g and j == sk.drop_col) for j in range(cf.n))
-        cover(i, vec + slot_pads.get(i, pad), p.scale, p)
+        if i in images:
+            failures.append(("coverage", f"row {i} is covered twice"))
+        vec = zero
+        if i == g and drop is not None:
+            vec = tuple([int(j == drop) for j in range(n)])
+        images[i] = vec + slot_pads.get(i, pad), p.scale, p
 
     if g not in images:
         return ValidityReport(tuple(failures) + (
             ("coverage", f"generator row {g} is unaccounted for"),))
     gen_vec, gen_const, _ = images[g]
-    for i in range(cf.rows):
-        if i not in images:
+    for i, row in enumerate(matrix):
+        image = images.get(i)
+        if image is None:
             failures.append(("coverage", f"row {i} of the input chart is unaccounted for"))
             continue
-        vec, const, p = images[i]
-        beta = cf.betas[i - cf.ell] if i >= cf.ell else None
-        beta = None if beta is None or beta.is_zero else beta.unit_value()
-        expected = cf.units[i].constant()
+        vec, const, p = image
+        beta = betas[i - ell] if i >= ell else None
+        beta = None if beta is None or beta.kind == "zero" else beta.unit_value()
+        expected = units[i].constant()
         if i == g:
             if beta is not None:
                 expected = expected * beta
-        elif i < cf.ell_bar or i >= cf.ell:
-            vec = tuple(x + y for x, y in zip(gen_vec, vec))
+        elif i < ell_bar or i >= ell:
+            vec = tuple(map(int.__add__, gen_vec, vec))
             const = gen_const * const
             if p is not None:
                 shift = (p.scale * beta if beta is not None
-                         else None if i >= cf.ell else p.scale)
+                         else None if i >= ell else p.scale)
                 if p.shift != shift:
                     failures.append(("constant", f"row {i} fresh parameter shift mismatch"))
-        if vec != cf.matrix[i] + slot_pads.get(i, pad):
+        if vec != row + slot_pads.get(i, pad):
             failures.append(("exponent", f"row {i} does not recompose"))
         if const != expected:
             failures.append(("constant", f"row {i} constant does not recompose"))

@@ -21,8 +21,10 @@ No record of the package is made by `dataclasses` or `typing`, so
 importing it loads neither.  `UnitValue` and `UnitToken` are the
 engine's most-built objects: each is a slotted class with one
 constructor that refuses attribute assignment and compares, hashes and
-prints by its fields alone.  A token's cached constant sits in a slot of
-its own that none of the three reads.  The checked records (`Stratum`
+prints by its fields alone.  Their constructors write each slot through
+that slot's own setter, bound once when the module loads, so building
+one looks no name up.  A token's cached constant sits in a slot of its
+own that none of the three reads.  The checked records (`Stratum`
 here, and others in the other modules) share `_Record`, which does the
 same by their slots in order; the field-only records are
 `collections.namedtuple`s.
@@ -57,8 +59,8 @@ _set = object.__setattr__
 
 class _Frozen:
     """Base of the immutable values: a constructor sets the fields through
-    `object.__setattr__` or the instance dict, and plain assignment or
-    deletion raises."""
+    `object.__setattr__`, a slot's own setter or the instance dict, and
+    plain assignment or deletion raises."""
 
     __slots__ = ()
 
@@ -111,8 +113,8 @@ class UnitValue(_Frozen):
                  symbols: tuple[tuple[str, int | Fraction], ...] = ()):
         if not coeff:
             raise ValueError("unit values are nonzero")
-        _set(self, "coeff", coeff)
-        _set(self, "symbols", symbols)
+        _set_coeff(self, coeff)
+        _set_symbols(self, symbols)
 
     def __eq__(self, other):
         if other.__class__ is not UnitValue:
@@ -189,6 +191,11 @@ class UnitValue(_Frozen):
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) or "1"
 
+
+# Each slot's own setter, bound once: it writes past `_Frozen.__setattr__`
+# without looking the slot up by name.
+_set_coeff = UnitValue.coeff.__set__
+_set_symbols = UnitValue.symbols.__set__
 
 ONE = UnitValue()
 
@@ -272,9 +279,9 @@ class UnitToken(_Frozen):
     __slots__ = ("base", "factors", "_constant")
 
     def __init__(self, base: UnitValue = ONE, factors: tuple[UnitFactor, ...] = ()):
-        _set(self, "base", base)
-        _set(self, "factors", factors)
-        _set(self, "_constant", None)
+        _set_base(self, base)
+        _set_factors(self, factors)
+        _set_constant(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not UnitToken:
@@ -298,12 +305,12 @@ class UnitToken(_Frozen):
             value = self.base
             for f in self.factors:
                 value = value * f.constant()
-            _set(self, "_constant", value)
+            _set_constant(self, value)
         return value
 
     def _carrying(self, factors: tuple[UnitFactor, ...], value: UnitValue) -> "UnitToken":
         token = UnitToken(self.base, factors)
-        _set(token, "_constant", value)
+        _set_constant(token, value)
         return token
 
     def with_factor(self, var: int, shift: UnitValue, exp: int) -> "UnitToken":
@@ -327,5 +334,9 @@ class UnitToken(_Frozen):
     def is_trivial(self) -> bool:
         return self.base.is_one and not self.factors
 
+
+_set_base = UnitToken.base.__set__
+_set_factors = UnitToken.factors.__set__
+_set_constant = UnitToken._constant.__set__
 
 TRIVIAL_UNIT = UnitToken()

@@ -23,7 +23,11 @@ agree with both.  The reference irreducible decomposition drops a
 redundant component by intersecting all the others; the library's
 pairwise containment test must leave the same components.  The
 reference rank eliminates over `Fraction`s with division; the library's
-fraction-free elimination must find the same rank.  `trace2_of` turns a
+fraction-free elimination must find the same rank.  The reference
+column minima, shape check and commutation check walk single rows,
+columns and entries; the library's forms, which decide each condition
+over whole rows, must return the same (code, message) lists in the same
+order.  `trace2_of` turns a
 toroidal-trace/3 document back into the toroidal-trace/2 bytes by
 replaying the heap order trace/3 no longer follows, and `trace1_of` turns
 that into the toroidal-trace/1 bytes by rebuilding the fields trace/2
@@ -44,13 +48,16 @@ from toroidal.blowup import BlowupResult, enumerate_blowup_strata
 from toroidal.chart import (
     QTF1,
     QTF2,
+    SMOOTH,
+    TOROIDAL,
     ChartForm,
+    ValidityReport,
     column_minima,
     pullback_center_ideal,
     shape_key,
 )
 from toroidal.errors import InternalCheckError
-from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE
+from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE, LiftResult
 from toroidal.monomial import (
     _is_pure_power,
     contains_monomial,
@@ -405,6 +412,117 @@ def reference_lift_case(cf):
     t_w = next(t for t in range(cf.s)
                if cf.betas[t] is not None and not cf.betas[t].is_zero)
     return case, cf.ell + t_w
+
+
+def _reference_min_row_indices(cf: ChartForm) -> list[int]:
+    """Rows of the permissible set I = [ell_bar] + slot rows."""
+    return list(range(cf.ell_bar)) + list(range(cf.ell, cf.ell + cf.s))
+
+
+def reference_column_minima(cf: ChartForm) -> tuple[int, ...]:
+    """Columnwise minimum over the permissible row set I."""
+    rows = _reference_min_row_indices(cf)
+    if not rows:
+        return (0,) * cf.n
+    return tuple(map(min, zip(*(cf.matrix[i] for i in rows))))
+
+
+def reference_shape_failures(cf: ChartForm, tag: str) -> list[tuple[str, str]]:
+    """The shape conditions of `tag` that a structurally sound chart
+    fails; empty when they hold.  TOROIDAL is read on charts with s = 0.
+    Column and row sums run over the divisor rows (qtf2: and its first
+    slot row), and every slot row must lie on the column minima."""
+    if tag == SMOOTH:
+        return []
+    failures = []
+    if tag == TOROIDAL:
+        if cf.ell and cf.n == 0:
+            failures.append(("shape", "divisor image needs divisor variables"))
+        rows, over = cf.ell, ""
+    else:
+        rows = cf.ell + 1 if tag == QTF2 else cf.ell
+        over = f" over rows [{rows}]"
+    top = cf.matrix[:rows]
+    for j, total in enumerate(map(sum, zip(*top)) if top else (0,) * cf.n):
+        if total <= 0:
+            failures.append(("column", f"column {j} has zero sum{over}"))
+    for i, row in enumerate(top):
+        if sum(row) <= 0:
+            failures.append(("row", f"row {i} has zero sum"))
+    if cf.s:
+        mins = reference_column_minima(cf)
+        for t in range(cf.s):
+            row = cf.matrix[cf.ell + t]
+            for j in range(cf.n):
+                if row[j] != mins[j]:
+                    failures.append(("min-row",
+                                     f"slot row {t} column {j}: {row[j]} != min {mins[j]}"))
+    if tag == QTF1 and cf.ell == 0 and cf.n > 0:
+        failures.append(("shape", "an ell=0 chart cannot carry divisor columns"))
+    return failures
+
+
+def reference_verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
+    """Substitute the target blowup equations into the lifted form and
+    compare, row by row and constant by constant, with the original chart.
+    The blowup coordinate y'_i of row i is the lifted row or the fresh
+    parameter whose source is i, exactly one of them.  Exponents span the
+    divisor and slot columns: a zero-stratum slot row and its fresh
+    parameter carry its slot variable, and a fresh parameter has no other
+    monomial unless it is the outside-divisor generator.  The center rows
+    are the chart's first `ell_bar` rows and its slot rows: row g recomposes
+    to y'_g, any other center row to y'_g * y'_i, any other row to y'_i."""
+    sk, lifted, g = result.skeleton, result.lifted, result.skeleton.gen_row
+    failures: list[tuple[str, str]] = []
+    images: dict[int, tuple] = {}
+    # Slot-column exponents: zero but for a zero-stratum slot row's variable.
+    pad = (0,) * cf.num_slots
+    slot_pads = {cf.ell + t: pad[:k] + (1,) + pad[k + 1:]
+                 for t, beta in enumerate(cf.betas) if beta is not None and beta.is_zero
+                 for k in (cf.slot_var(t) - cf.n,)}
+
+    def cover(i, vec, const, param=None):
+        if i in images:
+            failures.append(("coverage", f"row {i} is covered twice"))
+        images[i] = vec, const, param
+
+    for (_, i), row, unit in zip(sk.row_sources, lifted.matrix, lifted.units):
+        if sk.drop_col is not None:
+            row = row[:sk.drop_col] + (0,) + row[sk.drop_col:]
+        cover(i, row + pad, unit.constant())
+    for p in result.fresh:
+        i = p.source[1]
+        vec = tuple(int(i == g and j == sk.drop_col) for j in range(cf.n))
+        cover(i, vec + slot_pads.get(i, pad), p.scale, p)
+
+    if g not in images:
+        return ValidityReport(tuple(failures) + (
+            ("coverage", f"generator row {g} is unaccounted for"),))
+    gen_vec, gen_const, _ = images[g]
+    for i in range(cf.rows):
+        if i not in images:
+            failures.append(("coverage", f"row {i} of the input chart is unaccounted for"))
+            continue
+        vec, const, p = images[i]
+        beta = cf.betas[i - cf.ell] if i >= cf.ell else None
+        beta = None if beta is None or beta.is_zero else beta.unit_value()
+        expected = cf.units[i].constant()
+        if i == g:
+            if beta is not None:
+                expected = expected * beta
+        elif i < cf.ell_bar or i >= cf.ell:
+            vec = tuple(x + y for x, y in zip(gen_vec, vec))
+            const = gen_const * const
+            if p is not None:
+                shift = (p.scale * beta if beta is not None
+                         else None if i >= cf.ell else p.scale)
+                if p.shift != shift:
+                    failures.append(("constant", f"row {i} fresh parameter shift mismatch"))
+        if vec != cf.matrix[i] + slot_pads.get(i, pad):
+            failures.append(("exponent", f"row {i} does not recompose"))
+        if const != expected:
+            failures.append(("constant", f"row {i} constant does not recompose"))
+    return ValidityReport(tuple(failures))
 
 
 def target1_of(rec: dict) -> dict:

@@ -56,31 +56,35 @@ class TestVerifyToroidalForm:
                          matrix=tuple(map(tuple, matrix)),
                          units=(TRIVIAL_UNIT,) * len(matrix), betas=betas)
 
+    # Each (code, message) list the shape checks give, in their order: a
+    # toroidal chart's report, then adapted charts, each (tag, fields of
+    # `adapted`, failures).
+    TOROIDAL_CASES = [
+        (toroidal([[]], d=2, m=2), (("shape", "divisor image needs divisor variables"),
+                                    ("row", "row 0 has zero sum"))),
+        (toroidal([[1, 0], [2, 0]]), (("column", "column 1 has zero sum"),)),
+        (toroidal([[1, 1], [0, 0]]), (("row", "row 1 has zero sum"),)),
+    ]
+    ADAPTED_CASES = [
+        (QTF1, (3, 2, 2, 1, 1, [[1, 0], [0, 0]], 1),
+         [("column", "column 1 has zero sum over rows [1]")]),
+        (QTF2, (2, 2, 2, 1, 1, [[1, 0], [0, 0]], 1),
+         [("column", "column 1 has zero sum over rows [2]"),
+          ("row", "row 1 has zero sum")]),
+        (QTF1, (4, 3, 2, 1, 2, [[1, 1], [0, 1], [1, 0]], 0),
+         [("min-row", "slot row 0 column 1: 1 != min 0"),
+          ("min-row", "slot row 1 column 0: 1 != min 0")]),
+        (QTF1, (3, 2, 1, 0, 1, [[0]], 0),
+         [("column", "column 0 has zero sum over rows [0]"),
+          ("shape", "an ell=0 chart cannot carry divisor columns")]),
+    ]
+
     def test_every_shape_message(self):
-        # Each (code, message) pair the shape checks give, in their order.
-        assert verify_toroidal_form(toroidal([[]], d=2, m=2)).failures == (
-            ("shape", "divisor image needs divisor variables"),
-            ("row", "row 0 has zero sum"))
-        assert verify_toroidal_form(toroidal([[1, 0], [2, 0]])).failures == (
-            ("column", "column 1 has zero sum"),)
-        assert verify_toroidal_form(toroidal([[1, 1], [0, 0]])).failures == (
-            ("row", "row 1 has zero sum"),)
+        for cf, expected in self.TOROIDAL_CASES:
+            assert verify_toroidal_form(cf).failures == expected
         assert verify_toroidal_form(self.adapted(QTF1, 3, 2, 2, 1, 1, [[1, 0], [0, 0]], 1)
                                     ).failures == (("tag", "expected toroidal, found qtf1"),)
-        cases = [
-            (QTF1, (3, 2, 2, 1, 1, [[1, 0], [0, 0]], 1),
-             [("column", "column 1 has zero sum over rows [1]")]),
-            (QTF2, (2, 2, 2, 1, 1, [[1, 0], [0, 0]], 1),
-             [("column", "column 1 has zero sum over rows [2]"),
-              ("row", "row 1 has zero sum")]),
-            (QTF1, (4, 3, 2, 1, 2, [[1, 1], [0, 1], [1, 0]], 0),
-             [("min-row", "slot row 0 column 1: 1 != min 0"),
-              ("min-row", "slot row 1 column 0: 1 != min 0")]),
-            (QTF1, (3, 2, 1, 0, 1, [[0]], 0),
-             [("column", "column 0 has zero sum over rows [0]"),
-              ("shape", "an ell=0 chart cannot carry divisor columns")]),
-        ]
-        for tag, fields, expected in cases:
+        for tag, fields, expected in self.ADAPTED_CASES:
             cf = self.adapted(tag, *fields)
             assert shape_failures(cf, tag) == expected, (tag, fields)
             assert classify_form(cf) == (None, {tag: expected})

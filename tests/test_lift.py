@@ -150,22 +150,27 @@ class TestOutsideDivisor:
 
 
 class TestVerifyCommutes:
-    def test_detects_corrupted_exponent(self):
+    @staticmethod
+    def corrupted_exponent():
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
         result = lift_after_principalization(cf)
-        bad_matrix = ((1, 1), (0, 1))
-        bad = rebuilt_chart(result.lifted, matrix=bad_matrix)
-        report = verify_commutes(cf, result._replace(lifted=bad))
-        assert not report.ok
+        bad = rebuilt_chart(result.lifted, matrix=((1, 1), (0, 1)))
+        return cf, result._replace(lifted=bad)
 
-    def test_detects_corrupted_constant(self):
+    @staticmethod
+    def corrupted_shift():
         cf = ChartForm(d=3, m=2, n=2, ell=2, s=0, tag=QTF1,
                        matrix=((1, 2), (1, 2)),
                        units=(TRIVIAL_UNIT, unit_of(3)), ell_bar=2)
         result = lift_after_principalization(cf)
         bad_fresh = (result.fresh[0]._replace(shift=UnitValue.of(7)),)
-        bad = result._replace(fresh=bad_fresh)
-        assert not verify_commutes(cf, bad).ok
+        return cf, result._replace(fresh=bad_fresh)
+
+    def test_detects_corrupted_exponent(self):
+        assert not verify_commutes(*self.corrupted_exponent()).ok
+
+    def test_detects_corrupted_constant(self):
+        assert not verify_commutes(*self.corrupted_shift()).ok
 
     @staticmethod
     def strict_row_relabelled_kept():
@@ -194,6 +199,10 @@ class TestVerifyCommutes:
         result = lift_after_principalization(cf)
         assert result.skeleton.drop_col == 1
         return rebuilt_chart(cf, matrix=((1, 1),) + cf.matrix[1:]), result
+
+    # Every corrupted lift above, for the tests that compare checks.
+    CORRUPTIONS = ("corrupted_exponent", "corrupted_shift", "strict_row_relabelled_kept",
+                   "row_covered_twice", "divisor_row_meets_dropped_column")
 
     @pytest.mark.parametrize("corruption, first_failure", [
         ("strict_row_relabelled_kept", ("exponent", "row 1 does not recompose")),

@@ -3,16 +3,17 @@ whitespace writes, for the documents the engine returns (tuples and
 shared sub-documents included) and for the trees `json.loads` reads
 back; it skips only the cycle check.  A trace is built in the form
 `json.loads` gives back, so its `strict_bytes` are those of its parsed
-canonical text."""
+canonical text.  An exact rational is written as `str` writes it."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import test_pipeline
 from test_exactness import workload_slice
 from test_golden import PIPELINE_GOLDEN, termination_corpus_documents
-from toroidal.documents import canonical_dumps, strict_bytes
+from toroidal.documents import canonical_dumps, fraction_to_doc, strict_bytes
 from toroidal.pipeline import parse_document, toroidalize
 
 
@@ -101,3 +102,20 @@ def test_strict_bytes_keep_types_and_order():
     assert len({strict_bytes(doc) for doc in distinct}) == len(distinct)
     shared = {"x": 1}
     assert strict_bytes([shared, shared]) == strict_bytes([{"x": 1}, {"x": 1}])
+
+
+def num_den(x) -> str:
+    """A rational's document text as the encoders first wrote it."""
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def test_rationals_are_written_as_str_writes_them():
+    # The encoders write an exact rational with `str`: for an `int` and
+    # a `Fraction` of either sign, integral or not, and for big integers
+    # it is the "num/den" text (the integer alone when den is 1).
+    values = [Fraction(p, q) for p in range(-30, 31) for q in range(1, 31)]
+    values += list(range(-30, 31)) + [10**30, -10**30, 2**64 + 1,
+                                      Fraction(10**30, 7), Fraction(-(10**30))]
+    for x in values:
+        assert fraction_to_doc(x) == str(x) == num_den(x), x
+    assert {type(x) for x in values} == {int, Fraction}
