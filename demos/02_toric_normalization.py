@@ -9,8 +9,6 @@ torus part of the rank-basis rows with an exact rational solve and
 absorbs the rest into translated parameters with nonzero constants.
 """
 
-from fractions import Fraction
-
 from toroidal.chart import verify_toroidal_form
 from toroidal.toric import (
     LocalModelDims,
@@ -18,6 +16,7 @@ from toroidal.toric import (
     normalize_toric_presentation,
     validate_toric_morphism,
 )
+from toroidal.units import UnitValue
 
 # Source: dimension 3 with a 2-dimensional divisor corner (d, n) = (3, 2).
 # Target: a surface with both coordinates divisorial, (m, ell) = (2, 2).
@@ -43,6 +42,13 @@ print("chart matrix:", pres.chart.matrix)
 print("unit tokens:", [str(u.constant()) for u in pres.chart.units])
 print("toroidal form:", verify_toroidal_form(pres.chart).ok)
 
-# With explicit torus coordinates the constants evaluate to rationals.
-explicit = normalize_toric_presentation(data, alphas={2: Fraction(3)})
-print("constants at u3 = 3:", [str(v) for v in explicit.constants])
+# The constants are monomials in the torus coordinates a<j>; substituting
+# a value for each evaluates them to rationals.
+def evaluate(value, point):
+    out = UnitValue.of(value.coeff)
+    for name, e in value.symbols:
+        out = out * UnitValue.of(point[name]) ** e
+    return out
+
+
+print("constants at u3 = 3:", [str(evaluate(v, {"a2": 3})) for v in pres.constants])

@@ -8,13 +8,15 @@ strata, one per choice of exceptional coordinate and zero/nonzero split
 of the translation constants.
 """
 
-from toroidal.blowup import (
-    check_permissible_center,
-    enumerate_blowup_strata,
-    exceptional_column_data,
+from toroidal.blowup import enumerate_blowup_strata, matrix_permissibility
+from toroidal.chart import (
+    CenterDescriptor,
+    ChartForm,
+    column_minima,
+    derive_center_form,
+    pullback_center_generators,
 )
-from toroidal.chart import CenterDescriptor, ChartForm, derive_center_form
-from toroidal.monomial import max_order_components
+from toroidal.monomial import gcd_generators, max_order_components, minimal_generators
 from toroidal.principalize import nonprincipal_locus
 from toroidal.units import TRIVIAL_UNIT
 
@@ -30,25 +32,30 @@ print("adapted tag:", adapted.tag, " row order:", order)
 
 # Its pullback factors into a principal part and a residual whose
 # maximum-order components are the candidate blowup centers.
-locus = nonprincipal_locus(adapted)
-print("pullback principal part:", locus.monomial_part)
-print("residual:", locus.residual.gens)
-print("components:", max_order_components(locus.residual))
+pullback = minimal_generators(pullback_center_generators(adapted))
+print("pullback principal part:", gcd_generators(pullback))
+residual = nonprincipal_locus(adapted)
+print("residual:", residual.gens)
+print("components:", max_order_components(residual))
 
 # The permissibility test: subtract column minima from the center
 # matrix; no row and no column may vanish.
 from toroidal.blowup import BlowupCenterChart
 center = BlowupCenterChart((0, 1), 0)
-ok, witness = check_permissible_center(adapted, center)
+ok, witness = matrix_permissibility(adapted, center)
 print("permissible:", ok)
 
-# The exceptional exponent the slot rows would receive, versus the
-# center rows: the strict drop that makes blowing up progress.
-slot_value, row_sums = exceptional_column_data(adapted, center)
+# The exceptional exponent the slot rows would receive (one plus the
+# column minima over the center), versus the center rows' sums: the
+# strict drop that makes blowing up progress.
+mins = column_minima(adapted)
+div = center.divisor_indices
+slot_value = 1 + sum(mins[j] for j in div)
+row_sums = [sum(adapted.matrix[i][j] for j in div) for i in range(adapted.ell_bar)]
 print("exceptional slot value:", slot_value, " center row sums:", row_sums)
 
 # All chart strata of the blowup: every j0, every zero/generic split.
-for choice, result in enumerate_blowup_strata(adapted, center, "demo"):
+for choice, child in enumerate_blowup_strata(adapted, center, "demo"):
     betas = ",".join(f"x{v}={b}" for v, b in choice.betas)
-    print(f"  j0 = {choice.j0:>2}  [{betas:<12}] -> n = {result.chart.n}, "
-          f"matrix {result.chart.matrix}")
+    print(f"  j0 = {choice.j0:>2}  [{betas:<12}] -> n = {child.n}, "
+          f"matrix {child.matrix}")

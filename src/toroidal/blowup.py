@@ -10,9 +10,12 @@ j0 turns its row into a plain monomial row (qtf2 shape).
 
 A blowup's children differ only in j0 and in the zero/generic split, so
 `enumerate_blowup_strata` first computes what they share, once per
-blowup or once per j0 (`_Fanout`), then builds each child from it with
-`_blowup_child`; `blowup_transform` builds its one child the same way.
-Every child is checked as built (`built_chart`).
+blowup or once per j0 (`_Fanout`), then builds each child chart from it
+with `_blowup_child` and returns (choice, chart) pairs.
+`blowup_transform` builds its one child the same way and also returns
+the child's variable map and row order (`BlowupResult`), which only the
+`blowup` command writes.  Every child is checked as built
+(`built_chart`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .chart import (
     ChartForm,
     ValidityReport,
     built_chart,
-    column_minima,
 )
 from .units import ZERO_STRATUM, Stratum, _Record, _set
 
@@ -121,16 +123,6 @@ def matrix_permissibility(cf: ChartForm, center: BlowupCenterChart):
     return True, None
 
 
-def exceptional_column_data(cf: ChartForm, center: BlowupCenterChart):
-    """Exceptional exponents a case-1 blowup will produce: the common slot
-    value 1 + sum of column minima, and the sums over rows of [ell_bar]."""
-    div = center.divisor_indices
-    mins = column_minima(cf)
-    slot_value = 1 + sum(mins[j] for j in div)
-    row_sums = [sum(cf.matrix[i][j] for j in div) for i in range(cf.ell_bar)]
-    return slot_value, row_sums
-
-
 def _validate_choice(cf: ChartForm, center: BlowupCenterChart,
                      choice: BlowupChartChoice) -> None:
     coords = center_coordinates(cf, center)
@@ -162,8 +154,9 @@ def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
     fan, = _fanouts(cf, center, (choice.j0,))
     strata = dict(choice.betas)
     betas = tuple((v, strata[v]) for v in fan.others)
-    return _blowup_child(cf, fan, betas,
-                         tuple(None if b.is_zero else b.unit_value() for _, b in betas))
+    chart, var_map = _blowup_child(
+        cf, fan, betas, tuple(None if b.is_zero else b.unit_value() for _, b in betas))
+    return BlowupResult(chart, tuple(var_map), fan.row_order)
 
 
 # What every child of one blowup with exceptional coordinate `j0` shares:
@@ -196,7 +189,7 @@ def _fanouts(cf: ChartForm, center: BlowupCenterChart, j0s):
             tuple(cf.units[i] for i in row_order))
 
 
-def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values) -> BlowupResult:
+def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values):
     """Substitute x_i -> x_j0 * x_i' (+ beta_i) for the other center
     coordinates i, on the strata `betas` ((i, stratum) in `fan.others`
     order) whose unit values are `values` (None on a zero stratum).
@@ -204,7 +197,8 @@ def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values) -> BlowupResult:
     column leads the divisor block for a divisor j0 (qtf1) and closes it
     for a slot j0, whose row then leads the slot rows (qtf2).  New
     variables: divisor, other slots, the old variables from n + s on,
-    absorbed."""
+    absorbed.  Returns the child chart and its variable map, a list
+    indexed by old variable."""
     j0, n = fan.j0, cf.n
     zero, shifted = [], []
     for (v, _), value in zip(betas, values):
@@ -236,16 +230,16 @@ def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values) -> BlowupResult:
         d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF1 if qtf1 else QTF2,
         matrix=matrix, units=tuple(units),
         betas=slot_betas if qtf1 else (None,) + slot_betas, ell_bar=cf.ell_bar)
-    return BlowupResult(chart, tuple(var_map), fan.row_order)
+    return chart, var_map
 
 
-def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart,
-                            symbol_prefix: str = "b"):
-    """All (choice, transform) pairs covering the exceptional fiber:
-    every exceptional coordinate j0, every zero/generic split of the
-    remaining center coordinates, in a fixed canonical order.  What the
-    children share is computed once per blowup or once per j0, the
-    generic strata and their unit values included."""
+def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart, symbol_prefix: str):
+    """All (choice, chart) pairs covering the exceptional fiber: every
+    exceptional coordinate j0, every zero/generic split of the remaining
+    center coordinates, in a fixed canonical order.  A generic stratum's
+    symbol is `symbol_prefix`.j0.v.  What the children share is computed
+    once per blowup or once per j0, the generic strata and their unit
+    values included."""
     _check_center(cf, center)
     out = []
     for fan in _fanouts(cf, center, center_coordinates(cf, center)):
@@ -254,5 +248,6 @@ def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart,
                                      for v, g in zip(fan.others, generic)))
         values = itertools.product(*((None, g.unit_value()) for g in generic))
         for betas, vals in zip(strata, values):
-            out.append((BlowupChartChoice(fan.j0, betas), _blowup_child(cf, fan, betas, vals)))
+            chart, _ = _blowup_child(cf, fan, betas, vals)
+            out.append((BlowupChartChoice(fan.j0, betas), chart))
     return out

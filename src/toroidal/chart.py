@@ -113,10 +113,6 @@ class ChartForm(_Frozen):
     def __reduce__(self):
         return ChartForm, self._values()
 
-    @property
-    def rows(self) -> int:
-        return len(self.matrix)
-
     def with_constant_units(self, units: tuple[UnitToken, ...]) -> "ChartForm":
         """This chart with `units`, factor-free tokens one per row, in place
         of its own.  No structural condition reads a unit constant, so the
@@ -135,14 +131,6 @@ class ChartForm(_Frozen):
         if self.tag == QTF2:
             return self.s - 1
         return 0
-
-    @property
-    def identity_rows(self) -> int:
-        return self.m - self.ell - self.s
-
-    @property
-    def active_vars(self) -> int:
-        return self.n + self.num_slots + self.identity_rows
 
     def slot_var(self, t: int) -> int | None:
         """Chart variable of slot row t (0-based among the s slot rows)."""

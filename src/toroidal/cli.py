@@ -2,8 +2,9 @@
 
 Exit codes: 0 pass, 1 verdict failure, 2 invalid input, 3 cap exceeded,
 4 regime limit (valid input the engine does not handle: no permissible
-center, the transversal search bound or the runaway guard), 5 internal
-check failure (an engine bug, such as a lift that does not commute).
+center, the transversal search bound, the runaway guard or a constant
+too long to write), 5 internal check failure (an engine bug, such as a
+lift that does not commute).
 `toroidalize`, `verify-trace` and `report` exit 3 on a capped run, also
 when later script steps follow: a stratum the cap stopped is above no
 later center.  Errors print one `error:` line, which names the stratum
@@ -31,7 +32,6 @@ from .documents import (
     choice_from_doc,
     construct,
     descriptor_from_doc,
-    fraction_to_doc,
     principalization_to_doc,
     read_bool,
     read_field,
@@ -173,9 +173,8 @@ def cmd_normalize_toric(args) -> int:
         "r": pres.r,
         "row_perm": list(pres.row_perm),
         "col_perm": list(pres.col_perm),
-        "elimination": [[fraction_to_doc(x) for x in row]
-                        for row in pres.elimination],
-        "c_block": [[fraction_to_doc(x) for x in row] for row in pres.c_block],
+        "elimination": [list(map(str, row)) for row in pres.elimination],
+        "c_block": [list(map(str, row)) for row in pres.c_block],
         "constants": [unit_value_to_doc(v) for v in pres.constants],
         "chart": chart_to_doc(pres.chart),
         "toroidal": True,  # `_tf_chart` checked the chart's shape as it built it

@@ -3,7 +3,11 @@
 All rationals are serialized as "num/den" strings (the integer alone
 when the denominator is 1), which is what `str` writes for an `int` or
 a `Fraction`, so round trips stay exact; canonical dumps sort keys and
-drop whitespace so equal values have equal bytes.
+drop whitespace so equal values have equal bytes.  The constants the
+engine computes are written by `unit_value_to_doc`.  One with more
+digits than the interpreter converts (`sys.get_int_max_str_digits`)
+raises `RegimeLimit`: valid input whose trace could not be written, nor
+read back.
 
 Each encoder is a plain function of its object and builds a fresh
 document.  The one sub-document a trace shares is a lifted chart's: the
@@ -23,10 +27,12 @@ a document nests only finished sub-documents, so none contains itself.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .blowup import BlowupCenterChart, BlowupChartChoice
 from .chart import TOROIDAL, CenterDescriptor, ChartForm
+from .errors import RegimeLimit
 from .lift import LiftResult
 from .principalize import PrincipalizationTrace
 from .units import Stratum, UnitFactor, UnitToken, UnitValue
@@ -152,12 +158,6 @@ def strict_bytes(doc) -> bytes:
     return buffer.getvalue()
 
 
-def fraction_to_doc(x: int | Fraction) -> str:
-    """An exact rational's document text, as the module docstring says;
-    the encoders call `str` directly."""
-    return str(x)
-
-
 def fraction_from_doc(s, where: str) -> Fraction:
     """An integer or a "num/den" string, exactly."""
     if _is_integer(s) or isinstance(s, str):
@@ -169,9 +169,14 @@ def fraction_from_doc(s, where: str) -> Fraction:
 
 
 def unit_value_to_doc(v: UnitValue):
-    if v.symbols:
-        return {"coeff": str(v.coeff), "symbols": [[name, str(e)] for name, e in v.symbols]}
-    return {"coeff": str(v.coeff)}
+    try:
+        if v.symbols:
+            return {"coeff": str(v.coeff),
+                    "symbols": [[name, str(e)] for name, e in v.symbols]}
+        return {"coeff": str(v.coeff)}
+    except ValueError:  # `str` refuses an integer past the digit limit
+        raise RegimeLimit(f"a constant has more than {sys.get_int_max_str_digits()} "
+                          "digits, too long to write") from None
 
 
 def unit_value_from_doc(doc, where: str) -> UnitValue:

@@ -58,11 +58,6 @@ class MonomialIdeal(_Record):
         return cls._of_antichain(ambient_dim, _antichain(gens))
 
     @classmethod
-    def unit(cls, ambient_dim: int) -> "MonomialIdeal":
-        """The unit ideal, generated by the all-zeros exponent."""
-        return cls._of_antichain(ambient_dim, ((0,) * ambient_dim,))
-
-    @classmethod
     def _of_antichain(cls, ambient_dim: int, gens: tuple) -> "MonomialIdeal":
         """The ideal whose sorted antichain of checked exponents is `gens`."""
         ideal = object.__new__(cls)
@@ -77,12 +72,6 @@ class MonomialIdeal(_Record):
     @property
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and not any(self.gens[0])
-
-    def __iter__(self):
-        return iter(self.gens)
-
-    def __len__(self):
-        return len(self.gens)
 
 
 def minimal_generators(gens, ambient_dim: int | None = None) -> MonomialIdeal:

@@ -420,18 +420,21 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
                 new_strata.append(TrackedStratum(final.stratum_id, final.chart,
                                                  root.row_labels, root.extra_global_labels))
                 continue
+            # A lift's constants are written here, so a constant too long
+            # to write names its stratum.
             with naming(final.stratum_id, final.parent_path):
                 result = lift_after_principalization(final.chart, skeletons, final.shape)
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
+                chart_doc = chart_to_doc(result.lifted)
+                record_doc = lift_record_to_doc(result)
             lifted_id = f"{final.stratum_id}^"
-            chart_doc = chart_to_doc(result.lifted)
             new_strata.append(TrackedStratum(lifted_id, result.lifted, new_labels,
                                              root.extra_global_labels, chart_doc))
             lifts.append({
                 "chart": chart_doc,
                 "commutes": True,
                 "lifted_id": lifted_id,
-                "record": lift_record_to_doc(result),
+                "record": record_doc,
                 "row_labels": list(new_labels),
                 "stratum": final.stratum_id,
             })

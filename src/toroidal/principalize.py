@@ -10,16 +10,16 @@ expanded in enumeration order.  A subtree thus depends only on its root
 chart, id and depth, not on the rest of the family.  A step
 cap stands in for a termination proof; hitting it is a reported status.
 
-The locus is the factorization x^F * N of the pullback and nothing more:
-the policy draws the candidate centers from `max_order_components(N)`,
-and the blowup checks the chosen one.  A principal pullback, whose
-generators' gcd is one of them, has N the unit ideal and is not
-factored; only a nonprincipal one is reduced and factored.  The locus
-reads only the chart's shape (`shape_key`), so one driver call computes
-it once per distinct shape.  A failure on a stratum names it and its
-parent path.
+The locus is the residual N of the factorization x^F * N of the
+pullback, and nothing more: the policy draws the candidate centers from
+`max_order_components(N)`, and the blowup checks the chosen one.  A
+principal pullback, whose generators' gcd is one of them, has no
+residual and is not factored; only a nonprincipal one is reduced and
+factored.  The locus reads only the chart's shape (`shape_key`), so one
+driver call computes it once per distinct shape.  A failure on a stratum
+names it and its parent path.
 
-The locus, the steps, the finals and the trace are plain records
+The steps, the finals and the trace are plain records
 (`collections.namedtuple`s): they hold no invariant, so building one
 runs no check.
 """
@@ -69,27 +69,22 @@ def check_cap(cap: int, name: str = "cap") -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-class NonprincipalLocus(namedtuple("NonprincipalLocus", "monomial_part residual")):
-    __slots__ = ()
-
-    @property
-    def is_principal(self) -> bool:
-        return self.residual.is_unit
-
-
-def nonprincipal_locus(cf: ChartForm) -> NonprincipalLocus:
-    """Factor the pullback I = x^F * N; the residual N cuts the locus where
-    the pullback is not principal.  The candidate centers are the
-    maximum-order components of N (`MaxOrderLexPolicy.candidates`).
-    A principal pullback, F the generator that divides the others, has N
-    the unit ideal and is neither reduced nor factored; only a nonprincipal
-    one goes through the factorization and its reconstruction check."""
+def nonprincipal_locus(cf: ChartForm) -> MonomialIdeal | None:
+    """The residual N of the pullback I = x^F * N, which cuts the locus
+    where the pullback is not principal, or None when I is principal.
+    The candidate centers are the maximum-order components of N
+    (`MaxOrderLexPolicy.candidates`).  A principal pullback, F the
+    generator that divides the others, is neither reduced nor factored;
+    only a nonprincipal one goes through the factorization and its
+    reconstruction check."""
     gens = pullback_center_generators(cf)
-    f = principal_generator(gens)
-    if f is not None:
-        return NonprincipalLocus(f, MonomialIdeal.unit(cf.d))
-    f, n = principal_part_factorization(MonomialIdeal.trusted(cf.d, gens))
-    return NonprincipalLocus(f, n)
+    if principal_generator(gens) is not None:
+        return None
+    return principal_part_factorization(MonomialIdeal.trusted(cf.d, gens))[1]
+
+
+# The shape memo's default: a shape whose locus is not yet computed.
+_UNSEEN = object()
 
 
 class NoPermissibleCenter(RegimeLimit):
@@ -203,9 +198,10 @@ def principalize_chart_family(
     # single chain of blowups (the depth of a stratum's history); a stratum at
     # the cap finishes with Exceeded status.  `loci` holds each shape's locus
     # for the length of this call and `ids` every id given out, roots first, so
-    # a child that takes a root's id is named with its parent path.
+    # a child that takes a root's id is named with its parent path; a
+    # principal shape's entry is None.
     check_cap(cap)
-    loci: dict[tuple, NonprincipalLocus] = {}
+    loci: dict[tuple, MonomialIdeal | None] = {}
     ids: set[str] = set()
     steps: list[PrincipalizationStep] = []
     final: list[FinalStratum] = []
@@ -229,31 +225,31 @@ def principalize_chart_family(
             sid, chart, path = stack.pop()
             with naming(sid, path):
                 shape = shape_key(chart)
-                locus = loci.get(shape)
-                if locus is None:
-                    locus = loci[shape] = nonprincipal_locus(chart)
-                if locus.is_principal or len(path) >= cap:
+                residual = loci.get(shape, _UNSEEN)
+                if residual is _UNSEEN:
+                    residual = loci[shape] = nonprincipal_locus(chart)
+                if residual is None or len(path) >= cap:
                     final.append(FinalStratum(
-                        sid, PRINCIPAL if locus.is_principal else EXCEEDED,
+                        sid, PRINCIPAL if residual is None else EXCEEDED,
                         chart, z, path, shape))
                     continue
                 if len(steps) >= RUNAWAY_GUARD:
                     raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
                                       "blowup rounds without finishing")
-                center = POLICY.select(chart, locus.residual)
-                children = enumerate_blowup_strata(chart, center, symbol_prefix=sid)
+                center = POLICY.select(chart, residual)
+                children = enumerate_blowup_strata(chart, center, sid)
             path += (sid,)
             records = []
             top = len(stack)
-            for choice, result in children:
+            for choice, child in children:
                 child_id = f"{sid}.{_choice_tag(choice)}"
                 register(child_id, path)
                 records.append((choice, child_id))
                 # Each child goes under its elder siblings, so the first
                 # child is expanded first.
-                stack.insert(top, (child_id, result.chart, path))
+                stack.insert(top, (child_id, child, path))
             steps.append(PrincipalizationStep(
                 stratum_id=sid, center=center,
-                residual_order=order_at_origin(locus.residual),
+                residual_order=order_at_origin(residual),
                 children=tuple(records)))
     return PrincipalizationTrace(tuple(steps), tuple(final))

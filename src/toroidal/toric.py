@@ -97,25 +97,14 @@ ToroidalPresentation = namedtuple(
     "r row_perm col_perm elimination c_block constants chart")
 
 
-def default_alphas(data: ToricMorphismData) -> dict[int, UnitValue]:
-    """Symbolic nonzero coordinates for the torus directions."""
-    return {j: UnitValue.symbol(f"a{j}") for j in range(data.n, data.d)}
-
-
-def normalize_toric_presentation(
-        data: ToricMorphismData,
-        alphas: dict[int, UnitValue] | None = None) -> ToroidalPresentation:
+def normalize_toric_presentation(data: ToricMorphismData) -> ToroidalPresentation:
+    """The toroidal chart of `data`; torus coordinate j takes the symbolic
+    nonzero value a<j>."""
     report = validate_toric_morphism(data)
     if not report.ok:
         raise ValueError(f"invalid toric morphism data: {report}")
     d, n, m, ell = data.d, data.n, data.m, data.ell
-    if alphas is None:
-        alphas = default_alphas(data)
-    else:
-        alphas = {j: UnitValue.of(v) for j, v in alphas.items()}
-        missing = [j for j in range(n, d) if j not in alphas]
-        if missing:
-            raise ValueError(f"missing torus coordinates {missing}")
+    alphas = {j: UnitValue.symbol(f"a{j}") for j in range(n, d)}
 
     divisor_block = [[data.matrix[i][j] for j in range(n)] for i in range(ell)]
     basis_rows = greedy_pivot_rows(divisor_block)

@@ -181,10 +181,6 @@ class UnitValue(_Frozen):
     def inv(self) -> "UnitValue":
         return self ** -1
 
-    @property
-    def is_one(self) -> bool:
-        return not self.symbols and self.coeff == 1
-
     def __str__(self):
         parts = [] if self.coeff == 1 and self.symbols else [str(self.coeff)]
         for name, e in self.symbols:
@@ -329,10 +325,6 @@ class UnitToken(_Frozen):
         return self._carrying(tuple(
             UnitFactor(var_map[f.var], f.shift, f.exp) for f in self.factors),
             self.constant())
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.base.is_one and not self.factors
 
 
 _set_base = UnitToken.base.__set__

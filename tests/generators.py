@@ -96,17 +96,17 @@ def permissible_center_for(adapted):
         NoPermissibleCenter,
         nonprincipal_locus,
     )
-    locus = nonprincipal_locus(adapted)
-    if locus.is_principal:
+    residual = nonprincipal_locus(adapted)
+    if residual is None:
         return None
     try:
-        return MaxOrderLexPolicy().select(adapted, locus.residual)
+        return MaxOrderLexPolicy().select(adapted, residual)
     except NoPermissibleCenter:
         return None
 
 
 def blowup_triples(rng, count, **kwargs):
-    """(adapted chart, descriptor, permissible center, choice, result)."""
+    """(adapted chart, descriptor, permissible center, choice, child chart)."""
     from toroidal.blowup import enumerate_blowup_strata
 
     produced = 0
@@ -118,9 +118,8 @@ def blowup_triples(rng, count, **kwargs):
         center = permissible_center_for(adapted)
         if center is None:
             continue
-        for choice, result in enumerate_blowup_strata(
-                adapted, center, symbol_prefix=f"t{produced}"):
-            yield adapted, z, center, choice, result
+        for choice, child in enumerate_blowup_strata(adapted, center, f"t{produced}"):
+            yield adapted, z, center, choice, child
             produced += 1
             if produced >= count:
                 break

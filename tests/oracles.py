@@ -13,7 +13,10 @@ integer exponents.  The reference blowup transform builds divisor-j0
 (qtf1) and slot-j0 (qtf2) charts in two separate functions; the single
 chart builder in `toroidal.blowup` must agree with both.  The reference
 lift case derives the case and then, separately, its generator row; the
-single helper in `toroidal.lift` must agree with it.  The reference
+single helper in `toroidal.lift` must agree with it.
+`exceptional_column_data` gives the exceptional exponents a blowup's
+slot rows and center rows receive, which the blowup acceptance tests
+check the built children against.  The reference
 locus factors every pullback as an ideal; the library's locus, which
 factors only a nonprincipal one, must agree with it.  The reference
 maximum-order locus scans every subset of the generator support, and the
@@ -218,28 +221,28 @@ def rescan_principalize(strata, cap=50):
     while True:
         working = []
         for s in live:
-            locus = nonprincipal_locus(s[1])
-            if not locus.is_principal and len(s[5]) < cap:
-                working.append((s, locus))
+            residual = nonprincipal_locus(s[1])
+            if residual is not None and len(s[5]) < cap:
+                working.append((s, residual))
         if not working:
             break
-        working.sort(key=lambda p: (-order_at_origin(p[1].residual), p[0][3], p[0][4]))
-        target, locus = working[0]
+        working.sort(key=lambda p: (-order_at_origin(p[1]), p[0][3], p[0][4]))
+        target, residual = working[0]
         sid, cf, z, pos, _, path = target
-        center = MaxOrderLexPolicy().select(cf, locus.residual)
+        center = MaxOrderLexPolicy().select(cf, residual)
         live.remove(target)
         records = []
-        for choice, result in enumerate_blowup_strata(cf, center, symbol_prefix=sid):
+        for choice, child in enumerate_blowup_strata(cf, center, sid):
             flags = "".join("z" if b.is_zero else "g" for _, b in choice.betas)
             child_id = f"{sid}.e{choice.j0}{flags}"
-            live.append([child_id, result.chart, z, pos, counter, path + (sid,)])
+            live.append([child_id, child, z, pos, counter, path + (sid,)])
             counter += 1
             records.append((choice, child_id))
-        steps.append(PrincipalizationStep(sid, center, order_at_origin(locus.residual),
+        steps.append(PrincipalizationStep(sid, center, order_at_origin(residual),
                                           tuple(records)))
     final = []
     for sid, cf, z, _, _, path in sorted(live, key=lambda s: (s[3], s[4])):
-        status = PRINCIPAL if nonprincipal_locus(cf).is_principal else EXCEEDED
+        status = PRINCIPAL if nonprincipal_locus(cf) is None else EXCEEDED
         final.append(FinalStratum(sid, status, cf, z, path, shape_key(cf)))
     return PrincipalizationTrace(tuple(steps), tuple(final))
 
@@ -312,8 +315,10 @@ def _ref_split_by_stratum(choice, div, j0):
 
 def _ref_assemble(cf, new_divisor_old_vars, kept_slot_old_vars, absorbed_old_vars):
     """Dense new variable order: divisor, slots, identity, old tail, absorbed."""
-    identity_old = [cf.n + cf.num_slots + r for r in range(cf.identity_rows)]
-    tail_old = [v for v in range(cf.active_vars, cf.d)]
+    identity_rows = cf.m - cf.ell - cf.s
+    active_vars = cf.n + cf.num_slots + identity_rows
+    identity_old = [cf.n + cf.num_slots + r for r in range(identity_rows)]
+    tail_old = [v for v in range(active_vars, cf.d)]
     order = (list(new_divisor_old_vars) + list(kept_slot_old_vars)
              + identity_old + tail_old + list(absorbed_old_vars))
     var_map = [0] * cf.d
@@ -332,7 +337,7 @@ def _ref_case1(cf, choice, div):
     var_map = _ref_assemble(cf, new_div, kept_slots, j2)
 
     matrix = []
-    for i in range(cf.rows):
+    for i in range(len(cf.matrix)):
         exc = sum(cf.matrix[i][j] for j in div) + (1 if i >= cf.ell else 0)
         matrix.append(tuple([exc] + [cf.matrix[i][j] for j in new_div[1:]]))
 
@@ -347,7 +352,7 @@ def _ref_case1(cf, choice, div):
         d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF1,
         matrix=tuple(matrix), units=tuple(units),
         betas=tuple(betas[cf.n + t] for t in range(cf.s)), ell_bar=cf.ell_bar)
-    return BlowupResult(chart, var_map, tuple(range(cf.rows)))
+    return BlowupResult(chart, var_map, tuple(range(len(cf.matrix))))
 
 
 def _ref_case2(cf, choice, div):
@@ -377,6 +382,17 @@ def _ref_case2(cf, choice, div):
         betas=(None,) + tuple(betas[cf.n + t] for t in range(cf.s) if t != t0),
         ell_bar=cf.ell_bar)
     return BlowupResult(chart, var_map, tuple(row_order))
+
+
+def exceptional_column_data(cf, center):
+    """Exceptional exponents a case-1 blowup of `center` produces: the
+    common slot value 1 + the sum of the center's column minima, and each
+    center row's sum over the center's divisor columns."""
+    div = center.divisor_indices
+    mins = column_minima(cf)
+    slot_value = 1 + sum(mins[j] for j in div)
+    row_sums = [sum(cf.matrix[i][j] for j in div) for i in range(cf.ell_bar)]
+    return slot_value, row_sums
 
 
 def reference_locus(cf):
@@ -499,7 +515,7 @@ def reference_verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityRepo
         return ValidityReport(tuple(failures) + (
             ("coverage", f"generator row {g} is unaccounted for"),))
     gen_vec, gen_const, _ = images[g]
-    for i in range(cf.rows):
+    for i in range(len(cf.matrix)):
         if i not in images:
             failures.append(("coverage", f"row {i} of the input chart is unaccounted for"))
             continue

@@ -10,7 +10,6 @@ from toroidal.blowup import (
     check_center_snc,
     check_permissible_center,
     enumerate_blowup_strata,
-    exceptional_column_data,
 )
 from toroidal.chart import (
     QTF1,
@@ -24,7 +23,7 @@ from toroidal.chart import (
 )
 from toroidal.units import Stratum, TRIVIAL_UNIT, ZERO_STRATUM
 from generators import blowup_triples, permissible_center_for, random_adapted_chart
-from oracles import reference_blowup_transform
+from oracles import exceptional_column_data, reference_blowup_transform
 
 
 def adapted(matrix, ell_bar, s, m=None, d=None, betas=None):
@@ -98,10 +97,12 @@ class TestBlowupTransform:
         cf = result.chart
         assert cf.matrix == ((1,), (1,))
         assert cf.n == 1
-        assert cf.units[0].is_trivial
+        assert cf.units[0] == TRIVIAL_UNIT
         assert len(cf.units[1].factors) == 1
         factor = cf.units[1].factors[0]
-        assert factor.var >= cf.active_vars and factor.exp == 1
+        # Past the active variables: divisor, slot and identity ones.
+        active = cf.n + cf.num_slots + (cf.m - cf.ell - cf.s)
+        assert factor.var >= active and factor.exp == 1
 
     def test_slot_blowup_becomes_qtf2(self):
         z = CenterDescriptor(ell_bar=0, c=2)
@@ -133,26 +134,24 @@ class TestBlowupTransform:
 
 class TestEnumerate:
     def test_two_coordinate_center_gives_four_strata(self):
-        out = enumerate_blowup_strata(IDENTITY, FULL_CENTER)
+        out = enumerate_blowup_strata(IDENTITY, FULL_CENTER, "b")
         assert len(out) == 4
 
     def test_three_coordinate_center_gives_twelve(self):
         cf = adapted([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ell_bar=3, s=0)
-        out = enumerate_blowup_strata(cf, BlowupCenterChart((0, 1, 2), 0))
+        out = enumerate_blowup_strata(cf, BlowupCenterChart((0, 1, 2), 0), "b")
         assert len(out) == 12
 
     def test_identity_strata_pairwise_distinct(self):
-        out = enumerate_blowup_strata(IDENTITY, FULL_CENTER)
-        records = {(r.chart.tag, r.chart.matrix, r.chart.betas, r.chart.units)
-                   for _, r in out}
+        out = enumerate_blowup_strata(IDENTITY, FULL_CENTER, "b")
+        records = {(child.tag, child.matrix, child.betas, child.units) for _, child in out}
         assert len(records) == 4
 
 
 class TestInvariants:
     def test_transform_invariants_on_random_corpus(self):
         rng = random.Random(97)
-        for cf, z, center, choice, result in blowup_triples(rng, 120):
-            out = result.chart
+        for cf, z, center, choice, out in blowup_triples(rng, 120):
             tag, diag = classify_form(out)
             assert tag is not None, diag
             if out.s > 0:
@@ -160,7 +159,7 @@ class TestInvariants:
 
     def test_exceptional_strict_drop(self):
         rng = random.Random(101)
-        for cf, z, center, choice, result in blowup_triples(rng, 120):
+        for cf, z, center, choice, _ in blowup_triples(rng, 120):
             slot_value, row_sums = exceptional_column_data(cf, center)
             for value in row_sums:
                 assert slot_value <= value, (cf.matrix, center)
@@ -168,17 +167,20 @@ class TestInvariants:
 
 class TestChartBuilder:
     """The one chart builder against the twin-function reference; a single
-    transform builds the child its choice picks out of the enumeration."""
+    transform builds the child its choice picks out of the enumeration,
+    with the variable map and row order the reference gives."""
 
     @staticmethod
     def assert_matches_reference(cf, center, prefix):
-        out = enumerate_blowup_strata(cf, center, symbol_prefix=prefix)
-        for choice, result in out:
-            assert blowup_transform(cf, center, choice) == result
+        """Each (choice, child, transform) of one blowup of `cf`."""
+        out = []
+        for choice, child in enumerate_blowup_strata(cf, center, prefix):
+            result = blowup_transform(cf, center, choice)
             ref = reference_blowup_transform(cf, center, choice)
-            assert result.chart == ref.chart, (cf, center, choice)
+            assert child == result.chart == ref.chart, (cf, center, choice)
             assert result.var_map == ref.var_map
             assert result.row_order == ref.row_order
+            out.append((choice, child, result))
         return out
 
     def test_matches_reference_on_seeded_charts(self):
@@ -194,8 +196,7 @@ class TestChartBuilder:
             if center is None:
                 continue
             charts += 1
-            for choice, result in self.assert_matches_reference(cf, center, f"c{charts}"):
-                child = result.chart
+            for choice, child, _ in self.assert_matches_reference(cf, center, f"c{charts}"):
                 seen[child.tag] += 1
                 if any(v < cf.n and not b.is_zero for v, b in choice.betas):
                     assert (sum(len(u.factors) for u in child.units)
@@ -208,7 +209,7 @@ class TestChartBuilder:
                 inner = permissible_center_for(child)
                 if inner is None:
                     continue
-                for _, grandchild in self.assert_matches_reference(
+                for _, _, grandchild in self.assert_matches_reference(
                         child, inner, f"c{charts}.{choice.j0}"):
                     if any(grandchild.var_map[f.var] != f.var
                            for u in child.units for f in u.factors):
@@ -225,7 +226,7 @@ class TestChartBuilder:
 
         monkeypatch.setattr(blowup, "check_center_snc", counting)
         cf = adapted([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ell_bar=3, s=0)
-        out = enumerate_blowup_strata(cf, BlowupCenterChart((0, 1, 2), 0))
+        out = enumerate_blowup_strata(cf, BlowupCenterChart((0, 1, 2), 0), "b")
         assert len(out) == 12 and len(calls) == 1
         blowup_transform(cf, BlowupCenterChart((0, 1, 2), 0), out[0][0])
         assert len(calls) == 2

@@ -82,8 +82,8 @@ class TestShapeAgreement:
             pair = random_adapted_chart(rng)
             if pair is not None:
                 assert_shape_agrees(pair[0])
-        for _, _, _, _, result in blowup_triples(rng, 150):
-            assert_shape_agrees(result.chart)
+        for _, _, _, _, child in blowup_triples(rng, 150):
+            assert_shape_agrees(child)
 
     def test_shape_message_cases(self):
         for cf, _ in SHAPES.TOROIDAL_CASES:
@@ -112,9 +112,9 @@ class TestShapeAgreement:
 
 def lifts(rng, count):
     """(chart, lift) for the principal charts among `count` blowup children."""
-    for _, _, _, _, blown in blowup_triples(rng, count):
-        if nonprincipal_locus(blown.chart).is_principal:
-            yield blown.chart, lift_after_principalization(blown.chart)
+    for _, _, _, _, child in blowup_triples(rng, count):
+        if nonprincipal_locus(child) is None:
+            yield child, lift_after_principalization(child)
 
 
 def corruptions(rng, cf, result):
@@ -124,6 +124,7 @@ def corruptions(rng, cf, result):
     generator row moved."""
     sk, lifted = result.skeleton, result.lifted
     rows, two = lifted.matrix, UnitValue(2)
+    height = len(cf.matrix)
     if rows and lifted.n:
         i, j = rng.randrange(len(rows)), rng.randrange(lifted.n)
         row = rows[i][:j] + (rows[i][j] + 1,) + rows[i][j + 1:]
@@ -144,11 +145,11 @@ def corruptions(rng, cf, result):
     if sk.row_sources:
         k = rng.randrange(len(sk.row_sources))
         kind, i = sk.row_sources[k]
-        moved = sk.row_sources[:k] + ((kind, (i + 1) % cf.rows),) + sk.row_sources[k + 1:]
+        moved = sk.row_sources[:k] + ((kind, (i + 1) % height),) + sk.row_sources[k + 1:]
         yield result._replace(skeleton=sk._replace(row_sources=moved))
-    yield result._replace(skeleton=sk._replace(gen_row=(sk.gen_row + 1) % cf.rows))
+    yield result._replace(skeleton=sk._replace(gen_row=(sk.gen_row + 1) % height))
     yield result._replace(fresh=result.fresh + (
-        FreshParam(("row", rng.randrange(cf.rows)), two, two),))
+        FreshParam(("row", rng.randrange(height)), two, two),))
 
 
 class TestCommutationAgreement:

@@ -68,7 +68,8 @@ def _blowup_doc():
 
 def _principalize_doc():
     chart, z = _slot_chart()
-    chart = rebuilt_chart(chart, units=(UnitToken(UnitValue.symbol("u", 2)),) * chart.rows)
+    units = (UnitToken(UnitValue.symbol("u", 2)),) * len(chart.matrix)
+    chart = rebuilt_chart(chart, units=units)
     doc = copy.deepcopy(TWO_BLOWUP_FAMILY)
     doc["strata"].append({"id": "y0", "chart": chart_to_doc(chart),
                           "descriptor": descriptor_to_doc(z)})

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import toroidal
 from toroidal import blowup, chart, documents, lift, pipeline, principalize, units
 from toroidal.chart import TOROIDAL, shape_key
 from toroidal.cli import main
@@ -626,6 +627,7 @@ class TestCliMore:
         out = json.loads(run.stdout)
         assert out["permissible"] is True
         assert out["chart"]["matrix"] == [[1, 0], [1, 1]]
+        assert (out["var_map"], out["row_order"]) == ([0, 1], [0, 1])
 
     def test_principalize_subcommand(self):
         doc = {"strata": [{
@@ -842,6 +844,30 @@ class TestExitStatuses:
         assert status == 4
         assert err.startswith("error: stratum x0.e1z.e1z.e0z (parent path x0 > .e1z > "
                               ".e1z): runaway principalization"), err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="integers of any length convert to text")
+    def test_constant_too_long_to_write(self, tmp_path, capsys):
+        # check-atlas accepts the unit (x2 + 3)^20000 on row 0, but its lift
+        # carries the constant 3^20000, which `str` will not write: neither
+        # could a trace, nor `Fraction` read one back.
+        doc = identity_doc()
+        doc["dims"]["d"] = 3
+        stratum = doc["charts"][0]["strata"][0]
+        stratum["chart"]["d"] = 3
+        stratum["chart"]["units"] = [
+            {"factors": [{"var": 2, "shift": {"coeff": "3"}, "exp": 20000}]}, None]
+        status, _ = self.run_main(tmp_path, capsys, "check-atlas", doc)
+        assert status == 0
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(json.dumps({"schema": pipeline.TRACE_SCHEMA,
+                                          "engine": toroidal.__version__}))
+        expected = (f"error: stratum A/p0.e0z (parent path A/p0): a constant has more "
+                    f"than {sys.get_int_max_str_digits()} digits, too long to write\n")
+        for argv in (["toroidalize", str(tmp_path / "doc.json")],
+                     ["verify-trace", str(tmp_path / "doc.json"), str(trace_path)]):
+            assert main(argv) == 4
+            assert capsys.readouterr().err == expected
 
     def test_internal_check_error(self, tmp_path, capsys, monkeypatch):
         # The adapted root keeps the identity matrix; every blowup child fails.

@@ -29,7 +29,7 @@ from test_pipeline import identity_doc
 
 
 def _blowup_chart():
-    blowup.enumerate_blowup_strata(IDENTITY, FULL_CENTER)
+    blowup.enumerate_blowup_strata(IDENTITY, FULL_CENTER, "b")
 
 
 def _center_form():

@@ -40,22 +40,21 @@ Z22 = CenterDescriptor(2, 2, (0, 1))
 class TestNonprincipalLocus:
     def test_origin_center(self):
         cf = adapted([[1, 0], [0, 1]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf)
-        assert locus.monomial_part == (0, 0)
-        assert locus.residual.gens == ((0, 1), (1, 0))
-        assert max_order_components(locus.residual) == ((0, 1),)
+        residual = nonprincipal_locus(cf)
+        assert reference_locus(cf) == ((0, 0), residual)
+        assert residual.gens == ((0, 1), (1, 0))
+        assert max_order_components(residual) == ((0, 1),)
 
     def test_factor_then_decompose(self):
         cf = adapted([[2, 1], [1, 3]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf)
-        assert locus.monomial_part == (1, 1)
-        assert locus.residual.gens == ((0, 2), (1, 0))
-        assert max_order_components(locus.residual) == ((0, 1),)
+        residual = nonprincipal_locus(cf)
+        assert reference_locus(cf) == ((1, 1), residual)
+        assert residual.gens == ((0, 2), (1, 0))
+        assert max_order_components(residual) == ((0, 1),)
 
     def test_principal_pullback(self):
         cf = adapted([[1, 0], [1, 1]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf)
-        assert locus.is_principal
+        assert nonprincipal_locus(cf) is None
 
     @staticmethod
     def record_created(monkeypatch, created):
@@ -63,8 +62,8 @@ class TestNonprincipalLocus:
         real_enumerate = principalize.enumerate_blowup_strata
 
         def recording(cf, center, symbol_prefix):
-            out = real_enumerate(cf, center, symbol_prefix=symbol_prefix)
-            created.extend(result.chart for _, result in out)
+            out = real_enumerate(cf, center, symbol_prefix)
+            created.extend(child for _, child in out)
             return out
 
         monkeypatch.setattr(principalize, "enumerate_blowup_strata", recording)
@@ -76,9 +75,10 @@ class TestNonprincipalLocus:
             created.extend(cf for _, cf, _ in family)
             principalize_chart_family(family, cap=50)
         for cf in created:
-            locus = nonprincipal_locus(cf)
-            assert locus == reference_locus(cf), cf
-            verdicts[locus.is_principal] += 1
+            residual = nonprincipal_locus(cf)
+            _, expected = reference_locus(cf)
+            assert residual == (None if expected.is_unit else expected), cf
+            verdicts[residual is None] += 1
         assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
     def test_factored_once_per_nonprincipal_shape(self, monkeypatch):
@@ -100,7 +100,7 @@ class TestNonprincipalLocus:
                 nonprincipal = {shape_key(cf) for cf in created
                                 if not reference_locus(cf)[1].is_unit}
                 assert len(factored) == len(nonprincipal)
-                assert all(len(ideal) > 1 for ideal in factored)
+                assert all(len(ideal.gens) > 1 for ideal in factored)
                 total += len(factored)
         assert total > 0
 
@@ -109,8 +109,7 @@ class TestSelectCenter:
     def test_max_order_then_codim_then_lex(self):
         policy = MaxOrderLexPolicy()
         cf = adapted([[1, 0], [0, 2]], ell_bar=2, s=0)
-        locus = nonprincipal_locus(cf)
-        center = policy.select(cf, locus.residual)
+        center = policy.select(cf, nonprincipal_locus(cf))
         assert center.divisor_indices == (0, 1) and center.slot_count == 0
 
     def test_three_squares(self):
@@ -253,8 +252,8 @@ class TestIncrementalDriver:
             return real_locus(cf)
 
         def recording(cf, center, symbol_prefix):
-            out = real_enumerate(cf, center, symbol_prefix=symbol_prefix)
-            created.extend(result.chart for _, result in out)
+            out = real_enumerate(cf, center, symbol_prefix)
+            created.extend(child for _, child in out)
             return out
 
         monkeypatch.setattr(principalize, "nonprincipal_locus", counting)
@@ -279,7 +278,7 @@ def vary_constants(cf: ChartForm, rng) -> ChartForm:
     beta symbols."""
     units = tuple(UnitToken(UnitValue.of(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
                             * UnitValue.symbol(f"u{i}"))
-                  for i in range(cf.rows))
+                  for i in range(len(cf.matrix)))
     betas = tuple(Stratum.generic(f"other.{b.symbol}")
                   if b is not None and b.kind == "generic" else b
                   for b in cf.betas)
@@ -298,23 +297,23 @@ class TestShapeKernels:
             for cf in strata:
                 other = vary_constants(cf, rng)
                 assert other != cf and shape_key(other) == shape_key(cf)
-                locus = nonprincipal_locus(cf)
-                assert nonprincipal_locus(other) == locus
+                residual = nonprincipal_locus(cf)
+                assert nonprincipal_locus(other) == residual
                 seen["locus"] += 1
-                if locus.is_principal:
+                if residual is None:
                     skeleton = lift_skeleton(cf)
                     assert lift_skeleton(other) == skeleton
                     seen["skeleton"] += 1
                     seen[CASE2] += skeleton.case == CASE2
                     continue
                 try:
-                    center = policy.select(cf, locus.residual)
+                    center = policy.select(cf, residual)
                 except NoPermissibleCenter:
                     with pytest.raises(NoPermissibleCenter):
-                        policy.select(other, locus.residual)
+                        policy.select(other, residual)
                     seen["no center"] += 1
                     continue
-                assert policy.select(other, locus.residual) == center
+                assert policy.select(other, residual) == center
                 seen["center"] += 1
         assert all(seen[k] for k in ("locus", "center", "skeleton", CASE2)), seen
 
@@ -378,7 +377,7 @@ class TestSingleSites:
 
         def enumerate_strata(cf, center, symbol_prefix):
             blowups.append(symbol_prefix)
-            return real_enumerate(cf, center, symbol_prefix=symbol_prefix)
+            return real_enumerate(cf, center, symbol_prefix)
 
         monkeypatch.setattr(principalize, "enumerate_blowup_strata", enumerate_strata)
         family = one_chart_two_descriptors()
@@ -514,10 +513,9 @@ class TestResidualShapes:
             center = permissible_center_for(cf)
             if center is None:
                 continue
-            for choice, result in enumerate_blowup_strata(cf, center, "t"):
-                out = result.chart
-                locus = nonprincipal_locus(out)
-                if locus.is_principal:
+            for choice, out in enumerate_blowup_strata(cf, center, "t"):
+                residual = nonprincipal_locus(out)
+                if residual is None:
                     continue
                 assert all(b is not None and b.is_zero for b in out.betas)
                 from toroidal.chart import column_minima
@@ -530,5 +528,5 @@ class TestResidualShapes:
                     vec = [0] * out.d
                     vec[out.slot_var(t)] = 1
                     expected.append(tuple(vec))
-                assert locus.residual == minimal_generators(expected, out.d)
+                assert residual == minimal_generators(expected, out.d)
             seen += 1

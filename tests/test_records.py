@@ -26,7 +26,7 @@ from toroidal.units import TRIVIAL_UNIT, Stratum, UnitToken, UnitValue
 from test_pipeline import TWO_BLOWUP_FAMILY, identity_doc
 
 RECORDS = {
-    "ValidityReport", "BlowupChartChoice", "NonprincipalLocus",
+    "ValidityReport", "BlowupChartChoice",
     "PrincipalizationStep", "FinalStratum", "PrincipalizationTrace",
     "FreshParam", "LiftSkeleton", "LiftResult", "TrackedStratum", "LabelInfo",
     "CenterView", "ScriptStep", "ResolutionScript",
@@ -56,9 +56,9 @@ def engine_instances():
     atlas, script = parse_document(identity_doc())
     step = script.steps[0]
     entry = TWO_BLOWUP_FAMILY["strata"][0]
+    root = chart_from_doc(entry["chart"], "chart")
     trace = principalize_chart_family([(
-        entry["id"], chart_from_doc(entry["chart"], "chart"),
-        descriptor_from_doc(entry["descriptor"], "descriptor"))])
+        entry["id"], root, descriptor_from_doc(entry["descriptor"], "descriptor"))])
     final = trace.final[0]
     # Two rows on the generator's exponents: the second becomes a fresh parameter.
     cf = ChartForm(d=3, m=2, n=2, ell=2, s=0, tag=QTF1, matrix=((1, 2), (1, 2)),
@@ -67,9 +67,9 @@ def engine_instances():
     choice = trace.steps[0].children[0][0]
     return [
         final.chart, choice.betas[0][1], final.descriptor, trace.steps[0].center,
-        nonprincipal_locus(final.chart).residual,
+        nonprincipal_locus(root),
         check_atlas(atlas), choice,
-        nonprincipal_locus(final.chart), trace.steps[0], final,
+        trace.steps[0], final,
         trace, result.fresh[0], result.skeleton, result,
         atlas.strata["A"][0], atlas.labels["L1"], step.views[0][1], step, script,
         result.lifted.units[0], result.lifted.units[0].constant(),
@@ -131,7 +131,7 @@ PINNED = [
     (BlowupCenterChart((2, 0), 1), BlowupCenterChart((0, 2), 1), BlowupCenterChart((0, 2), 0),
      "BlowupCenterChart(divisor_indices=(0, 2), slot_count=1)"),
     (MonomialIdeal(2, ((0, 3), (1, 2))), MonomialIdeal.trusted(2, [(1, 3), (1, 2), (0, 3)]),
-     MonomialIdeal.unit(2), "MonomialIdeal(ambient_dim=2, gens=((0, 3), (1, 2)))"),
+     MonomialIdeal(2, ((0, 0),)), "MonomialIdeal(ambient_dim=2, gens=((0, 3), (1, 2)))"),
     (LocalModelDims(3, 2), LocalModelDims(dim=3, cone=2), LocalModelDims(3, 1),
      "LocalModelDims(dim=3, cone=2)"),
     (ToricMorphismData(LocalModelDims(2, 1), LocalModelDims(1, 1), ((1, 0),)),

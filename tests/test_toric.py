@@ -73,9 +73,9 @@ class TestNormalize:
 
     def test_explicit_alphas(self):
         d = data([[1, 1, 1], [2, 2, 1]], d=3, n=2, m=2, ell=2)
-        pres = normalize_toric_presentation(d, alphas={2: Fraction(3)})
-        # alpha^(-1) with alpha = 3.
-        assert pres.constants == (UnitValue(Fraction(1, 3)),)
+        pres = normalize_toric_presentation(d)
+        # alpha^(-1), alpha the torus coordinate's symbol a2.
+        assert pres.constants == (UnitValue.symbol("a2", -1),)
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError):
