@@ -13,9 +13,10 @@ A blowup's children differ only in j0 and in the zero/generic split, so
 blowup or once per j0 (`_Fanout`), then builds each child chart from it
 with `_blowup_child` and returns (choice, chart) pairs.
 `blowup_transform` builds its one child the same way and also returns
-the child's variable map and row order (`BlowupResult`), which only the
-`blowup` command writes.  Every child is checked as built
-(`built_chart`).
+the child's row order and `d`-long variable map (`BlowupResult`), which
+only the `blowup` command writes: a child itself moves every variable
+past its divisor and slots down by one number, whatever `d` is.  Every
+child is checked as built (`built_chart`).
 """
 
 from __future__ import annotations
@@ -154,29 +155,31 @@ def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
     fan, = _fanouts(cf, center, (choice.j0,))
     strata = dict(choice.betas)
     betas = tuple((v, strata[v]) for v in fan.others)
-    chart, var_map = _blowup_child(
+    chart, new_div, shifted = _blowup_child(
         cf, fan, betas, tuple(None if b.is_zero else b.unit_value() for _, b in betas))
-    return BlowupResult(chart, tuple(var_map), fan.row_order)
+    # The map inverts the new order: divisor, other slots, n + s on, absorbed.
+    order = (new_div + [v for v in fan.others if v >= cf.n]
+             + list(range(cf.n + cf.s, cf.d)) + [v for v, _ in shifted])
+    return BlowupResult(chart, tuple(sorted(range(cf.d), key=order.__getitem__)),
+                        fan.row_order)
 
 
 # What every child of one blowup with exceptional coordinate `j0` shares:
-# the other center coordinates (divisor ones first), the divisor columns
-# off the center (`noncenter`), the old variables each child keeps in its
-# order (`kept`: the other slot variables, then those from n + s on), and
-# the chart's rows in the child's row order, held as each row's
-# exceptional exponent, each old divisor column and each row's unit.
-_Fanout = namedtuple("_Fanout", "j0 others noncenter kept row_order exc columns units")
+# the other center coordinates (divisor ones first, then the other slot
+# variables), the divisor columns off the center (`noncenter`), and the
+# chart's rows in the child's row order, held as each row's exceptional
+# exponent, each old divisor column and each row's unit.
+_Fanout = namedtuple("_Fanout", "j0 others noncenter row_order exc columns units")
 
 
 def _fanouts(cf: ChartForm, center: BlowupCenterChart, j0s):
     """The `_Fanout` of each exceptional coordinate in `j0s`; the rows'
     exceptional exponents (the row's sum over the center's divisor
-    columns, plus one on a slot row), the non-center columns and the tail
-    are computed once for all of them."""
+    columns, plus one on a slot row) and the non-center columns are
+    computed once for all of them."""
     div = center.divisor_indices
     n, ell = cf.n, cf.ell
     noncenter = [j for j in range(n) if j not in div]
-    tail = list(range(n + cf.s, cf.d))
     exc = [sum(row[j] for j in div) + (i >= ell) for i, row in enumerate(cf.matrix)]
     for j0 in j0s:
         other_slots = [v for v in range(n, n + cf.s) if v != j0]
@@ -184,7 +187,7 @@ def _fanouts(cf: ChartForm, center: BlowupCenterChart, j0s):
         row_order = tuple(range(ell)) + tuple(ell + v - n for v in slot_rows)
         yield _Fanout(
             j0, tuple(j for j in div if j != j0) + tuple(other_slots), noncenter,
-            other_slots + tail, row_order, tuple(exc[i] for i in row_order),
+            row_order, tuple(exc[i] for i in row_order),
             list(zip(*(cf.matrix[i] for i in row_order))),
             tuple(cf.units[i] for i in row_order))
 
@@ -195,10 +198,10 @@ def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values):
     order) whose unit values are `values` (None on a zero stratum).
     Generic betas absorb their variable into the units; the exceptional
     column leads the divisor block for a divisor j0 (qtf1) and closes it
-    for a slot j0, whose row then leads the slot rows (qtf2).  New
-    variables: divisor, other slots, the old variables from n + s on,
-    absorbed.  Returns the child chart and its variable map, a list
-    indexed by old variable."""
+    for a slot j0, whose row then leads the slot rows (qtf2).  The qtf1
+    parent's factors, at or above n + s, move down by the `drop` absorbed
+    variables, the k-th of which becomes d - drop + k.  Returns the chart,
+    its divisor variables (old ones) and the absorbed (var, value) pairs."""
     j0, n = fan.j0, cf.n
     zero, shifted = [], []
     for (v, _), value in zip(betas, values):
@@ -210,17 +213,14 @@ def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values):
     cols = zero + fan.noncenter
     qtf1 = j0 < n
     new_div = [j0] + cols if qtf1 else cols + [j0]
-    order = new_div + fan.kept + [v for v, _ in shifted]
-    var_map = [0] * cf.d
-    for new, old in enumerate(order):
-        var_map[old] = new
 
     block = [fan.columns[j] for j in cols]
     matrix = tuple(zip(fan.exc, *block) if qtf1 else zip(*block, fan.exc))
-    shifts = [(fan.columns[v], var_map[v], value) for v, value in shifted]
+    drop = len(shifted)
+    shifts = [(fan.columns[v], cf.d - drop + k, value) for k, (v, value) in enumerate(shifted)]
     units = []
     for r, unit in enumerate(fan.units):
-        u = unit.remap_vars(var_map)
+        u = unit.remap_vars(drop)
         for column, var, value in shifts:
             u = u.with_factor(var, value, column[r])
         units.append(u)
@@ -230,7 +230,7 @@ def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values):
         d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF1 if qtf1 else QTF2,
         matrix=matrix, units=tuple(units),
         betas=slot_betas if qtf1 else (None,) + slot_betas, ell_bar=cf.ell_bar)
-    return chart, var_map
+    return chart, new_div, shifted
 
 
 def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart, symbol_prefix: str):
@@ -248,6 +248,6 @@ def enumerate_blowup_strata(cf: ChartForm, center: BlowupCenterChart, symbol_pre
                                      for v, g in zip(fan.others, generic)))
         values = itertools.product(*((None, g.unit_value()) for g in generic))
         for betas, vals in zip(strata, values):
-            chart, _ = _blowup_child(cf, fan, betas, vals)
+            chart = _blowup_child(cf, fan, betas, vals)[0]
             out.append((BlowupChartChoice(fan.j0, betas), chart))
     return out

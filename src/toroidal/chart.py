@@ -340,14 +340,15 @@ def derive_center_form(cf: ChartForm, z: CenterDescriptor) -> AdaptedForm:
 
 
 def pullback_center_ideal(cf: ChartForm) -> MonomialIdeal:
-    """Pullback of the center's ideal, as a monomial ideal in d variables.
-    Its generators come from the chart's checked matrix, so they are not
-    checked again."""
-    return MonomialIdeal.trusted(cf.d, pullback_center_generators(cf))
+    """Pullback of the center's ideal, as a monomial ideal in the
+    `n + num_slots` divisor and slot variables.  Its generators come from
+    the chart's checked matrix, so they are not checked again."""
+    return MonomialIdeal.trusted(cf.n + cf.num_slots, pullback_center_generators(cf))
 
 
 def pullback_center_generators(cf: ChartForm) -> list[tuple[int, ...]]:
-    """One generator of the center's pullback per center row, unreduced.
+    """One generator of the center's pullback per center row, unreduced,
+    over the divisor and slot variables.
 
     Unit factors never change a monomial ideal and are dropped; a slot
     row contributes its translated variable only on the zero stratum.
@@ -356,9 +357,9 @@ def pullback_center_generators(cf: ChartForm) -> list[tuple[int, ...]]:
         raise ValueError("pullback needs a center-adapted chart")
     gens: list[tuple[int, ...]] = []
     for i in range(cf.ell_bar):
-        gens.append(cf.matrix[i] + (0,) * (cf.d - cf.n))
+        gens.append(cf.matrix[i] + (0,) * cf.num_slots)
     for t in range(cf.s):
-        row = list(cf.matrix[cf.ell + t]) + [0] * (cf.d - cf.n)
+        row = list(cf.matrix[cf.ell + t]) + [0] * cf.num_slots
         beta = cf.betas[t]
         if beta is not None and beta.is_zero:
             row[cf.slot_var(t)] += 1

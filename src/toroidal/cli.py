@@ -2,9 +2,9 @@
 
 Exit codes: 0 pass, 1 verdict failure, 2 invalid input, 3 cap exceeded,
 4 regime limit (valid input the engine does not handle: no permissible
-center, the transversal search bound, the runaway guard or a constant
-too long to write), 5 internal check failure (an engine bug, such as a
-lift that does not commute).
+center, the transversal search bound, the runaway guard, a constant too
+long to write or to compute, memory or recursion exhausted), 5 internal
+check failure (an engine bug, such as a lift that does not commute).
 `toroidalize`, `verify-trace` and `report` exit 3 on a capped run, also
 when later script steps follow: a stratum the cap stopped is above no
 later center.  Errors print one `error:` line, which names the stratum
@@ -349,6 +349,9 @@ def main(argv=None) -> int:
         if isinstance(exc, RegimeLimit):
             return REGIME
         return INTERNAL if isinstance(exc, InternalCheckError) else INVALID
+    except (MemoryError, RecursionError) as exc:  # a MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return REGIME
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ drop whitespace so equal values have equal bytes.  The constants the
 engine computes are written by `unit_value_to_doc`.  One with more
 digits than the interpreter converts (`sys.get_int_max_str_digits`)
 raises `RegimeLimit`: valid input whose trace could not be written, nor
-read back.
+read back; so does a unit factor whose constant alone would have more
+bits than such a number, where it is read.
 
 Each encoder is a plain function of its object and builds a fresh
 document.  The one sub-document a trace shares is a lifted chart's: the
@@ -203,6 +204,8 @@ def unit_token_to_doc(u: UnitToken):
 
 
 def unit_token_from_doc(doc, where: str) -> UnitToken:
+    """A unit token.  A factor (x + p/q)^e, p/q not +-1, with |e| * max(bits of
+    p, q) above the bits of 10 ** L (L the digit limit, or 4300) raises."""
     if doc is None:
         return UnitToken()
     doc = read_object(doc, where)
@@ -210,13 +213,22 @@ def unit_token_from_doc(doc, where: str) -> UnitToken:
     if "base" in doc:
         base = unit_value_from_doc(doc["base"], f"{where} base")
     factors = []
-    for i, f in enumerate(read_field(doc, "factors", list, where, [])):
+    docs = read_field(doc, "factors", list, where, [])
+    bound = docs and (10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                             or 4300)).bit_length()
+    for i, f in enumerate(docs):
         f_where = f"{where} factor {i}"
         f = read_object(f, f_where)
-        factors.append(UnitFactor(
+        factor = UnitFactor(
             read_integer(f, "var", f_where),
             unit_value_from_doc(f.get("shift"), f"{f_where} shift"),
-            read_integer(f, "exp", f_where)))
+            read_integer(f, "exp", f_where))
+        c = factor.shift.coeff  # a power of +-1 (times symbols) is cheap at any size
+        bits = 0 if c in (1, -1) else max(c.numerator.bit_length(), c.denominator.bit_length())
+        if abs(factor.exp) * bits > bound:
+            raise RegimeLimit(f"{f_where}: its constant would have more than "
+                              f"{bound} bits, too long to compute")
+        factors.append(factor)
     return UnitToken(base, tuple(factors))
 
 

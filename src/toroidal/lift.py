@@ -21,10 +21,6 @@ skeleton, so a caller can keep skeletons in a dict for the length of
 one chart family.  The point of the target blowup chart the lift lands
 on is not stored apart: the generator row, the row sources and the
 fresh parameters' shifts name it, in the engine and in the trace alike.
-
-The skeleton, the fresh parameters and the result are plain records
-(`collections.namedtuple`s): every check runs where they are built, so
-their constructors check nothing.
 """
 
 from __future__ import annotations

@@ -18,10 +18,6 @@ residual and is not factored; only a nonprincipal one is reduced and
 factored.  The locus reads only the chart's shape (`shape_key`), so one
 driver call computes it once per distinct shape.  A failure on a stratum
 names it and its parent path.
-
-The steps, the finals and the trace are plain records
-(`collections.namedtuple`s): they hold no invariant, so building one
-runs no check.
 """
 
 from __future__ import annotations
@@ -80,7 +76,7 @@ def nonprincipal_locus(cf: ChartForm) -> MonomialIdeal | None:
     gens = pullback_center_generators(cf)
     if principal_generator(gens) is not None:
         return None
-    return principal_part_factorization(MonomialIdeal.trusted(cf.d, gens))[1]
+    return principal_part_factorization(MonomialIdeal.trusted(cf.n + cf.num_slots, gens))[1]
 
 
 # The shape memo's default: a shape whose locus is not yet computed.

@@ -15,19 +15,11 @@ A unit token carries its constant from parent to child: renaming its
 variables keeps the constant, and appending a factor multiplies it by
 that factor's constant once, so a chart built by a chain of blowups
 never walks its full factor list again.  A factor is a plain immutable
-record, so renaming a row's variables costs one tuple per factor.
+record, so moving a row's factors costs one tuple per factor.
 
 No record of the package is made by `dataclasses` or `typing`, so
-importing it loads neither.  `UnitValue` and `UnitToken` are the
-engine's most-built objects: each is a slotted class with one
-constructor that refuses attribute assignment and compares, hashes and
-prints by its fields alone.  Their constructors write each slot through
-that slot's own setter, bound once when the module loads, so building
-one looks no name up.  A token's cached constant sits in a slot of its
-own that none of the three reads.  The checked records (`Stratum`
-here, and others in the other modules) share `_Record`, which does the
-same by their slots in order; the field-only records are
-`collections.namedtuple`s.
+importing it loads neither: a record that checks its fields is a
+`_Frozen` class, and one that holds no invariant a `namedtuple`.
 """
 
 from __future__ import annotations
@@ -315,15 +307,15 @@ class UnitToken(_Frozen):
         factor = UnitFactor(var, shift, exp)
         return self._carrying(self.factors + (factor,), self.constant() * factor.constant())
 
-    def remap_vars(self, var_map) -> "UnitToken":
-        """This token with each factor's variable v renamed `var_map[v]`;
-        `var_map` is indexed by every variable a factor names (a chart's
-        variable map covers them all: its structure keeps them below d)."""
+    def remap_vars(self, drop: int) -> "UnitToken":
+        """This token with each factor's variable moved down by `drop`: a
+        blowup child absorbs `drop` variables below every factor of its
+        parent's units, so the factors keep their order and spacing."""
         # Renaming variables does not change the value at the chart point.
-        if not self.factors:
+        if not drop or not self.factors:
             return self
         return self._carrying(tuple(
-            UnitFactor(var_map[f.var], f.shift, f.exp) for f in self.factors),
+            UnitFactor(f.var - drop, f.shift, f.exp) for f in self.factors),
             self.constant())
 
 

@@ -80,7 +80,7 @@ from toroidal.principalize import (
     PrincipalizationTrace,
     nonprincipal_locus,
 )
-from toroidal.units import UnitValue, _as_fraction
+from toroidal.units import UnitFactor, UnitToken, UnitValue, _as_fraction
 
 
 def rebuilt_chart(cf: ChartForm, **changes) -> ChartForm:
@@ -327,6 +327,13 @@ def _ref_assemble(cf, new_divisor_old_vars, kept_slot_old_vars, absorbed_old_var
     return tuple(var_map)
 
 
+def _ref_renamed(unit, var_map):
+    """`unit` with each factor's variable v renamed `var_map[v]`, through
+    the full variable map and the token's own constructor."""
+    return UnitToken(unit.base, tuple(UnitFactor(var_map[f.var], f.shift, f.exp)
+                                      for f in unit.factors))
+
+
 def _ref_case1(cf, choice, div):
     betas = dict(choice.betas)
     j0 = choice.j0
@@ -343,7 +350,7 @@ def _ref_case1(cf, choice, div):
 
     units = []
     for i, unit in enumerate(cf.units):
-        u = unit.remap_vars({old: var_map[old] for old in range(cf.d)})
+        u = _ref_renamed(unit, var_map)
         for j in j2:
             u = u.with_factor(var_map[j], betas[j].unit_value(), cf.matrix[i][j])
         units.append(u)
@@ -371,7 +378,7 @@ def _ref_case2(cf, choice, div):
     for i in row_order:
         exc = sum(cf.matrix[i][j] for j in div) + (1 if i >= cf.ell else 0)
         matrix.append(tuple([cf.matrix[i][j] for j in new_div[:-1]] + [exc]))
-        u = cf.units[i].remap_vars({old: var_map[old] for old in range(cf.d)})
+        u = _ref_renamed(cf.units[i], var_map)
         for j in j2:
             u = u.with_factor(var_map[j], betas[j].unit_value(), cf.matrix[i][j])
         units.append(u)

@@ -22,7 +22,7 @@ DEMO_DIGESTS = {
     "02_toric_normalization.py":
         "7ac07dfee80c03b88d48e5796a1dcc61d0d53e7a2a40b80b91eaf9a6bef17e84",
     "03_blowup_charts.py":
-        "d041d91b3c05b360792718b9e6dcbb232c28421360705d7c9e7285ddf9e06286",
+        "edee4e43b54bfc24c10d6fe887c7fb641215a80bf18df17b2a46ced60725da0d",
     "04_principalization_and_lift.py":
         "754b7633eee33d002fe2450dcc9cf755e6d5db3cc4992188f3221b729955cdc7",
     "05_full_toroidalization.py":

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 import toroidal
-from toroidal import blowup, chart, documents, lift, pipeline, principalize, units
+from toroidal import blowup, chart, cli, documents, lift, pipeline, principalize, units
 from toroidal.chart import TOROIDAL, shape_key
 from toroidal.cli import main
 from toroidal.documents import canonical_dumps
@@ -279,6 +281,51 @@ class TestEndToEnd:
             atlas, script = parse_document({**identity_doc(), "script": steps})
             with pytest.raises(ValueError, match="^cap must be >= 0$"):
                 toroidalize(atlas, script, cap=-3)
+
+
+def ambient(doc, d):
+    """`doc` with every `d` field set to `d`."""
+    if isinstance(doc, dict):
+        return {k: d if k == "d" else ambient(v, d) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [ambient(v, d) for v in doc]
+    return doc
+
+
+def shifted_factors(doc, by):
+    """`doc` with every unit factor's variable moved down by `by`."""
+    if isinstance(doc, dict):
+        if "var" in doc and "shift" in doc:
+            return {**doc, "var": doc["var"] - by}
+        return {k: shifted_factors(v, by) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [shifted_factors(v, by) for v in doc]
+    return doc
+
+
+class TestAmbientDimension:
+    def test_cost_does_not_grow_with_d(self, tmp_path, capsys):
+        # No chart data is d long: at d = 10^6 the run and its replay
+        # allocate what they do at d = 2, and the trace differs only in its
+        # d fields and in the variables of the factors blowups created
+        # (the identity document has none of its own), each the last
+        # variable, d - 1.
+        d = 10 ** 6
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(ambient(identity_doc(), d)))
+        tracemalloc.start()
+        try:
+            assert main(["--out", str(trace_path), "toroidalize", str(atlas_path)]) == 0
+            assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 2 * 10 ** 6, peak
+        trace = json.loads(trace_path.read_text())
+        small = json.loads(canonical_dumps(toroidalize(*parse_document(identity_doc()))))
+        assert "factors" in canonical_dumps(small)
+        assert shifted_factors(ambient(trace, 2), d - 2) == small
 
 
 class TestGlobalVerification:
@@ -848,15 +895,18 @@ class TestExitStatuses:
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="integers of any length convert to text")
     def test_constant_too_long_to_write(self, tmp_path, capsys):
-        # check-atlas accepts the unit (x2 + 3)^20000 on row 0, but its lift
-        # carries the constant 3^20000, which `str` will not write: neither
-        # could a trace, nor `Fraction` read one back.
+        # check-atlas accepts the unit (x2 + 3)^7000 (x3 + 3)^7000 on row 0:
+        # each factor's constant has 14,000 bits, under the bound a factor
+        # is read with.  But its lift carries the constant 3^14000, which
+        # `str` will not write: neither could a trace, nor `Fraction` read
+        # one back.
         doc = identity_doc()
-        doc["dims"]["d"] = 3
+        doc["dims"]["d"] = 4
         stratum = doc["charts"][0]["strata"][0]
-        stratum["chart"]["d"] = 3
+        stratum["chart"]["d"] = 4
         stratum["chart"]["units"] = [
-            {"factors": [{"var": 2, "shift": {"coeff": "3"}, "exp": 20000}]}, None]
+            {"factors": [{"var": var, "shift": {"coeff": "3"}, "exp": 7000}
+                         for var in (2, 3)]}, None]
         status, _ = self.run_main(tmp_path, capsys, "check-atlas", doc)
         assert status == 0
         trace_path = tmp_path / "trace.json"
@@ -868,6 +918,51 @@ class TestExitStatuses:
                      ["verify-trace", str(tmp_path / "doc.json"), str(trace_path)]):
             assert main(argv) == 4
             assert capsys.readouterr().err == expected
+
+    def test_factor_too_large_to_compute(self, tmp_path, capsys):
+        # (x2 + 3)^(10^10) is refused where it is read, not computed for
+        # minutes inside the engine.
+        doc = identity_doc()
+        doc["dims"]["d"] = 3
+        stratum = doc["charts"][0]["strata"][0]
+        stratum["chart"]["d"] = 3
+        stratum["chart"]["units"] = [
+            {"factors": [{"var": 2, "shift": {"coeff": "3"}, "exp": 10 ** 10}]}, None]
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        bound = (10 ** digits).bit_length()
+        for command in ("check-atlas", "toroidalize"):
+            start = time.perf_counter()
+            status, err = self.run_main(tmp_path, capsys, command, doc)
+            assert time.perf_counter() - start < 1
+            assert status == 4
+            assert err == (f"error: stratum A/p0 chart unit 0 factor 0: its constant "
+                           f"would have more than {bound} bits, too long to compute\n")
+
+    def test_factor_of_a_unit_coefficient_is_not_bounded(self, tmp_path, capsys):
+        # (x2 + a)^20000 and (x2 - 1)^20001: a symbol power and a sign, cheap
+        # at any exponent, so the bound lets them through.
+        doc = identity_doc()
+        doc["dims"]["d"] = 3
+        stratum = doc["charts"][0]["strata"][0]
+        stratum["chart"]["d"] = 3
+        stratum["chart"]["units"] = [{"factors": [
+            {"var": 2, "shift": {"coeff": "1", "symbols": [["a", "1"]]}, "exp": 20000},
+            {"var": 2, "shift": {"coeff": "-1"}, "exp": 20001}]}, None]
+        for command in ("check-atlas", "toroidalize"):
+            assert self.run_main(tmp_path, capsys, command, doc) == (0, "")
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "out of memory"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "maximum recursion depth exceeded")])
+    def test_memory_or_recursion_exhausted(self, tmp_path, capsys, monkeypatch,
+                                           error, line):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "toroidalize", exhausted)
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
+        assert (status, err) == (4, f"error: {line}\n")
 
     def test_internal_check_error(self, tmp_path, capsys, monkeypatch):
         # The adapted root keeps the identity matrix; every blowup child fails.

@@ -500,7 +500,7 @@ class TestResidualShapes:
     def test_nonprincipal_strata_have_zero_betas_and_np_shape(self):
         # Every stratum the driver ever blows up sits on the center with
         # zero strata, and its residual is the reduced rows plus one unit
-        # vector per slot variable.
+        # vector per slot variable, over the divisor and slot variables.
         rng = random.Random(271)
         seen = 0
         while seen < 30:
@@ -520,13 +520,14 @@ class TestResidualShapes:
                 assert all(b is not None and b.is_zero for b in out.betas)
                 from toroidal.chart import column_minima
                 mins = column_minima(out)
+                active = out.n + out.num_slots
                 expected = []
                 for i in range(out.ell_bar):
                     expected.append(tuple(x - y for x, y in zip(out.matrix[i], mins))
-                                    + (0,) * (out.d - out.n))
+                                    + (0,) * out.num_slots)
                 for t in range(out.s):
-                    vec = [0] * out.d
+                    vec = [0] * active
                     vec[out.slot_var(t)] = 1
                     expected.append(tuple(vec))
-                assert residual == minimal_generators(expected, out.d)
+                assert residual == minimal_generators(expected, active)
             seen += 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toroidal.documents import unit_value_from_doc, unit_value_to_doc
-from toroidal.units import UnitFactor, UnitToken, UnitValue
+from toroidal.units import TRIVIAL_UNIT, UnitFactor, UnitToken, UnitValue
 from oracles import reference_mul, reference_pow
 
 NAMES = ("a", "b", "c")
@@ -76,20 +76,22 @@ class TestCarriedConstants:
             token = UnitToken(random_value(rng))
             for _ in range(rng.randint(1, 8)):
                 if rng.random() < 0.3:
-                    mapping = {v: rng.randint(0, 9) for v in range(10)}
-                    token = token.remap_vars(mapping)
+                    token = token.remap_vars(rng.randint(0, 3))
                 else:
-                    token = token.with_factor(rng.randint(0, 9), random_value(rng),
+                    token = token.with_factor(rng.randint(30, 39), random_value(rng),
                                               rng.randint(-3, 3))
                 carried = token.constant()
                 assert carried == UnitToken(token.base, token.factors).constant()
                 assert carried == reference_constant(token), token
 
     def test_remap_keeps_the_value_and_renames_the_factors(self):
-        token = UnitToken(UnitValue.of(5)).with_factor(3, UnitValue.symbol("s"), 2)
-        moved = token.remap_vars({3: 7})
-        assert [f.var for f in moved.factors] == [7]
+        token = (UnitToken(UnitValue.of(5)).with_factor(7, UnitValue.symbol("s"), 2)
+                 .with_factor(9, UnitValue.of(3), -1))
+        moved = token.remap_vars(4)
+        assert [f.var for f in moved.factors] == [3, 5]
         assert moved.constant() is token.constant()
+        assert token.remap_vars(0) is token
+        assert TRIVIAL_UNIT.remap_vars(4) is TRIVIAL_UNIT
 
 
 def _exponent_types(value: UnitValue):
