@@ -16,7 +16,8 @@ with `_blowup_child` and returns (choice, chart) pairs.
 the child's row order and `d`-long variable map (`BlowupResult`), which
 only the `blowup` command writes: a child itself moves every variable
 past its divisor and slots down by one number, whatever `d` is.  Every
-child is checked as built (`built_chart`).
+child is checked as built (`built_chart`), and `blowup_transform` checks
+the chart it is given (`check_shape`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .chart import (
     ChartForm,
     ValidityReport,
     built_chart,
+    check_shape,
 )
 from .units import ZERO_STRATUM, Stratum, _Record, _set
 
@@ -150,7 +152,7 @@ def _check_center(cf: ChartForm, center: BlowupCenterChart) -> None:
 
 def blowup_transform(cf: ChartForm, center: BlowupCenterChart,
                      choice: BlowupChartChoice) -> BlowupResult:
-    _check_center(cf, center)
+    _check_center(check_shape(cf), center)
     _validate_choice(cf, center, choice)
     fan, = _fanouts(cf, center, (choice.j0,))
     strata = dict(choice.betas)

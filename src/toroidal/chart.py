@@ -16,7 +16,7 @@ Variable layout, 0-based and dense:
 
 The `ChartForm` constructor is the input check and raises `ValueError`.
 `built_chart` is the engine's postcondition on a chart it built, its
-structure and the shape of its own tag, and raises `InternalCheckError`.
+structure and its shape (`check_shape`), and raises `InternalCheckError`.
 """
 
 from __future__ import annotations
@@ -291,19 +291,23 @@ def classify_form(cf: ChartForm) -> tuple[str | None, dict[str, list[tuple[str, 
     return None, diagnostics
 
 
+def check_shape(cf: ChartForm, error=ValueError, what: str = "chart") -> ChartForm:
+    """`cf` if it has its own tag's shape (a qtf1 chart with s = 0 fails it exactly
+    when it fails the toroidal shape); else raises `error`, ValueError on input."""
+    failures = shape_failures(cf, cf.tag)
+    if failures:
+        raise error(f"{what} is not {cf.tag}: {ValidityReport(tuple(failures))}")
+    return cf
+
+
 def built_chart(**fields) -> ChartForm:
-    """The chart built from `fields`, checked once: structure, then the
-    shape of its own tag (a qtf1 chart with s = 0 fails it exactly when it
-    fails the toroidal shape).  A failure is an engine bug."""
+    """The chart built from `fields`, checked once: structure, then its
+    shape (`check_shape`).  A failure is an engine bug."""
     try:
         cf = ChartForm(**fields)
     except ValueError as exc:
         raise InternalCheckError(f"built chart: {exc}") from exc
-    failures = shape_failures(cf, cf.tag)
-    if failures:
-        raise InternalCheckError(
-            f"built chart is not {cf.tag}: {ValidityReport(tuple(failures))}")
-    return cf
+    return check_shape(cf, InternalCheckError, "built chart")
 
 
 # `row_order` maps a new row index to the original row index.

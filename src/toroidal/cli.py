@@ -1,10 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 pass, 1 verdict failure, 2 invalid input, 3 cap exceeded,
-4 regime limit (valid input the engine does not handle: no permissible
-center, the transversal search bound, the runaway guard, a constant too
-long to write or to compute, memory or recursion exhausted), 5 internal
-check failure (an engine bug, such as a lift that does not commute).
+4 regime limit (valid input the engine does not handle: the transversal
+search bound, the runaway guard, a constant too long to write or to
+compute, memory or recursion exhausted), 5 internal check failure (an
+engine bug, such as a lift that does not commute).
 `toroidalize`, `verify-trace` and `report` exit 3 on a capped run, also
 when later script steps follow: a stratum the cap stopped is above no
 later center.  Errors print one `error:` line, which names the stratum

@@ -204,8 +204,8 @@ def unit_token_to_doc(u: UnitToken):
 
 
 def unit_token_from_doc(doc, where: str) -> UnitToken:
-    """A unit token.  A factor (x + p/q)^e, p/q not +-1, with |e| * max(bits of
-    p, q) above the bits of 10 ** L (L the digit limit, or 4300) raises."""
+    """A unit token, refused at the factor where the sum of |e| * max(bits of p,
+    q) over (x + p/q)^e, p/q not +-1, passes the bits of 10**L, L the digit limit or 4300."""
     if doc is None:
         return UnitToken()
     doc = read_object(doc, where)
@@ -216,6 +216,7 @@ def unit_token_from_doc(doc, where: str) -> UnitToken:
     docs = read_field(doc, "factors", list, where, [])
     bound = docs and (10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)()
                              or 4300)).bit_length()
+    total = 0
     for i, f in enumerate(docs):
         f_where = f"{where} factor {i}"
         f = read_object(f, f_where)
@@ -225,7 +226,8 @@ def unit_token_from_doc(doc, where: str) -> UnitToken:
             read_integer(f, "exp", f_where))
         c = factor.shift.coeff  # a power of +-1 (times symbols) is cheap at any size
         bits = 0 if c in (1, -1) else max(c.numerator.bit_length(), c.denominator.bit_length())
-        if abs(factor.exp) * bits > bound:
+        total += abs(factor.exp) * bits
+        if total > bound:
             raise RegimeLimit(f"{f_where}: its constant would have more than "
                               f"{bound} bits, too long to compute")
         factors.append(factor)

@@ -7,5 +7,5 @@ class InternalCheckError(RuntimeError):
 
 
 class RegimeLimit(ValueError):
-    """Valid input outside the regime the engine handles: a search or step
-    bound was reached, or no permissible center exists."""
+    """Valid input outside the regime the engine handles: a search, step,
+    size or memory bound was reached."""

@@ -11,8 +11,8 @@ chart, id and depth, not on the rest of the family.  A step
 cap stands in for a termination proof; hitting it is a reported status.
 
 The locus is the residual N of the factorization x^F * N of the
-pullback, and nothing more: the policy draws the candidate centers from
-`max_order_components(N)`, and the blowup checks the chosen one.  A
+pullback, and nothing more: the policy picks the center among
+`max_order_components(N)`, and the blowup checks it.  A
 principal pullback, whose generators' gcd is one of them, has no
 residual and is not factored; only a nonprincipal one is reduced and
 factored.  The locus reads only the chart's shape (`shape_key`), so one
@@ -36,6 +36,7 @@ from .chart import (
     QTF2,
     CenterDescriptor,
     ChartForm,
+    check_shape,
     column_minima,
     pullback_center_generators,
     shape_key,
@@ -68,8 +69,8 @@ def check_cap(cap: int, name: str = "cap") -> None:
 def nonprincipal_locus(cf: ChartForm) -> MonomialIdeal | None:
     """The residual N of the pullback I = x^F * N, which cuts the locus
     where the pullback is not principal, or None when I is principal.
-    The candidate centers are the maximum-order components of N
-    (`MaxOrderLexPolicy.candidates`).  A principal pullback, F the
+    The policy picks the center among N's maximum-order components
+    (`MaxOrderLexPolicy.select`).  A principal pullback, F the
     generator that divides the others, is neither reduced nor factored;
     only a nonprincipal one goes through the factorization and its
     reconstruction check."""
@@ -81,11 +82,6 @@ def nonprincipal_locus(cf: ChartForm) -> MonomialIdeal | None:
 
 # The shape memo's default: a shape whose locus is not yet computed.
 _UNSEEN = object()
-
-
-class NoPermissibleCenter(RegimeLimit):
-    """No maximum-order component passes the permissibility test; the
-    input is outside the guaranteed regime."""
 
 
 class MaxOrderLexPolicy:
@@ -102,34 +98,28 @@ class MaxOrderLexPolicy:
 
     name = "max-order-lex"
 
-    def _reduced_depth(self, cf: ChartForm, subset) -> int:
-        if cf.ell_bar == 0:
-            return 0
-        mins = column_minima(cf)
-        divisor = [j for j in subset if j < cf.n]
-        return min(sum(cf.matrix[i][j] - mins[j] for j in divisor)
-                   for i in range(cf.ell_bar))
-
-    def candidates(self, cf: ChartForm, residual: MonomialIdeal):
-        comps = max_order_components(residual)
-        return sorted(comps, key=lambda s: (-self._reduced_depth(cf, s),
-                                            -len(s), s))
-
     def select(self, cf: ChartForm, residual: MonomialIdeal) -> BlowupCenterChart:
-        """The first candidate through every slot that passes the matrix
-        test.  It is a valid center by construction (a single coordinate
-        has order 0 on the gcd-free residual), so only the blowup checks it."""
-        rejected = []
-        for subset in self.candidates(cf, residual):
-            center = BlowupCenterChart(tuple(j for j in subset if j < cf.n), cf.s)
-            if list(subset) != center_coordinates(cf, center):
-                rejected.append((subset, "component misses a slot variable"))
-                continue
-            ok, witness = matrix_permissibility(cf, center)
-            if ok:
-                return center
-            rejected.append((subset, f"not permissible: {witness}"))
-        raise NoPermissibleCenter(f"no permissible candidate; tried {rejected}")
+        """The first component in tie-break order: on a chart in its tag's shape,
+        a permissible center.  A qtf2 chart, or a slot off the zero stratum, has a
+        generator on the column minima dividing the others, so a nonprincipal chart
+        is qtf1 and each slot variable generates the residual: every component holds
+        every slot.  Less its column minima (0 on a slot column: ell_bar >= 1 or s >= 2),
+        the center matrix is the residual on the component, which a minimal one of
+        order >= 1 meets in every row and column.  A failed check is an engine bug."""
+        mins, rows = column_minima(cf), cf.matrix[:cf.ell_bar]
+
+        def key(subset):
+            divisor = [j for j in subset if j < cf.n]
+            depth = min((sum(row[j] - mins[j] for j in divisor) for row in rows), default=0)
+            return -depth, -len(subset), subset
+
+        subset = min(max_order_components(residual), key=key)
+        center = BlowupCenterChart(tuple(j for j in subset if j < cf.n), cf.s)
+        ok, witness = matrix_permissibility(cf, center)
+        if not ok or list(subset) != center_coordinates(cf, center):
+            raise InternalCheckError(f"max-order component {subset} is not a permissible "
+                                     f"center: {witness or 'it misses a slot variable'}")
+        return center
 
 
 POLICY = MaxOrderLexPolicy()
@@ -159,10 +149,11 @@ def _choice_tag(choice: BlowupChartChoice) -> str:
 
 
 class naming:
-    """A context that re-raises a ValueError or an InternalCheckError as
-    its own class with the stratum and its parent path in front.  A
-    child's id extends its parent's, so the path is written as the root
-    id, then each deeper ancestor's suffix: linear in the depth."""
+    """A context that re-raises a ValueError, an InternalCheckError, a
+    MemoryError or a RecursionError as its own class with the stratum and
+    its parent path in front.  A child's id extends its parent's, so the
+    path is written as the root id, then each deeper ancestor's suffix:
+    linear in the depth."""
 
     __slots__ = ("sid", "path")
 
@@ -173,12 +164,12 @@ class naming:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (ValueError, InternalCheckError)):
+        if isinstance(exc, (ValueError, InternalCheckError, MemoryError, RecursionError)):
             path, where = self.path, ""
             if path:
                 steps = (sid[len(parent):] for parent, sid in zip(path, path[1:]))
                 where = f" (parent path {' > '.join((path[0], *steps))})"
-            raise type(exc)(f"stratum {self.sid}{where}: {exc}") from exc
+            raise type(exc)(f"stratum {self.sid}{where}: {str(exc) or 'out of memory'}") from exc
         return False
 
 
@@ -186,16 +177,16 @@ def principalize_chart_family(
         strata: list[tuple[str, ChartForm, CenterDescriptor]],
         cap: int = DEFAULT_CAP,
 ) -> PrincipalizationTrace:
-    # Every root is checked adapted to its descriptor first (a blowup child
-    # keeps its parent's `ell_bar` and `s`), then each root's tree is expanded
-    # depth first from an explicit stack (the cap is user-set, so recursion
-    # could outgrow Python's limit): steps come in preorder and each root's
-    # finals are its leaves in preorder.  The cap bounds the length of any
-    # single chain of blowups (the depth of a stratum's history); a stratum at
-    # the cap finishes with Exceeded status.  `loci` holds each shape's locus
-    # for the length of this call and `ids` every id given out, roots first, so
-    # a child that takes a root's id is named with its parent path; a
-    # principal shape's entry is None.
+    # Every root is checked in its tag's shape and adapted to its descriptor
+    # first (a blowup child keeps its parent's `ell_bar` and `s`), then each
+    # root's tree is expanded depth first from an explicit stack (the cap is
+    # user-set, so recursion could outgrow Python's limit): steps come in
+    # preorder and each root's finals are its leaves in preorder.  The cap
+    # bounds the length of any single chain of blowups (the depth of a
+    # stratum's history); a stratum at the cap finishes with Exceeded status.
+    # `loci` holds each shape's locus for the length of this call and `ids`
+    # every id given out, roots first, so a child that takes a root's id is
+    # named with its parent path; a principal shape's entry is None.
     check_cap(cap)
     loci: dict[tuple, MonomialIdeal | None] = {}
     ids: set[str] = set()
@@ -215,6 +206,7 @@ def principalize_chart_family(
                 raise ValueError("pullback needs a center-adapted chart")
             if chart.ell_bar != z.ell_bar or chart.s != z.extra_slots:
                 raise ValueError("chart is not adapted to this descriptor")
+            check_shape(chart)
     for root_id, root_chart, z in strata:
         stack = [(root_id, root_chart, ())]
         while stack:

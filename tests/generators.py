@@ -90,19 +90,11 @@ def random_toric_data(rng, max_m=4, max_d=6, max_exp=4) -> ToricMorphismData:
 
 
 def permissible_center_for(adapted):
-    """The policy's center for a nonprincipal adapted chart, or None."""
-    from toroidal.principalize import (
-        MaxOrderLexPolicy,
-        NoPermissibleCenter,
-        nonprincipal_locus,
-    )
+    """The policy's center for an adapted chart, or None when it is principal."""
+    from toroidal.principalize import POLICY, nonprincipal_locus
+
     residual = nonprincipal_locus(adapted)
-    if residual is None:
-        return None
-    try:
-        return MaxOrderLexPolicy().select(adapted, residual)
-    except NoPermissibleCenter:
-        return None
+    return None if residual is None else POLICY.select(adapted, residual)
 
 
 def blowup_triples(rng, count, **kwargs):

@@ -828,6 +828,12 @@ TWO_BLOWUP_FAMILY = {"strata": [{
 }]}
 
 
+# An exhausted resource and the reason its error line gives.
+EXHAUSTED = [(MemoryError(), "out of memory"),
+             (RecursionError("maximum recursion depth exceeded"),
+              "maximum recursion depth exceeded")]
+
+
 class TestExitStatuses:
     """Valid input outside the engine's regime exits 4, an engine
     postcondition failure exits 5; each prints one error line."""
@@ -851,15 +857,17 @@ class TestExitStatuses:
         assert "step z1" in report.failures[0][1]
 
     def test_no_permissible_center(self, tmp_path, capsys, monkeypatch):
+        # Every maximum-order component of a chart in its tag's shape is a
+        # permissible center, so a rejected one is an engine bug.
         monkeypatch.setattr(principalize, "matrix_permissibility",
                             lambda cf, center: (False, ("row", 0)))
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
-        assert status == 4
-        assert err.startswith("error: stratum A/p0: no permissible candidate")
+        assert (status, err) == (5, "error: stratum A/p0: max-order component (0, 1) "
+                                    "is not a permissible center: ('row', 0)\n")
 
     def test_child_without_permissible_center_names_its_path(
             self, tmp_path, capsys, monkeypatch):
-        # The root's center passes; every later candidate is rejected.
+        # The root's center passes; every later center is rejected.
         real, tested = principalize.matrix_permissibility, []
 
         def first_only(cf, center):
@@ -869,9 +877,9 @@ class TestExitStatuses:
         monkeypatch.setattr(principalize, "matrix_permissibility", first_only)
         status, err = self.run_main(tmp_path, capsys, "principalize",
                                     TWO_BLOWUP_FAMILY)
-        assert status == 4
-        assert err.startswith("error: stratum x0.e1z (parent path x0): "
-                              "no permissible candidate"), err
+        assert status == 5
+        assert err.startswith("error: stratum x0.e1z (parent path x0): max-order "
+                              "component (0, 1) is not a permissible center"), err
 
     def test_runaway_guard(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(principalize, "RUNAWAY_GUARD", 1)
@@ -895,18 +903,18 @@ class TestExitStatuses:
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="integers of any length convert to text")
     def test_constant_too_long_to_write(self, tmp_path, capsys):
-        # check-atlas accepts the unit (x2 + 3)^7000 (x3 + 3)^7000 on row 0:
-        # each factor's constant has 14,000 bits, under the bound a factor
-        # is read with.  But its lift carries the constant 3^14000, which
-        # `str` will not write: neither could a trace, nor `Fraction` read
-        # one back.
+        # check-atlas accepts the units (x2 + 3)^7000 on row 0 and
+        # (x3 + 3)^-7000 on row 1: each token's constant has 14,000 bits,
+        # under the bound a token is read with.  But the lift carries the
+        # constant 3^14000 of their quotient, which `str` will not write:
+        # neither could a trace, nor `Fraction` read one back.
         doc = identity_doc()
         doc["dims"]["d"] = 4
         stratum = doc["charts"][0]["strata"][0]
         stratum["chart"]["d"] = 4
         stratum["chart"]["units"] = [
-            {"factors": [{"var": var, "shift": {"coeff": "3"}, "exp": 7000}
-                         for var in (2, 3)]}, None]
+            {"factors": [{"var": var, "shift": {"coeff": "3"}, "exp": exp}]}
+            for var, exp in ((2, 7000), (3, -7000))]
         status, _ = self.run_main(tmp_path, capsys, "check-atlas", doc)
         assert status == 0
         trace_path = tmp_path / "trace.json"
@@ -919,15 +927,14 @@ class TestExitStatuses:
             assert main(argv) == 4
             assert capsys.readouterr().err == expected
 
-    def test_factor_too_large_to_compute(self, tmp_path, capsys):
-        # (x2 + 3)^(10^10) is refused where it is read, not computed for
-        # minutes inside the engine.
+    def refused_on_read(self, tmp_path, capsys, factors, at):
+        """`factors` as the row-0 unit of `identity_doc()` at d = 3 exit 4
+        from `check-atlas` and `toroidalize` within a second, naming factor `at`."""
         doc = identity_doc()
         doc["dims"]["d"] = 3
         stratum = doc["charts"][0]["strata"][0]
         stratum["chart"]["d"] = 3
-        stratum["chart"]["units"] = [
-            {"factors": [{"var": 2, "shift": {"coeff": "3"}, "exp": 10 ** 10}]}, None]
+        stratum["chart"]["units"] = [{"factors": factors}, None]
         digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         bound = (10 ** digits).bit_length()
         for command in ("check-atlas", "toroidalize"):
@@ -935,8 +942,20 @@ class TestExitStatuses:
             status, err = self.run_main(tmp_path, capsys, command, doc)
             assert time.perf_counter() - start < 1
             assert status == 4
-            assert err == (f"error: stratum A/p0 chart unit 0 factor 0: its constant "
+            assert err == (f"error: stratum A/p0 chart unit 0 factor {at}: its constant "
                            f"would have more than {bound} bits, too long to compute\n")
+
+    def test_factor_too_large_to_compute(self, tmp_path, capsys):
+        # (x2 + 3)^(10^10) is refused where it is read, not computed for
+        # minutes inside the engine.
+        self.refused_on_read(tmp_path, capsys, [
+            {"var": 2, "shift": {"coeff": "3"}, "exp": 10 ** 10}], 0)
+
+    def test_factors_too_large_together(self, tmp_path, capsys):
+        # 100 copies of (x2 + 3)^7000, 14,000 bits each and under the bound
+        # alone, are refused at the second: the bound is on their sum.
+        self.refused_on_read(tmp_path, capsys, [
+            {"var": 2, "shift": {"coeff": "3"}, "exp": 7000}] * 100, 1)
 
     def test_factor_of_a_unit_coefficient_is_not_bounded(self, tmp_path, capsys):
         # (x2 + a)^20000 and (x2 - 1)^20001: a symbol power and a sign, cheap
@@ -951,10 +970,7 @@ class TestExitStatuses:
         for command in ("check-atlas", "toroidalize"):
             assert self.run_main(tmp_path, capsys, command, doc) == (0, "")
 
-    @pytest.mark.parametrize("error, line", [
-        (MemoryError(), "out of memory"),
-        (RecursionError("maximum recursion depth exceeded"),
-         "maximum recursion depth exceeded")])
+    @pytest.mark.parametrize("error, line", EXHAUSTED)
     def test_memory_or_recursion_exhausted(self, tmp_path, capsys, monkeypatch,
                                            error, line):
         def exhausted(*args, **kwargs):
@@ -963,6 +979,21 @@ class TestExitStatuses:
         monkeypatch.setattr(cli, "toroidalize", exhausted)
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert (status, err) == (4, f"error: {line}\n")
+
+    @pytest.mark.parametrize("error, line", EXHAUSTED)
+    def test_exhaustion_names_its_stratum(self, tmp_path, capsys, monkeypatch,
+                                          error, line):
+        real, calls = principalize.enumerate_blowup_strata, []
+
+        def second_exhausts(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(principalize, "enumerate_blowup_strata", second_exhausts)
+        status, err = self.run_main(tmp_path, capsys, "principalize", TWO_BLOWUP_FAMILY)
+        assert (status, err) == (4, f"error: stratum x0.e1z (parent path x0): {line}\n")
 
     def test_internal_check_error(self, tmp_path, capsys, monkeypatch):
         # The adapted root keeps the identity matrix; every blowup child fails.
@@ -1187,6 +1218,36 @@ class TestExitStatuses:
         status, _ = self.run_main(tmp_path, capsys, "blowup", doc)
         assert status == 0
         assert len(checks) == 1
+
+    # qtf1 charts off their tag's shape: a slot row off the column minima
+    # (3 != 1) and a divisor column of zeros.
+    OFF_MINIMA = {"d": 3, "m": 2, "n": 2, "ell": 1, "s": 1, "tag": "qtf1",
+                  "matrix": [[3, 1], [1, 3]], "betas": [{"kind": "zero"}], "ell_bar": 1}
+    ZERO_COLUMN = {"d": 3, "m": 2, "n": 2, "ell": 2, "s": 0, "tag": "qtf1",
+                   "matrix": [[1, 0], [2, 0]], "ell_bar": 2}
+    OFF_MINIMA_LINE = "chart is not qtf1: min-row: slot row 0 column 1: 3 != min 1"
+    ZERO_COLUMN_LINE = "chart is not qtf1: column: column 1 has zero sum over rows [2]"
+
+    @pytest.mark.parametrize("chart_doc, line", [
+        (OFF_MINIMA, OFF_MINIMA_LINE), (ZERO_COLUMN, ZERO_COLUMN_LINE)],
+        ids=["off_minima", "zero_column"])
+    def test_principalize_checks_each_root_shape(self, tmp_path, capsys, chart_doc, line):
+        ell_bar = chart_doc["ell_bar"]
+        doc = {"strata": [{"id": "x0", "chart": chart_doc, "descriptor": {
+            "ell_bar": ell_bar, "c": 2, "divisor_rows": list(range(ell_bar))}}]}
+        status, err = self.run_main(tmp_path, capsys, "principalize", doc)
+        assert (status, err) == (2, f"error: stratum x0: {line}\n")
+
+    @pytest.mark.parametrize("chart_doc, choice, line", [
+        (OFF_MINIMA, {"j0": 2, "betas": [[0, {"kind": "zero"}], [1, {"kind": "zero"}]]},
+         OFF_MINIMA_LINE),
+        (ZERO_COLUMN, {"j0": 1, "betas": [[0, {"kind": "zero"}]]}, ZERO_COLUMN_LINE)],
+        ids=["off_minima", "zero_column"])
+    def test_blowup_checks_its_chart_shape(self, tmp_path, capsys, chart_doc, choice, line):
+        doc = {"chart": chart_doc, "choice": choice, "center": {
+            "divisor_indices": [0, 1], "slot_count": chart_doc["s"]}}
+        status, err = self.run_main(tmp_path, capsys, "blowup", doc)
+        assert (status, err) == (2, f"error: {line}\n")
 
 
 def sharing_faults(trace) -> list[str]:
