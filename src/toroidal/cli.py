@@ -8,12 +8,13 @@ engine bug, such as a lift that does not commute).
 `toroidalize`, `verify-trace` and `report` exit 3 on a capped run, also
 when later script steps follow: a stratum the cap stopped is above no
 later center.  Errors print one `error:` line, which names the stratum
-when one was being adapted, principalized or lifted.  A file that is not
-UTF-8, is not JSON or nests too deep to decode exits 2 with an error line
-naming it; `-` is standard input, read as UTF-8 like a file.  Output,
-on stdout or to `--out`, is UTF-8 whatever the locale.  The `ideal`
-op `max-order-components` has no support limit, only the transversal
-search bound.
+when one was being adapted, principalized or lifted, and the output when
+it was being written (`writing the trace: out of memory`).  A file that
+is not UTF-8, is not JSON or nests too deep to decode exits 2 with an
+error line naming it; `-` is standard input, read as UTF-8 like a file.
+Output, on stdout or to `--out`, is UTF-8 whatever the locale.  The
+`ideal` op `max-order-components` has no support limit, only the
+transversal search bound.
 """
 
 from __future__ import annotations
@@ -80,18 +81,22 @@ def _read_json(path: str):
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(doc, out: str | None):
+def _emit(doc, out: str | None, what: str):
     """Write a document as canonical JSON, or a text as it is, in UTF-8
-    whatever the locale's encoding."""
-    text = (doc if isinstance(doc, str) else canonical_dumps(doc)) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
-    else:  # a text stream with no bytes beneath it, such as io.StringIO
-        sys.stdout.write(text)
+    whatever the locale's encoding.  Memory or recursion exhausted while
+    dumping or writing is re-raised naming `what` was being written."""
+    try:
+        text = (doc if isinstance(doc, str) else canonical_dumps(doc)) + "\n"
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text stream with no bytes beneath it, such as io.StringIO
+            sys.stdout.write(text)
+    except (MemoryError, RecursionError) as exc:
+        raise type(exc)(f"writing the {what}: {str(exc) or 'out of memory'}") from exc
 
 
 def cmd_check_atlas(args) -> int:
@@ -104,7 +109,7 @@ def cmd_check_atlas(args) -> int:
         "script_ok": script_report.ok,
         "script_failures": [list(f) for f in script_report.failures],
     }
-    _emit(doc, args.out)
+    _emit(doc, args.out, "atlas check")
     return PASS if atlas_report.ok and script_report.ok else FAIL
 
 
@@ -140,7 +145,7 @@ def cmd_ideal(args) -> int:
         out = {"components": [list(s) for s in max_order_components(ideal)]}
     else:
         raise InvalidDocument(f"{where}: unknown op {op!r}")
-    _emit(out, args.out)
+    _emit(out, args.out, "ideal result")
     return PASS
 
 
@@ -165,7 +170,7 @@ def cmd_normalize_toric(args) -> int:
     report = validate_toric_morphism(data)
     if not report.ok:
         _emit({"valid": False, "failures": [list(f) for f in report.failures]},
-              args.out)
+              args.out, "toric check")
         return FAIL
     pres = normalize_toric_presentation(data)
     _emit({
@@ -178,7 +183,7 @@ def cmd_normalize_toric(args) -> int:
         "constants": [unit_value_to_doc(v) for v in pres.constants],
         "chart": chart_to_doc(pres.chart),
         "toroidal": True,  # `_tf_chart` checked the chart's shape as it built it
-    }, args.out)
+    }, args.out, "toric presentation")
     return PASS
 
 
@@ -196,7 +201,7 @@ def cmd_blowup(args) -> int:
         "chart": chart_to_doc(result.chart),
         "var_map": list(result.var_map),
         "row_order": list(result.row_order),
-    }, args.out)
+    }, args.out, "blowup")
     return PASS
 
 
@@ -213,7 +218,7 @@ def cmd_principalize(args) -> int:
     if not family:
         raise InvalidDocument("no strata given")
     trace = principalize_chart_family(family, cap=args.cap)
-    _emit(principalization_to_doc(trace), args.out)
+    _emit(principalization_to_doc(trace), args.out, "principalization")
     return CAP if trace.exceeded else PASS
 
 
@@ -225,7 +230,7 @@ def _verdict_status(verdicts: dict) -> int:
 def cmd_toroidalize(args) -> int:
     atlas, script = parse_document(_read_json(args.file))
     trace = toroidalize(atlas, script, cap=args.cap)
-    _emit(trace, args.out)
+    _emit(trace, args.out, "trace")
     return _verdict_status(trace["verdicts"])
 
 
@@ -237,7 +242,8 @@ def cmd_verify_trace(args) -> int:
     except ReplayMismatch as exc:
         print(f"replay mismatch: {exc}", file=sys.stderr)
         return FAIL
-    _emit({"replay": "identical", "verdicts": fresh["verdicts"]}, args.out)
+    _emit({"replay": "identical", "verdicts": fresh["verdicts"]}, args.out,
+          "replay verdict")
     return _verdict_status(fresh["verdicts"])
 
 
@@ -288,7 +294,7 @@ def cmd_report(args) -> int:
     lines.append(f"global_failures: {len(failures)}")
     for key in ("commutes", "cap_exceeded", "pass"):
         lines.append(f"{key}: {read_bool(verdicts, key, 'trace verdicts')}")
-    _emit("\n".join(lines), args.out)
+    _emit("\n".join(lines), args.out, "report")
     return _verdict_status(verdicts)
 
 

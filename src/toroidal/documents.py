@@ -19,10 +19,26 @@ its canonical text: each dict inserts its keys in sorted order, and each
 array is a list, so the tuples the engine holds (exponent rows, row
 indices, labels) are copied.  `strict_bytes` of a trace therefore equal
 those of its parsed canonical text, and `pipeline.replay` compares those
-before it falls back to the canonical dumps.
+before it falls back to `stdlib_dumps`.
 
-`canonical_dumps` is the one JSON serializer.  It skips the cycle check:
-a document nests only finished sub-documents, so none contains itself.
+`canonical_dumps` writes every document the engine returns.  It encodes
+with orjson (a declared dependency, imported on the first call, so
+`import toroidal` does not load it) and keeps that text only when it must
+equal `json.dumps(doc, sort_keys=True, separators=(",", ":"))`: the call
+did not raise and the text is ASCII with no DEL.  orjson raises on an
+int outside 64 bits, a lone surrogate, a key that is not a `str`, a
+namedtuple and nesting past 254 levels, and writes non-ASCII characters
+and DEL raw where `json` escapes them; every such document goes to
+`stdlib_dumps`, the standard library's encoder with the same settings.
+Neither encoder checks for cycles: a document nests only finished
+sub-documents, so none contains itself, and a cyclic one raises
+`RecursionError` from the stdlib encoder.
+
+The engine's documents hold no float, and orjson writes a float in
+another form than `repr` (`1e16` for `1e+16`) and NaN and Infinity as
+`null`.  So a document read from outside, which may hold one, is
+compared by `stdlib_dumps`: `pipeline.replay` does so when a recorded
+trace is not identical by `strict_bytes`.
 """
 
 from __future__ import annotations
@@ -135,11 +151,29 @@ def construct(where: str, make, *args, **kwargs):
         raise InvalidDocument(f"{where}: {exc}") from exc
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_STDLIB = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def stdlib_dumps(doc) -> str:
+    """The canonical text as `json.dumps` with sorted keys and no
+    whitespace writes it, for any document it can encode: a float as
+    `repr` writes it, NaN and Infinity by name."""
+    return _STDLIB.encode(doc)
 
 
 def canonical_dumps(doc) -> str:
-    return _CANONICAL.encode(doc)
+    """The canonical text of a document without floats, byte for byte
+    that of `stdlib_dumps`: orjson's text when it must equal it (see the
+    module docstring), else the stdlib encoder's."""
+    import orjson
+
+    try:
+        text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
+    except orjson.JSONEncodeError:
+        return stdlib_dumps(doc)
+    if text.isascii() and b"\x7f" not in text:
+        return text.decode("ascii")
+    return stdlib_dumps(doc)
 
 
 def strict_bytes(doc) -> bytes:

@@ -34,7 +34,6 @@ from .chart import (
 )
 from .documents import (
     InvalidDocument,
-    canonical_dumps,
     chart_from_doc,
     chart_to_doc,
     descriptor_to_doc,
@@ -47,6 +46,7 @@ from .documents import (
     read_object,
     read_schema,
     read_strings,
+    stdlib_dumps,
     strict_bytes,
 )
 from .lift import lift_after_principalization
@@ -566,7 +566,9 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
     The fresh trace is in the form `json.loads` gives back, so a recorded
     trace read from its canonical text has the same `strict_bytes`.
     Anything else (keys in another order, a document pickle cannot write,
-    a real mismatch) is decided by the canonical dumps."""
+    a real mismatch) is decided by the canonical dumps of the stdlib
+    encoder, which writes a recorded NaN or Infinity by name where orjson
+    would write `null`."""
     read_schema(trace_doc, TRACE_SCHEMA)
     if trace_doc.get("engine") != __version__:
         raise ReplayMismatch(
@@ -581,12 +583,12 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
             return fresh
     except Exception:  # a cycle, too deep, or an object pickle cannot write:
         pass           # the dumps below decide, and raise as they always have
-    if canonical_dumps(trace_doc) == canonical_dumps(fresh):
+    if stdlib_dumps(trace_doc) == stdlib_dumps(fresh):
         return fresh
     # Only a mismatch pays for locating the first differing step.
     if len(old_steps) != len(fresh["steps"]):
         raise ReplayMismatch("step count differs")
     for k, (old, new) in enumerate(zip(old_steps, fresh["steps"])):
-        if canonical_dumps(old) != canonical_dumps(new):
+        if stdlib_dumps(old) != stdlib_dumps(new):
             raise ReplayMismatch(f"step {k} differs from the recorded trace")
     raise ReplayMismatch("trace differs outside the step records")

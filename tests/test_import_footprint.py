@@ -1,10 +1,13 @@
-"""Importing the package loads no class factory, and only replay loads
-`pickle`.
+"""Importing the package loads no class factory and no `orjson`, and
+only replay loads `pickle`.
 
 Every record is a plain class or a `collections.namedtuple`, so neither
 `toroidal`, its command line nor the toric reduction imports
 `dataclasses`, `inspect` or `typing`.  `documents.strict_bytes`, which
-only replay calls, imports `pickle` on first use.  Each case runs in a
+only replay calls, imports `pickle` on first use, and
+`documents.canonical_dumps` imports `orjson` (which loads `datetime`,
+`uuid` and more) on its first call, so a command that writes JSON loads
+it and an import does not.  Each case runs in a
 fresh interpreter and counts only the modules its import adds: a `site`
 hook may load some of them before any of ours.
 """
@@ -33,14 +36,14 @@ def added_modules(*lines: str) -> set[str]:
 def test_package_loads_no_class_factory_and_no_pickle():
     added = added_modules("import toroidal")
     assert "toroidal.pipeline" in added
-    assert not added & (FACTORIES | {"pickle"})
+    assert not added & (FACTORIES | {"pickle", "orjson"})
 
 
 @pytest.mark.parametrize("module", ["toroidal.cli", "toroidal.toric"])
 def test_command_line_and_toric_load_no_class_factory(module):
     added = added_modules(f"import {module}")
     assert module in added
-    assert not added & FACTORIES
+    assert not added & (FACTORIES | {"orjson"})
 
 
 def test_only_verify_trace_loads_pickle(tmp_path):
@@ -55,3 +58,4 @@ def test_only_verify_trace_loads_pickle(tmp_path):
                                    f"{str(trace)!r}]) == 0")
     assert "pickle" not in made
     assert "pickle" in verified
+    assert "orjson" in made

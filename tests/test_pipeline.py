@@ -12,7 +12,7 @@ import toroidal
 from toroidal import blowup, chart, cli, documents, lift, pipeline, principalize, units
 from toroidal.chart import TOROIDAL, shape_key
 from toroidal.cli import main
-from toroidal.documents import canonical_dumps
+from toroidal.documents import canonical_dumps, stdlib_dumps
 from toroidal.pipeline import (
     ReplayMismatch,
     ToroidalizeError,
@@ -467,8 +467,8 @@ def reversed_keys(doc):
 
 class TestStrictReplay:
     """A recorded trace read from its canonical text is identical by its
-    strict bytes alone; anything else is decided by the canonical dumps,
-    so 1, 1.0 and true still differ."""
+    strict bytes alone; anything else is decided by the stdlib encoder's
+    canonical dumps, so 1, 1.0 and true still differ."""
 
     @pytest.fixture
     def dumps_calls(self, monkeypatch):
@@ -476,8 +476,8 @@ class TestStrictReplay:
 
         def spy(doc):
             calls.append(doc)
-            return canonical_dumps(doc)
-        monkeypatch.setattr(pipeline, "canonical_dumps", spy)
+            return stdlib_dumps(doc)
+        monkeypatch.setattr(pipeline, "stdlib_dumps", spy)
         return calls
 
     def recorded(self):
@@ -519,6 +519,26 @@ class TestStrictReplay:
         with pytest.raises(ReplayMismatch,
                            match="^trace differs outside the step records$"):
             self.replay_recorded(recorded)
+
+    @pytest.mark.parametrize("name", ["NaN", "Infinity"])
+    def test_nan_for_a_null_differs(self, tmp_path, capsys, name):
+        # orjson writes NaN and Infinity as null, so only the stdlib
+        # encoder's dumps tell them from the null they replace.
+        import orjson
+
+        assert orjson.dumps(json.loads(name)) == b"null"
+        text = canonical_dumps(toroidalize(*parse_document(identity_doc())))
+        assert '"drop_col":null' in text
+        text = text.replace('"drop_col":null', f'"drop_col":{name}', 1)
+        with pytest.raises(ReplayMismatch,
+                           match="^step 0 differs from the recorded trace$"):
+            self.replay_recorded(json.loads(text))
+        atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas_path.write_text(json.dumps(identity_doc()))
+        trace_path.write_text(text)
+        assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 1
+        assert capsys.readouterr().err == \
+            "replay mismatch: step 0 differs from the recorded trace\n"
 
     @pytest.mark.parametrize("where", ["verdicts", "steps"])
     def test_self_containing_trace_raises(self, where):
@@ -979,6 +999,18 @@ class TestExitStatuses:
         monkeypatch.setattr(cli, "toroidalize", exhausted)
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert (status, err) == (4, f"error: {line}\n")
+
+    @pytest.mark.parametrize("error, line", EXHAUSTED)
+    @pytest.mark.parametrize("command, what", [("toroidalize", "trace"),
+                                               ("check-atlas", "atlas check")])
+    def test_exhaustion_while_writing_names_the_output(
+            self, tmp_path, capsys, monkeypatch, error, line, command, what):
+        def exhausted(doc):
+            raise error
+
+        monkeypatch.setattr(cli, "canonical_dumps", exhausted)
+        status, err = self.run_main(tmp_path, capsys, command, identity_doc())
+        assert (status, err) == (4, f"error: writing the {what}: {line}\n")
 
     @pytest.mark.parametrize("error, line", EXHAUSTED)
     def test_exhaustion_names_its_stratum(self, tmp_path, capsys, monkeypatch,

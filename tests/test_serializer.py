@@ -1,19 +1,25 @@
 """`canonical_dumps` writes what `json.dumps` with sorted keys and no
 whitespace writes, for the documents the engine returns (tuples and
-shared sub-documents included) and for the trees `json.loads` reads
-back; it skips only the cycle check.  A trace is built in the form
+shared sub-documents included) and for the float-free trees `json.loads`
+reads back; it skips only the cycle check.  orjson writes the text when
+it can match those bytes, and every other document (ints past 64 bits,
+non-ASCII or DEL, lone surrogates, non-str keys, namedtuples, deep
+nesting) takes the stdlib encoder.  A trace is built in the form
 `json.loads` gives back, so its `strict_bytes` are those of its parsed
 canonical text.  An exact rational is written as `str` writes it."""
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 
+import orjson
 import pytest
 
 import test_pipeline
 from test_exactness import workload_slice
 from test_golden import PIPELINE_GOLDEN, termination_corpus_documents
-from toroidal.documents import canonical_dumps, strict_bytes
+from toroidal.cli import main
+from toroidal.documents import canonical_dumps, stdlib_dumps, strict_bytes
 from toroidal.pipeline import parse_document, toroidalize
 
 
@@ -23,9 +29,74 @@ def reference_dumps(doc) -> str:
 
 def assert_canonical(doc):
     text = canonical_dumps(doc)
-    assert text == reference_dumps(doc)
+    assert text == reference_dumps(doc) == stdlib_dumps(doc)
     loaded = json.loads(text)
     assert canonical_dumps(loaded) == reference_dumps(loaded) == text
+
+
+def orjson_differs(doc) -> bool:
+    """orjson raises on `doc` or writes other text than `json.dumps`, so
+    `canonical_dumps` must take the stdlib encoder."""
+    try:
+        text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
+    except orjson.JSONEncodeError:
+        return True
+    return text.decode("utf-8") != reference_dumps(doc)
+
+
+def nested(depth: int) -> list:
+    doc: list = []
+    for _ in range(depth - 1):
+        doc = [doc]
+    return doc
+
+
+Pair = namedtuple("Pair", "a b")
+
+FALLBACK_DOCUMENTS = {
+    "int below 64 bits": {"x": [-2**63 - 1]},
+    "int at 2**64": {"x": 2**64},
+    "int at 10**30": [10**30, -10**30],
+    "DEL in a label": {"labels": ["L\x7f"]},
+    "control characters and DEL": {"a\x00\x1f": "\b\t\n\f\r\x01\x7f\"\\/"},
+    "lone surrogate": {"name": json.loads('"\\ud800"')},
+    "lone surrogate key": json.loads('{"\\udfff": 1, "a": 2}'),
+    "300 deep": nested(300),
+    "namedtuple": {"p": Pair(1, [2, "x"])},
+    "int key": {2: "b", 1: "a"},
+    "non-ASCII": {"é": "☃"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_DOCUMENTS))
+def test_fallback_writes_the_json_dumps_bytes(name):
+    doc = FALLBACK_DOCUMENTS[name]
+    assert orjson_differs(doc)
+    assert_canonical(doc)
+
+
+def test_64_bit_edges_take_orjson():
+    doc = {"x": [-2**63, 2**64 - 1, 0, -1], "t": [True, False, None], "s": "\x1f~"}
+    assert not orjson_differs(doc)
+    assert_canonical(doc)
+
+
+def test_atlas_past_64_bits_runs_and_verifies(tmp_path, capsys):
+    # An ambient dimension past 64 bits is a count the engine never spans,
+    # so the run is small, and its trace takes the stdlib encoder.
+    doc = test_pipeline.second_center_doc(d=2**64 + 5)
+    trace = toroidalize(*parse_document(doc))
+    assert trace["verdicts"]["pass"]
+    assert orjson_differs(trace)
+    assert_canonical(trace)
+    text = canonical_dumps(trace)
+    assert f'"d":{2**64 + 5}' in text
+    atlas_path, trace_path = tmp_path / "atlas.json", tmp_path / "trace.json"
+    atlas_path.write_text(json.dumps(doc))
+    assert main(["--out", str(trace_path), "toroidalize", str(atlas_path)]) == 0
+    assert trace_path.read_text() == text + "\n"
+    assert main(["verify-trace", str(atlas_path), str(trace_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["replay"] == "identical"
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
@@ -91,7 +162,9 @@ def test_traces_are_built_in_parsed_form():
     for name, doc, cap in _golden_and_workload_traces():
         atlas, script = parse_document(doc)
         trace = toroidalize(atlas, script, cap=cap)
-        assert strict_bytes(trace) == strict_bytes(json.loads(canonical_dumps(trace))), name
+        text = canonical_dumps(trace)
+        assert text == reference_dumps(trace), name
+        assert strict_bytes(trace) == strict_bytes(json.loads(text)), name
         count += 1
     assert count > 50
 
