@@ -220,17 +220,16 @@ def _blowup_child(cf: ChartForm, fan: _Fanout, betas, values):
     matrix = tuple(zip(fan.exc, *block) if qtf1 else zip(*block, fan.exc))
     drop = len(shifted)
     shifts = [(fan.columns[v], cf.d - drop + k, value) for k, (v, value) in enumerate(shifted)]
-    units = []
-    for r, unit in enumerate(fan.units):
-        u = unit.remap_vars(drop)
-        for column, var, value in shifts:
-            u = u.with_factor(var, value, column[r])
-        units.append(u)
+    units = fan.units
+    if shifts:
+        units = tuple([unit.remap_vars(drop).with_factor(
+            [(var, value, column[r]) for column, var, value in shifts])
+            for r, unit in enumerate(units)])
 
     slot_betas = tuple(b for v, b in betas if v >= n)
     chart = built_chart(
         d=cf.d, m=cf.m, n=len(new_div), ell=cf.ell, s=cf.s, tag=QTF1 if qtf1 else QTF2,
-        matrix=matrix, units=tuple(units),
+        matrix=matrix, units=units,
         betas=slot_betas if qtf1 else (None,) + slot_betas, ell_bar=cf.ell_bar)
     return chart, new_div, shifted
 

@@ -223,7 +223,7 @@ def shape_key(cf: ChartForm) -> tuple:
     matrix and which slot constants vanish, but no unit constant and no
     beta symbol.  Charts with equal keys get equal kernel results."""
     return (cf.d, cf.m, cf.n, cf.ell, cf.s, cf.tag, cf.ell_bar, cf.matrix,
-            tuple(None if b is None else b.kind for b in cf.betas))
+            tuple([None if b is None else b.kind for b in cf.betas]))
 
 
 def verify_toroidal_form(cf: ChartForm) -> ValidityReport:

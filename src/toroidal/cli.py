@@ -82,19 +82,27 @@ def _read_json(path: str):
 
 
 def _emit(doc, out: str | None, what: str):
-    """Write a document as canonical JSON, or a text as it is, in UTF-8
-    whatever the locale's encoding.  Memory or recursion exhausted while
-    dumping or writing is re-raised naming `what` was being written."""
+    """Write a document as canonical JSON, or a text as it is, and a
+    newline, in UTF-8 whatever the locale's encoding; the text is not
+    copied to append the newline.  An output file that cannot be written
+    is invalid input.  Memory or recursion exhausted while dumping or
+    writing is re-raised naming `what` was being written."""
     try:
-        text = (doc if isinstance(doc, str) else canonical_dumps(doc)) + "\n"
+        text = doc if isinstance(doc, str) else canonical_dumps(doc)
         if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            try:
+                with open(out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                    handle.write("\n")
+            except OSError as exc:
+                raise InvalidDocument(f"cannot write {out}: {exc}") from exc
         elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
             sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.write(b"\n")
         else:  # a text stream with no bytes beneath it, such as io.StringIO
             sys.stdout.write(text)
+            sys.stdout.write("\n")
     except (MemoryError, RecursionError) as exc:
         raise type(exc)(f"writing the {what}: {str(exc) or 'out of memory'}") from exc
 

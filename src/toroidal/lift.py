@@ -13,14 +13,16 @@ and is dropped back out of the chart instead.
 A lift runs in two passes.  The skeleton (`lift_skeleton`) reads only
 the chart's shape, its `shape_key`: the case, the generator row, which
 center rows are strict, vanished or kept, and the lifted chart's shape,
-checked for structure.  The constants pass fills in the generator
-constant, the lifted units and the fresh parameters.  Commutation
-(`verify_commutes`, run by `lift_after_principalization`) is the lift's
-one check of exponents and constants.  Charts of one shape share a
-skeleton, so a caller can keep skeletons in a dict for the length of
-one chart family.  The point of the target blowup chart the lift lands
-on is not stored apart: the generator row, the row sources and the
-fresh parameters' shifts name it, in the engine and in the trace alike.
+checked for structure.  `principalize_chart_family` builds it once per
+principal shape of a chart family and hands it over with each leaf of
+that shape.  The constants pass fills in the generator constant, the
+lifted units and the fresh parameters.  Commutation (`verify_commutes`)
+is the lift's one check of exponents and constants; its exponent half
+reads only the skeleton and the chart's shape, so it runs once per
+skeleton, on the first lift of its shape (`lift_after_principalization`).
+The point of the target blowup chart the lift lands on is not stored
+apart: the generator row, the row sources and the fresh parameters'
+shifts name it, in the engine and in the trace alike.
 """
 
 from __future__ import annotations
@@ -66,15 +68,15 @@ class LiftSkeleton(namedtuple("LiftSkeleton",
     fresh parameters.  `drop_col` is the exceptional column dropped by
     an outside-divisor lift, None when the exceptional joins the divisor.
     `shape` is the lifted chart with trivial units, checked here for
-    structure; `verify_commutes` checks the exponents of every lift.
+    structure; `verify_commutes` checks the exponents of its lifts.
     """
 
     __slots__ = ()
 
 
 class LiftResult(namedtuple("LiftResult", "lifted skeleton fresh")):
-    """The lifted chart, its shape's skeleton (one object for every chart
-    of that shape lifted through one skeleton dict) and its fresh parameters."""
+    """The lifted chart, its shape's skeleton (one object for every leaf of
+    that shape in one principalization) and its fresh parameters."""
 
     __slots__ = ()
 
@@ -105,22 +107,32 @@ def _case_and_generator(cf: ChartForm) -> tuple[str, int]:
     raise InternalCheckError("principal qtf1 chart matches no lift case")
 
 
-def lift_after_principalization(cf: ChartForm, skeletons: dict | None = None,
-                                key: tuple | None = None) -> LiftResult:
-    """Lift one principal stratum.  `skeletons`, when given, maps
-    `shape_key`s to skeletons already built; the caller keeps it for the
-    length of one chart family, and missing skeletons are added to it.
-    `key`, when given, is `shape_key(cf)` as the caller computed it.
-    A lift that does not commute is an engine bug: it raises
-    `InternalCheckError`."""
-    skeletons = {} if skeletons is None else skeletons
-    key = shape_key(cf) if key is None else key
-    if key not in skeletons:
-        skeletons[key] = lift_skeleton(cf)
-    result = _lift_constants(cf, skeletons[key])
-    report = verify_commutes(cf, result)
+def lift_after_principalization(cf: ChartForm, skeleton: LiftSkeleton | None = None,
+                                certified: dict | None = None) -> LiftResult:
+    """Lift one principal stratum through `skeleton`, the skeleton of its
+    shape (built here when not given).  A lift that does not commute is an
+    engine bug: it raises `InternalCheckError`.
+
+    `certified`, when given, maps the `shape_key` of each chart whose lift
+    passed the full `verify_commutes` to the skeleton it was lifted
+    through; the caller keeps it for one chart family.  A lift whose
+    chart's key maps to its own skeleton checks only its constants and
+    fresh shifts.  That is sound: the exponent and coverage checks read
+    the lifted matrix, the row sources and the drop column (the
+    skeleton's), the fresh parameters' sources (the skeleton's vanished
+    rows and the chart's slot count) and the chart's matrix and zero-slot
+    pattern (its `shape_key`), so they give on this chart what they gave
+    on the certified one.  Any other lift runs the full check; a chart
+    that no longer has its skeleton's shape is one."""
+    sk = lift_skeleton(cf) if skeleton is None else skeleton
+    result = _lift_constants(cf, sk)
+    key = None if certified is None else shape_key(cf)
+    report = (_commutes(cf, result, False) if key is not None and certified.get(key) is sk
+              else verify_commutes(cf, result))
     if not report.ok:
         raise InternalCheckError(f"lift does not commute: {report}")
+    if key is not None:
+        certified[key] = sk
     return result
 
 
@@ -140,14 +152,15 @@ def _skeleton_inside_divisor(cf: ChartForm, case: str, gen_row: int):
     Returns the skeleton's drop column, vanished rows, row sources and
     lifted matrix."""
     mins = column_minima(cf)
-    reduced = {i: tuple(x - y for x, y in zip(cf.matrix[i], mins))
+    reduced = {i: tuple(map(int.__sub__, cf.matrix[i], mins))
                for i in range(cf.ell_bar) if i != gen_row}
-    strict = tuple(i for i in sorted(reduced) if any(reduced[i]))
-    zero = tuple(i for i in sorted(reduced) if not any(reduced[i]))
+    strict = tuple(i for i in reduced if any(reduced[i]))
+    zero = tuple(i for i in reduced if not any(reduced[i]))
 
-    if case == CASE1:
+    if case == CASE1 and zero:
         # Vanished-row bound of the divisor-generator construction: at most
-        # min(ell - rank, ell_bar - 1) rows can collapse onto the generator.
+        # min(ell - rank, ell_bar - 1) rows can collapse onto the generator;
+        # with none it holds, since ell_bar >= 1 here.
         r = rank(cf.matrix[:cf.ell])
         if len(zero) > min(cf.ell - r, cf.ell_bar - 1):
             raise InternalCheckError("too many vanished center rows for the rank bound")
@@ -179,21 +192,17 @@ def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
         gen_const = gen_const * cf.betas[sk.gen_row - cf.ell].unit_value()
     gen_inv = gen_const.inv()
 
-    units = []
-    for kind, i in sk.row_sources:
-        if kind == "gen":
-            units.append(UnitToken(gen_const))
-        elif kind == "strict":
-            units.append(UnitToken(cf.units[i].constant() * gen_inv))
-        else:
-            units.append(UnitToken(cf.units[i].constant()))
+    units = tuple([UnitToken(gen_const if kind == "gen"
+                             else cf.units[i].constant() * gen_inv if kind == "strict"
+                             else cf.units[i].constant())
+                   for kind, i in sk.row_sources])
 
     fresh: list[FreshParam] = []
     if sk.drop_col is not None:
-        fresh.append(FreshParam(("slot", sk.gen_row), scale=gen_const, shift=None))
+        fresh.append(FreshParam(("slot", sk.gen_row), gen_const, None))
     for i in sk.zero:
         val = cf.units[i].constant() * gen_inv
-        fresh.append(FreshParam(("row", i), scale=val, shift=val))
+        fresh.append(FreshParam(("row", i), val, val))
     for t, beta in enumerate(cf.betas):
         row = cf.ell + t
         if row == sk.gen_row:
@@ -202,9 +211,9 @@ def _lift_constants(cf: ChartForm, sk: LiftSkeleton) -> LiftResult:
         shift = None
         if beta is not None and not beta.is_zero:
             shift = scale * beta.unit_value()
-        fresh.append(FreshParam(("slot", row), scale=scale, shift=shift))
+        fresh.append(FreshParam(("slot", row), scale, shift))
 
-    return LiftResult(sk.shape.with_constant_units(tuple(units)), sk, tuple(fresh))
+    return LiftResult(sk.shape.with_constant_units(units), sk, tuple(fresh))
 
 
 def verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
@@ -221,6 +230,12 @@ def verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
     Each image is built once from whole rows: a fresh parameter's divisor
     exponents are one shared zero tuple, or the generator's unit vector,
     and a center row's product with y'_g sums two rows with one `map`."""
+    return _commutes(cf, result, True)
+
+
+def _commutes(cf: ChartForm, result: LiftResult, exponents: bool) -> ValidityReport:
+    """`verify_commutes`, or with `exponents` false its constant half: the
+    coverage, every constant and every fresh shift, but no exponent."""
     sk, lifted = result.skeleton, result.lifted
     g, drop, n, ell, ell_bar = sk.gen_row, sk.drop_col, cf.n, cf.ell, cf.ell_bar
     matrix, units, betas = cf.matrix, cf.units, cf.betas
@@ -230,23 +245,27 @@ def verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
     pad = (0,) * cf.num_slots
     slot_pads = {ell + t: pad[:k] + (1,) + pad[k + 1:]
                  for t, beta in enumerate(betas) if beta is not None and beta.kind == "zero"
-                 for k in (cf.slot_var(t) - n,)}
+                 for k in (cf.slot_var(t) - n,)} if exponents else None
 
     for (_, i), row, unit in zip(sk.row_sources, lifted.matrix, lifted.units):
         if i in images:
             failures.append(("coverage", f"row {i} is covered twice"))
-        if drop is not None:
-            row = row[:drop] + (0,) + row[drop:]
-        images[i] = row + pad, unit.constant(), None
+        if exponents:
+            if drop is not None:
+                row = row[:drop] + (0,) + row[drop:]
+            row += pad
+        images[i] = row, unit.constant(), None
     zero = (0,) * n
     for p in result.fresh:
         i = p.source[1]
         if i in images:
             failures.append(("coverage", f"row {i} is covered twice"))
         vec = zero
-        if i == g and drop is not None:
-            vec = tuple([int(j == drop) for j in range(n)])
-        images[i] = vec + slot_pads.get(i, pad), p.scale, p
+        if exponents:
+            if i == g and drop is not None:
+                vec = tuple([int(j == drop) for j in range(n)])
+            vec += slot_pads.get(i, pad)
+        images[i] = vec, p.scale, p
 
     if g not in images:
         return ValidityReport(tuple(failures) + (
@@ -265,14 +284,15 @@ def verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
             if beta is not None:
                 expected = expected * beta
         elif i < ell_bar or i >= ell:
-            vec = tuple(map(int.__add__, gen_vec, vec))
+            if exponents:
+                vec = tuple(map(int.__add__, gen_vec, vec))
             const = gen_const * const
             if p is not None:
                 shift = (p.scale * beta if beta is not None
                          else None if i >= ell else p.scale)
                 if p.shift != shift:
                     failures.append(("constant", f"row {i} fresh parameter shift mismatch"))
-        if vec != row + slot_pads.get(i, pad):
+        if exponents and vec != row + slot_pads.get(i, pad):
             failures.append(("exponent", f"row {i} does not recompose"))
         if const != expected:
             failures.append(("constant", f"row {i} constant does not recompose"))

@@ -15,9 +15,11 @@ pullback, and nothing more: the policy picks the center among
 `max_order_components(N)`, and the blowup checks it.  A
 principal pullback, whose generators' gcd is one of them, has no
 residual and is not factored; only a nonprincipal one is reduced and
-factored.  The locus reads only the chart's shape (`shape_key`), so one
-driver call computes it once per distinct shape.  A failure on a stratum
-names it and its parent path.
+factored.  The locus reads only the chart's shape (`shape_key`), and so
+does the lift's skeleton, so one call keeps one plan per distinct
+shape: a nonprincipal shape's residual, or a principal shape's
+`LiftSkeleton`, built when the shape is first met and handed to each of
+its leaves.  A failure on a stratum names it and its parent path.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .chart import (
     shape_key,
 )
 from .errors import InternalCheckError, RegimeLimit
+from .lift import LiftSkeleton, lift_skeleton
 from .monomial import (
     MonomialIdeal,
     max_order_components,
@@ -78,10 +81,6 @@ def nonprincipal_locus(cf: ChartForm) -> MonomialIdeal | None:
     if principal_generator(gens) is not None:
         return None
     return principal_part_factorization(MonomialIdeal.trusted(cf.n + cf.num_slots, gens))[1]
-
-
-# The shape memo's default: a shape whose locus is not yet computed.
-_UNSEEN = object()
 
 
 class MaxOrderLexPolicy:
@@ -129,10 +128,10 @@ POLICY = MaxOrderLexPolicy()
 PrincipalizationStep = namedtuple(
     "PrincipalizationStep", "stratum_id center residual_order children")
 
-# `descriptor` is the root's, for the trace alone; `shape` is
-# shape_key(chart), the lift's skeleton key.
+# `descriptor` is the root's, for the trace alone; `skeleton` is the lift
+# skeleton of a principal stratum's shape, None on an exceeded one.
 FinalStratum = namedtuple(
-    "FinalStratum", "stratum_id status chart descriptor parent_path shape")
+    "FinalStratum", "stratum_id status chart descriptor parent_path skeleton")
 
 
 class PrincipalizationTrace(namedtuple("PrincipalizationTrace", "steps final")):
@@ -184,11 +183,11 @@ def principalize_chart_family(
     # preorder and each root's finals are its leaves in preorder.  The cap
     # bounds the length of any single chain of blowups (the depth of a
     # stratum's history); a stratum at the cap finishes with Exceeded status.
-    # `loci` holds each shape's locus for the length of this call and `ids`
-    # every id given out, roots first, so a child that takes a root's id is
-    # named with its parent path; a principal shape's entry is None.
+    # `plans` holds each shape's residual, or its skeleton when principal,
+    # for the length of this call and `ids` every id given out, roots first,
+    # so a child that takes a root's id is named with its parent path.
     check_cap(cap)
-    loci: dict[tuple, MonomialIdeal | None] = {}
+    plans: dict[tuple, MonomialIdeal | LiftSkeleton] = {}
     ids: set[str] = set()
     steps: list[PrincipalizationStep] = []
     final: list[FinalStratum] = []
@@ -213,18 +212,19 @@ def principalize_chart_family(
             sid, chart, path = stack.pop()
             with naming(sid, path):
                 shape = shape_key(chart)
-                residual = loci.get(shape, _UNSEEN)
-                if residual is _UNSEEN:
-                    residual = loci[shape] = nonprincipal_locus(chart)
-                if residual is None or len(path) >= cap:
-                    final.append(FinalStratum(
-                        sid, PRINCIPAL if residual is None else EXCEEDED,
-                        chart, z, path, shape))
+                plan = plans.get(shape)
+                if plan is None:
+                    plan = nonprincipal_locus(chart)
+                    plan = plans[shape] = lift_skeleton(chart) if plan is None else plan
+                principal = type(plan) is LiftSkeleton
+                if principal or len(path) >= cap:
+                    final.append(FinalStratum(sid, PRINCIPAL if principal else EXCEEDED,
+                                              chart, z, path, plan if principal else None))
                     continue
                 if len(steps) >= RUNAWAY_GUARD:
                     raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
                                       "blowup rounds without finishing")
-                center = POLICY.select(chart, residual)
+                center = POLICY.select(chart, plan)
                 children = enumerate_blowup_strata(chart, center, sid)
             path += (sid,)
             records = []
@@ -238,6 +238,6 @@ def principalize_chart_family(
                 stack.insert(top, (child_id, child, path))
             steps.append(PrincipalizationStep(
                 stratum_id=sid, center=center,
-                residual_order=order_at_origin(residual),
+                residual_order=order_at_origin(plan),
                 children=tuple(records)))
     return PrincipalizationTrace(tuple(steps), tuple(final))

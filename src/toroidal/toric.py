@@ -177,6 +177,6 @@ def _tf_chart(data: ToricMorphismData, perm, r: int,
             units.append(TRIVIAL_UNIT)
         else:
             units.append(UnitToken().with_factor(
-                factor_base + (i - r), constants[i - r], 1))
+                [(factor_base + (i - r), constants[i - r], 1)]))
     return built_chart(d=d, m=m, n=n, ell=ell, s=0, tag=TOROIDAL,
                        matrix=matrix, units=tuple(units))

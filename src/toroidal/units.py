@@ -12,9 +12,10 @@ a negative power of an integer goes through `Fraction`, so the merges
 the engine makes are integer operations and nothing becomes a float.
 
 A unit token carries its constant from parent to child: renaming its
-variables keeps the constant, and appending a factor multiplies it by
-that factor's constant once, so a chart built by a chain of blowups
-never walks its full factor list again.  A factor is a plain immutable
+variables keeps the constant, and appending a blowup child's new
+factors for one row multiplies it by all their constants in one merge,
+so a chart built by a chain of blowups never walks its full factor list
+again.  A factor is a plain immutable
 record, so moving a row's factors costs one tuple per factor.
 
 No record of the package is made by `dataclasses` or `typing`, so
@@ -149,7 +150,7 @@ class UnitValue(_Frozen):
         for name, e in other.symbols:
             e += exps.get(name, 0)
             exps[name] = e.numerator if type(e) is Fraction and e.denominator == 1 else e
-        syms = tuple(sorted((n, e) for n, e in exps.items() if e))
+        syms = tuple(sorted([p for p in exps.items() if p[1]]))
         # A generic symbol's power, the common factor, has coefficient 1.
         coeff = self.coeff if other.coeff == 1 else _exact(self.coeff * other.coeff)
         return UnitValue(coeff, syms)
@@ -171,7 +172,10 @@ class UnitValue(_Frozen):
         return UnitValue(coeff, syms)
 
     def inv(self) -> "UnitValue":
-        return self ** -1
+        # 1 / coeff and the negated exponents, still canonical: no power.
+        c = self.coeff
+        return UnitValue(c if c == 1 else _exact(Fraction(1, c)),
+                         tuple([(n, -e) for n, e in self.symbols]))
 
     def __str__(self):
         parts = [] if self.coeff == 1 and self.symbols else [str(self.coeff)]
@@ -301,11 +305,25 @@ class UnitToken(_Frozen):
         _set_constant(token, value)
         return token
 
-    def with_factor(self, var: int, shift: UnitValue, exp: int) -> "UnitToken":
-        if exp == 0:
+    def with_factor(self, factors) -> "UnitToken":
+        """This token with a factor (x_var + shift)^exp appended for each
+        (var, shift, exp) of `factors` with a nonzero exponent.  The carried
+        constant takes all their constants in one merge of the symbols; a
+        shift with coefficient 1 has its exponents scaled, with no power."""
+        new = tuple([UnitFactor(*f) for f in factors if f[2]])
+        if not new:
             return self
-        factor = UnitFactor(var, shift, exp)
-        return self._carrying(self.factors + (factor,), self.constant() * factor.constant())
+        value = self.constant()
+        coeff, exps = value.coeff, dict(value.symbols)
+        for f in new:
+            c, k = f.shift, f.exp
+            if c.coeff != 1:
+                c, k = f.constant(), 1
+                coeff *= c.coeff
+            for name, x in c.symbols:
+                exps[name] = exps.get(name, 0) + x * k
+        return self._carrying(self.factors + new, UnitValue(_exact(coeff), tuple(sorted(
+            [(n, _exact(e)) for n, e in exps.items() if e]))))
 
     def remap_vars(self, drop: int) -> "UnitToken":
         """This token with each factor's variable moved down by `drop`: a

@@ -57,10 +57,9 @@ from toroidal.chart import (
     ValidityReport,
     column_minima,
     pullback_center_ideal,
-    shape_key,
 )
 from toroidal.errors import InternalCheckError
-from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE, LiftResult
+from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE, LiftResult, lift_skeleton
 from toroidal.monomial import (
     _is_pure_power,
     contains_monomial,
@@ -243,7 +242,8 @@ def rescan_principalize(strata, cap=50):
     final = []
     for sid, cf, z, _, _, path in sorted(live, key=lambda s: (s[3], s[4])):
         status = PRINCIPAL if nonprincipal_locus(cf) is None else EXCEEDED
-        final.append(FinalStratum(sid, status, cf, z, path, shape_key(cf)))
+        final.append(FinalStratum(sid, status, cf, z, path,
+                                  lift_skeleton(cf) if status == PRINCIPAL else None))
     return PrincipalizationTrace(tuple(steps), tuple(final))
 
 
@@ -352,7 +352,7 @@ def _ref_case1(cf, choice, div):
     for i, unit in enumerate(cf.units):
         u = _ref_renamed(unit, var_map)
         for j in j2:
-            u = u.with_factor(var_map[j], betas[j].unit_value(), cf.matrix[i][j])
+            u = u.with_factor([(var_map[j], betas[j].unit_value(), cf.matrix[i][j])])
         units.append(u)
 
     chart = ChartForm(
@@ -380,7 +380,7 @@ def _ref_case2(cf, choice, div):
         matrix.append(tuple([cf.matrix[i][j] for j in new_div[:-1]] + [exc]))
         u = _ref_renamed(cf.units[i], var_map)
         for j in j2:
-            u = u.with_factor(var_map[j], betas[j].unit_value(), cf.matrix[i][j])
+            u = u.with_factor([(var_map[j], betas[j].unit_value(), cf.matrix[i][j])])
         units.append(u)
 
     chart = ChartForm(

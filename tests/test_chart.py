@@ -93,7 +93,7 @@ class TestVerifyToroidalForm:
         with pytest.raises(ValueError):
             toroidal([[1, 0], [0, 1]],
                      units=(TRIVIAL_UNIT,
-                            UnitToken().with_factor(0, UnitValue.of(2), 1)))
+                            UnitToken().with_factor([(0, UnitValue.of(2), 1)])))
 
 
 def unchecked(**fields) -> ChartForm:
@@ -111,7 +111,7 @@ EMPTY = dict(d=2, m=2, n=0, ell=0, s=0, matrix=(), units=(), betas=(), ell_bar=0
 
 
 def factor_on(var):
-    return UnitToken().with_factor(var, UnitValue.of(2), 1)
+    return UnitToken().with_factor([(var, UnitValue.of(2), 1)])
 
 
 class TestStructuralProblems:
@@ -151,7 +151,7 @@ class TestStructuralProblems:
                           ["more slot rows than spare target coordinates"]),
         "active_above_d": ({**ADAPTED, "d": 2}, ["active variables 3 exceed d = 2"]),
         "unit_on_active": ({**ADAPTED, "units": (
-                                TRIVIAL_UNIT, factor_on(3).with_factor(1, ONE, 2),
+                                TRIVIAL_UNIT, factor_on(3).with_factor([(1, ONE, 2)]),
                                 factor_on(0))},
                            ["unit of row 1 touches active variable 1",
                             "unit of row 2 touches active variable 0"]),
@@ -159,7 +159,7 @@ class TestStructuralProblems:
                           ["unit of row 0 touches variable 100 >= d = 4",
                            "unit of row 2 touches variable 4 >= d = 4"]),
         "order": ({**ADAPTED, "betas": (),
-                   "units": (factor_on(4).with_factor(2, ONE, 1),) * 3},
+                   "units": (factor_on(4).with_factor([(2, ONE, 1)]),) * 3},
                   ["one beta entry per slot row required"]
                   + [f"unit of row {i} touches {what}" for i in range(3)
                      for what in ("active variable 2", "variable 4 >= d = 4")]),

@@ -230,6 +230,8 @@ class TestEndToEnd:
         assert trace["verdicts"]["global_failures"] == []
 
     def test_shape_key_once_per_stratum(self, monkeypatch):
+        # Principalization keys each stratum once; each lift keys its chart once
+        # more, to check it still has its skeleton's shape.
         calls = []
 
         def counting(cf):
@@ -241,12 +243,13 @@ class TestEndToEnd:
         for doc in (two_chart_doc(), TestMultiStepScript().doc()):
             calls.clear()
             trace = toroidalize(*parse_document(doc))
-            strata = sum(
-                len(chart["adapted"]) + sum(len(b["children"]) for b in
-                                            chart["principalization"]["steps"])
-                for step in trace["steps"] for chart in step["charts"].values()
-                if chart["adapted"])
-            assert strata > 0 and len(calls) == strata
+            charts = [chart for step in trace["steps"] for chart in step["charts"].values()
+                      if chart["adapted"]]
+            strata = sum(len(chart["adapted"]) + sum(len(b["children"]) for b in
+                                                     chart["principalization"]["steps"])
+                         for chart in charts)
+            lifts = sum(len(chart["lifts"]) for chart in charts)
+            assert 0 < lifts < strata and len(calls) == strata + lifts
 
     def test_toroidal_shape_checked_once_per_input_stratum(self, monkeypatch):
         # check_atlas checks each input toroidal chart; a final stratum is
@@ -719,7 +722,7 @@ class TestDocumentRoundtrip:
         from toroidal.units import Stratum, UnitToken, UnitValue
 
         unit = UnitToken(UnitValue(Fraction(3, 2))).with_factor(
-            4, UnitValue.symbol("g", Fraction(1, 2)), 2)
+            [(4, UnitValue.symbol("g", Fraction(1, 2)), 2)])
         cf = ChartForm(
             d=5, m=3, n=2, ell=1, s=1, tag="qtf1",
             matrix=((2, 1), (1, 0)),
@@ -1012,6 +1015,18 @@ class TestExitStatuses:
         status, err = self.run_main(tmp_path, capsys, command, identity_doc())
         assert (status, err) == (4, f"error: writing the {what}: {line}\n")
 
+    @pytest.mark.parametrize("where", ["missing/trace.json", "."])
+    def test_unwritable_output_is_invalid(self, tmp_path, capsys, where):
+        # A missing directory and a directory exit 2 like an unreadable input,
+        # not 1 (a verdict failure) with a traceback.
+        doc_path, out = tmp_path / "doc.json", tmp_path / where
+        doc_path.write_text(json.dumps(identity_doc()))
+        status = main(["--out", str(out), "toroidalize", str(doc_path)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
     @pytest.mark.parametrize("error, line", EXHAUSTED)
     def test_exhaustion_names_its_stratum(self, tmp_path, capsys, monkeypatch,
                                           error, line):
@@ -1068,15 +1083,44 @@ class TestExitStatuses:
         assert err.startswith("error: stratum A/p0.e0z (parent path A/p0): "
                               "lift does not commute: "), err
 
+    def test_later_leaf_constant_fault_is_internal(self, tmp_path, capsys, monkeypatch):
+        # A/p0.e1g is the fourth leaf and the second of A/p0.e0g's shape: its
+        # lift runs only the constant half of the check, which still catches
+        # a bad constant.  Each of the three shapes is checked in full once.
+        real, seen, full = lift._lift_constants, set(), []
+
+        def corrupted(cf, sk):
+            result = real(cf, sk)
+            if id(sk) not in seen:
+                seen.add(id(sk))
+                return result
+            units_ = list(result.lifted.units)
+            units_[0] = units.UnitToken(units_[0].constant() * units.UnitValue(2))
+            return result._replace(lifted=rebuilt_chart(result.lifted, units=tuple(units_)))
+
+        real_verify = lift.verify_commutes
+        monkeypatch.setattr(lift, "_lift_constants", corrupted)
+        monkeypatch.setattr(lift, "verify_commutes",
+                            lambda cf, result: full.append(cf) or real_verify(cf, result))
+        status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
+        assert status == 5
+        assert err.startswith("error: stratum A/p0.e1g (parent path A/p0): lift does not "
+                              "commute: constant: row 0 constant does not recompose"), err
+        assert len(full) == len(seen) == 3
+
     @staticmethod
     def strict_row_relabelled_kept(monkeypatch):
         # The skeleton passes its first strict row off as kept, unreduced:
         # the check takes the center rows from the chart, not from the skeleton.
+        # Principalization builds every principal shape's skeleton, so one with no
+        # strict row is left as it is.
         real = lift._skeleton_inside_divisor
 
         def relabelled(cf, case, gen_row):
             drop_col, zero, sources, matrix = real(cf, case, gen_row)
-            k = next(k for k, (kind, _) in enumerate(sources) if kind == "strict")
+            k = next((k for k, (kind, _) in enumerate(sources) if kind == "strict"), None)
+            if k is None:
+                return drop_col, zero, sources, matrix
             i = sources[k][1]
             return (drop_col, zero, sources[:k] + (("kept", i),) + sources[k + 1:],
                     matrix[:k] + (cf.matrix[i],) + matrix[k + 1:])
@@ -1207,7 +1251,8 @@ class TestExitStatuses:
         # the engine built it, so it is a bug (5), not bad input (2).
         real = units.UnitToken.with_factor
         monkeypatch.setattr(units.UnitToken, "with_factor",
-                            lambda self, var, value, k: real(self, 0, value, k))
+                            lambda self, factors: real(self, [(0, value, k)
+                                                              for _, value, k in factors]))
         status, err = self.run_main(tmp_path, capsys, "toroidalize", identity_doc())
         assert status == 5
         assert err.startswith("error: stratum A/p0: built chart: malformed chart: "

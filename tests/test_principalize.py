@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toroidal import blowup, lift, monomial, principalize
+from toroidal import blowup, lift, monomial, pipeline, principalize
 from toroidal.chart import (
     CenterDescriptor,
     ChartForm,
@@ -23,6 +23,7 @@ from toroidal.lift import (
     lift_case,
     lift_skeleton,
 )
+from toroidal.errors import InternalCheckError
 from toroidal.monomial import max_order_components, minimal_generators
 from toroidal.pipeline import parse_document, toroidalize
 from toroidal.principalize import (
@@ -43,6 +44,14 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 # The benchmark's yardstick "mid", a member of the deep family.
 MID = ((3, 1, 2, 3), (0, 3, 1, 4), (2, 2, 3, 1))
+
+
+def load_workloads():
+    """`perfbench/workloads.py`, loaded by path and unchanged."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 class TestNonprincipalLocus:
@@ -131,9 +140,7 @@ class TestSelectCenter:
         # handed (seed-1 benchmark workloads, mid, random roots to cap 4),
         # each maximum-order component holds every slot and passes the
         # matrix test, as its docstring proves for charts in their shape.
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_workloads()
         seen, real_select = {}, MaxOrderLexPolicy.select
 
         def recording(policy, cf, residual):
@@ -350,19 +357,54 @@ class TestShapeKernels:
                 seen["center"] += 1
         assert all(seen[k] for k in ("locus", "center", "skeleton", CASE2)), seen
 
-    def test_memoized_lifts_equal_fresh_lifts(self):
-        lifts = skeletons_built = 0
+    def test_leaf_skeleton_lifts_equal_fresh_lifts(self):
+        # Each principal leaf carries its shape's skeleton; a lift through it,
+        # checked in full once per skeleton, equals a lift built afresh.
+        lifts = skeletons = 0
         for family in random_families(700, 100):
             trace = principalize_chart_family(family, cap=50)
-            skeletons: dict = {}
+            certified: dict = {}
             for final in trace.final:
                 if final.status != PRINCIPAL:
+                    assert final.skeleton is None
                     continue
-                memoized = lift_after_principalization(final.chart, skeletons)
-                assert memoized == lift_after_principalization(final.chart)
+                assert final.skeleton == lift_skeleton(final.chart)
+                shared = lift_after_principalization(final.chart, final.skeleton, certified)
+                assert shared.skeleton is final.skeleton
+                assert shared == lift_after_principalization(final.chart)
                 lifts += 1
-            skeletons_built += len(skeletons)
-        assert skeletons_built < lifts
+            skeletons += len(certified)
+        assert 0 < skeletons < lifts
+
+    def test_later_leaf_of_another_shape_is_checked_in_full(self, monkeypatch):
+        # A later leaf of a certified skeleton runs only the constant half;
+        # one whose chart no longer has the skeleton's shape runs the full
+        # check, which rejects its exponents.
+        full, real = [], lift.verify_commutes
+        monkeypatch.setattr(lift, "verify_commutes",
+                            lambda cf, result: full.append(cf) or real(cf, result))
+        seen = 0
+        for _, finals in principal_finals(850, 40):
+            first: dict = {}
+            for final in finals:
+                if id(final.skeleton) not in first:
+                    first[id(final.skeleton)] = final
+                    continue
+                certified: dict = {}
+                full.clear()
+                lift_after_principalization(first[id(final.skeleton)].chart,
+                                            final.skeleton, certified)
+                lift_after_principalization(final.chart, final.skeleton, certified)
+                assert len(full) == 1
+                last = final.chart.matrix[-1]
+                moved = rebuilt_chart(final.chart, matrix=final.chart.matrix[:-1] + (
+                    tuple(x + 1 for x in last),))
+                with pytest.raises(InternalCheckError,
+                                   match="^lift does not commute: exponent: "):
+                    lift_after_principalization(moved, final.skeleton, certified)
+                assert full == [first[id(final.skeleton)].chart, moved]
+                seen += 1
+        assert seen > 0
 
 
 def principal_finals(seed, count):
@@ -453,7 +495,9 @@ class TestSingleSites:
             blowups += len(trace.steps)
         assert blowups > 0
 
-    def test_pullback_once_per_skeleton(self, monkeypatch):
+    def test_skeleton_once_per_principal_shape(self, monkeypatch):
+        # Principalization builds each principal shape's skeleton when it first
+        # meets the shape, and the skeleton's one pullback is its own.
         pullbacks, skeletons = [], []
         real_pullback, real_skeleton = lift.pullback_center_generators, lift.lift_skeleton
 
@@ -466,12 +510,16 @@ class TestSingleSites:
             return real_skeleton(cf)
 
         monkeypatch.setattr(lift, "pullback_center_generators", pullback)
-        monkeypatch.setattr(lift, "lift_skeleton", skeleton)
-        for _, finals in principal_finals(810, 40):
-            memo: dict = {}
-            for final in finals:
-                lift_after_principalization(final.chart, memo)
-        assert len(pullbacks) == len(skeletons) > 0
+        monkeypatch.setattr(principalize, "lift_skeleton", skeleton)
+        total = 0
+        for trace, finals in principal_finals(810, 40):
+            shapes = {shape_key(f.chart) for f in finals}
+            assert len(skeletons) == len(pullbacks) == len(shapes)
+            assert {shape_key(cf) for cf in skeletons} == shapes
+            total += len(skeletons)
+            skeletons.clear()
+            pullbacks.clear()
+        assert total > 0
 
     def test_one_transversal_search_per_blowup(self, monkeypatch):
         searches, in_locus = [], []
@@ -502,16 +550,14 @@ class TestSingleSites:
     def test_leaves_of_one_shape_share_a_skeleton(self):
         shared = 0
         for _, finals in principal_finals(840, 40):
-            memo: dict = {}
             first = {}
             for final in finals:
-                result = lift_after_principalization(final.chart, memo)
                 key = shape_key(final.chart)
                 if key in first:
-                    assert result.skeleton is first[key].skeleton
+                    assert final.skeleton is first[key]
                     shared += 1
                 else:
-                    first[key] = result
+                    first[key] = final.skeleton
         assert shared > 0
 
     def test_case_and_generator_match_reference(self):
@@ -527,6 +573,50 @@ class TestSingleSites:
         # Every branch of both skeleton builders occurs.
         assert {(CASE1, False), (CASE2, False), (CASE3, False),
                 (CASE3, True)} <= set(seen), seen
+
+
+class TestLiftSites:
+    """Per chart family of a run: principalization builds one skeleton per
+    principal shape, the full commutation check runs once per skeleton,
+    the rank bound only for a case-1 skeleton with a vanished row, and the
+    pipeline lifts each principal leaf once."""
+
+    def test_once_per_shape_and_leaf(self, monkeypatch):
+        families = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                families[-1][name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def family(strata, cap):
+            families.append(Counter())
+            trace = real_family(strata, cap=cap)
+            families[-1]["trace"] = trace
+            return trace
+
+        real_family = pipeline.principalize_chart_family
+        monkeypatch.setattr(pipeline, "principalize_chart_family", family)
+        monkeypatch.setattr(principalize, "lift_skeleton",
+                            counting("skeleton", principalize.lift_skeleton))
+        monkeypatch.setattr(lift, "verify_commutes", counting("full", lift.verify_commutes))
+        monkeypatch.setattr(lift, "rank", counting("rank", lift.rank))
+        monkeypatch.setattr(pipeline, "lift_after_principalization",
+                            counting("lift", pipeline.lift_after_principalization))
+        for _, text in load_workloads().build("corpus", 1):
+            toroidalize(*parse_document(json.loads(text)))
+        totals = Counter()
+        for counts in families:
+            leaves = [f for f in counts.pop("trace").final if f.status == PRINCIPAL]
+            skeletons = {id(f.skeleton): f.skeleton for f in leaves}.values()
+            vanished = sum(sk.case == CASE1 and bool(sk.zero) for sk in skeletons)
+            assert counts == Counter({"skeleton": len(skeletons), "full": len(skeletons),
+                                      "rank": vanished, "lift": len(leaves)}) - Counter()
+            totals.update(counts)
+            totals["case1"] += sum(sk.case == CASE1 for sk in skeletons)
+        assert totals["lift"] > totals["full"] > 0
+        assert totals["case1"] > totals["rank"] > 0
 
 
 class TestResidualShapes:

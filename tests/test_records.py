@@ -103,7 +103,7 @@ def test_unit_values_compare_hash_and_print_as_before():
     assert hash(value) == hash((2, (("a", 1),)))
     assert value == UnitValue(2, (("a", 1),)) and value != (2, (("a", 1),))
     assert UnitToken(value) != value
-    token = UnitToken(value).with_factor(3, value, 2)
+    token = UnitToken(value).with_factor([(3, value, 2)])
     for obj, field in ((value, "coeff"), (token, "base")):
         assert copy.deepcopy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
         with pytest.raises(AttributeError):
@@ -184,7 +184,7 @@ def test_checked_records_normalize_as_pinned():
      "malformed chart: dimension counts out of range; row 0 has a negative exponent; "
      "one unit token per matrix row required; active variables 3 exceed d = 1"),
     (lambda: ChartForm(d=2, m=1, n=1, ell=1, s=0, tag=TOROIDAL, matrix=((1,),),
-                       units=(UnitToken().with_factor(0, UnitValue(2), 1),)),
+                       units=(UnitToken().with_factor([(0, UnitValue(2), 1)]),)),
      "malformed chart: unit of row 0 touches active variable 0"),
     (lambda: Stratum("half"), "bad stratum kind 'half'"),
     (lambda: Stratum("value"), "value strata must be nonzero"),

@@ -78,15 +78,15 @@ class TestCarriedConstants:
                 if rng.random() < 0.3:
                     token = token.remap_vars(rng.randint(0, 3))
                 else:
-                    token = token.with_factor(rng.randint(30, 39), random_value(rng),
-                                              rng.randint(-3, 3))
+                    token = token.with_factor([(rng.randint(30, 39), random_value(rng),
+                                               rng.randint(-3, 3))])
                 carried = token.constant()
                 assert carried == UnitToken(token.base, token.factors).constant()
                 assert carried == reference_constant(token), token
 
     def test_remap_keeps_the_value_and_renames_the_factors(self):
-        token = (UnitToken(UnitValue.of(5)).with_factor(7, UnitValue.symbol("s"), 2)
-                 .with_factor(9, UnitValue.of(3), -1))
+        token = UnitToken(UnitValue.of(5)).with_factor(
+            [(7, UnitValue.symbol("s"), 2), (9, UnitValue.of(3), -1)])
         moved = token.remap_vars(4)
         assert [f.var for f in moved.factors] == [3, 5]
         assert moved.constant() is token.constant()
