@@ -44,6 +44,7 @@ trace is not identical by `strict_bytes`.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -193,9 +194,15 @@ def strict_bytes(doc) -> bytes:
     return buffer.getvalue()
 
 
+# What `str` writes for an int or a Fraction.  Exponent and decimal forms,
+# underscores and spaces are refused, so the digit limit bounds every
+# numeral `Fraction` parses.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def fraction_from_doc(s, where: str) -> Fraction:
     """An integer or a "num/den" string, exactly."""
-    if _is_integer(s) or isinstance(s, str):
+    if _is_integer(s) or isinstance(s, str) and _RATIONAL.fullmatch(s):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
@@ -357,9 +364,12 @@ def choice_to_doc(choice: BlowupChartChoice):
 
 
 def choice_from_doc(doc: dict, where: str) -> BlowupChartChoice:
+    """Every entry names a stratum object: only a chart's qtf2 first slot
+    has none."""
     return BlowupChartChoice(
         j0=read_integer(doc, "j0", where),
-        betas=tuple((v, stratum_from_doc(b, f"{where} beta {v}"))
+        betas=tuple((v, stratum_from_doc(read_object(b, f"{where} beta {v}"),
+                                         f"{where} beta {v}"))
                     for v, b in _pairs(doc, "betas", where, _is_integer,
                                        "[variable, stratum]")))
 

@@ -11,15 +11,15 @@ through the point, the exceptional direction never joins the divisor
 and is dropped back out of the chart instead.
 
 A lift runs in two passes.  The skeleton (`lift_skeleton`) reads only
-the chart's shape, its `shape_key`: the case, the generator row, which
-center rows are strict, vanished or kept, and the lifted chart's shape,
-checked for structure.  `principalize_chart_family` builds it once per
-principal shape of a chart family and hands it over with each leaf of
-that shape.  The constants pass fills in the generator constant, the
-lifted units and the fresh parameters.  Commutation (`verify_commutes`)
-is the lift's one check of exponents and constants; its exponent half
-reads only the skeleton and the chart's shape, so it runs once per
-skeleton, on the first lift of its shape (`lift_after_principalization`).
+the chart's shape: the case, the generator row, which center rows are
+strict, vanished or kept, and the lifted chart's shape, checked for
+structure.  `principalize_chart_family` builds it once per principal
+shape of a chart family, after its `nonprincipal_locus` has found the
+pullback principal, and hands it over with each leaf of that shape.  The
+constants pass fills in the generator constant, the lifted units and the
+fresh parameters.  Commutation (`verify_commutes`) is the lift's one
+check of exponents and constants, and every lift runs it in full
+(`lift_after_principalization`).
 The point of the target blowup chart the lift lands on is not stored
 apart: the generator row, the row sources and the fresh parameters'
 shifts name it, in the engine and in the trace alike.
@@ -37,7 +37,6 @@ from .chart import (
     built_chart,
     column_minima,
     pullback_center_generators,
-    shape_key,
 )
 from .errors import InternalCheckError
 from .linalg import rank
@@ -83,16 +82,22 @@ class LiftResult(namedtuple("LiftResult", "lifted skeleton fresh")):
 
 def lift_case(cf: ChartForm) -> str:
     """Which branch of the lift applies; requires a principal pullback."""
+    _require_principal(cf)
     return _case_and_generator(cf)[0]
+
+
+def _require_principal(cf: ChartForm) -> None:
+    """The precondition of a lift of an arbitrary chart: its pullback of
+    the center is principal (`principal_generator`)."""
+    if principal_generator(pullback_center_generators(cf)) is None:
+        raise ValueError("pullback of the center is not principal")
 
 
 def _case_and_generator(cf: ChartForm) -> tuple[str, int]:
     """The lift's branch and the chart row generating the principal pullback:
     the first slot row (smooth, case 3), the first slot row with a nonzero
     constant (case 2) or the first center row at the column minima (case 1).
-    The pullback must be principal (`principal_generator`)."""
-    if principal_generator(pullback_center_generators(cf)) is None:
-        raise ValueError("pullback of the center is not principal")
+    The caller has found the pullback principal."""
     if cf.ell == 0:
         return SMOOTH_CASE, cf.ell
     if cf.tag == QTF2:
@@ -107,37 +112,24 @@ def _case_and_generator(cf: ChartForm) -> tuple[str, int]:
     raise InternalCheckError("principal qtf1 chart matches no lift case")
 
 
-def lift_after_principalization(cf: ChartForm, skeleton: LiftSkeleton | None = None,
-                                certified: dict | None = None) -> LiftResult:
+def lift_after_principalization(cf: ChartForm, skeleton: LiftSkeleton | None = None) -> LiftResult:
     """Lift one principal stratum through `skeleton`, the skeleton of its
-    shape (built here when not given).  A lift that does not commute is an
-    engine bug: it raises `InternalCheckError`.
-
-    `certified`, when given, maps the `shape_key` of each chart whose lift
-    passed the full `verify_commutes` to the skeleton it was lifted
-    through; the caller keeps it for one chart family.  A lift whose
-    chart's key maps to its own skeleton checks only its constants and
-    fresh shifts.  That is sound: the exponent and coverage checks read
-    the lifted matrix, the row sources and the drop column (the
-    skeleton's), the fresh parameters' sources (the skeleton's vanished
-    rows and the chart's slot count) and the chart's matrix and zero-slot
-    pattern (its `shape_key`), so they give on this chart what they gave
-    on the certified one.  Any other lift runs the full check; a chart
-    that no longer has its skeleton's shape is one."""
-    sk = lift_skeleton(cf) if skeleton is None else skeleton
-    result = _lift_constants(cf, sk)
-    key = None if certified is None else shape_key(cf)
-    report = (_commutes(cf, result, False) if key is not None and certified.get(key) is sk
-              else verify_commutes(cf, result))
+    shape; without one, the pullback is checked principal and the skeleton
+    built here.  Every lift runs the full `verify_commutes`: a lift that
+    does not commute is an engine bug and raises `InternalCheckError`."""
+    if skeleton is None:
+        _require_principal(cf)
+        skeleton = lift_skeleton(cf)
+    result = _lift_constants(cf, skeleton)
+    report = verify_commutes(cf, result)
     if not report.ok:
         raise InternalCheckError(f"lift does not commute: {report}")
-    if key is not None:
-        certified[key] = sk
     return result
 
 
 def lift_skeleton(cf: ChartForm) -> LiftSkeleton:
-    """The shape-only part of the lift, its structure checked as built."""
+    """The shape-only part of the lift of a chart whose pullback is
+    principal, its structure checked as built."""
     case, gen_row = _case_and_generator(cf)
     build = _skeleton_outside_divisor if cf.ell_bar == 0 else _skeleton_inside_divisor
     drop_col, zero, row_sources, matrix = build(cf, case, gen_row)
@@ -230,12 +222,6 @@ def verify_commutes(cf: ChartForm, result: LiftResult) -> ValidityReport:
     Each image is built once from whole rows: a fresh parameter's divisor
     exponents are one shared zero tuple, or the generator's unit vector,
     and a center row's product with y'_g sums two rows with one `map`."""
-    return _commutes(cf, result, True)
-
-
-def _commutes(cf: ChartForm, result: LiftResult, exponents: bool) -> ValidityReport:
-    """`verify_commutes`, or with `exponents` false its constant half: the
-    coverage, every constant and every fresh shift, but no exponent."""
     sk, lifted = result.skeleton, result.lifted
     g, drop, n, ell, ell_bar = sk.gen_row, sk.drop_col, cf.n, cf.ell, cf.ell_bar
     matrix, units, betas = cf.matrix, cf.units, cf.betas
@@ -245,27 +231,23 @@ def _commutes(cf: ChartForm, result: LiftResult, exponents: bool) -> ValidityRep
     pad = (0,) * cf.num_slots
     slot_pads = {ell + t: pad[:k] + (1,) + pad[k + 1:]
                  for t, beta in enumerate(betas) if beta is not None and beta.kind == "zero"
-                 for k in (cf.slot_var(t) - n,)} if exponents else None
+                 for k in (cf.slot_var(t) - n,)}
 
     for (_, i), row, unit in zip(sk.row_sources, lifted.matrix, lifted.units):
         if i in images:
             failures.append(("coverage", f"row {i} is covered twice"))
-        if exponents:
-            if drop is not None:
-                row = row[:drop] + (0,) + row[drop:]
-            row += pad
-        images[i] = row, unit.constant(), None
+        if drop is not None:
+            row = row[:drop] + (0,) + row[drop:]
+        images[i] = row + pad, unit.constant(), None
     zero = (0,) * n
     for p in result.fresh:
         i = p.source[1]
         if i in images:
             failures.append(("coverage", f"row {i} is covered twice"))
         vec = zero
-        if exponents:
-            if i == g and drop is not None:
-                vec = tuple([int(j == drop) for j in range(n)])
-            vec += slot_pads.get(i, pad)
-        images[i] = vec, p.scale, p
+        if i == g and drop is not None:
+            vec = tuple([int(j == drop) for j in range(n)])
+        images[i] = vec + slot_pads.get(i, pad), p.scale, p
 
     if g not in images:
         return ValidityReport(tuple(failures) + (
@@ -284,15 +266,14 @@ def _commutes(cf: ChartForm, result: LiftResult, exponents: bool) -> ValidityRep
             if beta is not None:
                 expected = expected * beta
         elif i < ell_bar or i >= ell:
-            if exponents:
-                vec = tuple(map(int.__add__, gen_vec, vec))
+            vec = tuple(map(int.__add__, gen_vec, vec))
             const = gen_const * const
             if p is not None:
                 shift = (p.scale * beta if beta is not None
                          else None if i >= ell else p.scale)
                 if p.shift != shift:
                     failures.append(("constant", f"row {i} fresh parameter shift mismatch"))
-        if exponents and vec != row + slot_pads.get(i, pad):
+        if vec != row + slot_pads.get(i, pad):
             failures.append(("exponent", f"row {i} does not recompose"))
         if const != expected:
             failures.append(("constant", f"row {i} constant does not recompose"))

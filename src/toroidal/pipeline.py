@@ -413,7 +413,6 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
         trace = principalize_chart_family(family, cap=cap)
         lifts = []
         new_strata = []
-        certified: dict = {}
         for final in trace.final:
             root = roots[final.parent_path[0] if final.parent_path else final.stratum_id]
             if final.status == EXCEEDED:
@@ -423,7 +422,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
             # A lift's constants are written here, so a constant too long
             # to write names its stratum.
             with naming(final.stratum_id, final.parent_path):
-                result = lift_after_principalization(final.chart, final.skeleton, certified)
+                result = lift_after_principalization(final.chart, final.skeleton)
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
                 chart_doc = chart_to_doc(result.lifted)
                 record_doc = lift_record_to_doc(result)

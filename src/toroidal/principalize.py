@@ -19,7 +19,9 @@ factored.  The locus reads only the chart's shape (`shape_key`), and so
 does the lift's skeleton, so one call keeps one plan per distinct
 shape: a nonprincipal shape's residual, or a principal shape's
 `LiftSkeleton`, built when the shape is first met and handed to each of
-its leaves.  A failure on a stratum names it and its parent path.
+its leaves.  Principality is decided there once per shape, by
+`nonprincipal_locus`; the skeleton takes its verdict and pulls nothing
+back again.  A failure on a stratum names it and its parent path.
 """
 
 from __future__ import annotations

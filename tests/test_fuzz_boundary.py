@@ -3,8 +3,9 @@
 Every document a subcommand reads (atlas, `ideal`, `principalize`,
 `blowup`, `normalize-toric` and trace documents) is mutated by dropping
 a field, changing a value's JSON type, turning an object into a list or
-inserting a float, and run through `main()`.  The run must end in a known
-exit status with at most one `error:` line and never a traceback.  The
+inserting a float, and run through `main()`; every node of each
+document but the traces is also set to `null` once.  The run must end in
+a known exit status with at most one `error:` line and never a traceback.  The
 mutations change types and structure, not magnitudes, so every document
 the engine accepts finishes quickly under `--cap 3`.
 """
@@ -193,6 +194,20 @@ def test_mutated_documents_exit_cleanly(command, tmp_path):
                 check_run(["--cap", "3", command, path], label)
 
 
+def test_each_node_set_to_null_exits_cleanly(tmp_path):
+    # Every node of every base but the traces, the root included, is set
+    # to null once.
+    runs = 0
+    for command in sorted(BASES.keys() - {"report"}):
+        for b, base in enumerate(BASES[command]):
+            for k, (path, _) in enumerate(_nodes(base)):
+                doc = _replace(copy.deepcopy(base), path, None)
+                doc_path = _write(tmp_path, f"{command}-{b}-{k}.json", doc)
+                check_run(["--cap", "3", command, doc_path], f"{command} base {b}: null {path}")
+                runs += 1
+    assert runs == 413
+
+
 def _without(doc, *path):
     doc = copy.deepcopy(doc)
     owner = doc
@@ -302,6 +317,17 @@ PINNED = {
     "view listing an unknown stratum": (
         "toroidalize", _with(MULTI_STEP, SECOND_VIEW, ["zz"]),
         "error: step z2 view A: field 'strata' names no stratum ['A/zz']\n"),
+    "blowup choice with a null stratum": (
+        "blowup",
+        {"chart": {"d": 4, "m": 3, "n": 2, "ell": 2, "s": 0, "tag": "qtf1", "ell_bar": 2,
+                   "matrix": [[1, 0], [0, 1]]},
+         "center": {"divisor_indices": [0, 1], "slot_count": 0},
+         "choice": {"j0": 0, "betas": [[1, None]]}},
+        "error: choice beta 1 must be an object\n"),
+    "unit constant in exponent notation": (
+        "toroidalize",
+        _with(identity_doc(), FIRST_CHART + ("units",), [{"base": {"coeff": "1e20000000"}}, {}]),
+        "error: stratum A/p0 chart unit 0 base: field 'coeff' must be a rational"),
     "view listing a stratum outside a contained component": (
         "toroidalize", _with(MULTI_STEP, SECOND_VIEW, ["A/p0.e1z^"]),
         "error: step z2 view A: stratum A/p0.e1z^: listed above the center but "

@@ -230,8 +230,7 @@ class TestEndToEnd:
         assert trace["verdicts"]["global_failures"] == []
 
     def test_shape_key_once_per_stratum(self, monkeypatch):
-        # Principalization keys each stratum once; each lift keys its chart once
-        # more, to check it still has its skeleton's shape.
+        # Principalization keys each stratum once, and a lift keys nothing.
         calls = []
 
         def counting(cf):
@@ -239,7 +238,6 @@ class TestEndToEnd:
             return shape_key(cf)
 
         monkeypatch.setattr(principalize, "shape_key", counting)
-        monkeypatch.setattr(lift, "shape_key", counting)
         for doc in (two_chart_doc(), TestMultiStepScript().doc()):
             calls.clear()
             trace = toroidalize(*parse_document(doc))
@@ -249,7 +247,7 @@ class TestEndToEnd:
                                                      chart["principalization"]["steps"])
                          for chart in charts)
             lifts = sum(len(chart["lifts"]) for chart in charts)
-            assert 0 < lifts < strata and len(calls) == strata + lifts
+            assert 0 < lifts < strata and len(calls) == strata
 
     def test_toroidal_shape_checked_once_per_input_stratum(self, monkeypatch):
         # check_atlas checks each input toroidal chart; a final stratum is
@@ -1085,8 +1083,8 @@ class TestExitStatuses:
 
     def test_later_leaf_constant_fault_is_internal(self, tmp_path, capsys, monkeypatch):
         # A/p0.e1g is the fourth leaf and the second of A/p0.e0g's shape: its
-        # lift runs only the constant half of the check, which still catches
-        # a bad constant.  Each of the three shapes is checked in full once.
+        # lift through the shared skeleton is checked in full, like each of
+        # the three before it, and the check catches the bad constant.
         real, seen, full = lift._lift_constants, set(), []
 
         def corrupted(cf, sk):
@@ -1106,7 +1104,7 @@ class TestExitStatuses:
         assert status == 5
         assert err.startswith("error: stratum A/p0.e1g (parent path A/p0): lift does not "
                               "commute: constant: row 0 constant does not recompose"), err
-        assert len(full) == len(seen) == 3
+        assert len(full) == 4 and len(seen) == 3
 
     @staticmethod
     def strict_row_relabelled_kept(monkeypatch):

@@ -358,51 +358,48 @@ class TestShapeKernels:
         assert all(seen[k] for k in ("locus", "center", "skeleton", CASE2)), seen
 
     def test_leaf_skeleton_lifts_equal_fresh_lifts(self):
-        # Each principal leaf carries its shape's skeleton; a lift through it,
-        # checked in full once per skeleton, equals a lift built afresh.
+        # Each principal leaf carries its shape's skeleton; a lift through it
+        # equals a lift built afresh.
         lifts = skeletons = 0
         for family in random_families(700, 100):
             trace = principalize_chart_family(family, cap=50)
-            certified: dict = {}
+            ids = set()
             for final in trace.final:
                 if final.status != PRINCIPAL:
                     assert final.skeleton is None
                     continue
                 assert final.skeleton == lift_skeleton(final.chart)
-                shared = lift_after_principalization(final.chart, final.skeleton, certified)
+                shared = lift_after_principalization(final.chart, final.skeleton)
                 assert shared.skeleton is final.skeleton
                 assert shared == lift_after_principalization(final.chart)
+                ids.add(id(final.skeleton))
                 lifts += 1
-            skeletons += len(certified)
+            skeletons += len(ids)
         assert 0 < skeletons < lifts
 
     def test_later_leaf_of_another_shape_is_checked_in_full(self, monkeypatch):
-        # A later leaf of a certified skeleton runs only the constant half;
-        # one whose chart no longer has the skeleton's shape runs the full
-        # check, which rejects its exponents.
+        # Every lift through a shared skeleton runs the full check, so a
+        # chart that no longer has the skeleton's shape is rejected on its
+        # exponents.
         full, real = [], lift.verify_commutes
         monkeypatch.setattr(lift, "verify_commutes",
                             lambda cf, result: full.append(cf) or real(cf, result))
         seen = 0
         for _, finals in principal_finals(850, 40):
-            first: dict = {}
+            ids = set()
             for final in finals:
-                if id(final.skeleton) not in first:
-                    first[id(final.skeleton)] = final
+                if id(final.skeleton) not in ids:
+                    ids.add(id(final.skeleton))
                     continue
-                certified: dict = {}
                 full.clear()
-                lift_after_principalization(first[id(final.skeleton)].chart,
-                                            final.skeleton, certified)
-                lift_after_principalization(final.chart, final.skeleton, certified)
-                assert len(full) == 1
+                lift_after_principalization(final.chart, final.skeleton)
                 last = final.chart.matrix[-1]
                 moved = rebuilt_chart(final.chart, matrix=final.chart.matrix[:-1] + (
                     tuple(x + 1 for x in last),))
                 with pytest.raises(InternalCheckError,
                                    match="^lift does not commute: exponent: "):
-                    lift_after_principalization(moved, final.skeleton, certified)
-                assert full == [first[id(final.skeleton)].chart, moved]
+                    lift_after_principalization(moved, final.skeleton)
+                assert full == [final.chart, moved]
                 seen += 1
         assert seen > 0
 
@@ -497,25 +494,31 @@ class TestSingleSites:
 
     def test_skeleton_once_per_principal_shape(self, monkeypatch):
         # Principalization builds each principal shape's skeleton when it first
-        # meets the shape, and the skeleton's one pullback is its own.
-        pullbacks, skeletons = [], []
-        real_pullback, real_skeleton = lift.pullback_center_generators, lift.lift_skeleton
+        # meets the shape.  The shape's one pullback is the locus's, and the
+        # skeleton pulls nothing back.
+        pullbacks, lift_pullbacks, skeletons = [], [], []
+        real_pullback, real_skeleton = principalize.pullback_center_generators, lift.lift_skeleton
 
-        def pullback(cf):
-            pullbacks.append(cf)
-            return real_pullback(cf)
+        def recording(calls):
+            def pullback(cf):
+                calls.append(cf)
+                return real_pullback(cf)
+            return pullback
 
         def skeleton(cf):
             skeletons.append(cf)
             return real_skeleton(cf)
 
-        monkeypatch.setattr(lift, "pullback_center_generators", pullback)
+        monkeypatch.setattr(principalize, "pullback_center_generators", recording(pullbacks))
+        monkeypatch.setattr(lift, "pullback_center_generators", recording(lift_pullbacks))
         monkeypatch.setattr(principalize, "lift_skeleton", skeleton)
         total = 0
         for trace, finals in principal_finals(810, 40):
             shapes = {shape_key(f.chart) for f in finals}
-            assert len(skeletons) == len(pullbacks) == len(shapes)
+            assert len(skeletons) == len(shapes) and not lift_pullbacks
             assert {shape_key(cf) for cf in skeletons} == shapes
+            pulled = Counter(shape_key(cf) for cf in pullbacks)
+            assert all(pulled[shape] == 1 for shape in shapes)
             total += len(skeletons)
             skeletons.clear()
             pullbacks.clear()
@@ -577,9 +580,9 @@ class TestSingleSites:
 
 class TestLiftSites:
     """Per chart family of a run: principalization builds one skeleton per
-    principal shape, the full commutation check runs once per skeleton,
-    the rank bound only for a case-1 skeleton with a vanished row, and the
-    pipeline lifts each principal leaf once."""
+    principal shape, the rank bound runs only for a case-1 skeleton with a
+    vanished row, and the pipeline lifts each principal leaf once, each
+    lift running the full commutation check once."""
 
     def test_once_per_shape_and_leaf(self, monkeypatch):
         families = []
@@ -611,11 +614,11 @@ class TestLiftSites:
             leaves = [f for f in counts.pop("trace").final if f.status == PRINCIPAL]
             skeletons = {id(f.skeleton): f.skeleton for f in leaves}.values()
             vanished = sum(sk.case == CASE1 and bool(sk.zero) for sk in skeletons)
-            assert counts == Counter({"skeleton": len(skeletons), "full": len(skeletons),
+            assert counts == Counter({"skeleton": len(skeletons), "full": len(leaves),
                                       "rank": vanished, "lift": len(leaves)}) - Counter()
             totals.update(counts)
             totals["case1"] += sum(sk.case == CASE1 for sk in skeletons)
-        assert totals["lift"] > totals["full"] > 0
+        assert totals["lift"] > totals["skeleton"] > 0
         assert totals["case1"] > totals["rank"] > 0
 
 

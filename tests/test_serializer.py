@@ -6,7 +6,8 @@ it can match those bytes, and every other document (ints past 64 bits,
 non-ASCII or DEL, lone surrogates, non-str keys, namedtuples, deep
 nesting) takes the stdlib encoder.  A trace is built in the form
 `json.loads` gives back, so its `strict_bytes` are those of its parsed
-canonical text.  An exact rational is written as `str` writes it."""
+canonical text.  An exact rational is written as `str` writes it, and only
+that form is read back."""
 
 import json
 from collections import namedtuple
@@ -19,8 +20,17 @@ import test_pipeline
 from test_exactness import workload_slice
 from test_golden import PIPELINE_GOLDEN, termination_corpus_documents
 from toroidal.cli import main
-from toroidal.documents import canonical_dumps, stdlib_dumps, strict_bytes
+from toroidal.documents import (
+    InvalidDocument,
+    canonical_dumps,
+    fraction_from_doc,
+    stdlib_dumps,
+    strict_bytes,
+    unit_value_from_doc,
+    unit_value_to_doc,
+)
 from toroidal.pipeline import parse_document, toroidalize
+from toroidal.units import UnitValue
 
 
 def reference_dumps(doc) -> str:
@@ -182,13 +192,38 @@ def num_den(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+WRITTEN_RATIONALS = ([Fraction(p, q) for p in range(-30, 31) for q in range(1, 31)]
+                     + list(range(-30, 31)) + [10**30, -10**30, 2**64 + 1,
+                                               Fraction(10**30, 7), Fraction(-(10**30))])
+
+
 def test_rationals_are_written_as_str_writes_them():
     # The encoders write an exact rational with `str`: for an `int` and
     # a `Fraction` of either sign, integral or not, and for big integers
     # it is the "num/den" text (the integer alone when den is 1).
-    values = [Fraction(p, q) for p in range(-30, 31) for q in range(1, 31)]
-    values += list(range(-30, 31)) + [10**30, -10**30, 2**64 + 1,
-                                      Fraction(10**30, 7), Fraction(-(10**30))]
-    for x in values:
+    for x in WRITTEN_RATIONALS:
         assert str(x) == num_den(x), x
-    assert {type(x) for x in values} == {int, Fraction}
+    assert {type(x) for x in WRITTEN_RATIONALS} == {int, Fraction}
+
+
+def test_written_rationals_read_back():
+    for x in WRITTEN_RATIONALS:
+        assert fraction_from_doc(str(x), "x") == x, x
+        if x:
+            value = UnitValue.of(x)
+            assert unit_value_from_doc(unit_value_to_doc(value), "x") == value
+    assert fraction_from_doc(-7, "x") == -7
+
+
+# Text `Fraction` parses but `str` never writes, among them the exponent
+# form, whose value the digit limit does not bound; a numeral past the
+# limit; and text `Fraction` refuses.
+REFUSED_RATIONALS = ["1e5", "1e20000000", "1.5", "1_000", " 7 ", "7\n", "+7", "\u0663",
+                     "1/-2", "1 / 2", "/2", "1/", "", "1" * 5000, "1/0", True, 1.5, None]
+
+
+@pytest.mark.parametrize("text", REFUSED_RATIONALS,
+                         ids=lambda t: repr(t)[:12])
+def test_other_rational_forms_are_refused(text):
+    with pytest.raises(InvalidDocument, match="^coeff must be a rational, found "):
+        fraction_from_doc(text, "coeff")
