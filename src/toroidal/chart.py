@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, quoted
 from .monomial import MonomialIdeal
 from .units import TRIVIAL_UNIT, ZERO_STRATUM, Stratum, UnitToken, _Frozen, _Record, _set
 
@@ -153,7 +153,7 @@ def structural_problems(cf: ChartForm) -> list[str]:
     elif tag == TOROIDAL or tag == SMOOTH:
         adapted, expected_rows, num_slots = False, ell if tag == TOROIDAL else 0, 0
     else:
-        return [f"unknown tag {tag!r}"]
+        return [f"unknown tag {quoted(tag)}"]
     p: list[str] = []
     if not (0 <= n <= d and 0 <= ell <= m):
         p.append("dimension counts out of range")

@@ -44,7 +44,7 @@ from .documents import (
     read_schema,
     unit_value_to_doc,
 )
-from .errors import InternalCheckError, RegimeLimit
+from .errors import InternalCheckError, RegimeLimit, quoted
 from .monomial import (
     colon_by_monomial,
     gcd_generators,
@@ -152,7 +152,7 @@ def cmd_ideal(args) -> int:
     elif op == "max-order-components":
         out = {"components": [list(s) for s in max_order_components(ideal)]}
     else:
-        raise InvalidDocument(f"{where}: unknown op {op!r}")
+        raise InvalidDocument(f"{where}: unknown op {quoted(op)}")
     _emit(out, args.out, "ideal result")
     return PASS
 

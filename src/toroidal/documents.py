@@ -50,9 +50,7 @@ from fractions import Fraction
 
 from .blowup import BlowupCenterChart, BlowupChartChoice
 from .chart import TOROIDAL, CenterDescriptor, ChartForm
-from .errors import RegimeLimit
-from .lift import LiftResult
-from .principalize import PrincipalizationTrace
+from .errors import RegimeLimit, quoted
 from .units import Stratum, UnitFactor, UnitToken, UnitValue
 
 
@@ -207,7 +205,7 @@ def fraction_from_doc(s, where: str) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
             pass
-    raise InvalidDocument(f"{where} must be a rational, found {s!r}")
+    raise InvalidDocument(f"{where} must be a rational, found {quoted(s)}")
 
 
 def unit_value_to_doc(v: UnitValue):

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one way an error line quotes an input value."""
 
 
 class InternalCheckError(RuntimeError):
@@ -9,3 +9,18 @@ class InternalCheckError(RuntimeError):
 class RegimeLimit(ValueError):
     """Valid input outside the regime the engine handles: a search, step,
     size or memory bound was reached."""
+
+
+# How much of an input value's `repr` an error line quotes.
+QUOTE_LIMIT = 60
+
+
+def quoted(value) -> str:
+    """`repr(value)` for an error line: whole when it is at most
+    `QUOTE_LIMIT` characters, else cut to that many and followed by the
+    value's length (a string's own, any other value's as `repr` writes it)."""
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:QUOTE_LIMIT]}... ({size} characters)"

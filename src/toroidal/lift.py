@@ -13,9 +13,9 @@ and is dropped back out of the chart instead.
 A lift runs in two passes.  The skeleton (`lift_skeleton`) reads only
 the chart's shape: the case, the generator row, which center rows are
 strict, vanished or kept, and the lifted chart's shape, checked for
-structure.  `principalize_chart_family` builds it once per principal
-shape of a chart family, after its `nonprincipal_locus` has found the
-pullback principal, and hands it over with each leaf of that shape.  The
+structure.  The pipeline builds it once per principal shape of a chart
+family, from the shape's first leaf, after the driver's `nonprincipal_locus`
+found the pullback principal, and lifts each leaf of that shape through it.  The
 constants pass fills in the generator constant, the lifted units and the
 fresh parameters.  Commutation (`verify_commutes`) is the lift's one
 check of exponents and constants, and every lift runs it in full
@@ -75,7 +75,7 @@ class LiftSkeleton(namedtuple("LiftSkeleton",
 
 class LiftResult(namedtuple("LiftResult", "lifted skeleton fresh")):
     """The lifted chart, its shape's skeleton (one object for every leaf of
-    that shape in one principalization) and its fresh parameters."""
+    that shape in one chart family) and its fresh parameters."""
 
     __slots__ = ()
 

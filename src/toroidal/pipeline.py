@@ -5,9 +5,10 @@ toroidal morphism together with a target-side resolution script given
 by labeled divisor incidences.  Each script step blows up one target
 center; the engine adapts every source stratum above the center,
 principalizes the pulled-back center ideal by permissible blowups,
-lifts every resulting stratum through the target blowup, and records
-everything in a replayable trace.  The final verdict certifies that
-every stratum is toroidal for the global divisor label count.
+builds each principal shape's lift skeleton from its first leaf, lifts
+every principal leaf through it and the target blowup, and records
+everything in a replayable trace; the verdict certifies that every
+stratum is toroidal for the global divisor label count.
 
 The parsed atlas's strata and labels and the script's steps and views
 are plain records (`collections.namedtuple`s); the document readers
@@ -49,7 +50,8 @@ from .documents import (
     stdlib_dumps,
     strict_bytes,
 )
-from .lift import lift_after_principalization
+from .errors import quoted
+from .lift import lift_after_principalization, lift_skeleton
 from .linalg import rank
 from .principalize import (
     DEFAULT_CAP,
@@ -129,7 +131,7 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
         entry = read_object(entry, "each 'labels' entry")
         name = read_name(entry, "name", "label entry")
         if name in labels:
-            raise InvalidDocument(f"duplicate label {name!r}")
+            raise InvalidDocument(f"duplicate label {quoted(name)}")
         where = f"label {name}"
         charts = read_strings(entry, "charts", where)
         labels[name] = LabelInfo(name=name, charts=charts,
@@ -141,13 +143,13 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
         chart_entry = read_object(chart_entry, "each 'charts' entry")
         chart_id = read_name(chart_entry, "id", "chart entry")
         if chart_id in strata:
-            raise InvalidDocument(f"duplicate chart id {chart_id!r}")
+            raise InvalidDocument(f"duplicate chart id {quoted(chart_id)}")
         strata[chart_id] = []
         for stratum_doc in read_field(chart_entry, "strata", list, f"chart {chart_id}", []):
             stratum_doc = read_object(stratum_doc, f"chart {chart_id}: each 'strata' entry")
             sid = read_name(stratum_doc, "id", f"stratum in chart {chart_id}")
             if any(s.stratum_id == f"{chart_id}/{sid}" for s in strata[chart_id]):
-                raise InvalidDocument(f"duplicate stratum id {sid!r} in {chart_id}")
+                raise InvalidDocument(f"duplicate stratum id {quoted(sid)} in {chart_id}")
             where = f"stratum {chart_id}/{sid}"
             extra = read_integer(stratum_doc, "extra_global_labels", where, default=0)
             if extra < 0:
@@ -209,10 +211,10 @@ def check_atlas(atlas: MorphismAtlas) -> ValidityReport:
         for label in stratum.row_labels:
             info = atlas.labels.get(label)
             if info is None:
-                failures.append(("labels", f"{where}: unregistered label {label!r}"))
+                failures.append(("labels", f"{where}: unregistered label {quoted(label)}"))
             elif chart_id not in info.e_charts:
                 failures.append(("labels",
-                                 f"{where}: label {label!r} not registered to chart"))
+                                 f"{where}: label {quoted(label)} not registered to chart"))
         if cf.ell and cf.d < cf.n + cf.m - rank(cf.matrix):
             failures.append(("capacity",
                              f"{where}: d too small for the chart's rank deficit"))
@@ -238,7 +240,7 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
     for chart_id, _ in step.views:
         if chart_id not in chart_ids:
             failures.append(("views",
-                             f"step {step.step_id}: unknown chart {chart_id!r}"))
+                             f"step {step.step_id}: unknown chart {quoted(chart_id)}"))
 
     codims = {view.c for _, view in step.views}
     if len(codims) > 1:
@@ -250,13 +252,13 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
 
     for label, kind in step.incidence:
         if label not in labels:
-            failures.append(("labels", f"step {step.step_id}: unknown label {label!r}"))
+            failures.append(("labels", f"step {step.step_id}: unknown label {quoted(label)}"))
         elif kind == "meets":
             failures.append(("dichotomy",
                              f"step {step.step_id}: center meets but does not contain "
-                             f"component {label!r}"))
+                             f"component {quoted(label)}"))
         elif kind not in ("in", "out"):
-            failures.append(("labels", f"step {step.step_id}: bad incidence {kind!r}"))
+            failures.append(("labels", f"step {step.step_id}: bad incidence {quoted(kind)}"))
 
     contained_any = set()
     for chart_id, view in step.views:
@@ -264,13 +266,13 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
             info = labels.get(label)
             if info is None:
                 failures.append(("labels",
-                                 f"step {step.step_id}: unknown label {label!r}"))
+                                 f"step {step.step_id}: unknown label {quoted(label)}"))
                 continue
             contained_any.add(label)
             if step.incidence_of(label) != "in":
                 failures.append(("consistency",
                                  f"step {step.step_id}: chart {chart_id} contains "
-                                 f"{label!r} but incidence is not 'in'"))
+                                 f"{quoted(label)} but incidence is not 'in'"))
     for label, kind in step.incidence:
         if kind != "in" or label not in labels:
             continue
@@ -279,13 +281,13 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
             if chart_id in info.charts and label not in view.contained:
                 failures.append(("consistency",
                                  f"step {step.step_id}: chart {chart_id} sees "
-                                 f"{label!r} but omits it from the center view"))
+                                 f"{quoted(label)} but omits it from the center view"))
 
     under = any(labels[label].under_e0 for label in contained_any
                 if label in labels)
     exc_name = f"exc.{step.step_id}"
     if exc_name in labels:
-        failures.append(("labels", f"duplicate exceptional label {exc_name!r}"))
+        failures.append(("labels", f"duplicate exceptional label {quoted(exc_name)}"))
         return failures, None
 
     viewing = tuple(chart_id for chart_id, _ in step.views)
@@ -354,7 +356,7 @@ def _strata_above(chart_strata: list[TrackedStratum], view: CenterView,
     if explicit is not None:
         unknown = sorted(explicit - {s.stratum_id for s in chart_strata})
         if unknown:
-            raise ToroidalizeError(f"{where}: field 'strata' names no stratum {unknown}")
+            raise ToroidalizeError(f"{where}: field 'strata' names no stratum {quoted(unknown)}")
     above = []
     for stratum in chart_strata:
         if stratum.chart.tag not in (TOROIDAL, SMOOTH):
@@ -411,6 +413,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
             })
 
         trace = principalize_chart_family(family, cap=cap)
+        skeletons = _shape_skeletons(trace)
         lifts = []
         new_strata = []
         for final in trace.final:
@@ -422,7 +425,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
             # A lift's constants are written here, so a constant too long
             # to write names its stratum.
             with naming(final.stratum_id, final.parent_path):
-                result = lift_after_principalization(final.chart, final.skeleton)
+                result = lift_after_principalization(final.chart, skeletons[final.shape])
                 new_labels = _lifted_labels(result, root.row_labels, exc_label)
                 chart_doc = chart_to_doc(result.lifted)
                 record_doc = lift_record_to_doc(result)
@@ -443,7 +446,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
         for s in new_strata:
             if s.stratum_id in taken:
                 raise ToroidalizeError(f"step {step.step_id} chart {chart_id}: "
-                                       f"stratum id {s.stratum_id!r} is already taken")
+                                       f"stratum id {quoted(s.stratum_id)} is already taken")
             taken.add(s.stratum_id)
         # Reassigning an existing key keeps its place in the chart order.
         atlas.strata[chart_id] = kept + new_strata
@@ -454,6 +457,16 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
         }
     return {"charts": dict(sorted(charts.items())), "exceptional_label": exc_label,
             "id": step.step_id}
+
+
+def _shape_skeletons(trace) -> dict:
+    """Each principal shape's lift skeleton by its first leaf's index, built from that leaf."""
+    skeletons = {}
+    for k, final in enumerate(trace.final):
+        if final.shape == k:
+            with naming(final.stratum_id, final.parent_path):
+                skeletons[k] = lift_skeleton(final.chart)
+    return skeletons
 
 
 def _lifted_labels(result, old_labels: tuple[str, ...],
@@ -571,7 +584,7 @@ def replay(trace_doc: dict, atlas: MorphismAtlas,
     read_schema(trace_doc, TRACE_SCHEMA)
     if trace_doc.get("engine") != __version__:
         raise ReplayMismatch(
-            f"trace produced by engine {trace_doc.get('engine')!r}, "
+            f"trace produced by engine {quoted(trace_doc.get('engine'))}, "
             f"this is {__version__}")
     cap = read_integer(trace_doc, "cap", "trace", default=DEFAULT_CAP)
     check_cap(cap, "trace: field 'cap'")

@@ -15,13 +15,12 @@ pullback, and nothing more: the policy picks the center among
 `max_order_components(N)`, and the blowup checks it.  A
 principal pullback, whose generators' gcd is one of them, has no
 residual and is not factored; only a nonprincipal one is reduced and
-factored.  The locus reads only the chart's shape (`shape_key`), and so
-does the lift's skeleton, so one call keeps one plan per distinct
-shape: a nonprincipal shape's residual, or a principal shape's
-`LiftSkeleton`, built when the shape is first met and handed to each of
-its leaves.  Principality is decided there once per shape, by
-`nonprincipal_locus`; the skeleton takes its verdict and pulls nothing
-back again.  A failure on a stratum names it and its parent path.
+factored.  The locus reads only the chart's shape (`shape_key`), so one
+call keeps one plan per distinct shape: a nonprincipal shape's residual,
+or the index in `final` of a principal shape's first leaf, which each of
+its leaves carries as `shape`.  Principality is decided there once per
+shape, by `nonprincipal_locus`; no lift code runs here, and the pipeline
+builds each shape's lift skeleton.  A failure names the stratum and its parent path.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .chart import (
     shape_key,
 )
 from .errors import InternalCheckError, RegimeLimit
-from .lift import LiftSkeleton, lift_skeleton
 from .monomial import (
     MonomialIdeal,
     max_order_components,
@@ -130,10 +128,10 @@ POLICY = MaxOrderLexPolicy()
 PrincipalizationStep = namedtuple(
     "PrincipalizationStep", "stratum_id center residual_order children")
 
-# `descriptor` is the root's, for the trace alone; `skeleton` is the lift
-# skeleton of a principal stratum's shape, None on an exceeded one.
+# `descriptor` is the root's, for the trace alone; `shape` is the index in
+# `final` of the first leaf of a principal stratum's shape, None on an exceeded one.
 FinalStratum = namedtuple(
-    "FinalStratum", "stratum_id status chart descriptor parent_path skeleton")
+    "FinalStratum", "stratum_id status chart descriptor parent_path shape")
 
 
 class PrincipalizationTrace(namedtuple("PrincipalizationTrace", "steps final")):
@@ -185,11 +183,11 @@ def principalize_chart_family(
     # preorder and each root's finals are its leaves in preorder.  The cap
     # bounds the length of any single chain of blowups (the depth of a
     # stratum's history); a stratum at the cap finishes with Exceeded status.
-    # `plans` holds each shape's residual, or its skeleton when principal,
-    # for the length of this call and `ids` every id given out, roots first,
-    # so a child that takes a root's id is named with its parent path.
+    # `plans` holds each shape's residual, or its first leaf's index when
+    # principal, for the length of this call and `ids` every id given out, roots
+    # first, so a child that takes a root's id is named with its parent path.
     check_cap(cap)
-    plans: dict[tuple, MonomialIdeal | LiftSkeleton] = {}
+    plans: dict[tuple, MonomialIdeal | int] = {}
     ids: set[str] = set()
     steps: list[PrincipalizationStep] = []
     final: list[FinalStratum] = []
@@ -217,8 +215,8 @@ def principalize_chart_family(
                 plan = plans.get(shape)
                 if plan is None:
                     plan = nonprincipal_locus(chart)
-                    plan = plans[shape] = lift_skeleton(chart) if plan is None else plan
-                principal = type(plan) is LiftSkeleton
+                    plan = plans[shape] = len(final) if plan is None else plan
+                principal = type(plan) is int
                 if principal or len(path) >= cap:
                     final.append(FinalStratum(sid, PRINCIPAL if principal else EXCEEDED,
                                               chart, z, path, plan if principal else None))

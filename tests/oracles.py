@@ -57,9 +57,10 @@ from toroidal.chart import (
     ValidityReport,
     column_minima,
     pullback_center_ideal,
+    shape_key,
 )
 from toroidal.errors import InternalCheckError
-from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE, LiftResult, lift_skeleton
+from toroidal.lift import CASE1, CASE2, CASE3, SMOOTH_CASE, LiftResult
 from toroidal.monomial import (
     _is_pure_power,
     contains_monomial,
@@ -239,11 +240,25 @@ def rescan_principalize(strata, cap=50):
             records.append((choice, child_id))
         steps.append(PrincipalizationStep(sid, center, order_at_origin(residual),
                                           tuple(records)))
+    # A principal final's `shape` is the index of its shape's first leaf in
+    # the depth-first driver's final order: each root's leaves in preorder.
+    children = {s.stratum_id: s.children for s in steps}
+    order, stack = {}, [sid for sid, _, _ in reversed(strata)]
+    while stack:
+        sid = stack.pop()
+        if sid in children:
+            stack.extend(child_id for _, child_id in reversed(children[sid]))
+        else:
+            order[sid] = len(order)
+    first = {}
+    for sid, cf, *_ in sorted(live, key=lambda s: order[s[0]]):
+        if nonprincipal_locus(cf) is None:
+            first.setdefault(shape_key(cf), order[sid])
     final = []
     for sid, cf, z, _, _, path in sorted(live, key=lambda s: (s[3], s[4])):
-        status = PRINCIPAL if nonprincipal_locus(cf) is None else EXCEEDED
-        final.append(FinalStratum(sid, status, cf, z, path,
-                                  lift_skeleton(cf) if status == PRINCIPAL else None))
+        principal = nonprincipal_locus(cf) is None
+        final.append(FinalStratum(sid, PRINCIPAL if principal else EXCEEDED, cf, z, path,
+                                  first[shape_key(cf)] if principal else None))
     return PrincipalizationTrace(tuple(steps), tuple(final))
 
 

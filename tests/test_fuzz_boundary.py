@@ -29,6 +29,7 @@ from toroidal.documents import (
     choice_to_doc,
     descriptor_to_doc,
 )
+from toroidal.errors import quoted
 from toroidal.pipeline import parse_document, toroidalize
 from toroidal.units import UnitToken, UnitValue
 
@@ -342,6 +343,130 @@ def test_pinned_documents_exit_invalid(name, tmp_path):
     paths = [_write(tmp_path, f"doc{k}.json", doc) for k, doc in enumerate(docs)]
     status, err = check_run(args.split() + paths, name)
     assert status == 2 and err.startswith("error:") and text in err, err
+
+
+# A value a million characters long, at each site whose error line quotes an
+# input value: the line cuts it short and gives its length.
+LONG = "x" * 1_000_000
+LONG_LABEL = {"name": LONG, "charts": ["A"]}
+
+
+def _atlas(**changes):
+    """`identity_doc` with each (path as "a.0.b", value) change made."""
+    doc = identity_doc()
+    for path, value in changes.items():
+        keys = [int(k) if k.isdigit() else k for k in path.split("__")]
+        _replace(doc, tuple(keys), value)
+    return doc
+
+
+def _step(**fields):
+    return [{"id": "z1", "views": {"A": {"c": 2, "contained": ["L1", "L2"]}},
+             "incidence": {"L1": "in", "L2": "in"}, **fields}]
+
+
+def _taken_id_doc():
+    """A principal root whose lifted id is a kept stratum's."""
+    doc = _atlas(charts__0__strata__0__id=LONG,
+                 charts__0__strata__0__chart__matrix=[[1, 0], [1, 1]])
+    doc["charts"][0]["strata"].append(
+        {"id": LONG + "^", "chart": {"d": 2, "m": 2, "n": 0, "ell": 0, "s": 0,
+                                     "tag": "smooth", "matrix": []}})
+    return doc
+
+
+# site -> (arguments before the document paths, a function giving the
+# document or a tuple of documents, exit status, text the error line holds)
+LONG_VALUES = {
+    "fraction_from_doc": (
+        "toroidalize", lambda: _atlas(**{"charts__0__strata__0__chart__units": [
+            {"base": {"coeff": LONG}}, {}]}), 2, "field 'coeff' must be a rational, found 'xxx"),
+    "cmd_ideal op": ("ideal", lambda: {"op": LONG, "generators": [[1]]}, 2, "unknown op 'xxx"),
+    "parse_document duplicate label": (
+        "toroidalize", lambda: _atlas(labels=[LONG_LABEL, LONG_LABEL]), 2, "duplicate label 'xxx"),
+    "parse_document duplicate chart id": (
+        "toroidalize", lambda: _atlas(charts=[{"id": LONG}, {"id": LONG}]), 2,
+        "duplicate chart id 'xxx"),
+    "parse_document duplicate stratum id": (
+        "toroidalize", lambda: _atlas(charts__0__strata=[
+            {**identity_doc()["charts"][0]["strata"][0], "id": LONG}] * 2), 2,
+        "duplicate stratum id 'xxx"),
+    "check_atlas unregistered label": (
+        "toroidalize", lambda: _atlas(charts__0__strata__0__row_labels=["L1", LONG]), 2,
+        "A/p0: unregistered label 'xxx"),
+    "check_atlas label of another chart": (
+        "toroidalize", lambda: _atlas(labels=[{"name": "L1", "charts": ["A"]},
+                                              {"name": LONG, "charts": ["B"]}],
+                                      charts__0__strata__0__row_labels=["L1", LONG]), 2,
+        "A/p0: label 'xxx"),
+    "apply_script_step unknown chart": (
+        "toroidalize", lambda: _atlas(script=_step(views={
+            "A": {"c": 2, "contained": ["L1", "L2"]}, LONG: {"c": 2, "contained": []}})), 2,
+        "step z1: unknown chart 'xxx"),
+    "apply_script_step unknown incidence label": (
+        "toroidalize", lambda: _atlas(script=_step(
+            incidence={"L1": "in", "L2": "in", LONG: "out"})), 2, "step z1: unknown label 'xxx"),
+    "apply_script_step component met": (
+        "toroidalize", lambda: _atlas(labels=[{"name": "L1", "charts": ["A"]},
+                                              {"name": "L2", "charts": ["A"]}, LONG_LABEL],
+                                      script=_step(incidence={"L1": "in", "L2": "in",
+                                                              LONG: "meets"})), 2,
+        "center meets but does not contain component 'xxx"),
+    "apply_script_step bad incidence": (
+        "toroidalize", lambda: _atlas(script=_step(incidence={"L1": "in", "L2": LONG})), 2,
+        "step z1: bad incidence 'xxx"),
+    "apply_script_step unknown view label": (
+        "toroidalize", lambda: _atlas(script=_step(
+            views={"A": {"c": 2, "contained": ["L1", "L2", LONG]}})), 2,
+        "step z1: unknown label 'xxx"),
+    "apply_script_step contained but not in": (
+        "toroidalize", lambda: _atlas(labels=[{"name": "L1", "charts": ["A"]},
+                                              {"name": "L2", "charts": ["A"]}, LONG_LABEL],
+                                      script=_step(views={"A": {"c": 2, "contained": [
+                                          "L1", "L2", LONG]}})), 2,
+        "step z1: chart A contains 'xxx"),
+    "apply_script_step seen but omitted": (
+        "toroidalize", lambda: _atlas(labels=[{"name": "L1", "charts": ["A"]},
+                                              {"name": "L2", "charts": ["A"]}, LONG_LABEL],
+                                      script=_step(incidence={"L1": "in", "L2": "in",
+                                                              LONG: "in"})), 2,
+        "step z1: chart A sees 'xxx"),
+    "apply_script_step duplicate exceptional label": (
+        "toroidalize", lambda: _atlas(labels=[{"name": "L1", "charts": ["A"]},
+                                              {"name": "L2", "charts": ["A"]},
+                                              {"name": "exc." + LONG, "charts": []}],
+                                      script=_step(id=LONG)), 2,
+        "duplicate exceptional label 'exc.xxx"),
+    "_strata_above unknown strata": (
+        "toroidalize", lambda: _with(MULTI_STEP, SECOND_VIEW, [LONG]), 2,
+        "step z2 view A: field 'strata' names no stratum ['A/xxx"),
+    "_run_step taken id": (
+        "toroidalize", _taken_id_doc, 2, "step z1 chart A: stratum id 'A/xxx"),
+    "replay engine": (
+        "verify-trace", lambda: (identity_doc(), {**IDENTITY_TRACE, "engine": LONG}), 1,
+        "replay mismatch: trace produced by engine 'xxx"),
+    "structural_problems tag": (
+        "toroidalize", lambda: _atlas(charts__0__strata__0__chart__tag=LONG), 2,
+        "malformed chart: unknown tag 'xxx"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LONG_VALUES))
+def test_long_value_is_quoted_short(site, tmp_path):
+    args, make, status, text = LONG_VALUES[site]
+    docs = make()
+    docs = docs if isinstance(docs, tuple) else (docs,)
+    paths = [_write(tmp_path, f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    got, err = check_run(args.split() + paths, site)
+    assert got == status and text in err, err[:300]
+    assert len(err.encode()) < 1000 and " characters)" in err, err[:300]
+
+
+def test_short_values_are_quoted_whole():
+    assert quoted("L1") == "'L1'" and quoted(["A/zz"]) == "['A/zz']"
+    assert quoted("x" * 58) == repr("x" * 58)
+    assert quoted("x" * 59) == repr("x" * 59)[:60] + "... (59 characters)"
+    assert quoted([LONG[:100]]) == repr([LONG[:100]])[:60] + "... (104 characters)"
 
 
 # Files `json.dumps` cannot write: JSON nested too deep to decode, and

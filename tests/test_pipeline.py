@@ -1110,7 +1110,7 @@ class TestExitStatuses:
     def strict_row_relabelled_kept(monkeypatch):
         # The skeleton passes its first strict row off as kept, unreduced:
         # the check takes the center rows from the chart, not from the skeleton.
-        # Principalization builds every principal shape's skeleton, so one with no
+        # The pipeline builds every principal shape's skeleton, so one with no
         # strict row is left as it is.
         real = lift._skeleton_inside_divisor
 

@@ -1,6 +1,11 @@
+import contextlib
 import importlib.util
+import inspect
+import io
 import json
 import random
+import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from toroidal import blowup, lift, monomial, pipeline, principalize
+from toroidal.cli import main
+from toroidal.documents import canonical_dumps, chart_from_doc, chart_to_doc, descriptor_to_doc
 from toroidal.chart import (
     CenterDescriptor,
     ChartForm,
@@ -358,23 +365,25 @@ class TestShapeKernels:
         assert all(seen[k] for k in ("locus", "center", "skeleton", CASE2)), seen
 
     def test_leaf_skeleton_lifts_equal_fresh_lifts(self):
-        # Each principal leaf carries its shape's skeleton; a lift through it
-        # equals a lift built afresh.
+        # Each principal leaf names its shape's first leaf, from which the
+        # pipeline builds the shape's skeleton; a lift through it equals a
+        # lift built afresh.
         lifts = skeletons = 0
         for family in random_families(700, 100):
             trace = principalize_chart_family(family, cap=50)
-            ids = set()
+            built = pipeline._shape_skeletons(trace)
+            assert built.keys() == {f.shape for f in trace.final if f.status == PRINCIPAL}
             for final in trace.final:
                 if final.status != PRINCIPAL:
-                    assert final.skeleton is None
+                    assert final.shape is None
                     continue
-                assert final.skeleton == lift_skeleton(final.chart)
-                shared = lift_after_principalization(final.chart, final.skeleton)
-                assert shared.skeleton is final.skeleton
+                skeleton = built[final.shape]
+                assert skeleton == lift_skeleton(final.chart)
+                shared = lift_after_principalization(final.chart, skeleton)
+                assert shared.skeleton is skeleton
                 assert shared == lift_after_principalization(final.chart)
-                ids.add(id(final.skeleton))
                 lifts += 1
-            skeletons += len(ids)
+            skeletons += len(built)
         assert 0 < skeletons < lifts
 
     def test_later_leaf_of_another_shape_is_checked_in_full(self, monkeypatch):
@@ -385,20 +394,20 @@ class TestShapeKernels:
         monkeypatch.setattr(lift, "verify_commutes",
                             lambda cf, result: full.append(cf) or real(cf, result))
         seen = 0
-        for _, finals in principal_finals(850, 40):
-            ids = set()
+        for trace, finals in principal_finals(850, 40):
+            skeletons, shapes = pipeline._shape_skeletons(trace), set()
             for final in finals:
-                if id(final.skeleton) not in ids:
-                    ids.add(id(final.skeleton))
+                if final.shape not in shapes:
+                    shapes.add(final.shape)
                     continue
                 full.clear()
-                lift_after_principalization(final.chart, final.skeleton)
+                lift_after_principalization(final.chart, skeletons[final.shape])
                 last = final.chart.matrix[-1]
                 moved = rebuilt_chart(final.chart, matrix=final.chart.matrix[:-1] + (
                     tuple(x + 1 for x in last),))
                 with pytest.raises(InternalCheckError,
                                    match="^lift does not commute: exponent: "):
-                    lift_after_principalization(moved, final.skeleton)
+                    lift_after_principalization(moved, skeletons[final.shape])
                 assert full == [final.chart, moved]
                 seen += 1
         assert seen > 0
@@ -493,8 +502,8 @@ class TestSingleSites:
         assert blowups > 0
 
     def test_skeleton_once_per_principal_shape(self, monkeypatch):
-        # Principalization builds each principal shape's skeleton when it first
-        # meets the shape.  The shape's one pullback is the locus's, and the
+        # The pipeline builds each principal shape's skeleton once, from the
+        # shape's first leaf.  The shape's one pullback is the locus's, and the
         # skeleton pulls nothing back.
         pullbacks, lift_pullbacks, skeletons = [], [], []
         real_pullback, real_skeleton = principalize.pullback_center_generators, lift.lift_skeleton
@@ -511,11 +520,13 @@ class TestSingleSites:
 
         monkeypatch.setattr(principalize, "pullback_center_generators", recording(pullbacks))
         monkeypatch.setattr(lift, "pullback_center_generators", recording(lift_pullbacks))
-        monkeypatch.setattr(principalize, "lift_skeleton", skeleton)
+        monkeypatch.setattr(pipeline, "lift_skeleton", skeleton)
         total = 0
         for trace, finals in principal_finals(810, 40):
+            pipeline._shape_skeletons(trace)
             shapes = {shape_key(f.chart) for f in finals}
             assert len(skeletons) == len(shapes) and not lift_pullbacks
+            assert [trace.final[k].chart for k in sorted({f.shape for f in finals})] == skeletons
             assert {shape_key(cf) for cf in skeletons} == shapes
             pulled = Counter(shape_key(cf) for cf in pullbacks)
             assert all(pulled[shape] == 1 for shape in shapes)
@@ -551,16 +562,20 @@ class TestSingleSites:
         assert blowups > 0
 
     def test_leaves_of_one_shape_share_a_skeleton(self):
+        # Every leaf of a shape names the shape's first leaf, and the pipeline
+        # builds one skeleton for that index.
         shared = 0
-        for _, finals in principal_finals(840, 40):
+        for trace, finals in principal_finals(840, 40):
             first = {}
             for final in finals:
                 key = shape_key(final.chart)
                 if key in first:
-                    assert final.skeleton is first[key]
+                    assert final.shape == first[key]
                     shared += 1
                 else:
-                    first[key] = final.skeleton
+                    assert trace.final[final.shape] is final
+                    first[key] = final.shape
+            assert pipeline._shape_skeletons(trace).keys() == set(first.values())
         assert shared > 0
 
     def test_case_and_generator_match_reference(self):
@@ -579,7 +594,7 @@ class TestSingleSites:
 
 
 class TestLiftSites:
-    """Per chart family of a run: principalization builds one skeleton per
+    """Per chart family of a run: the pipeline builds one skeleton per
     principal shape, the rank bound runs only for a case-1 skeleton with a
     vanished row, and the pipeline lifts each principal leaf once, each
     lift running the full commutation check once."""
@@ -599,10 +614,16 @@ class TestLiftSites:
             families[-1]["trace"] = trace
             return trace
 
+        def shape_skeletons(trace):
+            families[-1]["skeletons"] = real_skeletons(trace)
+            return families[-1]["skeletons"]
+
         real_family = pipeline.principalize_chart_family
+        real_skeletons = pipeline._shape_skeletons
         monkeypatch.setattr(pipeline, "principalize_chart_family", family)
-        monkeypatch.setattr(principalize, "lift_skeleton",
-                            counting("skeleton", principalize.lift_skeleton))
+        monkeypatch.setattr(pipeline, "_shape_skeletons", shape_skeletons)
+        monkeypatch.setattr(pipeline, "lift_skeleton",
+                            counting("skeleton", pipeline.lift_skeleton))
         monkeypatch.setattr(lift, "verify_commutes", counting("full", lift.verify_commutes))
         monkeypatch.setattr(lift, "rank", counting("rank", lift.rank))
         monkeypatch.setattr(pipeline, "lift_after_principalization",
@@ -612,7 +633,9 @@ class TestLiftSites:
         totals = Counter()
         for counts in families:
             leaves = [f for f in counts.pop("trace").final if f.status == PRINCIPAL]
-            skeletons = {id(f.skeleton): f.skeleton for f in leaves}.values()
+            skeletons = counts.pop("skeletons")
+            assert skeletons.keys() == {f.shape for f in leaves}
+            skeletons = skeletons.values()
             vanished = sum(sk.case == CASE1 and bool(sk.zero) for sk in skeletons)
             assert counts == Counter({"skeleton": len(skeletons), "full": len(leaves),
                                       "rank": vanished, "lift": len(leaves)}) - Counter()
@@ -620,6 +643,140 @@ class TestLiftSites:
             totals["case1"] += sum(sk.case == CASE1 for sk in skeletons)
         assert totals["lift"] > totals["skeleton"] > 0
         assert totals["case1"] > totals["rank"] > 0
+
+
+class TestNoLiftCode:
+    """Principalization runs no lift code, so the `principalize` command
+    probes the principalization layer alone."""
+
+    def test_runs_with_every_lift_function_raising(self, monkeypatch):
+        # Every function of `toroidal.lift`, wherever a module of the package
+        # holds it, is replaced by one that raises; random families reaching
+        # every lift case principalize to the same traces.
+        families = list(random_families(820, 40))
+        expected = [principalize_chart_family(family, cap=50) for family in families]
+        functions = {id(f) for f in vars(lift).values()
+                     if inspect.isfunction(f) and f.__module__ == lift.__name__}
+
+        def raising(*args, **kwargs):
+            raise AssertionError("principalization called lift code")
+
+        patched = 0
+        for name, module in list(sys.modules.items()):
+            if name == "toroidal" or name.startswith("toroidal."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in functions:
+                        monkeypatch.setattr(module, attr, raising)
+                        patched += 1
+        assert patched >= len(functions) > 5
+        traces = [principalize_chart_family(family, cap=50) for family in families]
+        assert traces == expected
+        assert any(f.status == PRINCIPAL for trace in traces for f in trace.final)
+
+    # Roots whose pullback is principal but that no lift case fits.  The
+    # pipeline never builds one; the command principalizes each, and a lift
+    # of it fails as it did when the driver built the skeletons.
+    UNLIFTABLE = {
+        "generic slot with ell_bar 0": (
+            {"d": 4, "m": 3, "n": 1, "ell": 1, "s": 2, "tag": "qtf1", "ell_bar": 0,
+             "matrix": [[1], [0], [0]],
+             "betas": [{"kind": "generic", "symbol": "u"}, {"kind": "zero"}]},
+            {"ell_bar": 0, "c": 2, "divisor_rows": []},
+            ValueError, "an ell_bar = 0 stratum lifts only from the qtf2 shape"),
+        "c 1 with ell_bar 0": (
+            {"d": 3, "m": 2, "n": 1, "ell": 1, "s": 1, "tag": "qtf1", "ell_bar": 0,
+             "matrix": [[1], [0]], "betas": [{"kind": "zero"}]},
+            {"ell_bar": 0, "c": 1, "divisor_rows": []},
+            InternalCheckError, "principal qtf1 chart matches no lift case"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNLIFTABLE))
+    def test_command_principalizes_an_unliftable_root(self, name, tmp_path, capsys):
+        chart, descriptor, error, message = self.UNLIFTABLE[name]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(
+            {"strata": [{"id": "s0", "chart": chart, "descriptor": descriptor}]}))
+        assert main(["principalize", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["steps"] == [] and [f["status"] for f in out["final"]] == [PRINCIPAL]
+        root = chart_from_doc(chart, "chart")
+        with pytest.raises(error, match=f"^{message}$"):
+            lift_after_principalization(root)
+
+    def test_command_reproduces_the_workload_records(self):
+        assert principalize_probe(1) == (323, [])
+
+
+def principalize_probe(seed: int) -> tuple[int, list[str]]:
+    """The `principalize` command as the probe of its layer: for every chart
+    family of the first script step of each `corpus`, `deep` and `wide`
+    document at `seed`, it runs on the step's adapted roots, under their ids,
+    and must print the step's principalization record.  Returns the number of
+    families and the ones whose output differs."""
+    workloads = load_workloads()
+    families, mismatches = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "family.json")
+        for workload in ("corpus", "deep", "wide"):
+            for doc_id, text in workloads.build(workload, seed):
+                atlas, script = parse_document(json.loads(text))
+                trace = toroidalize(atlas, script)
+                strata = {s.stratum_id: s for _, s in atlas.all_strata()}
+                views = dict(script.steps[0].views)
+                for chart_id, record in trace["steps"][0]["charts"].items():
+                    if not record["adapted"]:
+                        continue
+                    roots = []
+                    for adapted in record["adapted"]:
+                        stratum = strata[adapted["stratum"]]
+                        z = pipeline._descriptor_for(stratum, views[chart_id])
+                        chart = derive_center_form(stratum.chart, z)[0]
+                        roots.append({"id": stratum.stratum_id, "chart": chart_to_doc(chart),
+                                      "descriptor": descriptor_to_doc(z)})
+                    Path(path).write_text(json.dumps({"strata": roots}))
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        main(["--cap", str(trace["cap"]), "principalize", path])
+                    families += 1
+                    if out.getvalue() != canonical_dumps(record["principalization"]) + "\n":
+                        mismatches.append(f"{workload} {doc_id} chart {chart_id}")
+    return families, mismatches
+
+
+# The yardstick tiny-cycle: along its first-child chain the rows less their
+# column minima repeat, so no chain ends and the cap stops the run.
+TINY_CYCLE = ((0, 0, 0, 1), (0, 0, 2, 0), (1, 2, 0, 0))
+
+
+class TestTinyCycle:
+    @staticmethod
+    def doc():
+        return load_workloads().single_chart_doc(
+            random.Random(0), 7, 3, TINY_CYCLE, (0, 1, 2), 3)
+
+    def test_toroidalize_exceeds_the_cap(self, tmp_path):
+        atlas, trace = tmp_path / "atlas.json", tmp_path / "trace.json"
+        atlas.write_text(json.dumps(self.doc()))
+        assert main(["--out", str(trace), "toroidalize", str(atlas)]) == 3
+        verdicts = json.loads(trace.read_text())["verdicts"]
+        assert (verdicts["cap_exceeded"], verdicts["pass"]) == (True, False)
+
+    def test_first_child_chain(self):
+        atlas, script = parse_document(self.doc())
+        (chart_id, stratum), = atlas.all_strata()
+        z = pipeline._descriptor_for(stratum, dict(script.steps[0].views)[chart_id])
+        root = derive_center_form(stratum.chart, z)[0]
+        trace = principalize_chart_family([(stratum.stratum_id, root, z)], cap=12)
+        assert len(trace.steps) == 84 and trace.exceeded
+        steps = {s.stratum_id: s for s in trace.steps}
+        sid, chain = stratum.stratum_id, []
+        while sid in steps:
+            step = steps[sid]
+            chain.append((step.center.divisor_indices, step.center.slot_count,
+                          step.residual_order))
+            sid = step.children[0][1]
+        assert sid == "A/p0" + ".e0zz" * 12
+        assert chain == [((0, 2, 3), 0, 1)] * 2 + [((0, 1, 3), 0, 1)] * 10
 
 
 class TestResidualShapes:
