@@ -33,23 +33,22 @@ from .chart import (
     built_chart,
     check_shape,
 )
-from .units import ZERO_STRATUM, Stratum, _Record, _set
+from .units import ZERO_STRATUM, Stratum
 
 
-class BlowupCenterChart(_Record):
+class BlowupCenterChart(namedtuple("BlowupCenterChart", "divisor_indices slot_count")):
     """Center in chart coordinates: divisor variables plus every slot."""
 
     # The constructor sorts `divisor_indices`.
-    __slots__ = ("divisor_indices", "slot_count")
+    __slots__ = ()
 
-    def __init__(self, divisor_indices: tuple[int, ...], slot_count: int):
+    def __new__(cls, divisor_indices: tuple[int, ...], slot_count: int):
         divisor_indices = tuple(sorted(divisor_indices))
         if len(set(divisor_indices)) != len(divisor_indices):
             raise ValueError("duplicate divisor indices")
         if slot_count < 0:
             raise ValueError("negative slot count")
-        _set(self, "divisor_indices", divisor_indices)
-        _set(self, "slot_count", slot_count)
+        return tuple.__new__(cls, (divisor_indices, slot_count))
 
     @property
     def codim(self) -> int:

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import InternalCheckError, quoted
 from .monomial import MonomialIdeal
-from .units import TRIVIAL_UNIT, ZERO_STRATUM, Stratum, UnitToken, _Frozen, _Record, _set
+from .units import TRIVIAL_UNIT, ZERO_STRATUM, Stratum, UnitToken, _Frozen
 
 TOROIDAL = "toroidal"
 QTF1 = "qtf1"
@@ -48,13 +48,13 @@ class ValidityReport(namedtuple("ValidityReport", "failures", defaults=((),))):
         return "; ".join(f"{code}: {detail}" for code, detail in self.failures)
 
 
-class CenterDescriptor(_Record):
+class CenterDescriptor(namedtuple("CenterDescriptor", "ell_bar c divisor_rows")):
     """A blowup center seen from one chart: it lies in `ell_bar` of the
     divisor components through the point and has codimension `c`."""
 
-    __slots__ = ("ell_bar", "c", "divisor_rows")
+    __slots__ = ()
 
-    def __init__(self, ell_bar: int, c: int, divisor_rows: tuple[int, ...] = ()):
+    def __new__(cls, ell_bar: int, c: int, divisor_rows: tuple[int, ...] = ()):
         if not 0 <= ell_bar <= c:
             raise ValueError("need 0 <= ell_bar <= c")
         if c < 1:
@@ -63,9 +63,7 @@ class CenterDescriptor(_Record):
             raise ValueError("divisor_rows must list exactly ell_bar rows")
         if len(set(divisor_rows)) != ell_bar:
             raise ValueError("divisor_rows must be distinct")
-        _set(self, "ell_bar", ell_bar)
-        _set(self, "c", c)
-        _set(self, "divisor_rows", divisor_rows)
+        return tuple.__new__(cls, (ell_bar, c, divisor_rows))
 
     @property
     def extra_slots(self) -> int:

@@ -44,7 +44,7 @@ from .documents import (
     read_schema,
     unit_value_to_doc,
 )
-from .errors import InternalCheckError, RegimeLimit, quoted
+from .errors import InternalCheckError, RegimeLimit, cut, quoted
 from .monomial import (
     colon_by_monomial,
     gcd_generators,
@@ -218,7 +218,7 @@ def cmd_principalize(args) -> int:
     family = []
     for entry in read_field(doc, "strata", list, "principalize document", []):
         sid = read_name(read_object(entry, "each 'strata' entry"), "id", "strata entry")
-        where = f"stratum {sid}"
+        where = f"stratum {cut(sid)}"
         chart_doc = read_field(entry, "chart", dict, where, None)
         z_doc = read_field(entry, "descriptor", dict, where, None)
         family.append((sid, chart_from_doc(chart_doc, f"{where} chart"),
@@ -267,11 +267,12 @@ def cmd_report(args) -> int:
     ]
     for step in steps:
         step_id = read_name(read_object(step, "each 'steps' entry"), "id", "trace step")
+        step_where = f"step {cut(step_id)}"
         lines.append(f"  step {step_id}  exceptional "
-                     f"{read_name(step, 'exceptional_label', f'step {step_id}')}")
+                     f"{read_name(step, 'exceptional_label', step_where)}")
         for chart_id, chart_doc in sorted(
-                read_field(step, "charts", dict, f"step {step_id}", {}).items()):
-            where = f"step {step_id} chart {chart_id}"
+                read_field(step, "charts", dict, step_where, {}).items()):
+            where = f"{step_where} chart {cut(chart_id)}"
             chart_doc = read_object(chart_doc, where)
             principalization = read_field(chart_doc, "principalization", dict, where, {})
             blowups = read_field(principalization, "steps", list,

@@ -228,7 +228,7 @@ def unit_value_from_doc(doc, where: str) -> UnitValue:
     for name, e in _pairs(doc, "symbols", where, lambda x: isinstance(x, str),
                           "[name, exponent]"):
         value = value * UnitValue.symbol(
-            name, fraction_from_doc(e, f"{where}: exponent of symbol {name!r}"))
+            name, fraction_from_doc(e, f"{where}: exponent of symbol {quoted(name)}"))
     return value
 
 

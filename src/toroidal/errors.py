@@ -1,4 +1,5 @@
-"""Shared exception types, and the one way an error line quotes an input value."""
+"""Shared exception types, and the one way an error line quotes an input value
+or writes an id."""
 
 
 class InternalCheckError(RuntimeError):
@@ -24,3 +25,11 @@ def quoted(value) -> str:
         return text
     size = len(value) if isinstance(value, str) else len(text)
     return f"{text[:QUOTE_LIMIT]}... ({size} characters)"
+
+
+def cut(name: str) -> str:
+    """An id or a name for an error line, unquoted: whole when it is at most
+    `QUOTE_LIMIT` characters, else cut as `quoted` cuts a value."""
+    if len(name) <= QUOTE_LIMIT:
+        return name
+    return f"{name[:QUOTE_LIMIT]}... ({len(name)} characters)"

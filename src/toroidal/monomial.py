@@ -14,8 +14,9 @@ product) goes through `MonomialIdeal.trusted`, which checks nothing.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import InternalCheckError, RegimeLimit
-from .units import _Record, _set
 
 Exponent = tuple[int, ...]
 TRANSVERSAL_SEARCH_BOUND = 2 ** 10  # visited sets; any support of <= 10 variables fits
@@ -33,22 +34,21 @@ def divides(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-class MonomialIdeal(_Record):
+class MonomialIdeal(namedtuple("MonomialIdeal", "ambient_dim gens")):
     """A monomial ideal held by its sorted antichain of generators; the
     constructor checks every exponent and the antichain."""
 
     # `gens` is the sorted antichain.
-    __slots__ = ("ambient_dim", "gens")
+    __slots__ = ()
 
-    def __init__(self, ambient_dim: int, gens: tuple[Exponent, ...]):
+    def __new__(cls, ambient_dim: int, gens: tuple[Exponent, ...]):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         for g in gens:
             _check_exponent(g, ambient_dim)
         if gens != _antichain(map(tuple, gens)):
             raise ValueError("generators must be given as their sorted antichain")
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "gens", gens)
+        return tuple.__new__(cls, (ambient_dim, gens))
 
     @classmethod
     def trusted(cls, ambient_dim: int, gens) -> "MonomialIdeal":
@@ -60,10 +60,7 @@ class MonomialIdeal(_Record):
     @classmethod
     def _of_antichain(cls, ambient_dim: int, gens: tuple) -> "MonomialIdeal":
         """The ideal whose sorted antichain of checked exponents is `gens`."""
-        ideal = object.__new__(cls)
-        _set(ideal, "ambient_dim", ambient_dim)
-        _set(ideal, "gens", gens)
-        return ideal
+        return tuple.__new__(cls, (ambient_dim, gens))
 
     @property
     def is_zero(self) -> bool:

@@ -50,7 +50,7 @@ from .documents import (
     stdlib_dumps,
     strict_bytes,
 )
-from .errors import quoted
+from .errors import cut, quoted
 from .lift import lift_after_principalization, lift_skeleton
 from .linalg import rank
 from .principalize import (
@@ -132,7 +132,7 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
         name = read_name(entry, "name", "label entry")
         if name in labels:
             raise InvalidDocument(f"duplicate label {quoted(name)}")
-        where = f"label {name}"
+        where = f"label {cut(name)}"
         charts = read_strings(entry, "charts", where)
         labels[name] = LabelInfo(name=name, charts=charts,
                                  e_charts=read_strings(entry, "e_charts", where, charts),
@@ -145,12 +145,13 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
         if chart_id in strata:
             raise InvalidDocument(f"duplicate chart id {quoted(chart_id)}")
         strata[chart_id] = []
-        for stratum_doc in read_field(chart_entry, "strata", list, f"chart {chart_id}", []):
-            stratum_doc = read_object(stratum_doc, f"chart {chart_id}: each 'strata' entry")
-            sid = read_name(stratum_doc, "id", f"stratum in chart {chart_id}")
+        chart = cut(chart_id)
+        for stratum_doc in read_field(chart_entry, "strata", list, f"chart {chart}", []):
+            stratum_doc = read_object(stratum_doc, f"chart {chart}: each 'strata' entry")
+            sid = read_name(stratum_doc, "id", f"stratum in chart {chart}")
             if any(s.stratum_id == f"{chart_id}/{sid}" for s in strata[chart_id]):
-                raise InvalidDocument(f"duplicate stratum id {quoted(sid)} in {chart_id}")
-            where = f"stratum {chart_id}/{sid}"
+                raise InvalidDocument(f"duplicate stratum id {quoted(sid)} in {chart}")
+            where = f"stratum {cut(f'{chart_id}/{sid}')}"
             extra = read_integer(stratum_doc, "extra_global_labels", where, default=0)
             if extra < 0:
                 raise InvalidDocument(
@@ -166,11 +167,11 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
     for step_doc in read_field(doc, "script", list, "document", []):
         step_doc = read_object(step_doc, "each 'script' entry")
         step_id = read_name(step_doc, "id", "script step")
-        where = f"step {step_id}"
+        where = f"step {cut(step_id)}"
         views = []
         for chart_id, view_doc in sorted(
                 read_field(step_doc, "views", dict, where, {}).items()):
-            view_where = f"{where} view {chart_id}"
+            view_where = f"{where} view {cut(chart_id)}"
             view_doc = read_object(view_doc, f"{where}: each 'views' entry")
             views.append((chart_id, CenterView(
                 c=read_integer(view_doc, "c", view_where),
@@ -191,7 +192,7 @@ def check_atlas(atlas: MorphismAtlas) -> ValidityReport:
     failures = []
     for chart_id, stratum in atlas.all_strata():
         cf = stratum.chart
-        where = stratum.stratum_id
+        where = cut(stratum.stratum_id)
         if (cf.d, cf.m) != (atlas.d, atlas.m):
             failures.append(("dims", f"{where}: chart dims differ from the atlas"))
         if cf.tag == SMOOTH:
@@ -234,31 +235,32 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
     Returns (failures, exceptional label name or None).
     """
     failures = []
+    where = f"step {cut(step.step_id)}"
     if not step.views:
-        failures.append(("views", f"step {step.step_id}: no chart sees the center"))
+        failures.append(("views", f"{where}: no chart sees the center"))
         return failures, None
     for chart_id, _ in step.views:
         if chart_id not in chart_ids:
             failures.append(("views",
-                             f"step {step.step_id}: unknown chart {quoted(chart_id)}"))
+                             f"{where}: unknown chart {quoted(chart_id)}"))
 
     codims = {view.c for _, view in step.views}
     if len(codims) > 1:
         failures.append(("consistency",
-                         f"step {step.step_id}: chart views disagree on codimension"))
+                         f"{where}: chart views disagree on codimension"))
     if min(codims) < 2 or max(codims) > m:
-        failures.append(("codim", f"step {step.step_id}: field 'c' must lie in "
+        failures.append(("codim", f"{where}: field 'c' must lie in "
                                   f"[2, {m}], the codimension range of a center"))
 
     for label, kind in step.incidence:
         if label not in labels:
-            failures.append(("labels", f"step {step.step_id}: unknown label {quoted(label)}"))
+            failures.append(("labels", f"{where}: unknown label {quoted(label)}"))
         elif kind == "meets":
             failures.append(("dichotomy",
-                             f"step {step.step_id}: center meets but does not contain "
+                             f"{where}: center meets but does not contain "
                              f"component {quoted(label)}"))
         elif kind not in ("in", "out"):
-            failures.append(("labels", f"step {step.step_id}: bad incidence {quoted(kind)}"))
+            failures.append(("labels", f"{where}: bad incidence {quoted(kind)}"))
 
     contained_any = set()
     for chart_id, view in step.views:
@@ -266,12 +268,12 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
             info = labels.get(label)
             if info is None:
                 failures.append(("labels",
-                                 f"step {step.step_id}: unknown label {quoted(label)}"))
+                                 f"{where}: unknown label {quoted(label)}"))
                 continue
             contained_any.add(label)
             if step.incidence_of(label) != "in":
                 failures.append(("consistency",
-                                 f"step {step.step_id}: chart {chart_id} contains "
+                                 f"{where}: chart {cut(chart_id)} contains "
                                  f"{quoted(label)} but incidence is not 'in'"))
     for label, kind in step.incidence:
         if kind != "in" or label not in labels:
@@ -280,7 +282,7 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
         for chart_id, view in step.views:
             if chart_id in info.charts and label not in view.contained:
                 failures.append(("consistency",
-                                 f"step {step.step_id}: chart {chart_id} sees "
+                                 f"{where}: chart {cut(chart_id)} sees "
                                  f"{quoted(label)} but omits it from the center view"))
 
     under = any(labels[label].under_e0 for label in contained_any
@@ -298,7 +300,7 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
                for label in view.contained))
     if e_charts and not under:
         failures.append(("transform",
-                         f"step {step.step_id}: new divisor component lies outside "
+                         f"{where}: new divisor component lies outside "
                          "the total transform of the initial union divisor"))
     labels[exc_name] = LabelInfo(
         name=exc_name, charts=viewing, e_charts=e_charts, under_e0=under)
@@ -349,7 +351,7 @@ def collector_paused():
 
 def _strata_above(chart_strata: list[TrackedStratum], view: CenterView,
                   chart_id: str, step_id: str):
-    where = f"step {step_id} view {chart_id}"
+    where = f"step {cut(step_id)} view {cut(chart_id)}"
     contained = set(view.contained)
     explicit = None if view.strata is None else {
         sid if "/" in sid else f"{chart_id}/{sid}" for sid in view.strata}
@@ -366,7 +368,7 @@ def _strata_above(chart_strata: list[TrackedStratum], view: CenterView,
                 continue
             if not contained <= set(stratum.row_labels):
                 raise ToroidalizeError(
-                    f"{where}: stratum {stratum.stratum_id}: listed above the "
+                    f"{where}: stratum {cut(stratum.stratum_id)}: listed above the "
                     "center but missing one of its divisor components")
             above.append(stratum)
         elif contained and contained <= set(stratum.row_labels):
@@ -445,7 +447,7 @@ def _run_step(atlas: MorphismAtlas, step: ScriptStep, exc_label: str, cap: int) 
         taken = {s.stratum_id for s in kept}
         for s in new_strata:
             if s.stratum_id in taken:
-                raise ToroidalizeError(f"step {step.step_id} chart {chart_id}: "
+                raise ToroidalizeError(f"step {cut(step.step_id)} chart {cut(chart_id)}: "
                                        f"stratum id {quoted(s.stratum_id)} is already taken")
             taken.add(s.stratum_id)
         # Reassigning an existing key keeps its place in the chart order.

@@ -17,10 +17,12 @@ principal pullback, whose generators' gcd is one of them, has no
 residual and is not factored; only a nonprincipal one is reduced and
 factored.  The locus reads only the chart's shape (`shape_key`), so one
 call keeps one plan per distinct shape: a nonprincipal shape's residual,
-or the index in `final` of a principal shape's first leaf, which each of
-its leaves carries as `shape`.  Principality is decided there once per
-shape, by `nonprincipal_locus`; no lift code runs here, and the pipeline
-builds each shape's lift skeleton.  A failure names the stratum and its parent path.
+replaced at the shape's first blowup by its center and residual order, or
+the index in `final` of a principal shape's first leaf, which each of its
+leaves carries as `shape`.  Principality is decided there once per shape,
+by `nonprincipal_locus`, and a nonprincipal shape's center and order once,
+by the policy; no lift code runs here, and the pipeline builds each
+shape's lift skeleton.  A failure names the stratum and its parent path.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .chart import (
     pullback_center_generators,
     shape_key,
 )
-from .errors import InternalCheckError, RegimeLimit
+from .errors import InternalCheckError, RegimeLimit, cut
 from .monomial import (
     MonomialIdeal,
     max_order_components,
@@ -167,8 +169,8 @@ class naming:
             path, where = self.path, ""
             if path:
                 steps = (sid[len(parent):] for parent, sid in zip(path, path[1:]))
-                where = f" (parent path {' > '.join((path[0], *steps))})"
-            raise type(exc)(f"stratum {self.sid}{where}: {str(exc) or 'out of memory'}") from exc
+                where = f" (parent path {' > '.join((cut(path[0]), *steps))})"
+            raise type(exc)(f"stratum {cut(self.sid)}{where}: {str(exc) or 'out of memory'}") from exc
         return False
 
 
@@ -183,11 +185,12 @@ def principalize_chart_family(
     # preorder and each root's finals are its leaves in preorder.  The cap
     # bounds the length of any single chain of blowups (the depth of a
     # stratum's history); a stratum at the cap finishes with Exceeded status.
-    # `plans` holds each shape's residual, or its first leaf's index when
-    # principal, for the length of this call and `ids` every id given out, roots
-    # first, so a child that takes a root's id is named with its parent path.
+    # `plans` holds each shape's residual, its (center, residual order) once it
+    # is blown up, or its first leaf's index when principal, for the length of
+    # this call and `ids` every id given out, roots first, so a child that
+    # takes a root's id is named with its parent path.
     check_cap(cap)
-    plans: dict[tuple, MonomialIdeal | int] = {}
+    plans: dict[tuple, MonomialIdeal | tuple | int] = {}
     ids: set[str] = set()
     steps: list[PrincipalizationStep] = []
     final: list[FinalStratum] = []
@@ -224,7 +227,9 @@ def principalize_chart_family(
                 if len(steps) >= RUNAWAY_GUARD:
                     raise RegimeLimit(f"runaway principalization: {RUNAWAY_GUARD} "
                                       "blowup rounds without finishing")
-                center = POLICY.select(chart, plan)
+                if type(plan) is MonomialIdeal:
+                    plan = plans[shape] = POLICY.select(chart, plan), order_at_origin(plan)
+                center, order = plan
                 children = enumerate_blowup_strata(chart, center, sid)
             path += (sid,)
             records = []
@@ -237,7 +242,6 @@ def principalize_chart_family(
                 # child is expanded first.
                 stack.insert(top, (child_id, child, path))
             steps.append(PrincipalizationStep(
-                stratum_id=sid, center=center,
-                residual_order=order_at_origin(plan),
+                stratum_id=sid, center=center, residual_order=order,
                 children=tuple(records)))
     return PrincipalizationTrace(tuple(steps), tuple(final))

@@ -17,29 +17,22 @@ from fractions import Fraction
 from .chart import TOROIDAL, ChartForm, ValidityReport, built_chart, smooth_chart
 from .errors import InternalCheckError
 from .linalg import greedy_pivot_cols, greedy_pivot_rows, mat_mul, rank, solve_square
-from .units import TRIVIAL_UNIT, UnitToken, UnitValue, _Record, _set
+from .units import TRIVIAL_UNIT, UnitToken, UnitValue
 
 
-class LocalModelDims(_Record):
-    __slots__ = ("dim", "cone")
+class LocalModelDims(namedtuple("LocalModelDims", "dim cone")):
+    __slots__ = ()
 
-    def __init__(self, dim: int, cone: int):
+    def __new__(cls, dim: int, cone: int):
         if not 0 <= cone <= dim:
             raise ValueError("need 0 <= cone dimension <= ambient dimension")
-        _set(self, "dim", dim)
-        _set(self, "cone", cone)
+        return tuple.__new__(cls, (dim, cone))
 
 
-class ToricMorphismData(_Record):
+class ToricMorphismData(namedtuple("ToricMorphismData", "source target matrix")):
     # `source` is (d, n), `target` is (m, ell), and `matrix` has m rows
     # and d columns.
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: LocalModelDims, target: LocalModelDims,
-                 matrix: tuple[tuple[int, ...], ...]):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "matrix", matrix)
+    __slots__ = ()
 
     @property
     def d(self) -> int:

@@ -19,8 +19,11 @@ again.  A factor is a plain immutable
 record, so moving a row's factors costs one tuple per factor.
 
 No record of the package is made by `dataclasses` or `typing`, so
-importing it loads neither: a record that checks its fields is a
-`_Frozen` class, and one that holds no invariant a `namedtuple`.
+importing it loads neither.  A record is a `namedtuple`, and one that
+checks its fields does so in `__new__`, but for three `_Frozen` classes:
+`ChartForm` keeps its fields in its instance dict, where they are read
+faster than from a tuple; `UnitValue` must not equal the tuple of its
+fields; and `UnitToken` caches its constant.
 """
 
 from __future__ import annotations
@@ -47,13 +50,10 @@ def _exact(x) -> int | Fraction:
     return e.numerator if e.denominator == 1 else e
 
 
-_set = object.__setattr__
-
-
 class _Frozen:
-    """Base of the immutable values: a constructor sets the fields through
-    `object.__setattr__`, a slot's own setter or the instance dict, and
-    plain assignment or deletion raises."""
+    """Base of the immutable values that are not tuples: a constructor sets
+    the fields through a slot's own setter or the instance dict, and plain
+    assignment or deletion raises."""
 
     __slots__ = ()
 
@@ -62,32 +62,6 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _Record(_Frozen):
-    """Base of the frozen records: a constructor checks its arguments and
-    sets the slots, and equality (same class only), hashing, `repr` and
-    pickling read the slots in their declared order."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._values()
 
 
 class UnitValue(_Frozen):
@@ -192,7 +166,7 @@ _set_symbols = UnitValue.symbols.__set__
 ONE = UnitValue()
 
 
-class Stratum(_Record):
+class Stratum(namedtuple("Stratum", "kind value symbol")):
     """Case split on a translation constant: zero, generic nonzero, or a value.
 
     Generic strata carry the symbol that names their value once the
@@ -200,19 +174,17 @@ class Stratum(_Record):
     """
 
     # `kind` is "zero", "generic" or "value".
-    __slots__ = ("kind", "value", "symbol")
+    __slots__ = ()
 
-    def __init__(self, kind: str, value: Fraction | None = None,
-                 symbol: str | None = None):
+    def __new__(cls, kind: str, value: Fraction | None = None,
+                symbol: str | None = None):
         if kind not in ("zero", "generic", "value"):
             raise ValueError(f"bad stratum kind {kind!r}")
         if kind == "value" and (value is None or value == 0):
             raise ValueError("value strata must be nonzero")
         if kind == "generic" and not symbol:
             raise ValueError("generic strata need a symbol name")
-        _set(self, "kind", kind)
-        _set(self, "value", value)
-        _set(self, "symbol", symbol)
+        return tuple.__new__(cls, (kind, value, symbol))
 
     @staticmethod
     def zero() -> "Stratum":

@@ -6,7 +6,9 @@ monomials up to a degree bound, independent of the library's own
 algebra, so the two sides can disagree only when one of them is wrong.
 The reference driver is the plain rescanning heap-order loop whose
 tree the depth-first driver in `toroidal.principalize` must build, step
-record for step record and final for final.  The
+record for step record and final for final.  The shape walk counts a
+family's blowups from one plan per chart shape and remaining depth,
+without building the tree, and must count the driver's.  The
 reference product and power are the general `UnitValue` operations
 without the fast paths the library takes for symbol-free sides and
 integer exponents.  The reference blowup transform builds divisor-j0
@@ -260,6 +262,31 @@ def rescan_principalize(strata, cap=50):
         final.append(FinalStratum(sid, PRINCIPAL if principal else EXCEEDED, cf, z, path,
                                   first[shape_key(cf)] if principal else None))
     return PrincipalizationTrace(tuple(steps), tuple(final))
+
+
+def shape_walk_blowups(strata, cap=50) -> int:
+    """The number of blowups the driver makes on a family, counted from its
+    shapes alone: one plan per `shape_key` (no center, or the center the
+    policy picks on the shape's first chart, with that chart's children)
+    and one count per shape and remaining depth, so each distinct subtree
+    is counted once.  It builds no trace and no lift."""
+    plans, counts = {}, {}
+
+    def count(cf, depth):
+        shape = shape_key(cf)
+        plan = plans.get(shape)
+        if plan is None:
+            residual = nonprincipal_locus(cf)
+            plan = plans[shape] = () if residual is None else tuple(
+                child for _, child in enumerate_blowup_strata(
+                    cf, MaxOrderLexPolicy().select(cf, residual), "w"))
+        if not plan or depth == 0:
+            return 0
+        if (shape, depth) not in counts:
+            counts[shape, depth] = 1 + sum(count(child, depth - 1) for child in plan)
+        return counts[shape, depth]
+
+    return sum(count(cf, cap) for _, cf, _ in strata)
 
 
 def reference_mul(a: UnitValue, b: UnitValue) -> UnitValue:

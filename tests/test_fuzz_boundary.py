@@ -31,6 +31,7 @@ from toroidal.documents import (
 )
 from toroidal.errors import quoted
 from toroidal.pipeline import parse_document, toroidalize
+from toroidal.principalize import naming
 from toroidal.units import UnitToken, UnitValue
 
 from oracles import rebuilt_chart
@@ -460,6 +461,104 @@ def test_long_value_is_quoted_short(site, tmp_path):
     got, err = check_run(args.split() + paths, site)
     assert got == status and text in err, err[:300]
     assert len(err.encode()) < 1000 and " characters)" in err, err[:300]
+
+
+def _long_chart_id_doc():
+    """`identity_doc` with chart A named `LONG`, whose view contains L2
+    although the step's incidence puts L2 out."""
+    doc = _atlas(labels=[{"name": "L1", "charts": [LONG]}, {"name": "L2", "charts": [LONG]}],
+                 charts__0__id=LONG)
+    doc["script"] = _step(views={LONG: {"c": 2, "contained": ["L1", "L2"]}},
+                          incidence={"L1": "in", "L2": "out"})
+    return doc
+
+
+def _long_step_id_doc(base, *changes):
+    """`base` with its last script step named `LONG` and each (path, value) change made."""
+    doc = copy.deepcopy(base)
+    doc["script"][-1]["id"] = LONG
+    for path, value in changes:
+        _replace(doc, path, value)
+    return doc
+
+
+def _taken_lift_id_doc():
+    """A principal root whose lifted id is a kept stratum's, under a step named `LONG`."""
+    doc = _atlas(charts__0__strata__0__chart__matrix=[[1, 0], [1, 1]], script=_step(id=LONG))
+    doc["charts"][0]["strata"].append(
+        {"id": "p0^", "chart": {"d": 2, "m": 2, "n": 0, "ell": 0, "s": 0,
+                                "tag": "smooth", "matrix": []}})
+    return doc
+
+
+NEGATIVE_ROW = [[1, -1], [0, 1]]
+
+# An id or a name a million characters long, at each site whose error line
+# writes one: the line cuts it short, unquoted, and gives its length.
+# site -> (arguments before the document path, a function giving the
+# document, text the error line holds); each exits 2.
+LONG_IDS = {
+    "parse_document stratum id": (
+        "toroidalize", lambda: _atlas(charts__0__strata__0__id=LONG,
+                                      charts__0__strata__0__chart__matrix=NEGATIVE_ROW),
+        "stratum A/xxx"),
+    "parse_document chart id": (
+        "toroidalize", lambda: _atlas(charts__0__id=LONG,
+                                      charts__0__strata__0__chart__matrix=NEGATIVE_ROW),
+        "stratum xxx"),
+    "parse_document label name": (
+        "toroidalize", lambda: _atlas(labels=[{**LONG_LABEL, "under_e0": "no"}]), "label xxx"),
+    "parse_document step id": (
+        "toroidalize", lambda: _atlas(script=_step(id=LONG, views={"A": {"c": "two"}})),
+        "step xxx"),
+    "parse_document view chart id": (
+        "toroidalize", lambda: _atlas(script=_step(views={LONG: {"c": "two"}})),
+        "step z1 view xxx"),
+    "unit_value_from_doc symbol name": (
+        "toroidalize", lambda: _atlas(charts__0__strata__0__chart__units=[
+            {"base": {"coeff": 1, "symbols": [[LONG, "1e5"]]}}, {}]),
+        "exponent of symbol 'xxx"),
+    "check_atlas stratum id": (
+        "toroidalize", lambda: _atlas(charts__0__strata__0__id=LONG,
+                                      charts__0__strata__0__row_labels=["L1", "L9"]),
+        "A/xxx"),
+    "apply_script_step step id": (
+        "toroidalize", lambda: _atlas(script=_step(id=LONG, views={
+            "A": {"c": 3, "contained": ["L1", "L2"]}})), "step xxx"),
+    "apply_script_step chart id": ("toroidalize", _long_chart_id_doc, "step z1: chart xxx"),
+    "_strata_above step id": (
+        "toroidalize", lambda: _long_step_id_doc(MULTI_STEP, (SECOND_VIEW, ["zz"])),
+        "step xxx"),
+    "_run_step step id": ("toroidalize", _taken_lift_id_doc, "step xxx"),
+    "cmd_principalize stratum id": (
+        "principalize", lambda: {"strata": [{"id": LONG, "chart": {}, "descriptor": {}}]},
+        "stratum xxx"),
+    "cmd_report step id": ("report", lambda: {**IDENTITY_TRACE, "steps": [{"id": LONG}]},
+                           "step xxx"),
+    "naming stratum id": (
+        "principalize", lambda: {"strata": [
+            {**_unadapted_doc(IDENTITY_CHART, CenterDescriptor(1, 2, (0,)))["strata"][0],
+             "id": LONG}]},
+        "stratum xxx"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LONG_IDS))
+def test_long_id_is_cut_short(site, tmp_path):
+    args, make, text = LONG_IDS[site]
+    status, err = check_run(args.split() + [_write(tmp_path, "doc.json", make())], site)
+    assert status == 2 and text in err, err[:300]
+    assert len(err.encode()) < 1000 and "xxx... (100000" in err, err[:300]
+
+
+def test_long_root_id_is_cut_short_in_a_parent_path():
+    root = "r" * 1_000_000
+    with pytest.raises(ValueError) as exc:
+        with naming(root + ".e0z.e1g", (root, root + ".e0z")):
+            raise ValueError("bad child")
+    cut = "r" * 60 + "... (1000000 characters)"
+    assert str(exc.value) == (
+        f"stratum {cut[:60]}... (1000008 characters) (parent path {cut} > .e0z): bad child")
 
 
 def test_short_values_are_quoted_whole():

@@ -20,6 +20,7 @@ from toroidal.chart import (
     ChartForm,
     classify_form,
     derive_center_form,
+    pullback_center_generators,
     shape_key,
 )
 from toroidal.lift import (
@@ -42,7 +43,13 @@ from toroidal.principalize import (
 )
 from toroidal.units import Stratum, UnitToken, UnitValue
 from generators import random_adapted_chart
-from oracles import rebuilt_chart, reference_lift_case, reference_locus, rescan_principalize
+from oracles import (
+    rebuilt_chart,
+    reference_lift_case,
+    reference_locus,
+    rescan_principalize,
+    shape_walk_blowups,
+)
 from test_blowup import adapted
 
 Z22 = CenterDescriptor(2, 2, (0, 1))
@@ -535,9 +542,12 @@ class TestSingleSites:
             pullbacks.clear()
         assert total > 0
 
-    def test_one_transversal_search_per_blowup(self, monkeypatch):
-        searches, in_locus = [], []
+    def test_one_transversal_search_per_shape(self, monkeypatch):
+        # A nonprincipal shape's center is selected at its first blowup, and
+        # every later stratum of the shape is blown up along the same center.
+        searches, in_locus, blown = [], [], []
         real_search, real_locus = monomial.minimal_transversals, principalize.nonprincipal_locus
+        real_enumerate = principalize.enumerate_blowup_strata
 
         def search(gens, k):
             searches.append(bool(in_locus))
@@ -550,16 +560,23 @@ class TestSingleSites:
             finally:
                 in_locus.pop()
 
+        def enumerate_strata(cf, center, symbol_prefix):
+            blown.append(shape_key(cf))
+            return real_enumerate(cf, center, symbol_prefix)
+
         monkeypatch.setattr(monomial, "minimal_transversals", search)
         monkeypatch.setattr(principalize, "nonprincipal_locus", locus)
-        blowups = 0
+        monkeypatch.setattr(principalize, "enumerate_blowup_strata", enumerate_strata)
+        repeats = 0
         for family in random_families(830, 40):
             searches.clear()
+            blown.clear()
             trace = principalize_chart_family(family, cap=50)
-            assert len(searches) == len(trace.steps)
+            assert len(blown) == len(trace.steps)
+            assert len(searches) == len(set(blown))
             assert not any(searches)
-            blowups += len(trace.steps)
-        assert blowups > 0
+            repeats += len(blown) - len(set(blown))
+        assert repeats > 0
 
     def test_leaves_of_one_shape_share_a_skeleton(self):
         # Every leaf of a shape names the shape's first leaf, and the pipeline
@@ -707,40 +724,142 @@ class TestNoLiftCode:
         assert principalize_probe(1) == (323, [])
 
 
+def first_step_families(seed: int):
+    """Every chart family of the first script step of each `corpus`, `deep`
+    and `wide` document at `seed`, with the trace's cap and the chart's
+    record: (label, cap, record, roots), each root an (id, adapted chart,
+    descriptor)."""
+    workloads = load_workloads()
+    for workload in ("corpus", "deep", "wide"):
+        for doc_id, text in workloads.build(workload, seed):
+            atlas, script = parse_document(json.loads(text))
+            trace = toroidalize(atlas, script)
+            strata = {s.stratum_id: s for _, s in atlas.all_strata()}
+            views = dict(script.steps[0].views)
+            for chart_id, record in trace["steps"][0]["charts"].items():
+                roots = []
+                for adapted in record["adapted"]:
+                    stratum = strata[adapted["stratum"]]
+                    z = pipeline._descriptor_for(stratum, views[chart_id])
+                    roots.append((stratum.stratum_id,
+                                  derive_center_form(stratum.chart, z)[0], z))
+                if roots:
+                    yield f"{workload} {doc_id} chart {chart_id}", trace["cap"], record, roots
+
+
+def run_command(args: list[str], doc, path: Path) -> str:
+    """What the command line prints for `args` on `doc`, written to `path`."""
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main([*args, str(path)])
+    return out.getvalue()
+
+
 def principalize_probe(seed: int) -> tuple[int, list[str]]:
     """The `principalize` command as the probe of its layer: for every chart
-    family of the first script step of each `corpus`, `deep` and `wide`
-    document at `seed`, it runs on the step's adapted roots, under their ids,
-    and must print the step's principalization record.  Returns the number of
-    families and the ones whose output differs."""
-    workloads = load_workloads()
+    family of `first_step_families(seed)`, it runs on the step's adapted
+    roots, under their ids, and must print the step's principalization
+    record.  Returns the number of families and the ones whose output differs."""
     families, mismatches = 0, []
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "family.json")
-        for workload in ("corpus", "deep", "wide"):
-            for doc_id, text in workloads.build(workload, seed):
-                atlas, script = parse_document(json.loads(text))
-                trace = toroidalize(atlas, script)
-                strata = {s.stratum_id: s for _, s in atlas.all_strata()}
-                views = dict(script.steps[0].views)
-                for chart_id, record in trace["steps"][0]["charts"].items():
-                    if not record["adapted"]:
-                        continue
-                    roots = []
-                    for adapted in record["adapted"]:
-                        stratum = strata[adapted["stratum"]]
-                        z = pipeline._descriptor_for(stratum, views[chart_id])
-                        chart = derive_center_form(stratum.chart, z)[0]
-                        roots.append({"id": stratum.stratum_id, "chart": chart_to_doc(chart),
-                                      "descriptor": descriptor_to_doc(z)})
-                    Path(path).write_text(json.dumps({"strata": roots}))
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out):
-                        main(["--cap", str(trace["cap"]), "principalize", path])
-                    families += 1
-                    if out.getvalue() != canonical_dumps(record["principalization"]) + "\n":
-                        mismatches.append(f"{workload} {doc_id} chart {chart_id}")
+        path = Path(tmp) / "family.json"
+        for label, cap, record, roots in first_step_families(seed):
+            doc = {"strata": [{"id": sid, "chart": chart_to_doc(chart),
+                               "descriptor": descriptor_to_doc(z)} for sid, chart, z in roots]}
+            families += 1
+            if run_command(["--cap", str(cap), "principalize"], doc, path) != \
+                    canonical_dumps(record["principalization"]) + "\n":
+                mismatches.append(label)
     return families, mismatches
+
+
+def command_probes(seed: int) -> tuple[int, int, list[str]]:
+    """The `ideal` and `blowup` commands as the probes of their layers, on
+    `first_step_families(seed)`.  For each blown-up root, `ideal` factors the
+    root's pullback; `order` on the residual must give the step's residual
+    order, and `max-order-components` must include its center.  Each child
+    that is a leaf must come back from `blowup` on the root, the step's center
+    and the child's choice, with the center permissible.  Returns the
+    numbers of root steps and leaves, and the mismatches."""
+    root_steps, leaves, mismatches = 0, 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+
+        def ideal(op, dim, generators):
+            return json.loads(run_command(
+                ["ideal"], {"op": op, "dim": dim, "generators": generators}, path))
+
+        for label, _, record, roots in first_step_families(seed):
+            steps = {s["stratum"]: s for s in record["principalization"]["steps"]}
+            final = {f["id"]: f["chart"] for f in record["principalization"]["final"]}
+            for sid, chart, _ in roots:
+                step = steps.get(sid)
+                if step is None:
+                    continue
+                root_steps += 1
+                center = step["center"]
+                dim = chart.n + chart.num_slots
+                residual = ideal("factor", dim, pullback_center_generators(chart))["residual"]
+                order = ideal("order", dim, residual)["order"]
+                components = ideal("max-order-components", dim, residual)["components"]
+                coordinates = center["divisor_indices"] + [
+                    chart.n + t for t in range(center["slot_count"])]
+                if order != step["residual_order"] or coordinates not in components:
+                    mismatches.append(f"{label} ideal {sid}")
+                for child in step["children"]:
+                    if child["id"] not in final:
+                        continue
+                    leaves += 1
+                    out = json.loads(run_command(["blowup"], {
+                        "chart": chart_to_doc(chart), "center": center,
+                        "choice": child["choice"]}, path))
+                    if not out["permissible"] or out["chart"] != final[child["id"]]:
+                        mismatches.append(f"{label} blowup {child['id']}")
+    return root_steps, leaves, mismatches
+
+
+def shape_walk_probe(seed: int) -> tuple[int, int, list[str]]:
+    """Every chart family `toroidalize` hands the driver, on each `corpus`,
+    `deep` and `wide` document at `seed`: the shape walk
+    (`oracles.shape_walk_blowups`) must count the trace's blowups.  Returns
+    the numbers of families and blowups, and the families whose count differs."""
+    workloads, families = load_workloads(), []
+    real_driver = pipeline.principalize_chart_family
+
+    def recording(family, cap):
+        trace = real_driver(family, cap=cap)
+        families.append((family, cap, len(trace.steps)))
+        return trace
+
+    pipeline.principalize_chart_family = recording
+    try:
+        for workload in ("corpus", "deep", "wide"):
+            for _, text in workloads.build(workload, seed):
+                toroidalize(*parse_document(json.loads(text)))
+    finally:
+        pipeline.principalize_chart_family = real_driver
+    mismatches = [f"family {k} of {family[0][0]}" for k, (family, cap, blowups)
+                  in enumerate(families) if shape_walk_blowups(family, cap) != blowups]
+    return len(families), sum(blowups for *_, blowups in families), mismatches
+
+
+class TestLayerProbes:
+    def test_shape_walk_counts_every_driver_family(self):
+        assert shape_walk_probe(1) == (476, 1615, [])
+
+    def test_shape_walk_counts_the_yardsticks(self):
+        mid = load_workloads().single_chart_doc(random.Random(1), 7, 3, MID, (0, 1, 2), 3)
+        for doc, cap, blowups in ((mid, 50, 202), (TestTinyCycle.doc(), 12, 84)):
+            atlas, script = parse_document(doc)
+            (chart_id, stratum), = atlas.all_strata()
+            z = pipeline._descriptor_for(stratum, dict(script.steps[0].views)[chart_id])
+            family = [(stratum.stratum_id, derive_center_form(stratum.chart, z)[0], z)]
+            assert len(principalize_chart_family(family, cap=cap).steps) == blowups
+            assert shape_walk_blowups(family, cap) == blowups
+
+    def test_ideal_and_blowup_commands_probe_their_layers(self):
+        assert command_probes(1) == (217, 969, [])
 
 
 # The yardstick tiny-cycle: along its first-child chain the rows less their

@@ -1,10 +1,11 @@
 """Records and unit values are immutable; all but `ChartForm` carry no
 instance dict.
 
-The field-only records are `collections.namedtuple`s.  `UnitValue`,
-`UnitToken` and the checked records are slotted classes, and `ChartForm`
-keeps its fields in its instance dict.  Each instance below is one the
-engine built.  The checked records' `repr`, equality, hashing, copies
+Every record but `ChartForm`, `UnitValue` and `UnitToken` is a
+`collections.namedtuple`, and a checked one checks its fields in
+`__new__`.  `UnitValue` and `UnitToken` are slotted classes, and
+`ChartForm` keeps its fields in its instance dict.  Each instance below
+is one the engine built.  The checked records' `repr`, equality, hashing, copies
 and constructor messages are pinned as well.
 """
 
