@@ -102,14 +102,7 @@ class MorphismAtlas:
 CenterView = namedtuple("CenterView", "c contained strata", defaults=(None,))
 
 
-class ScriptStep(namedtuple("ScriptStep", "step_id views incidence")):
-    __slots__ = ()
-
-    def incidence_of(self, label: str) -> str:
-        for name, kind in self.incidence:
-            if name == label:
-                return kind
-        return "out"
+ScriptStep = namedtuple("ScriptStep", "step_id views incidence")
 
 
 ResolutionScript = namedtuple("ResolutionScript", "steps")
@@ -145,12 +138,13 @@ def parse_document(doc) -> tuple[MorphismAtlas, ResolutionScript]:
         if chart_id in strata:
             raise InvalidDocument(f"duplicate chart id {quoted(chart_id)}")
         strata[chart_id] = []
-        chart = cut(chart_id)
+        chart, sids = cut(chart_id), set()
         for stratum_doc in read_field(chart_entry, "strata", list, f"chart {chart}", []):
             stratum_doc = read_object(stratum_doc, f"chart {chart}: each 'strata' entry")
             sid = read_name(stratum_doc, "id", f"stratum in chart {chart}")
-            if any(s.stratum_id == f"{chart_id}/{sid}" for s in strata[chart_id]):
+            if sid in sids:
                 raise InvalidDocument(f"duplicate stratum id {quoted(sid)} in {chart}")
+            sids.add(sid)
             where = f"stratum {cut(f'{chart_id}/{sid}')}"
             extra = read_integer(stratum_doc, "extra_global_labels", where, default=0)
             if extra < 0:
@@ -190,6 +184,7 @@ def check_atlas(atlas: MorphismAtlas) -> ValidityReport:
     """Every stratum is a toroidal or smooth chart of the declared
     dimensions, labeled consistently, with room for its lifts."""
     failures = []
+    e_charts = {name: set(info.e_charts) for name, info in atlas.labels.items()}
     for chart_id, stratum in atlas.all_strata():
         cf = stratum.chart
         where = cut(stratum.stratum_id)
@@ -210,10 +205,9 @@ def check_atlas(atlas: MorphismAtlas) -> ValidityReport:
         if len(set(stratum.row_labels)) != len(stratum.row_labels):
             failures.append(("labels", f"{where}: duplicate row labels"))
         for label in stratum.row_labels:
-            info = atlas.labels.get(label)
-            if info is None:
+            if label not in e_charts:
                 failures.append(("labels", f"{where}: unregistered label {quoted(label)}"))
-            elif chart_id not in info.e_charts:
+            elif chart_id not in e_charts[label]:
                 failures.append(("labels",
                                  f"{where}: label {quoted(label)} not registered to chart"))
         if cf.ell and cf.d < cf.n + cf.m - rank(cf.matrix):
@@ -226,7 +220,7 @@ def check_atlas(atlas: MorphismAtlas) -> ValidityReport:
 # Target-side script verification
 
 
-def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
+def apply_script_step(labels: dict[str, LabelInfo], chart_ids: set[str],
                       m: int, step: ScriptStep):
     """Check one step against the divisor rules and the codimension range
     [2, m] of a target center, and register its exceptional label in
@@ -262,6 +256,7 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
         elif kind not in ("in", "out"):
             failures.append(("labels", f"{where}: bad incidence {quoted(kind)}"))
 
+    incidence = dict(step.incidence)
     contained_any = set()
     for chart_id, view in step.views:
         for label in view.contained:
@@ -271,16 +266,16 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
                                  f"{where}: unknown label {quoted(label)}"))
                 continue
             contained_any.add(label)
-            if step.incidence_of(label) != "in":
+            if incidence.get(label) != "in":
                 failures.append(("consistency",
                                  f"{where}: chart {cut(chart_id)} contains "
                                  f"{quoted(label)} but incidence is not 'in'"))
     for label, kind in step.incidence:
         if kind != "in" or label not in labels:
             continue
-        info = labels[label]
+        seeing = set(labels[label].charts)
         for chart_id, view in step.views:
-            if chart_id in info.charts and label not in view.contained:
+            if chart_id in seeing and label not in view.contained:
                 failures.append(("consistency",
                                  f"{where}: chart {cut(chart_id)} sees "
                                  f"{quoted(label)} but omits it from the center view"))
@@ -293,10 +288,10 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
         return failures, None
 
     viewing = tuple(chart_id for chart_id, _ in step.views)
+    divisor_in = {label: set(labels[label].e_charts) for label in contained_any}
     e_charts = tuple(
         chart_id for chart_id, view in step.views
-        if any(label in labels
-               and chart_id in labels[label].e_charts
+        if any(label in divisor_in and chart_id in divisor_in[label]
                for label in view.contained))
     if e_charts and not under:
         failures.append(("transform",
@@ -307,7 +302,7 @@ def apply_script_step(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
     return failures, exc_name
 
 
-def _apply_script(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
+def _apply_script(labels: dict[str, LabelInfo], chart_ids: set[str],
                   m: int, script: ResolutionScript):
     """Apply every step to `labels`; returns the report and each step's
     exceptional label."""
@@ -322,7 +317,7 @@ def _apply_script(labels: dict[str, LabelInfo], chart_ids: tuple[str, ...],
 
 def verify_resolution_script(atlas: MorphismAtlas,
                              script: ResolutionScript) -> ValidityReport:
-    report, _ = _apply_script(dict(atlas.labels), tuple(atlas.strata), atlas.m, script)
+    report, _ = _apply_script(dict(atlas.labels), set(atlas.strata), atlas.m, script)
     return report
 
 
@@ -540,7 +535,7 @@ def toroidalize(atlas: MorphismAtlas, script: ResolutionScript,
         strata={cid: list(ss) for cid, ss in atlas.strata.items()},
         labels=dict(atlas.labels))
     script_report, exc_labels = _apply_script(
-        working.labels, tuple(working.strata), working.m, script)
+        working.labels, set(working.strata), working.m, script)
     if not script_report.ok:
         raise ToroidalizeError(f"resolution script rejected: {script_report}")
 

@@ -11,19 +11,20 @@ fractional: every product, power and inverse normalizes its result, and
 a negative power of an integer goes through `Fraction`, so the merges
 the engine makes are integer operations and nothing becomes a float.
 
-A unit token carries its constant from parent to child: renaming its
-variables keeps the constant, and appending a blowup child's new
-factors for one row multiplies it by all their constants in one merge,
-so a chart built by a chain of blowups never walks its full factor list
-again.  A factor is a plain immutable
-record, so moving a row's factors costs one tuple per factor.
+A unit token holds its constant as a third field, made with the token
+and carried from parent to child: renaming its variables keeps the
+constant, and appending a blowup child's new factors for one row
+multiplies it by each new factor's constant, so a chart built by a
+chain of blowups never walks its full factor list again.  A factor is a
+plain immutable record, so moving a row's factors costs one tuple per
+factor.
 
 No record of the package is made by `dataclasses` or `typing`, so
 importing it loads neither.  A record is a `namedtuple`, and one that
-checks its fields does so in `__new__`, but for three `_Frozen` classes:
+checks its fields does so in `__new__`, but for two `_Frozen` classes:
 `ChartForm` keeps its fields in its instance dict, where they are read
-faster than from a tuple; `UnitValue` must not equal the tuple of its
-fields; and `UnitToken` caches its constant.
+faster than from a tuple, and `UnitValue` is number-like, so as a tuple
+it would silently accept `v + w`, `2 * v`, `len` and ordering.
 """
 
 from __future__ import annotations
@@ -120,11 +121,26 @@ class UnitValue(_Frozen):
             if self.coeff == 1:
                 return other
             return UnitValue(_exact(self.coeff * other.coeff), other.symbols)
-        exps: dict[str, int | Fraction] = dict(self.symbols)
-        for name, e in other.symbols:
-            e += exps.get(name, 0)
-            exps[name] = e.numerator if type(e) is Fraction and e.denominator == 1 else e
-        syms = tuple(sorted([p for p in exps.items() if p[1]]))
+        # Both sides are sorted by name: merge them in one pass.
+        a, b = self.symbols, other.symbols
+        i = j = 0
+        syms = []
+        while i < len(a) and j < len(b):
+            name = a[i][0]
+            if name < b[j][0]:
+                syms.append(a[i])
+                i += 1
+            elif name > b[j][0]:
+                syms.append(b[j])
+                j += 1
+            else:
+                e = a[i][1] + b[j][1]
+                if e:
+                    syms.append((name, e.numerator if type(e) is Fraction
+                                 and e.denominator == 1 else e))
+                i += 1
+                j += 1
+        syms = tuple(syms) + a[i:] + b[j:]
         # A generic symbol's power, the common factor, has coefficient 1.
         coeff = self.coeff if other.coeff == 1 else _exact(self.coeff * other.coeff)
         return UnitValue(coeff, syms)
@@ -230,72 +246,43 @@ class UnitFactor(namedtuple("UnitFactor", "var shift exp")):
         return self.shift ** self.exp
 
 
-class UnitToken(_Frozen):
+class UnitToken(namedtuple("UnitToken", "base factors value")):
     """A unit series reduced to its origin value and shift factors.
 
     The factor variables must stay outside the chart's active range
-    (divisor, slot, and identity variables); the evaluation at the
-    chart point is base * prod((0 + shift)^exp).
+    (divisor, slot, and identity variables); `value`, the evaluation at
+    the chart point, is base * prod((0 + shift)^exp), made with the token.
     """
 
-    # `_constant` caches the value at the chart point.  Equality, hashing
-    # and repr read only `base` and `factors`, so they never see it.
-    __slots__ = ("base", "factors", "_constant")
+    __slots__ = ()
 
-    def __init__(self, base: UnitValue = ONE, factors: tuple[UnitFactor, ...] = ()):
-        _set_base(self, base)
-        _set_factors(self, factors)
-        _set_constant(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is not UnitToken:
-            return NotImplemented
-        return self.base == other.base and self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.base, self.factors))
-
-    def __repr__(self):
-        return f"UnitToken(base={self.base!r}, factors={self.factors!r})"
+    def __new__(cls, base: UnitValue = ONE, factors: tuple[UnitFactor, ...] = ()):
+        value = base
+        for f in factors:
+            value = value * f.constant()
+        return tuple.__new__(cls, (base, factors, value))
 
     def __reduce__(self):
+        # The value is not pickled: unpickling makes it again.
         return UnitToken, (self.base, self.factors)
 
     def constant(self) -> UnitValue:
-        # Computed on first use; tokens made by with_factor and remap_vars
-        # receive theirs from the token they came from.
-        value = self._constant
-        if value is None:
-            value = self.base
-            for f in self.factors:
-                value = value * f.constant()
-            _set_constant(self, value)
-        return value
+        return self.value
 
     def _carrying(self, factors: tuple[UnitFactor, ...], value: UnitValue) -> "UnitToken":
-        token = UnitToken(self.base, factors)
-        _set_constant(token, value)
-        return token
+        return tuple.__new__(UnitToken, (self.base, factors, value))
 
     def with_factor(self, factors) -> "UnitToken":
         """This token with a factor (x_var + shift)^exp appended for each
         (var, shift, exp) of `factors` with a nonzero exponent.  The carried
-        constant takes all their constants in one merge of the symbols; a
-        shift with coefficient 1 has its exponents scaled, with no power."""
+        value is multiplied by each new factor's constant."""
         new = tuple([UnitFactor(*f) for f in factors if f[2]])
         if not new:
             return self
-        value = self.constant()
-        coeff, exps = value.coeff, dict(value.symbols)
+        value = self.value
         for f in new:
-            c, k = f.shift, f.exp
-            if c.coeff != 1:
-                c, k = f.constant(), 1
-                coeff *= c.coeff
-            for name, x in c.symbols:
-                exps[name] = exps.get(name, 0) + x * k
-        return self._carrying(self.factors + new, UnitValue(_exact(coeff), tuple(sorted(
-            [(n, _exact(e)) for n, e in exps.items() if e]))))
+            value = value * f.constant()
+        return self._carrying(self.factors + new, value)
 
     def remap_vars(self, drop: int) -> "UnitToken":
         """This token with each factor's variable moved down by `drop`: a
@@ -305,12 +292,7 @@ class UnitToken(_Frozen):
         if not drop or not self.factors:
             return self
         return self._carrying(tuple(
-            UnitFactor(f.var - drop, f.shift, f.exp) for f in self.factors),
-            self.constant())
+            UnitFactor(f.var - drop, f.shift, f.exp) for f in self.factors), self.value)
 
-
-_set_base = UnitToken.base.__set__
-_set_factors = UnitToken.factors.__set__
-_set_constant = UnitToken._constant.__set__
 
 TRIVIAL_UNIT = UnitToken()

@@ -130,6 +130,58 @@ def two_chart_doc():
     }
 
 
+def smooth_strata_doc(n):
+    """`identity_doc` with chart A holding `n` smooth strata and no script."""
+    doc = identity_doc()
+    smooth = {"d": 2, "m": 2, "n": 0, "ell": 0, "s": 0, "tag": "smooth", "matrix": []}
+    doc["charts"][0]["strata"] = [{"id": f"p{i}", "chart": smooth} for i in range(n)]
+    doc["script"] = []
+    return doc
+
+
+def many_charts_doc(n):
+    """`identity_doc`'s stratum in each of `n` charts, both labels seen by
+    every chart, and its one step viewing every chart."""
+    doc = identity_doc()
+    ids = [f"c{i}" for i in range(n)]
+    doc["labels"] = [{"name": name, "charts": ids} for name in ("L1", "L2")]
+    doc["charts"] = [{"id": cid, "strata": doc["charts"][0]["strata"]} for cid in ids]
+    doc["script"][0]["views"] = {cid: {"c": 2, "contained": ["L1", "L2"]} for cid in ids}
+    return doc
+
+
+def best_time(run, *args) -> float:
+    """The fastest of three timed calls `run(*args)`, in seconds."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        run(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class TestLinearChecks:
+    """Reading a chart's strata and checking an atlas or its script take
+    time linear in the strata or charts: four times the input takes less
+    than ten times as long (sixteen when quadratic)."""
+
+    def test_parse_is_linear_in_a_charts_strata(self):
+        small, large = (best_time(parse_document, smooth_strata_doc(n)) for n in (2000, 8000))
+        assert large / small < 10, (small, large)
+
+    def test_atlas_check_is_linear_in_charts(self):
+        atlases = [parse_document(many_charts_doc(n))[0] for n in (2000, 8000)]
+        assert check_atlas(atlases[0]).ok
+        small, large = (best_time(check_atlas, atlas) for atlas in atlases)
+        assert large / small < 10, (small, large)
+
+    def test_script_check_is_linear_in_charts(self):
+        parsed = [parse_document(many_charts_doc(n)) for n in (2000, 8000)]
+        assert verify_resolution_script(*parsed[0]).ok
+        small, large = (best_time(verify_resolution_script, *pair) for pair in parsed)
+        assert large / small < 10, (small, large)
+
+
 class TestParsingAndChecks:
     def test_identity_atlas_valid(self):
         atlas, script = parse_document(identity_doc())
@@ -1325,15 +1377,24 @@ class TestExitStatuses:
         assert (status, err) == (2, f"error: {line}\n")
 
 
+JSON_TYPES = (dict, list, str, int, bool, type(None))
+
+
 def sharing_faults(trace) -> list[str]:
     """Where `trace` breaks its sharing rule: it reaches every dict and list
     once, but a lifted chart's document, which is its lift record's `chart`
     and, while the stratum survives (no later step adapts it), its
-    `final_atlas` entry's.  Empty when the rule holds."""
+    `final_atlas` entry's.  Every value's type is also one of `JSON_TYPES`
+    exactly: orjson refuses a namedtuple and `stdlib_dumps` writes it as
+    an array, so a record that leaked in would not always raise.  Empty
+    when both rules hold."""
     reached: dict[int, int] = {}
+    faults = []
 
     def walk(obj):
-        if isinstance(obj, (dict, list)):
+        if type(obj) not in JSON_TYPES:
+            faults.append(f"a {type(obj).__name__} value: {obj!r:.80}")
+        elif isinstance(obj, (dict, list)):
             reached[id(obj)] = reached.get(id(obj), 0) + 1
             if reached[id(obj)] == 1:
                 for child in obj.values() if isinstance(obj, dict) else obj:
@@ -1342,7 +1403,7 @@ def sharing_faults(trace) -> list[str]:
     walk(trace)
     final = {(chart["id"], s["id"]): s["chart"]
              for chart in trace["final_atlas"]["charts"] for s in chart["strata"]}
-    faults, expected = [], {}
+    expected = {}
     for k, step in enumerate(trace["steps"]):
         for chart_id, record in step["charts"].items():
             for lift_doc in record["lifts"]:
@@ -1378,6 +1439,11 @@ class TestTraceSharing:
         assert canonical_dumps(toroidalize(atlas, script)) == before
         lifted["units"][0]["base"]["coeff"] = "999"
         assert canonical_dumps(toroidalize(atlas, script)) == before
+
+    def test_a_value_of_another_type_is_a_fault(self):
+        trace = toroidalize(*self.parsed())
+        trace["verdicts"]["unit"] = units.TRIVIAL_UNIT
+        assert sharing_faults(trace) == [f"a UnitToken value: {units.TRIVIAL_UNIT!r:.80}"]
 
     @pytest.mark.parametrize("cap", [1, 50])
     def test_only_a_lifted_chart_is_shared(self, cap, monkeypatch):

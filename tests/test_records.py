@@ -1,10 +1,10 @@
 """Records and unit values are immutable; all but `ChartForm` carry no
 instance dict.
 
-Every record but `ChartForm`, `UnitValue` and `UnitToken` is a
+Every record but `ChartForm` and `UnitValue` is a
 `collections.namedtuple`, and a checked one checks its fields in
-`__new__`.  `UnitValue` and `UnitToken` are slotted classes, and
-`ChartForm` keeps its fields in its instance dict.  Each instance below
+`__new__`; `UnitToken` makes its value there.  `UnitValue` is a slotted
+class, and `ChartForm` keeps its fields in its instance dict.  Each instance below
 is one the engine built.  The checked records' `repr`, equality, hashing, copies
 and constructor messages are pinned as well.
 """
@@ -23,7 +23,7 @@ from toroidal.monomial import MonomialIdeal
 from toroidal.pipeline import check_atlas, parse_document
 from toroidal.principalize import nonprincipal_locus, principalize_chart_family
 from toroidal.toric import LocalModelDims, ToricMorphismData, ToroidalPresentation
-from toroidal.units import TRIVIAL_UNIT, Stratum, UnitToken, UnitValue
+from toroidal.units import TRIVIAL_UNIT, Stratum, UnitFactor, UnitToken, UnitValue
 from test_pipeline import TWO_BLOWUP_FAMILY, identity_doc
 
 RECORDS = {
@@ -42,6 +42,7 @@ FIELDS = {
     MonomialIdeal: ("ambient_dim", "gens"),
     LocalModelDims: ("dim", "cone"),
     ToricMorphismData: ("source", "target", "matrix"),
+    UnitToken: ("base", "factors", "value"),
     ToroidalPresentation: ("r", "row_perm", "col_perm", "elimination", "c_block",
                            "constants", "chart"),
 }
@@ -99,16 +100,12 @@ def test_no_instance_dict_and_no_assignment(obj):
 def test_unit_values_compare_hash_and_print_as_before():
     value = UnitValue(2, (("a", 1),))
     assert repr(value) == "UnitValue(coeff=2, symbols=(('a', 1),))"
-    assert repr(UnitToken(value)) == (
-        "UnitToken(base=UnitValue(coeff=2, symbols=(('a', 1),)), factors=())")
     assert hash(value) == hash((2, (("a", 1),)))
     assert value == UnitValue(2, (("a", 1),)) and value != (2, (("a", 1),))
     assert UnitToken(value) != value
-    token = UnitToken(value).with_factor([(3, value, 2)])
-    for obj, field in ((value, "coeff"), (token, "base")):
-        assert copy.deepcopy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
-        with pytest.raises(AttributeError):
-            delattr(obj, field)
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(AttributeError):
+        delattr(value, "coeff")
     with pytest.raises(ValueError):
         UnitValue(0)
 
@@ -123,8 +120,15 @@ PINNED = [
      ChartForm(d=3, m=2, n=1, ell=1, s=0, tag=TOROIDAL, matrix=((1,),),
                units=(TRIVIAL_UNIT,)),
      "ChartForm(d=3, m=2, n=1, ell=1, s=0, tag='toroidal', matrix=((2,),), "
-     "units=(UnitToken(base=UnitValue(coeff=3, symbols=()), factors=()),), "
+     "units=(UnitToken(base=UnitValue(coeff=3, symbols=()), factors=(), "
+     "value=UnitValue(coeff=3, symbols=())),), "
      "betas=(), ell_bar=0)"),
+    (UnitToken(UnitValue(2), (UnitFactor(3, UnitValue(5), 2),)),
+     UnitToken(UnitValue(2)).with_factor([(3, UnitValue(5), 2)]),
+     UnitToken(UnitValue(50)),
+     "UnitToken(base=UnitValue(coeff=2, symbols=()), "
+     "factors=(UnitFactor(var=3, shift=UnitValue(coeff=5, symbols=()), exp=2),), "
+     "value=UnitValue(coeff=50, symbols=()))"),
     (Stratum.of_value(2), Stratum("value", Fraction(2)), Stratum.generic("b"),
      "Stratum(kind='value', value=Fraction(2, 1), symbol=None)"),
     (CenterDescriptor(1, 2, (0,)), CenterDescriptor(ell_bar=1, c=2, divisor_rows=(0,)),

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -49,18 +50,6 @@ class TestFastPaths:
             UnitValue(Fraction(0))
 
 
-class TestCachedConstants:
-    def test_cache_is_invisible_to_eq_hash_repr(self):
-        shift = UnitValue.symbol("s") * UnitValue.of(3)
-        fresh = UnitToken(UnitValue.of(2), (UnitFactor(5, shift, -2),))
-        used = UnitToken(UnitValue.of(2), (UnitFactor(5, shift, -2),))
-        first = used.constant()
-        assert used.constant() is first
-        assert used == fresh and hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
-        assert first == UnitValue.of(2) * reference_pow(shift, -2)
-
-
 def reference_constant(token: UnitToken) -> UnitValue:
     """base * prod(shift^exp), every power and product taken by the reference."""
     value = token.base
@@ -70,6 +59,19 @@ def reference_constant(token: UnitToken) -> UnitValue:
 
 
 class TestCarriedConstants:
+    def test_value_is_made_with_the_token_and_carried(self):
+        shift = UnitValue.symbol("s") * UnitValue.of(3)
+        token = UnitToken(UnitValue.of(2), (UnitFactor(5, shift, -2),))
+        assert token.constant() is token.value == UnitValue.of(2) * reference_pow(shift, -2)
+        assert token == (token.base, token.factors, token.value)
+        assert hash(token) == hash(UnitToken(token.base, token.factors))
+        # `_make` takes the value as given, so a planted one shows what is
+        # carried: renaming keeps it and a new factor multiplies it.
+        planted = UnitToken._make((UnitValue.of(2), token.factors, UnitValue.of(7)))
+        assert planted.remap_vars(1).value is planted.value
+        assert planted.with_factor([(9, UnitValue.of(3), 2)]).value == UnitValue.of(63)
+        assert pickle.loads(pickle.dumps(planted)) == token  # unpickling makes it again
+
     def test_chains_carry_the_constant_of_their_factors(self):
         rng = random.Random(515)
         for _ in range(200):
