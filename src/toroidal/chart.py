@@ -315,7 +315,8 @@ AdaptedForm = namedtuple("AdaptedForm", "chart row_order")
 def center_row_order(ell: int, z: CenterDescriptor) -> tuple[int, ...]:
     """Stable permutation bringing the center's divisor rows first."""
     first = sorted(z.divisor_rows)
-    rest = [i for i in range(ell) if i not in set(first)]
+    chosen = set(first)
+    rest = [i for i in range(ell) if i not in chosen]
     return tuple(first + rest)
 
 

@@ -334,13 +334,28 @@ def collector_paused():
     """Pause the cyclic garbage collector, and turn it back on after if it
     was on before.  The engine makes no reference cycles, so reference
     counting frees all it drops; collector passes would only re-scan the
-    growing trace.  The switch is per process, not per thread."""
+    growing trace.
+
+    Before turning it back on, when no object is frozen (`gc.freeze`), it
+    hands every tracked object to the oldest generation unscanned
+    (`gc.freeze()` then `gc.unfreeze()`) and so resets the young count: no
+    pass walks the finished trace on the way out, and the trace is never
+    promoted through the middle generation, which is what starts full
+    collections.  The caller's own young objects are handed over too, so
+    its cyclic garbage waits for the next full collection.  When objects
+    are already frozen, by a host or by the interpreter at startup, it
+    only turns the collector back on, so it never thaws what someone else
+    froze; counting them walks them once per call.  The switch is per
+    process, not per thread."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -372,8 +387,8 @@ def _strata_above(chart_strata: list[TrackedStratum], view: CenterView,
 
 
 def _descriptor_for(stratum: TrackedStratum, view: CenterView) -> CenterDescriptor:
-    rows = tuple(i for i, label in enumerate(stratum.row_labels)
-                 if label in set(view.contained))
+    contained = set(view.contained)
+    rows = tuple(i for i, label in enumerate(stratum.row_labels) if label in contained)
     return CenterDescriptor(ell_bar=len(rows), c=view.c, divisor_rows=rows)
 
 
